@@ -24,8 +24,6 @@ Exit codes:
     4  expected trace files missing
     5  trace sanity violation (some f_k(x_k) below f_k(x_k*))
     6  recorded constants fail sampled validation
-
-``OMPD_THREADS`` caps the worker pool used to dispatch variants.
 """
 
 from __future__ import annotations
@@ -57,6 +55,9 @@ EXIT_CONSTANTS = 6
 
 _SANITY_TOL = 1e-6
 _BOUND_TOL_PER_STEP = 1e-6
+_OPTIMUM_TOL_DEFAULTS = {"example1": regret.OPTIMUM_TOL_DEFAULT,
+                         "custom": regret.OPTIMUM_TOL_DEFAULT,
+                         "example2": experiments.SEPARATION_OPTIMUM_TOL}
 
 
 class ConfigError(Exception):
@@ -156,15 +157,6 @@ def _build_domain(dom, dim):
                       f"{kind}")
 
 
-def _workers(n_variants: int) -> int:
-    raw = os.environ.get("OMPD_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, n_variants)
-
-
 def _write_resolved_config(path, manifest, cfg, dom) -> None:
     parser = configparser.ConfigParser()
     parser.optionxform = str
@@ -197,7 +189,8 @@ def cmd_run(args) -> int:
         seed = args.seed if args.seed is not None else run_cfg.get("seed", 0)
         variant = args.variant or run_cfg.get("variant", "both")
         variants = _variants(variant)
-        optimum_tol = run_cfg.get("optimum_tol", regret.OPTIMUM_TOL_DEFAULT)
+        optimum_tol = run_cfg.get("optimum_tol",
+                                  _OPTIMUM_TOL_DEFAULTS[experiment])
         manifest = {"experiment": experiment, "seed": seed,
                     "variant": variant, "optimum_tol": optimum_tol}
         stream_seed = seed ^ STREAM_SEED_XOR
@@ -239,17 +232,15 @@ def cmd_run(args) -> int:
         return EXIT_OVERWRITE
     os.makedirs(out_dir, exist_ok=True)
 
-    workers = _workers(len(variants))
     try:
         if experiment in ("example1", "custom"):
             results = experiments.run_example1(
                 cfg, out_dir=out_dir, variants=variants, domain=domain,
-                error_seed=error_seed, optimum_tol=optimum_tol,
-                workers=workers)
+                error_seed=error_seed, optimum_tol=optimum_tol)
         else:
             results, _ = experiments.run_example2(
                 cfg, out_dir=out_dir, variants=variants,
-                error_seed=error_seed, workers=workers)
+                error_seed=error_seed, optimum_tol=optimum_tol)
     except SolverRunError as exc:
         partial = exc.trace
         path = os.path.join(out_dir, "partial_trace.csv")
@@ -338,7 +329,8 @@ def cmd_verify(args) -> int:
         if experiment not in ("example1", "example2", "custom"):
             raise ConfigError(f"invalid key 'experiment': {experiment}")
         variants = _variants(run_cfg.get("variant", "both"))
-        optimum_tol = run_cfg.get("optimum_tol", regret.OPTIMUM_TOL_DEFAULT)
+        optimum_tol = run_cfg.get("optimum_tol",
+                                  _OPTIMUM_TOL_DEFAULTS[experiment])
         if experiment in ("example1", "custom"):
             cfg = experiments.GaussMarkovConfig(**ex1)
         else:

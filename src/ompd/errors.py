@@ -41,7 +41,7 @@ class InnerSolverError(OmpdError):
     def __init__(self, residual, tolerance, iterations):
         super().__init__(
             f"inner solver stopped at residual {residual:.3e} > tolerance "
-            f"{tolerance:.3e} after {iterations} iterations"
+            f"{tolerance:.3e} within {iterations} iterations"
         )
         self.residual = residual
         self.tolerance = tolerance
@@ -52,7 +52,7 @@ class OptimumError(OmpdError):
     def __init__(self, residual, tolerance, iterations):
         super().__init__(
             f"offline optimum search stopped at residual {residual:.3e} > "
-            f"tolerance {tolerance:.3e} after {iterations} iterations"
+            f"tolerance {tolerance:.3e} within {iterations} iterations"
         )
         self.residual = residual
         self.tolerance = tolerance

@@ -19,9 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .bregman import euclidean_generator
+from .errors import OptimumError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
                      whole_space, zero_error_model)
-from .prox import block_rule, composed_prox, l1_rule, nuclear_rule
+from .prox import RESIDUAL_CHECK_EVERY, block_rule, l1_rule, nuclear_rule
+from .prox import gradient_mapping_norm  # noqa: F401  (re-exported)
 from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
                      ledger_from_trace, stream_optima, theorem_rhs,
                      write_bound_csv)
@@ -30,6 +32,9 @@ from .solver import RunTrace, SolverConfig, run, write_trace_csv
 
 #: default derivation of the error-model seed from the stream seed
 ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
+
+#: example2's optimum tolerance; 1e-9 may be out of reach at its 1e5 scale
+SEPARATION_OPTIMUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ def example1_error_model(cfg: GaussMarkovConfig, variant: str,
 
 
 def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
-                       max_iters=200_000, check_every=10):
+                       max_iters=200_000):
     """Per-step optima of ||y_t - X_t a||^2 + eta ||a||_1, all t at once.
 
     Accelerated proximal gradient with gradient restart, one step size per
@@ -140,7 +145,8 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     per coordinate (clip after shrink is the exact composed prox).
     Problems whose prox-gradient mapping norm drops below ``tol`` are
     frozen so stragglers do not keep the whole batch busy.
-    Returns (optima, f_star, residuals).
+    Returns (optima, f_star, residuals); raises OptimumError if any
+    problem is still above ``tol`` after ``max_iters``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -167,6 +173,7 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     a = np.zeros((T, n))
     z = a.copy()
     tmom = np.ones(T)
+    res = np.full(T, np.inf)
     for it in range(1, max_iters + 1):
         a_new = prox(z - s * grad(z, Xa, Ya), s)
         restart = np.einsum("tn,tn->t", z - a_new, a_new - a) > 0.0
@@ -175,10 +182,10 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
         z = a_new + ((tmom - 1.0) / t_next)[:, None] * (a_new - a)
         a = a_new
         tmom = t_next
-        if it % check_every == 0 or it == max_iters:
+        if it % RESIDUAL_CHECK_EVERY == 0 or it == max_iters:
             p = prox(a - s * grad(a, Xa, Ya), s)
             res = np.linalg.norm(p - a, axis=1) / s[:, 0]
-            done = (res <= tol) if it < max_iters else np.ones_like(res, bool)
+            done = res <= tol
             if np.any(done):
                 out[active[done]] = p[done]
                 out_res[active[done]] = res[done]
@@ -189,6 +196,8 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
                 Xa, Ya = X[active], Y[active]
                 s = step_all[active][:, None]
                 a, z, tmom = a[keep], z[keep], tmom[keep]
+    else:
+        raise OptimumError(float(np.max(res)), tol, max_iters)
     r = np.einsum("tdn,tn->td", X, out) - Y
     f_star = np.einsum("td,td->t", r, r) + eta * np.sum(np.abs(out), axis=1)
     return out, f_star, out_res
@@ -201,16 +210,6 @@ class ExperimentResult:
     ledger: object
     rhs: np.ndarray
     regret: np.ndarray
-
-
-def _dispatch(variants, worker, workers: int):
-    """Run one worker per variant, optionally on a small thread pool."""
-    if workers <= 1 or len(variants) <= 1:
-        return {v: worker(v) for v in variants}
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, len(variants))) as pool:
-        futures = {v: pool.submit(worker, v) for v in variants}
-        return {v: f.result() for v, f in futures.items()}
 
 
 def _write_run_outputs(result: ExperimentResult, out_dir: str) -> None:
@@ -237,8 +236,7 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
                  variants=("exact", "inexact"),
                  domain: Optional[Domain] = None,
                  error_seed: Optional[int] = None,
-                 optimum_tol: float = OPTIMUM_TOL_DEFAULT,
-                 workers: int = 1):
+                 optimum_tol: float = OPTIMUM_TOL_DEFAULT):
     """Wire the regression stream through the solver, both variants.
 
     Per-step optima are computed once (batched for the whole-space and box
@@ -262,7 +260,8 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
                           generator=euclidean_generator(),
                           initial_point=np.zeros(cfg.n_coeffs))
 
-    def worker(variant: str) -> ExperimentResult:
+    results = {}
+    for variant in variants:
         model = example1_error_model(cfg, variant, error_seed)
         trace = run(stream, config, model)
         fill_optima(trace, stream, tol=optimum_tol, optima=optima,
@@ -277,9 +276,8 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
             _write_coefficients_csv(
                 os.path.join(out_dir, variant, "coefficients.csv"),
                 truth["a_true"], trace.iterates)
-        return result
-
-    return _dispatch(list(variants), worker, workers)
+        results[variant] = result
+    return results
 
 
 @dataclass(frozen=True)
@@ -318,9 +316,6 @@ class SeparationConfig:
         if self.alpha_L != self.alpha_S:
             raise ValueError("paired updates need alpha_L == alpha_S to form "
                              "one block step")
-        if self.horizon > 500:
-            raise ValueError("horizon is capped at 500; per-step optima on "
-                             "the block variable dominate runtime beyond it")
 
 
 def background_spectrum(cfg: SeparationConfig) -> np.ndarray:
@@ -460,14 +455,6 @@ def separation_f1(trace: RunTrace, truth, cfg: SeparationConfig,
     return 2.0 * precision * recall / (precision + recall)
 
 
-def gradient_mapping_norm(step: CompositeLossStep, domain: Domain,
-                          x: np.ndarray, scale: float) -> float:
-    """Composite optimality residual of one step at x."""
-    p = composed_prox(step.prox_handle, domain,
-                      x - scale * step.smooth_gradient(x), scale)
-    return float(np.linalg.norm(x - p)) / scale
-
-
 def _write_snapshots(trace: RunTrace, cfg: SeparationConfig, out_dir: str,
                      every: int) -> None:
     sdir = os.path.join(out_dir, "snapshots")
@@ -482,8 +469,8 @@ def _write_snapshots(trace: RunTrace, cfg: SeparationConfig, out_dir: str,
 
 def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
                  variants=("exact",), error_seed: Optional[int] = None,
-                 optimum_tol: float = 1e-6, snapshot_every: int = 50,
-                 workers: int = 1):
+                 optimum_tol: float = SEPARATION_OPTIMUM_TOL,
+                 snapshot_every: int = 50):
     """Run the separation stream and assemble the regret artifacts.
 
     The (L, S) pair is one flat block variable, so the generic solver,
@@ -498,7 +485,8 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
     seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
     optima, f_star = stream_optima(stream, tol=optimum_tol)
 
-    def worker(variant: str) -> ExperimentResult:
+    results = {}
+    for variant in variants:
         if variant == "exact" or cfg.error_std == 0.0:
             model = zero_error_model(seed=seed)
         else:
@@ -516,6 +504,5 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
             _write_run_outputs(result, out_dir)
             _write_snapshots(trace, cfg, os.path.join(out_dir, variant),
                              snapshot_every)
-        return result
-
-    return _dispatch(list(variants), worker, workers), truth
+        results[variant] = result
+    return results, truth

@@ -6,8 +6,9 @@ Each online step minimizes
 
 where c is the (possibly noisy) gradient. For the Euclidean generator and
 a closed-form prox rule the minimizer is the classical proximal step; for
-other generators an accelerated inner solver drives the prox-gradient
-mapping of Phi below ``inner_tolerance``. The inexactness wrapper then
+other generators ``prox_gradient``, the one prox-gradient loop that the
+offline oracle ``regret.offline_optimum`` also runs, drives the mapping
+norm of Phi below ``inner_tolerance``. The inexactness wrapper then
 perturbs the solution by a norm-bounded offset and reports an honest
 eps_k for the ledger (offset radius plus the inner residual bound).
 """
@@ -25,6 +26,8 @@ from .losses import CompositeLossStep, Domain, ErrorModel
 
 INNER_TOL_DEFAULT = 1e-9
 INNER_MAX_ITERS = 10_000
+#: residual check cadence of prox_gradient and lasso_optima_batch
+RESIDUAL_CHECK_EVERY = 10
 
 
 def soft_threshold(y, lam: float):
@@ -35,25 +38,10 @@ def soft_threshold(y, lam: float):
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
 
 
-def _fix_svd_signs(U, Vt):
-    # First nonzero entry of each left singular vector made nonnegative;
-    # keeps U @ diag(s) @ Vt unchanged but pins the decomposition.
-    U = U.copy()
-    Vt = Vt.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-            Vt[j, :] = -Vt[j, :]
-    return U, Vt
-
-
 def singular_value_threshold(Z, lam: float, svd=np.linalg.svd):
     """Shrink all singular values of Z by lam, flooring at zero.
 
-    ``svd`` is an injected thin-SVD routine; the default is numpy's. The
-    decomposition is sign-normalized for reproducibility.
+    ``svd`` is an injected thin-SVD routine; the default is numpy's.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -62,7 +50,6 @@ def singular_value_threshold(Z, lam: float, svd=np.linalg.svd):
         U, s, Vt = svd(Z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdError(Z.shape) from exc
-    U, Vt = _fix_svd_signs(U, Vt)
     return (U * np.maximum(s - lam, 0.0)) @ Vt
 
 
@@ -198,8 +185,50 @@ def subproblem_value(spec: SubproblemSpec, x) -> float:
             + divergence(spec.gen, x, spec.anchor) / spec.step_size)
 
 
+def _prox_gradient_point(grad, rule, domain: Domain, x, step: float):
+    p = composed_prox(rule, domain, x - step * grad(x), step)
+    return p, float(np.linalg.norm(x - p)) / step
+
+
+def gradient_mapping_norm(step: CompositeLossStep, domain: Domain,
+                          x: np.ndarray, scale: float) -> float:
+    """Prox-gradient mapping norm of one step at x; ``prox_gradient``'s."""
+    return _prox_gradient_point(step.smooth_gradient, step.prox_handle,
+                                domain, x, scale)[1]
+
+
+def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
+                  max_iters: int):
+    """FISTA with gradient restart on g + h over the domain, fixed step.
+
+    ``grad`` is grad g, ``rule`` the prox of h, ``x0`` feasible, ``step``
+    1/L for an L-smooth g. Returns (p, residual, converged): the
+    prox-gradient point of the last checked iterate and its mapping norm.
+    It stops unconverged when the budget runs out or the residual turns
+    nonfinite, as it does when the step exceeds 2/L.
+    """
+    x = z = x0
+    t = 1.0
+    p, residual = x0, np.inf
+    for it in range(1, max_iters + 1):
+        x_new = composed_prox(rule, domain, z - step * grad(z), step)
+        if float(np.dot(z - x_new, x_new - x)) > 0.0:
+            t = 1.0  # gradient restart
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x = x_new
+        t = t_new
+        if it % RESIDUAL_CHECK_EVERY == 0 or it == 1:
+            p, residual = _prox_gradient_point(grad, rule, domain, x, step)
+            if residual <= tol:
+                return p, residual, True
+            if not np.isfinite(residual):
+                break
+    return p, residual, False
+
+
 def _inner_solve(spec: SubproblemSpec):
-    """Accelerated proximal gradient on Phi; returns (point, position bound).
+    """``prox_gradient`` on Phi; returns (point, position bound).
 
     The smooth part <c, x> + V(x, anchor)/lam has Lipschitz gradient
     G_omega/lam and strong convexity sigma_omega/lam, so the returned
@@ -209,34 +238,20 @@ def _inner_solve(spec: SubproblemSpec):
     lam = spec.step_size
     gen = spec.gen
     c = spec.noisy_grad
-    anchor = spec.anchor
-    grad_anchor = gen.gradient(anchor)
-    L_phi = gen.g_omega / lam
-    s = 1.0 / L_phi
+    grad_anchor = gen.gradient(spec.anchor)
 
     def smooth_grad(x):
         return c + (gen.gradient(x) - grad_anchor) / lam
 
-    x = spec.domain.project(anchor)
-    z = x
-    t = 1.0
-    residual = np.inf
-    for it in range(1, INNER_MAX_ITERS + 1):
-        g = smooth_grad(z)
-        x_new = composed_prox(spec.loss.prox_handle, spec.domain, z - s * g, s)
-        if float(np.dot(z - x_new, x_new - x)) > 0.0:
-            t = 1.0  # gradient restart
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x = x_new
-        t = t_new
-        if it % 10 == 0 or it == 1:
-            p = composed_prox(spec.loss.prox_handle, spec.domain,
-                              x - s * smooth_grad(x), s)
-            residual = float(np.linalg.norm(x - p)) / s
-            if residual <= spec.inner_tolerance:
-                return p, 2.0 * residual * lam / gen.sigma_omega
-    raise InnerSolverError(residual, spec.inner_tolerance, INNER_MAX_ITERS)
+    # 1/(G_omega/lam), not lam/G_omega: recorded traces rest on its last bit
+    y, residual, converged = prox_gradient(
+        smooth_grad, spec.loss.prox_handle, spec.domain,
+        spec.domain.project(spec.anchor), 1.0 / (gen.g_omega / lam),
+        spec.inner_tolerance, INNER_MAX_ITERS)
+    if not converged:
+        raise InnerSolverError(residual, spec.inner_tolerance,
+                               INNER_MAX_ITERS)
+    return y, 2.0 * residual * lam / gen.sigma_omega
 
 
 def _solve_with_bound(spec: SubproblemSpec):

@@ -1,6 +1,13 @@
 """Exit codes, file contract, and verify round-trips of the CLI."""
 
+import configparser
+
+from ompd import experiments
 from ompd.cli import main
+
+EX2_SMALL = ("[example2]\nframe_dim = 16\nwindow = 8\n"
+             "[run]\nexperiment = example2\nseed = 2\nvariant = exact\n"
+             "horizon = 4\n")
 
 
 def _run_example1(tmp_path, extra=()):
@@ -8,6 +15,12 @@ def _run_example1(tmp_path, extra=()):
     code = main(["run", "--experiment", "example1", "--seed", "7",
                  "--horizon", "40", "--out", str(out), *extra])
     return code, out
+
+
+def _recorded_optimum_tol(out):
+    parser = configparser.ConfigParser()
+    parser.read(out / "run_config.cfg")
+    return float(parser["run"]["optimum_tol"])
 
 
 class TestRun:
@@ -69,12 +82,29 @@ class TestRun:
         text = (out / "run_config.cfg").read_text()
         assert "eta = 0.1" in text
 
-    def test_worker_pool_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OMPD_THREADS", "2")
-        code, out = _run_example1(tmp_path)
-        assert code == 0
-        assert (out / "exact" / "trace.csv").exists()
-        assert (out / "inexact" / "trace.csv").exists()
+    def test_configured_optimum_tol_reaches_example2(self, tmp_path,
+                                                      monkeypatch):
+        seen = []
+        real = experiments.run_example2
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("optimum_tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_example2", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX2_SMALL + "optimum_tol = 1e-5\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert seen == [1e-5]
+        assert _recorded_optimum_tol(out) == 1e-5
+
+    def test_example2_records_its_default_optimum_tol(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX2_SMALL)
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _recorded_optimum_tol(out) == 1e-6
 
 
 class TestVerify:

@@ -148,6 +148,9 @@ class TestSeparationGenerator:
         with pytest.raises(ValueError):
             SeparationConfig(alpha_L=0.2, alpha_S=0.1)
 
+    def test_horizon_is_not_capped(self):
+        assert SeparationConfig(horizon=501).horizon == 501
+
     def test_joint_smoothness_constant_validates(self):
         """The coupled curvature bound survives sampled descent checks."""
         cfg = SeparationConfig(frame_dim=12, window=6, horizon=2, seed=13,

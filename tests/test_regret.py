@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
-                  ProblemStream, RegimeMismatchError, SolverConfig, box,
-                  certified_margin, dynamic_regret, euclidean_generator,
-                  fill_optima, l1_rule, ledger_from_trace, offline_optimum,
-                  recursion_bound, run, theorem_rhs, whole_space,
-                  zero_error_model, zero_rule)
-from ompd.experiments import (GaussMarkovConfig, generate_gauss_markov,
+                  OptimumError, ProblemStream, RegimeMismatchError,
+                  SolverConfig, box, certified_margin, dynamic_regret,
+                  euclidean_generator, fill_optima, l1_rule,
+                  ledger_from_trace, offline_optimum, prox, recursion_bound,
+                  run, theorem_rhs, whole_space, zero_error_model, zero_rule)
+from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
+                              generate_gauss_markov, generate_separation,
                               lasso_optima_batch)
 from ompd.solver import RunTrace
 
@@ -114,6 +115,50 @@ class TestOfflineOptimum:
                                            tol=1e-11)
             np.testing.assert_allclose(optima[k - 1], x_ref, atol=1e-6)
             np.testing.assert_allclose(f_star[k - 1], f_ref, rtol=1e-10)
+
+    def test_underdeclared_smoothness_stops_at_divergence(self, monkeypatch):
+        """Step 1/L with L declared 10x too small diverges: an error."""
+        c = np.array([2.0, -1.0, 0.5])
+        step = CompositeLossStep(
+            smooth_value=lambda x: 5.0 * float(np.dot(x - c, x - c)),
+            smooth_gradient=lambda x: 10.0 * (x - c),
+            nonsmooth_value=lambda x: 0.0,
+            smoothness_constant=1.0, regularizer_lipschitz=0.0,
+            prox_handle=zero_rule(), dim=3)
+        calls = _count_composed_prox(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OptimumError) as err:
+                offline_optimum(step, whole_space(), tol=1e-10)
+        assert not np.isfinite(err.value.residual)
+        assert len(calls) < 2000
+
+    def test_example2_step_costs_few_prox_calls(self, monkeypatch):
+        """Cold example2 step 1 at tol 1e-6; backtracking took 8,629 calls."""
+        stream, _ = generate_separation(SeparationConfig(seed=1))
+        calls = _count_composed_prox(monkeypatch)
+        offline_optimum(stream.step_at(1), stream.domain, tol=1e-6)
+        assert len(calls) < 1000
+
+    def test_batch_out_of_budget_raises(self):
+        cfg = GaussMarkovConfig(horizon=20, seed=9)
+        _, truth = generate_gauss_markov(cfg)
+        with pytest.raises(OptimumError) as err:
+            lasso_optima_batch(truth["X"], truth["Y"], cfg.eta, tol=1e-12,
+                               max_iters=5)
+        assert err.value.residual > 1e-12
+        assert err.value.iterations == 5
+
+
+def _count_composed_prox(monkeypatch):
+    calls = []
+    real = prox.composed_prox
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prox, "composed_prox", counting)
+    return calls
 
 
 class TestDynamicRegret:
