@@ -4,11 +4,13 @@ Usage:
     ompd run --experiment example1 --seed 7 --out results/
     ompd verify --out results/
 
-Configuration files are flat INI-style key=value text with sections
-[run], [example1] (or [custom], same keys), [example2], and [domain];
-command-line flags override file values. Every run writes the resolved
-configuration to ``run_config.cfg`` inside the output directory, which is
-what ``verify`` reads back.
+Configuration files are flat INI-style key=value text; command-line flags
+override file values. [run] holds experiment, seed (>= 0), horizon (>= 1),
+variant and optimum_tol. example1 and custom read [example1] or its alias
+[custom] and accept a box [domain]; example2 reads [example2] and runs on
+the whole space. Every run writes the resolved configuration to
+``run_config.cfg`` inside the output directory, which is what ``verify``
+reads back.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
@@ -33,14 +35,15 @@ import configparser
 import dataclasses
 import os
 import sys
+import typing
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import experiments, regret, runio
 from .bregman import euclidean_generator
 from .errors import OmpdError, SolverRunError
-from .losses import box, whole_space
-from .losses import validate_constants
+from .losses import box, validate_constants, whole_space
 
 STREAM_SEED_XOR = 0x53545245  # "STRE"
 ERROR_SEED_XOR = experiments.ERROR_SEED_XOR
@@ -55,22 +58,58 @@ EXIT_CONSTANTS = 6
 
 _SANITY_TOL = 1e-6
 _BOUND_TOL_PER_STEP = 1e-6
-_OPTIMUM_TOL_DEFAULTS = {"example1": regret.OPTIMUM_TOL_DEFAULT,
-                         "custom": regret.OPTIMUM_TOL_DEFAULT,
-                         "example2": experiments.SEPARATION_OPTIMUM_TOL}
 
 
 class ConfigError(Exception):
     pass
 
 
+@dataclasses.dataclass(frozen=True)
+class _Experiment:
+    """Everything the CLI knows about one built-in experiment."""
+
+    section: str           # config-file section holding the config fields
+    config: type           # the config dataclass
+    step_size: str         # the config field holding lambda
+    optimum_tol: float     # default of [run] optimum_tol
+    domain_dim: Optional[str]  # field sizing a box [domain]; None: whole space
+    stream: Callable       # (cfg, domain) -> ProblemStream
+    run: Callable          # (cfg, domain, **kwargs) -> {variant: result}
+
+
+# The lambdas look the experiments functions up at call time, so a caller
+# that replaces a module attribute (a test spy, a tracer) is honoured.
+_EXPERIMENTS = {
+    "example1": _Experiment(
+        section="example1", config=experiments.GaussMarkovConfig,
+        step_size="step_size", optimum_tol=regret.OPTIMUM_TOL_DEFAULT,
+        domain_dim="n_coeffs",
+        stream=lambda cfg, domain: experiments.generate_gauss_markov(
+            cfg, domain)[0],
+        run=lambda cfg, domain, **kw: experiments.run_example1(
+            cfg, domain=domain, **kw)),
+    "example2": _Experiment(
+        section="example2", config=experiments.SeparationConfig,
+        step_size="alpha_L", optimum_tol=experiments.SEPARATION_OPTIMUM_TOL,
+        domain_dim=None,
+        stream=lambda cfg, domain: experiments.generate_separation(cfg)[0],
+        run=lambda cfg, domain, **kw: experiments.run_example2(cfg, **kw)[0]),
+}
+# custom is example1 read from a [custom] section
+_EXPERIMENTS["custom"] = _EXPERIMENTS["example1"]
+
 _RUN_KEYS = {"experiment": str, "seed": int, "horizon": int, "variant": str,
              "optimum_tol": float}
 _DOMAIN_KEYS = {"kind": str, "diameter": float}
-_EX1_FIELDS = {f.name: f.type for f in
-               dataclasses.fields(experiments.GaussMarkovConfig)}
-_EX2_FIELDS = {f.name: f.type for f in
-               dataclasses.fields(experiments.SeparationConfig)}
+
+
+def _parse_index_tuple(raw: str):
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _field_parsers(cls):
+    return {name: _parse_index_tuple if hint is tuple else hint
+            for name, hint in typing.get_type_hints(cls).items()}
 
 
 def _parse_section(parser, section, allowed):
@@ -80,59 +119,34 @@ def _parse_section(parser, section, allowed):
     for key, raw in parser.items(section):
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        caster = allowed[key]
-        if caster in (int, "int"):
-            caster = int
-        elif caster in (float, "float"):
-            caster = float
-        elif key == "active_set":
-            caster = _parse_index_tuple
-        else:
-            caster = str if caster in (str, "str") else float
         try:
-            out[key] = caster(raw)
+            out[key] = allowed[key](raw)
         except ValueError as exc:
             raise ConfigError(
                 f"invalid value for key '{key}' in section [{section}]: {exc}")
     return out
 
 
-def _parse_index_tuple(raw: str):
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
-
-
-def _section_types(fields):
-    table = {}
-    for name, ftype in fields.items():
-        text = str(ftype)
-        if name == "active_set":
-            table[name] = "tuple"
-        elif "int" in text:
-            table[name] = int
-        elif "float" in text:
-            table[name] = float
-        else:
-            table[name] = str
-    return table
-
-
 def _load_config(path):
+    """Parse a config file into {section: {key: value}}, all sections set.
+
+    [custom] is read into [example1], the section of its table row.
+    """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (mu_L vs mu_S)
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         parser.read(path)
-        known = {"run", "example1", "example2", "custom", "domain"}
         for section in parser.sections():
-            if section not in known:
+            if section not in ("run", "domain", *_EXPERIMENTS):
                 raise ConfigError(f"unknown section [{section}]")
-    run = _parse_section(parser, "run", _RUN_KEYS)
-    ex1 = _parse_section(parser, "example1", _section_types(_EX1_FIELDS))
-    ex1.update(_parse_section(parser, "custom", _section_types(_EX1_FIELDS)))
-    ex2 = _parse_section(parser, "example2", _section_types(_EX2_FIELDS))
-    dom = _parse_section(parser, "domain", _DOMAIN_KEYS)
-    return run, ex1, ex2, dom
+    sections = {"run": _parse_section(parser, "run", _RUN_KEYS)}
+    for name, exp in _EXPERIMENTS.items():
+        sections.setdefault(exp.section, {}).update(
+            _parse_section(parser, name, _field_parsers(exp.config)))
+    sections["domain"] = _parse_section(parser, "domain", _DOMAIN_KEYS)
+    return sections
 
 
 def _variants(label: str):
@@ -143,14 +157,17 @@ def _variants(label: str):
     raise ConfigError(f"invalid value for key 'variant': {label}")
 
 
-def _build_domain(dom, dim):
+def _build_domain(exp: _Experiment, dom, cfg):
     kind = dom.get("kind", "whole_space")
     if kind == "whole_space":
         return whole_space()
+    if exp.domain_dim is None:
+        raise ConfigError(f"{exp.section} runs on the whole space")
     if kind == "box":
         diameter = dom.get("diameter")
         if diameter is None:
             raise ConfigError("missing key 'diameter' in section [domain]")
+        dim = getattr(cfg, exp.domain_dim)
         halfwidth = diameter / (2.0 * np.sqrt(dim))
         return box(-halfwidth, halfwidth, dim=dim)
     raise ConfigError(f"invalid value for key 'kind' in section [domain]: "
@@ -164,11 +181,11 @@ def _write_resolved_config(path, manifest, cfg, dom) -> None:
                      "seed": str(manifest["seed"]),
                      "variant": manifest["variant"],
                      "optimum_tol": f"{manifest['optimum_tol']:.17g}"}
-    section = "example2" if manifest["experiment"] == "example2" else "example1"
+    section = _EXPERIMENTS[manifest["experiment"]].section
     parser[section] = {}
     for field in dataclasses.fields(cfg):
         value = getattr(cfg, field.name)
-        if field.name == "active_set":
+        if isinstance(value, tuple):
             value = " ".join(str(i) for i in value)
         parser[section][field.name] = (f"{value:.17g}"
                                        if isinstance(value, float)
@@ -181,47 +198,31 @@ def _write_resolved_config(path, manifest, cfg, dom) -> None:
 
 def cmd_run(args) -> int:
     try:
-        run_cfg, ex1, ex2, dom = _load_config(args.config)
+        sections = _load_config(args.config)
+        run_cfg = sections["run"]
         experiment = args.experiment or run_cfg.get("experiment")
-        if experiment not in ("example1", "example2", "custom"):
+        if experiment not in _EXPERIMENTS:
             raise ConfigError(
                 f"invalid or missing key 'experiment': {experiment}")
+        exp = _EXPERIMENTS[experiment]
         seed = args.seed if args.seed is not None else run_cfg.get("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"invalid value for key 'seed': {seed} "
+                              f"(must be nonnegative)")
         variant = args.variant or run_cfg.get("variant", "both")
         variants = _variants(variant)
-        optimum_tol = run_cfg.get("optimum_tol",
-                                  _OPTIMUM_TOL_DEFAULTS[experiment])
+        optimum_tol = run_cfg.get("optimum_tol", exp.optimum_tol)
         manifest = {"experiment": experiment, "seed": seed,
                     "variant": variant, "optimum_tol": optimum_tol}
-        stream_seed = seed ^ STREAM_SEED_XOR
-        error_seed = seed ^ ERROR_SEED_XOR
-        if experiment in ("example1", "custom"):
-            params = dict(ex1)
-            if args.horizon is not None:
-                params["horizon"] = args.horizon
-            elif "horizon" in run_cfg:
-                params["horizon"] = run_cfg["horizon"]
-            params["seed"] = stream_seed
-            try:
-                cfg = experiments.GaussMarkovConfig(**params)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc))
-            domain = _build_domain(dom, cfg.n_coeffs) if dom else None
-        else:
-            params = dict(ex2)
-            if args.horizon is not None:
-                params["horizon"] = args.horizon
-            elif "horizon" in run_cfg:
-                params["horizon"] = run_cfg["horizon"]
-            params["seed"] = stream_seed
-            try:
-                cfg = experiments.SeparationConfig(**params)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc))
-            if dom and dom.get("kind", "whole_space") != "whole_space":
-                raise ConfigError("example2 runs on the whole space")
-            domain = None
-    except ConfigError as exc:
+        params = dict(sections[exp.section])
+        if args.horizon is not None:
+            params["horizon"] = args.horizon
+        elif "horizon" in run_cfg:
+            params["horizon"] = run_cfg["horizon"]
+        params["seed"] = seed ^ STREAM_SEED_XOR
+        cfg = exp.config(**params)
+        domain = _build_domain(exp, sections["domain"], cfg)
+    except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -233,14 +234,9 @@ def cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     try:
-        if experiment in ("example1", "custom"):
-            results = experiments.run_example1(
-                cfg, out_dir=out_dir, variants=variants, domain=domain,
-                error_seed=error_seed, optimum_tol=optimum_tol)
-        else:
-            results, _ = experiments.run_example2(
-                cfg, out_dir=out_dir, variants=variants,
-                error_seed=error_seed, optimum_tol=optimum_tol)
+        results = exp.run(cfg, domain, out_dir=out_dir, variants=variants,
+                          error_seed=seed ^ ERROR_SEED_XOR,
+                          optimum_tol=optimum_tol)
     except SolverRunError as exc:
         partial = exc.trace
         path = os.path.join(out_dir, "partial_trace.csv")
@@ -255,7 +251,7 @@ def cmd_run(args) -> int:
         return EXIT_FAIL
 
     _write_resolved_config(os.path.join(out_dir, "run_config.cfg"),
-                           manifest, cfg, dom)
+                           manifest, cfg, sections["domain"])
     for variant in variants:
         res = results[variant]
         T = res.trace.horizon
@@ -265,7 +261,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_variant(out_dir, variant, experiment, cfg, dom, optimum_tol):
+def _verify_variant(out_dir, variant, stream, lam, optimum_tol):
     vdir = os.path.join(out_dir, variant)
     trace_path = os.path.join(vdir, "trace.csv")
     state_path = os.path.join(vdir, "bound_state.csv")
@@ -277,17 +273,6 @@ def _verify_variant(out_dir, variant, experiment, cfg, dom, optimum_tol):
         return EXIT_SANITY, (f"variant={variant} error=sanity "
                              f"worst={np.min(sanity):.6g}")
     state = runio.read_state_csv(state_path)
-
-    if experiment in ("example1", "custom"):
-        domain = (_build_domain(dom, cfg.n_coeffs)
-                  if dom and dom.get("kind", "whole_space") != "whole_space"
-                  else whole_space())
-        stream, _ = experiments.generate_gauss_markov(cfg, domain)
-        lam = cfg.step_size
-    else:
-        stream, _ = experiments.generate_separation(cfg)
-        domain = stream.domain
-        lam = cfg.alpha_L
 
     # sampled validation of the recorded constants against the stream
     T = state["eps"].shape[0]
@@ -302,15 +287,12 @@ def _verify_variant(out_dir, variant, experiment, cfg, dom, optimum_tol):
                                     f"step={k} "
                                     f"descent={report.descent_margin:.6g}")
 
+    domain = stream.domain
     rebuilt = runio.trace_from_state(state, lam, domain.kind, domain.diameter)
-    gen = euclidean_generator()
-    ledger = regret.ledger_from_trace(rebuilt, gen, lam, domain)
-    regime = "bounded" if domain.is_bounded else "whole_space"
-    rhs = regret.theorem_rhs(ledger, rebuilt, regime)
-    R = regret.dynamic_regret(rebuilt)
-    horizons = np.arange(1, rebuilt.horizon + 1)
-    margins = rhs + _BOUND_TOL_PER_STEP * horizons - R
-    worst = float(np.min(margins))
+    ledger = regret.ledger_from_trace(rebuilt, euclidean_generator(), lam,
+                                      domain)
+    worst = regret.certified_margin(rebuilt, ledger, domain.kind,
+                                    _BOUND_TOL_PER_STEP)
     line = f"variant={variant} worst_margin={worst:.6g}"
     if worst < 0.0:
         return EXIT_FAIL, line + " error=bound_violated"
@@ -324,24 +306,25 @@ def cmd_verify(args) -> int:
         print(f"verify: no run configuration at {cfg_path}", file=sys.stderr)
         return EXIT_MISSING
     try:
-        run_cfg, ex1, ex2, dom = _load_config(cfg_path)
+        sections = _load_config(cfg_path)
+        run_cfg = sections["run"]
         experiment = run_cfg.get("experiment")
-        if experiment not in ("example1", "example2", "custom"):
+        if experiment not in _EXPERIMENTS:
             raise ConfigError(f"invalid key 'experiment': {experiment}")
+        exp = _EXPERIMENTS[experiment]
         variants = _variants(run_cfg.get("variant", "both"))
-        optimum_tol = run_cfg.get("optimum_tol",
-                                  _OPTIMUM_TOL_DEFAULTS[experiment])
-        if experiment in ("example1", "custom"):
-            cfg = experiments.GaussMarkovConfig(**ex1)
-        else:
-            cfg = experiments.SeparationConfig(**ex2)
+        optimum_tol = run_cfg.get("optimum_tol", exp.optimum_tol)
+        cfg = exp.config(**sections[exp.section])
+        domain = _build_domain(exp, sections["domain"], cfg)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    stream = exp.stream(cfg, domain)
+    lam = getattr(cfg, exp.step_size)
     status = EXIT_OK
     for variant in variants:
-        code, line = _verify_variant(out_dir, variant, experiment, cfg, dom,
+        code, line = _verify_variant(out_dir, variant, stream, lam,
                                      optimum_tol)
         print(line)
         if code != EXIT_OK and status == EXIT_OK:
@@ -357,8 +340,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment and write CSVs")
-    p_run.add_argument("--experiment",
-                       choices=("example1", "example2", "custom"))
+    p_run.add_argument("--experiment", choices=tuple(_EXPERIMENTS))
     p_run.add_argument("--config", help="INI-style key=value config file")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int)

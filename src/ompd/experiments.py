@@ -53,6 +53,8 @@ class GaussMarkovConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if any(not 1 <= i <= self.n_coeffs for i in self.active_set):
@@ -123,17 +125,6 @@ def generate_gauss_markov(cfg: GaussMarkovConfig,
     stream = ProblemStream(horizon=T, step_at=step_at, domain=dom, dim=n)
     truth = {"a_true": a_true, "X": X, "Y": Y, "smoothness": L}
     return stream, truth
-
-
-def example1_error_model(cfg: GaussMarkovConfig, variant: str,
-                         error_seed: Optional[int] = None) -> ErrorModel:
-    if variant not in ("exact", "inexact"):
-        raise ValueError("variant must be 'exact' or 'inexact'")
-    seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
-    if variant == "exact" or cfg.error_std == 0.0:
-        return zero_error_model(seed=seed)
-    return ErrorModel(gradient_std=cfg.error_std, prox_std=cfg.error_std,
-                      seed=seed)
 
 
 def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
@@ -212,13 +203,47 @@ class ExperimentResult:
     regret: np.ndarray
 
 
-def _write_run_outputs(result: ExperimentResult, out_dir: str) -> None:
-    vdir = os.path.join(out_dir, result.variant)
-    os.makedirs(vdir, exist_ok=True)
-    write_trace_csv(result.trace, os.path.join(vdir, "trace.csv"))
-    write_bound_csv(result.trace, result.ledger, result.rhs,
-                    os.path.join(vdir, "bound.csv"))
-    write_state_csv(result.trace, os.path.join(vdir, "bound_state.csv"))
+def _error_model(error_std: float, variant: str, seed: int) -> ErrorModel:
+    if variant not in ("exact", "inexact"):
+        raise ValueError("variant must be 'exact' or 'inexact'")
+    if variant == "exact" or error_std == 0.0:
+        return zero_error_model(seed=seed)
+    return ErrorModel(gradient_std=error_std, prox_std=error_std, seed=seed)
+
+
+def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
+                   error_seed: Optional[int], optimum_tol: float, optima,
+                   f_star, out_dir: Optional[str], write_extra):
+    """Play each variant on one stream against the shared optima.
+
+    Variants differ only in their error model. With ``out_dir``, each
+    writes trace.csv, bound.csv and bound_state.csv into its directory,
+    then calls ``write_extra(trace, variant_dir)``.
+    """
+    config = SolverConfig(step_size=step_size,
+                          generator=euclidean_generator(),
+                          initial_point=np.zeros(stream.dim))
+    seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
+    results = {}
+    for variant in variants:
+        trace = run(stream, config, _error_model(cfg.error_std, variant, seed))
+        fill_optima(trace, stream, tol=optimum_tol, optima=optima,
+                    f_star=f_star)
+        ledger = ledger_from_trace(trace, config.generator, step_size,
+                                   stream.domain)
+        rhs = theorem_rhs(ledger, trace, stream.domain.kind)
+        results[variant] = ExperimentResult(
+            variant=variant, trace=trace, ledger=ledger, rhs=rhs,
+            regret=dynamic_regret(trace))
+        if out_dir is not None:
+            vdir = os.path.join(out_dir, variant)
+            os.makedirs(vdir, exist_ok=True)
+            write_trace_csv(trace, os.path.join(vdir, "trace.csv"))
+            write_bound_csv(trace, ledger, rhs,
+                            os.path.join(vdir, "bound.csv"))
+            write_state_csv(trace, os.path.join(vdir, "bound_state.csv"))
+            write_extra(trace, vdir)
+    return results
 
 
 def _write_coefficients_csv(path, a_true, a_pred) -> None:
@@ -245,39 +270,23 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
     variant when ``out_dir`` is given. Returns a dict keyed by variant.
     """
     stream, truth = generate_gauss_markov(cfg, domain)
-    regime = "bounded" if stream.domain.is_bounded else "whole_space"
-    if stream.domain.is_bounded and stream.domain.name == "box":
-        halfwidth = stream.domain.diameter / (2.0 * np.sqrt(cfg.n_coeffs))
+    dom = stream.domain
+    if dom.is_bounded and dom.name != "box":
+        optima, f_star = stream_optima(stream, tol=optimum_tol)
+    else:
+        halfwidth = (dom.diameter / (2.0 * np.sqrt(cfg.n_coeffs))
+                     if dom.is_bounded else None)
         optima, f_star, _ = lasso_optima_batch(
             truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth,
             tol=optimum_tol)
-    elif stream.domain.is_bounded:
-        optima, f_star = stream_optima(stream, tol=optimum_tol)
-    else:
-        optima, f_star, _ = lasso_optima_batch(
-            truth["X"], truth["Y"], cfg.eta, tol=optimum_tol)
-    config = SolverConfig(step_size=cfg.step_size,
-                          generator=euclidean_generator(),
-                          initial_point=np.zeros(cfg.n_coeffs))
 
-    results = {}
-    for variant in variants:
-        model = example1_error_model(cfg, variant, error_seed)
-        trace = run(stream, config, model)
-        fill_optima(trace, stream, tol=optimum_tol, optima=optima,
-                    f_star=f_star)
-        ledger = ledger_from_trace(trace, config.generator, cfg.step_size,
-                                   stream.domain)
-        rhs = theorem_rhs(ledger, trace, regime)
-        result = ExperimentResult(variant=variant, trace=trace, ledger=ledger,
-                                  rhs=rhs, regret=dynamic_regret(trace))
-        if out_dir is not None:
-            _write_run_outputs(result, out_dir)
-            _write_coefficients_csv(
-                os.path.join(out_dir, variant, "coefficients.csv"),
-                truth["a_true"], trace.iterates)
-        results[variant] = result
-    return results
+    def write_coefficients(trace, vdir):
+        _write_coefficients_csv(os.path.join(vdir, "coefficients.csv"),
+                                truth["a_true"], trace.iterates)
+
+    return _play_variants(stream, cfg, cfg.step_size, variants, error_seed,
+                          optimum_tol, optima, f_star, out_dir,
+                          write_coefficients)
 
 
 @dataclass(frozen=True)
@@ -309,6 +318,8 @@ class SeparationConfig:
     error_std: float = 0.0
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
         if not self.synth_rank < min(self.window, self.frame_dim):
             raise ValueError("synth_rank must be below min(window, frame_dim)")
         if not 0.0 <= self.synth_sparsity < 1.0:
@@ -479,30 +490,9 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
     Returns (results dict keyed by variant, truth dict).
     """
     stream, truth = generate_separation(cfg)
-    config = SolverConfig(step_size=cfg.alpha_L,
-                          generator=euclidean_generator(),
-                          initial_point=np.zeros(stream.dim))
-    seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
     optima, f_star = stream_optima(stream, tol=optimum_tol)
-
-    results = {}
-    for variant in variants:
-        if variant == "exact" or cfg.error_std == 0.0:
-            model = zero_error_model(seed=seed)
-        else:
-            model = ErrorModel(gradient_std=cfg.error_std,
-                               prox_std=cfg.error_std, seed=seed)
-        trace = run(stream, config, model)
-        fill_optima(trace, stream, tol=optimum_tol, optima=optima,
-                    f_star=f_star)
-        ledger = ledger_from_trace(trace, config.generator, cfg.alpha_L,
-                                   stream.domain)
-        rhs = theorem_rhs(ledger, trace, "whole_space")
-        result = ExperimentResult(variant=variant, trace=trace, ledger=ledger,
-                                  rhs=rhs, regret=dynamic_regret(trace))
-        if out_dir is not None:
-            _write_run_outputs(result, out_dir)
-            _write_snapshots(trace, cfg, os.path.join(out_dir, variant),
-                             snapshot_every)
-        results[variant] = result
+    results = _play_variants(
+        stream, cfg, cfg.alpha_L, variants, error_seed, optimum_tol, optima,
+        f_star, out_dir,
+        lambda trace, vdir: _write_snapshots(trace, cfg, vdir, snapshot_every))
     return results, truth

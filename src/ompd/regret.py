@@ -193,6 +193,15 @@ def recursion_bound(S_seq, tau_seq, i: int) -> float:
     return half_tau + float(np.sqrt(S_seq[i] + half_tau ** 2))
 
 
+def _prefix_sums(trace: RunTrace, ledger: BoundLedger):
+    """Sigma, SigmaBar, E, P and drift = sum_{t=2..T'} s_t at every T'."""
+    T = trace.horizon
+    s = ledger.s
+    return (np.cumsum(s[1:T + 1]), np.cumsum(s[1:T + 1] ** 2),
+            np.cumsum(trace.grad_error_norms), np.cumsum(trace.eps),
+            np.concatenate(([0.0], np.cumsum(s[2:T + 1]))))
+
+
 def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
                 regime: str) -> np.ndarray:
     """Certified regret upper bound at every prefix horizon T' = 1..T.
@@ -207,18 +216,13 @@ def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
         raise RegimeMismatchError("bounded regime on an unbounded domain")
     if regime == "whole_space" and ledger.domain_kind != "whole_space":
         raise RegimeMismatchError("whole-space regime on a bounded domain")
-    T = trace.horizon
     lam, sigma, G = ledger.lam, ledger.sigma_omega, ledger.g_omega
-    s = ledger.s
-    E = np.cumsum(trace.grad_error_norms)
-    P = np.cumsum(trace.eps)
-    SigmaBar = np.cumsum(s[1:T + 1] ** 2)
-    drift = np.concatenate(([0.0], np.cumsum(s[2:T + 1])))  # sum_{t=2..T'} s_t
+    _, SigmaBar, E, P, drift = _prefix_sums(trace, ledger)
     C = E + (G / lam) * (drift + P)
     curvature = (G - 0.5 * sigma) / lam * SigmaBar
     if regime == "bounded":
         R = ledger.diameter
-        start = divergence_start(ledger, trace) + R * G * s[1] / lam
+        start = divergence_start(ledger, trace) + R * G * ledger.s[1] / lam
         return start + ledger.D * P + curvature + R * C
     tau_sum = (2.0 * lam / sigma) * C
     S_pref = ((2.0 * lam / sigma) * ledger.Z0
@@ -240,15 +244,10 @@ def write_bound_csv(trace: RunTrace, ledger: BoundLedger, rhs: np.ndarray,
                     path) -> None:
     """Prefix ledger and bound values, one row per horizon."""
     R = dynamic_regret(trace)
-    T = trace.horizon
-    s = ledger.s
-    Sigma = np.cumsum(s[1:T + 1])
-    SigmaBar = np.cumsum(s[1:T + 1] ** 2)
-    E = np.cumsum(trace.grad_error_norms)
-    P = np.cumsum(trace.eps)
+    Sigma, SigmaBar, E, P, _ = _prefix_sums(trace, ledger)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(BOUND_CSV_HEADER + "\n")
-        for i in range(T):
+        for i in range(trace.horizon):
             row = (R[i], rhs[i], Sigma[i], SigmaBar[i], E[i], P[i],
                    rhs[i] - R[i])
             fh.write(f"{i + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")

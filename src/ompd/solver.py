@@ -20,7 +20,7 @@ be compared iterate by iterate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,12 @@ class SolverConfig:
     initial_point: np.ndarray
     enforce_stepsize_rule: bool = True
     inner_tolerance: float = INNER_TOL_DEFAULT
+
+
+#: the RunTrace arrays filled one row per step by ``run``
+_PER_STEP_FIELDS = ("iterates", "subproblem_solutions", "grad_error_norms",
+                    "eps", "f_played", "q_norms", "smoothness",
+                    "reg_lipschitz", "step_seconds")
 
 
 @dataclass
@@ -69,19 +75,10 @@ class RunTrace:
 
     def truncated(self, upto: int) -> "RunTrace":
         """Copy holding only the first ``upto`` completed steps."""
-        return RunTrace(
-            horizon=upto, dim=self.dim, x0=self.x0,
-            iterates=self.iterates[:upto].copy(),
-            subproblem_solutions=self.subproblem_solutions[:upto].copy(),
-            grad_error_norms=self.grad_error_norms[:upto].copy(),
-            eps=self.eps[:upto].copy(),
-            f_played=self.f_played[:upto].copy(),
-            q_norms=self.q_norms[:upto].copy(),
-            smoothness=self.smoothness[:upto].copy(),
-            reg_lipschitz=self.reg_lipschitz[:upto].copy(),
-            step_seconds=self.step_seconds[:upto].copy(),
-            step_size=self.step_size, domain_kind=self.domain_kind,
-            domain_diameter=self.domain_diameter, partial=True)
+        steps = {name: getattr(self, name)[:upto].copy()
+                 for name in _PER_STEP_FIELDS}
+        return replace(self, horizon=upto, optima=None, f_star=None,
+                       optimum_tolerance=None, partial=True, **steps)
 
 
 def _empty_trace(stream: ProblemStream, config: SolverConfig) -> RunTrace:

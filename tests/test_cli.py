@@ -2,12 +2,28 @@
 
 import configparser
 
-from ompd import experiments
+import pytest
+
+from ompd import cli, experiments, whole_space
 from ompd.cli import main
 
 EX2_SMALL = ("[example2]\nframe_dim = 16\nwindow = 8\n"
              "[run]\nexperiment = example2\nseed = 2\nvariant = exact\n"
              "horizon = 4\n")
+EX1_SMALL = "[run]\nexperiment = example1\nseed = 5\nhorizon = 30\n"
+
+#: one run per experiment-table row and domain kind, plus T=1 for each
+#: experiment; each must write a run_config.cfg that rebuilds its config
+ROUND_TRIPS = {
+    "example1": EX1_SMALL,
+    "custom": ("[run]\nexperiment = custom\nseed = 3\nhorizon = 30\n"
+               "[custom]\nn_coeffs = 12\nactive_set = 1, 5\n"),
+    "example1_box": EX1_SMALL + "[domain]\nkind = box\ndiameter = 20\n",
+    "example2": EX2_SMALL.replace("variant = exact", "variant = both")
+                         .replace("window = 8", "window = 8\nerror_std = 0.5"),
+    "example1_T1": EX1_SMALL.replace("horizon = 30", "horizon = 1"),
+    "example2_T1": EX2_SMALL.replace("horizon = 4", "horizon = 1"),
+}
 
 
 def _run_example1(tmp_path, extra=()):
@@ -98,6 +114,47 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert seen == [1e-5]
         assert _recorded_optimum_tol(out) == 1e-5
+
+    @pytest.mark.parametrize("argv, cfg_text, key", [
+        (["run", "--experiment", "example2", "--horizon", "0"], "", "horizon"),
+        (["run", "--experiment", "example1", "--horizon", "-3"], "",
+         "horizon"),
+        (["run", "--experiment", "example1", "--seed", "-1"], "", "seed"),
+        (["verify"], "[run]\nexperiment = example2\n[example2]\nhorizon = 0\n",
+         "horizon"),
+    ], ids=["ex2_horizon_0", "ex1_horizon_neg", "seed_neg",
+            "verify_horizon_0"])
+    def test_bad_horizon_or_seed_exits_2(self, tmp_path, capsys, argv,
+                                         cfg_text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        code = main([*argv, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ROUND_TRIPS.values(),
+                             ids=ROUND_TRIPS.keys())
+    def test_run_config_rebuilds_the_run(self, tmp_path, monkeypatch, text):
+        used = []
+        for name in ("run_example1", "run_example2"):
+            def spy(cfg, *args, _real=getattr(experiments, name), **kwargs):
+                used.append((cfg, kwargs.get("domain") or whole_space()))
+                return _real(cfg, *args, **kwargs)
+            monkeypatch.setattr(experiments, name, spy)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        sections = cli._load_config(out / "run_config.cfg")
+        exp = cli._EXPERIMENTS[sections["run"]["experiment"]]
+        rebuilt = exp.config(**sections[exp.section])
+        domain = cli._build_domain(exp, sections["domain"], rebuilt)
+        [(cfg, used_domain)] = used
+        assert rebuilt == cfg
+        assert ((domain.kind, domain.diameter)
+                == (used_domain.kind, used_domain.diameter))
+        assert main(["verify", "--out", str(out)]) == 0
 
     def test_example2_records_its_default_optimum_tol(self, tmp_path):
         cfg = tmp_path / "run.cfg"

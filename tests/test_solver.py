@@ -139,6 +139,8 @@ class TestRun:
             run(stream, config, zero_error_model())
         assert err.value.trace.horizon == 2
         assert err.value.trace.partial
+        assert err.value.trace.iterates.shape == (2, 2)
+        assert err.value.trace.optima is None
 
 
 class TestEuclideanEquivalence:
