@@ -130,22 +130,30 @@ def _parse_section(parser, section, allowed):
 def _load_config(path):
     """Parse a config file into {section: {key: value}}, all sections set.
 
-    [custom] is read into [example1], the section of its table row.
+    [custom] is read into [example1], the section of its table row. A file
+    configparser rejects (a repeated section or key, no section header, a
+    bad %-interpolation) is a config error.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (mu_L vs mu_S)
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        parser.read(path)
-        for section in parser.sections():
-            if section not in ("run", "domain", *_EXPERIMENTS):
-                raise ConfigError(f"unknown section [{section}]")
-    sections = {"run": _parse_section(parser, "run", _RUN_KEYS)}
-    for name, exp in _EXPERIMENTS.items():
-        sections.setdefault(exp.section, {}).update(
-            _parse_section(parser, name, _field_parsers(exp.config)))
-    sections["domain"] = _parse_section(parser, "domain", _DOMAIN_KEYS)
+    try:
+        if path is not None:
+            if not os.path.exists(path):
+                raise ConfigError(f"config file not found: {path}")
+            parser.read(path)
+            for section in parser.sections():
+                if section not in ("run", "domain", *_EXPERIMENTS):
+                    raise ConfigError(f"unknown section [{section}]")
+        sections = {"run": _parse_section(parser, "run", _RUN_KEYS)}
+        for name, exp in _EXPERIMENTS.items():
+            sections.setdefault(exp.section, {}).update(
+                _parse_section(parser, name, _field_parsers(exp.config)))
+        sections["domain"] = _parse_section(parser, "domain", _DOMAIN_KEYS)
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"invalid value for key '{exc.option}' in section "
+                          f"[{exc.section}]: {exc.message}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     return sections
 
 
@@ -167,6 +175,10 @@ def _build_domain(exp: _Experiment, dom, cfg):
         diameter = dom.get("diameter")
         if diameter is None:
             raise ConfigError("missing key 'diameter' in section [domain]")
+        if not 0.0 < diameter < np.inf:
+            raise ConfigError(f"invalid value for key 'diameter' in section "
+                              f"[domain]: {diameter} (must be positive and "
+                              f"finite)")
         dim = getattr(cfg, exp.domain_dim)
         halfwidth = diameter / (2.0 * np.sqrt(dim))
         return box(-halfwidth, halfwidth, dim=dim)

@@ -197,6 +197,7 @@ def gradient_mapping_norm(step: CompositeLossStep, domain: Domain,
                                 domain, x, scale)[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
                   max_iters: int):
     """FISTA with gradient restart on g + h over the domain, fixed step.
@@ -205,7 +206,8 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
     1/L for an L-smooth g. Returns (p, residual, converged): the
     prox-gradient point of the last checked iterate and its mapping norm.
     It stops unconverged when the budget runs out or the residual turns
-    nonfinite, as it does when the step exceeds 2/L.
+    nonfinite, as it does when the step exceeds 2/L; the overflow on the
+    way there is silenced, as the nonfinite residual already reports it.
     """
     x = z = x0
     t = 1.0

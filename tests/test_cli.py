@@ -133,6 +133,40 @@ class TestRun:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("text, named", [
+        (EX1_SMALL + "[run]\nseed = 6\n", "'run' already exists"),
+        (EX1_SMALL + "seed = 6\n", "'seed' in section 'run' already"),
+        ("seed = 6\n" + EX1_SMALL, "no section headers"),
+        (EX1_SMALL + "[example1]\neta = 5%\n", "key 'eta'"),
+    ], ids=["repeated_section", "repeated_key", "no_header", "percent"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, command,
+                                           text, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+
+    def test_config_interpolation_is_kept(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX1_SMALL + "[example1]\neta = 0.04\n"
+                                   "error_std = %(eta)s\n")
+        assert cli._load_config(str(cfg))["example1"]["error_std"] == 0.04
+
+    @pytest.mark.parametrize("diameter", ["0", "-4", "nan"])
+    def test_nonpositive_diameter_names_key(self, tmp_path, capsys,
+                                            diameter):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX1_SMALL + f"[domain]\nkind = box\n"
+                                   f"diameter = {diameter}\n")
+        code = main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "diameter" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ROUND_TRIPS.values(),
                              ids=ROUND_TRIPS.keys())
     def test_run_config_rebuilds_the_run(self, tmp_path, monkeypatch, text):

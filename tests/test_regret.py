@@ -10,8 +10,8 @@ from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   ledger_from_trace, offline_optimum, prox, recursion_bound,
                   run, theorem_rhs, whole_space, zero_error_model, zero_rule)
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
-                              generate_gauss_markov, generate_separation,
-                              lasso_optima_batch)
+                              _support_candidate, generate_gauss_markov,
+                              generate_separation, lasso_optima_batch)
 from ompd.solver import RunTrace
 
 EUCLID = euclidean_generator()
@@ -118,19 +118,19 @@ class TestOfflineOptimum:
 
     def test_underdeclared_smoothness_stops_at_divergence(self, monkeypatch):
         """Step 1/L with L declared 10x too small diverges: an error."""
-        c = np.array([2.0, -1.0, 0.5])
-        step = CompositeLossStep(
-            smooth_value=lambda x: 5.0 * float(np.dot(x - c, x - c)),
-            smooth_gradient=lambda x: 10.0 * (x - c),
-            nonsmooth_value=lambda x: 0.0,
-            smoothness_constant=1.0, regularizer_lipschitz=0.0,
-            prox_handle=zero_rule(), dim=3)
         calls = _count_composed_prox(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OptimumError) as err:
-                offline_optimum(step, whole_space(), tol=1e-10)
+                offline_optimum(_underdeclared_step(), whole_space(),
+                                tol=1e-10)
         assert not np.isfinite(err.value.residual)
         assert len(calls) < 2000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_raises_without_overflow_warnings(self):
+        with pytest.raises(OptimumError) as err:
+            offline_optimum(_underdeclared_step(), whole_space(), tol=1e-10)
+        assert not np.isfinite(err.value.residual)
 
     def test_example2_step_costs_few_prox_calls(self, monkeypatch):
         """Cold example2 step 1 at tol 1e-6; backtracking took 8,629 calls."""
@@ -147,6 +147,58 @@ class TestOfflineOptimum:
                                max_iters=5)
         assert err.value.residual > 1e-12
         assert err.value.iterations == 5
+
+
+class TestLassoOptimaBatch:
+    def test_near_active_straggler_solves_exactly(self):
+        """Step 426: an inactive |grad_j| at 0.999994 eta stalls FISTA."""
+        cfg = GaussMarkovConfig(horizon=5000, seed=7)
+        _, truth = generate_gauss_markov(cfg)
+        X, Y = truth["X"][425:426], truth["Y"][425:426]
+        optima, _, residuals = lasso_optima_batch(X, Y, cfg.eta, tol=1e-9,
+                                                  max_iters=1000)
+        assert residuals[0] <= 1e-9
+        grad = 2.0 * X[0].T @ (X[0] @ optima[0] - Y[0])
+        assert np.max(np.abs(grad)) <= cfg.eta * (1.0 + 1e-9)
+
+    def test_singular_system_spares_the_rest_of_the_stack(self):
+        """np.linalg.solve raises for a whole stack with one singular A."""
+        X = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],    # twin columns
+                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        Y = np.array([[1.0, 1.0], [2.0, -3.0]])
+        p = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.0]])
+        g = 2.0 * np.einsum("tdn,td->tn", X, np.einsum("tdn,tn->td", X, p) - Y)
+        c = _support_candidate(p, g, X, Y, 1.0, None)
+        np.testing.assert_allclose(c[1], [1.5, -2.5, 0.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("halfwidth", [None, 0.5])
+    def test_stream_optima_meet_tolerance_and_oracle(self, halfwidth):
+        cfg = GaussMarkovConfig(horizon=300, seed=11)
+        dom = (whole_space() if halfwidth is None
+               else box(-halfwidth, halfwidth, dim=cfg.n_coeffs))
+        stream, truth = generate_gauss_markov(cfg, domain=dom)
+        tol = 1e-9
+        optima, f_star, residuals = lasso_optima_batch(
+            truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth, tol=tol)
+        assert np.all(residuals <= tol)
+        if halfwidth is not None:
+            assert np.all(np.abs(optima) <= halfwidth)
+            assert np.any(np.abs(optima) == halfwidth)  # the box binds
+        for k in (1, 77, 150, 226, 300):
+            x_ref, f_ref = offline_optimum(stream.step_at(k), dom, tol=tol)
+            np.testing.assert_allclose(optima[k - 1], x_ref, atol=1e-6)
+            np.testing.assert_allclose(f_star[k - 1], f_ref, rtol=1e-10)
+
+
+def _underdeclared_step():
+    """5 ||x - c||^2, whose gradient is 10-Lipschitz, declared 1-smooth."""
+    c = np.array([2.0, -1.0, 0.5])
+    return CompositeLossStep(
+        smooth_value=lambda x: 5.0 * float(np.dot(x - c, x - c)),
+        smooth_gradient=lambda x: 10.0 * (x - c),
+        nonsmooth_value=lambda x: 0.0,
+        smoothness_constant=1.0, regularizer_lipschitz=0.0,
+        prox_handle=zero_rule(), dim=3)
 
 
 def _count_composed_prox(monkeypatch):
