@@ -23,8 +23,8 @@ Exit codes:
     1  certified bound violated, or a run failed mid-stream
     2  configuration parse or validation error
     3  output directory nonempty and --overwrite not given
-    4  expected trace files missing
-    5  trace sanity violation (some f_k(x_k) below f_k(x_k*))
+    4  expected trace files missing or unreadable
+    5  trace sanity violation (some f_k(x_k) below f_k(x_k*), or nonfinite)
     6  recorded constants fail sampled validation
 """
 
@@ -250,12 +250,9 @@ def cmd_run(args) -> int:
                           error_seed=seed ^ ERROR_SEED_XOR,
                           optimum_tol=optimum_tol)
     except SolverRunError as exc:
-        partial = exc.trace
         path = os.path.join(out_dir, "partial_trace.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,f_x\n")
-            for i in range(partial.horizon):
-                fh.write(f"{i + 1},{partial.f_played[i]:.17g}\n")
+        runio.write_table(path, ("k", "f_x"), [
+            np.arange(1, exc.trace.horizon + 1), exc.trace.f_played])
         print(f"run failed: {exc} (partial trace in {path})", file=sys.stderr)
         return EXIT_FAIL
     except OmpdError as exc:
@@ -279,12 +276,18 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol):
     state_path = os.path.join(vdir, "bound_state.csv")
     if not (os.path.exists(trace_path) and os.path.exists(state_path)):
         return EXIT_MISSING, f"variant={variant} error=missing_trace"
-    trace_cols = runio.read_trace_csv(trace_path)
-    sanity = trace_cols["f_x"] - trace_cols["f_star"]
-    if np.min(sanity) < -(_SANITY_TOL + optimum_tol):
+    try:
+        trace_cols = runio.read_trace_csv(trace_path)
+        state = runio.read_state_csv(state_path)
+        gap = trace_cols["f_x"] - trace_cols["f_star"]
+        if not gap.size == state["eps"].size == stream.horizon:
+            raise ValueError("the files cover only part of the run")
+    except (OSError, ValueError):
+        return EXIT_MISSING, f"variant={variant} error=unreadable_trace"
+    worst_gap = np.min(gap) if np.all(np.isfinite(gap)) else np.nan
+    if not worst_gap >= -(_SANITY_TOL + optimum_tol):
         return EXIT_SANITY, (f"variant={variant} error=sanity "
-                             f"worst={np.min(sanity):.6g}")
-    state = runio.read_state_csv(state_path)
+                             f"worst={worst_gap:.6g}")
 
     # sampled validation of the recorded constants against the stream
     T = state["eps"].shape[0]
@@ -306,7 +309,7 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol):
     worst = regret.certified_margin(rebuilt, ledger, domain.kind,
                                     _BOUND_TOL_PER_STEP)
     line = f"variant={variant} worst_margin={worst:.6g}"
-    if worst < 0.0:
+    if not 0.0 <= worst < np.inf:
         return EXIT_FAIL, line + " error=bound_violated"
     return EXIT_OK, line
 

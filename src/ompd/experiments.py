@@ -23,12 +23,11 @@ from .errors import OptimumError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
                      whole_space, zero_error_model)
 from .prox import RESIDUAL_CHECK_EVERY, block_rule, l1_rule, nuclear_rule
-from .prox import gradient_mapping_norm  # noqa: F401  (re-exported)
 from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
                      ledger_from_trace, stream_optima, theorem_rhs,
                      write_bound_csv)
-from .runio import write_state_csv
-from .solver import RunTrace, SolverConfig, run, write_trace_csv
+from .runio import RunTrace, write_state_csv, write_table
+from .solver import SolverConfig, run, write_trace_csv
 
 #: default derivation of the error-model seed from the stream seed
 ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
@@ -176,8 +175,8 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     and keeps whichever of the two has the smaller mapping norm.
     Problems whose prox-gradient mapping norm drops below ``tol`` are
     frozen so stragglers do not keep the whole batch busy.
-    Returns (optima, f_star, residuals); raises OptimumError if any
-    problem is still above ``tol`` after ``max_iters``.
+    Returns (optima, f_star, residuals); raises OptimumError at the first
+    nonfinite residual, or at ``max_iters`` with any problem above ``tol``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -204,7 +203,6 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     a = np.zeros((T, n))
     z = a.copy()
     tmom = np.ones(T)
-    res = np.full(T, np.inf)
     for it in range(1, max_iters + 1):
         a_new = prox(z - s * grad(z, Xa, Ya), s)
         restart = np.einsum("tn,tn->t", z - a_new, a_new - a) > 0.0
@@ -234,8 +232,8 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
                 Xa, Ya = X[active], Y[active]
                 s = step_all[active][:, None]
                 a, z, tmom = a[keep], z[keep], tmom[keep]
-    else:
-        raise OptimumError(float(np.max(res)), tol, max_iters)
+            if it == max_iters or not np.all(np.isfinite(res)):
+                raise OptimumError(float(np.max(res)), tol, it)
     r = np.einsum("tdn,tn->td", X, out) - Y
     f_star = np.einsum("td,td->t", r, r) + eta * np.sum(np.abs(out), axis=1)
     return out, f_star, out_res
@@ -295,13 +293,9 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
 
 def _write_coefficients_csv(path, a_true, a_pred) -> None:
     """Columns t, i, a_true, a_pred (i is 1-based)."""
-    T, n = a_true.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,i,a_true,a_pred\n")
-        for t in range(T):
-            for i in range(n):
-                fh.write(f"{t + 1},{i + 1},{a_true[t, i]:.17g},"
-                         f"{a_pred[t, i]:.17g}\n")
+    t, i = np.indices(a_true.shape) + 1
+    write_table(path, ("t", "i", "a_true", "a_pred"),
+                [t.ravel(), i.ravel(), a_true.ravel(), a_pred.ravel()])
 
 
 def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,

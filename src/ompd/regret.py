@@ -44,7 +44,7 @@ from .errors import (MissingOptimaError, OptimumError, RegimeMismatchError)
 from .losses import CompositeLossStep, Domain, ProblemStream
 # composed_prox stays importable here: perfbench's tracer test wraps it
 from .prox import composed_prox, prox_gradient  # noqa: F401
-from .solver import RunTrace
+from .runio import RunTrace, write_table
 
 OPTIMUM_TOL_DEFAULT = 1e-9
 OPTIMUM_MAX_ITERS = 10 ** 6
@@ -237,7 +237,7 @@ def divergence_start(ledger: BoundLedger, trace: RunTrace) -> float:
         np.linalg.norm(trace.optima[0] - trace.x0)) / ledger.lam
 
 
-BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin"
+BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin".split(",")
 
 
 def write_bound_csv(trace: RunTrace, ledger: BoundLedger, rhs: np.ndarray,
@@ -245,12 +245,9 @@ def write_bound_csv(trace: RunTrace, ledger: BoundLedger, rhs: np.ndarray,
     """Prefix ledger and bound values, one row per horizon."""
     R = dynamic_regret(trace)
     Sigma, SigmaBar, E, P, _ = _prefix_sums(trace, ledger)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(BOUND_CSV_HEADER + "\n")
-        for i in range(trace.horizon):
-            row = (R[i], rhs[i], Sigma[i], SigmaBar[i], E[i], P[i],
-                   rhs[i] - R[i])
-            fh.write(f"{i + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, BOUND_CSV_HEADER,
+                [np.arange(1, trace.horizon + 1), R, rhs, Sigma, SigmaBar, E,
+                 P, rhs - R])
 
 
 def certified_margin(trace: RunTrace, ledger: BoundLedger,

@@ -1,59 +1,116 @@
-"""CSV persistence for run state beyond the summary trace.
+"""The run record, and the CSV codec of every table a run writes.
 
-``bound_state.csv`` carries everything the verifier needs to rebuild the
-ledger and bound without rerunning the solver: per-step scalars plus the
-per-step optima, and the initial point as row k = 0.
+Every table is a header line, then rows of integer index columns (``%d``)
+and float columns at 17 significant digits, which read back bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
+import warnings
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .solver import RunTrace
+#: cells formatted per write; a bound on the text held in memory at once
+_BLOCK_CELLS = 4096
+
+#: the RunTrace arrays filled one row per step by ``solver.run``
+_PER_STEP_FIELDS = ("iterates", "subproblem_solutions", "grad_error_norms",
+                    "eps", "f_played", "q_norms", "smoothness",
+                    "reg_lipschitz", "step_seconds")
+
+
+@dataclass
+class RunTrace:
+    """Per-step record of one run; optima arrive via regret.fill_optima."""
+
+    horizon: int
+    dim: int
+    x0: np.ndarray
+    iterates: np.ndarray            # (T, dim)
+    subproblem_solutions: np.ndarray  # (T, dim)
+    grad_error_norms: np.ndarray    # (T,)
+    eps: np.ndarray                 # (T,)
+    f_played: np.ndarray            # (T,)
+    q_norms: np.ndarray             # (T,) ||noisy grad + grad V(y,x_prev)/lam||
+    smoothness: np.ndarray          # (T,) declared L_k
+    reg_lipschitz: np.ndarray       # (T,) declared B_k
+    step_seconds: np.ndarray        # (T,) wall time, monotonic clock
+    step_size: float
+    domain_kind: str
+    domain_diameter: Optional[float]
+    optima: Optional[np.ndarray] = None      # (T, dim)
+    f_star: Optional[np.ndarray] = None      # (T,)
+    optimum_tolerance: Optional[float] = None
+    partial: bool = False
+
+    def has_optima(self) -> bool:
+        return self.optima is not None and self.f_star is not None
+
+    def truncated(self, upto: int) -> "RunTrace":
+        """Copy holding only the first ``upto`` completed steps."""
+        steps = {name: getattr(self, name)[:upto].copy()
+                 for name in _PER_STEP_FIELDS}
+        return replace(self, horizon=upto, optima=None, f_star=None,
+                       optimum_tolerance=None, partial=True, **steps)
+
+
+def write_table(path, header, columns) -> None:
+    """Write equal-length arrays, each one column or (2-D) several."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns
+                   for _ in range(c.shape[1] if c.ndim == 2 else 1)) + "\n"
+    rows = max(1, _BLOCK_CELLS // len(header))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), rows):
+            # one float64 block: integers stay exact below 2**53 for %d
+            block = np.column_stack([c[lo:lo + rows] for c in columns])
+            fh.write("".join(row % tuple(v) for v in block.tolist()))
+
+
+def read_table(path):
+    """Header names and the (rows, columns) float array of one CSV.
+
+    Raises ValueError on a cell that is not a number, on a row whose
+    width differs from the header's, and on a table without rows.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            # a table without rows is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] != len(header):
+        raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} "
+                         f"columns under {len(header)} header names")
+    return header, data
+
+
+#: bound_state.csv scalar column -> the RunTrace field it holds
+_STATE_COLUMNS = {"eps": "eps", "e_norm": "grad_error_norms",
+                  "q_norm": "q_norms", "L_k": "smoothness",
+                  "B_k": "reg_lipschitz", "f_x": "f_played",
+                  "f_star": "f_star"}
 
 
 def write_state_csv(trace: RunTrace, path) -> None:
+    """Per-step scalars and optima for ``verify``; row k = 0 holds x0."""
     if trace.optima is None:
         raise ValueError("state csv needs filled optima")
-    n = trace.dim
-    header = (["k", "eps", "e_norm", "q_norm", "L_k", "B_k", "f_x", "f_star"]
-              + [f"xstar_{j}" for j in range(n)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        x0_row = ["0"] + ["0"] * 7 + [f"{v:.17g}" for v in trace.x0]
-        fh.write(",".join(x0_row) + "\n")
-        for i in range(trace.horizon):
-            row = [str(i + 1)] + [
-                f"{v:.17g}" for v in (
-                    trace.eps[i], trace.grad_error_norms[i], trace.q_norms[i],
-                    trace.smoothness[i], trace.reg_lipschitz[i],
-                    trace.f_played[i], trace.f_star[i])
-            ] + [f"{v:.17g}" for v in trace.optima[i]]
-            fh.write(",".join(row) + "\n")
+    points = np.vstack([trace.x0, trace.optima])
+    write_table(path, ["k", *_STATE_COLUMNS]
+                + [f"xstar_{j}" for j in range(trace.dim)],
+                [np.arange(trace.horizon + 1),
+                 *(np.concatenate(([0.0], getattr(trace, field)))
+                   for field in _STATE_COLUMNS.values()), points])
 
 
 def read_state_csv(path) -> dict:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, row)) for row in reader]
-    data = np.asarray(rows)
-    n = len(header) - 8
-    out = {
-        "x0": data[0, 8:],
-        "eps": data[1:, 1],
-        "e_norm": data[1:, 2],
-        "q_norm": data[1:, 3],
-        "L_k": data[1:, 4],
-        "B_k": data[1:, 5],
-        "f_x": data[1:, 6],
-        "f_star": data[1:, 7],
-        "optima": data[1:, 8:],
-        "dim": n,
-    }
-    return out
+    header, data = read_table(path)
+    state = {name: data[1:, j] for j, name in enumerate(_STATE_COLUMNS, 1)}
+    return dict(state, x0=data[0, 8:], optima=data[1:, 8:],
+                dim=len(header) - 8)
 
 
 def trace_from_state(state: dict, step_size: float, domain_kind: str,
@@ -63,25 +120,16 @@ def trace_from_state(state: dict, step_size: float, domain_kind: str,
     Iterates and subproblem solutions are not persisted (the bound needs
     only the recorded scalars and optima), so those arrays are zeros.
     """
-    T = state["eps"].shape[0]
-    n = state["dim"]
+    T, n = state["optima"].shape
     return RunTrace(
         horizon=T, dim=n, x0=state["x0"],
         iterates=np.zeros((T, n)), subproblem_solutions=np.zeros((T, n)),
-        grad_error_norms=state["e_norm"], eps=state["eps"],
-        f_played=state["f_x"], q_norms=state["q_norm"],
-        smoothness=state["L_k"], reg_lipschitz=state["B_k"],
         step_seconds=np.zeros(T), step_size=step_size,
         domain_kind=domain_kind, domain_diameter=diameter,
-        optima=state["optima"], f_star=state["f_star"],
-        optimum_tolerance=None)
+        optima=state["optima"],
+        **{field: state[name] for name, field in _STATE_COLUMNS.items()})
 
 
 def read_trace_csv(path) -> dict:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name, value in row.items():
-                cols[name].append(float(value))
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    header, data = read_table(path)
+    return {name: data[:, j] for j, name in enumerate(header)}

@@ -20,15 +20,16 @@ be compared iterate by iterate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bregman import DistanceGenerator
-from .errors import OmpdError, SolverRunError, StepSizeError
+from .errors import (MissingOptimaError, OmpdError, SolverRunError,
+                     StepSizeError)
 from .losses import ErrorModel, ProblemStream
 from .prox import SubproblemSpec, inexact_mirror_prox, INNER_TOL_DEFAULT
+from .runio import RunTrace, write_table
 
 
 @dataclass(frozen=True)
@@ -38,47 +39,6 @@ class SolverConfig:
     initial_point: np.ndarray
     enforce_stepsize_rule: bool = True
     inner_tolerance: float = INNER_TOL_DEFAULT
-
-
-#: the RunTrace arrays filled one row per step by ``run``
-_PER_STEP_FIELDS = ("iterates", "subproblem_solutions", "grad_error_norms",
-                    "eps", "f_played", "q_norms", "smoothness",
-                    "reg_lipschitz", "step_seconds")
-
-
-@dataclass
-class RunTrace:
-    """Per-step record of one run; optima arrive via regret.fill_optima."""
-
-    horizon: int
-    dim: int
-    x0: np.ndarray
-    iterates: np.ndarray            # (T, dim)
-    subproblem_solutions: np.ndarray  # (T, dim)
-    grad_error_norms: np.ndarray    # (T,)
-    eps: np.ndarray                 # (T,)
-    f_played: np.ndarray            # (T,)
-    q_norms: np.ndarray             # (T,) ||noisy grad + grad V(y,x_prev)/lam||
-    smoothness: np.ndarray          # (T,) declared L_k
-    reg_lipschitz: np.ndarray       # (T,) declared B_k
-    step_seconds: np.ndarray        # (T,) wall time, monotonic clock
-    step_size: float
-    domain_kind: str
-    domain_diameter: Optional[float]
-    optima: Optional[np.ndarray] = None      # (T, dim)
-    f_star: Optional[np.ndarray] = None      # (T,)
-    optimum_tolerance: Optional[float] = None
-    partial: bool = False
-
-    def has_optima(self) -> bool:
-        return self.optima is not None and self.f_star is not None
-
-    def truncated(self, upto: int) -> "RunTrace":
-        """Copy holding only the first ``upto`` completed steps."""
-        steps = {name: getattr(self, name)[:upto].copy()
-                 for name in _PER_STEP_FIELDS}
-        return replace(self, horizon=upto, optima=None, f_star=None,
-                       optimum_tolerance=None, partial=True, **steps)
 
 
 def _empty_trace(stream: ProblemStream, config: SolverConfig) -> RunTrace:
@@ -218,20 +178,16 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
 
 
 TRACE_CSV_HEADER = ("k,f_x,f_star,instant_regret,grad_error_norm,eps,"
-                    "dist_to_optimum,cum_regret")
+                    "dist_to_optimum,cum_regret").split(",")
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """One row per step, 17 significant digits, header included."""
     if not trace.has_optima():
-        from .errors import MissingOptimaError
         raise MissingOptimaError("trace has no optima; run fill_optima first")
     inst = trace.f_played - trace.f_star
-    cum = np.cumsum(inst)
     dist = np.linalg.norm(trace.iterates - trace.optima, axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_CSV_HEADER + "\n")
-        for i in range(trace.horizon):
-            row = (trace.f_played[i], trace.f_star[i], inst[i],
-                   trace.grad_error_norms[i], trace.eps[i], dist[i], cum[i])
-            fh.write(f"{i + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, TRACE_CSV_HEADER,
+                [np.arange(1, trace.horizon + 1), trace.f_played,
+                 trace.f_star, inst, trace.grad_error_norms, trace.eps, dist,
+                 np.cumsum(inst)])

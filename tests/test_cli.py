@@ -1,10 +1,11 @@
 """Exit codes, file contract, and verify round-trips of the CLI."""
 
 import configparser
+import shutil
 
 import pytest
 
-from ompd import cli, experiments, whole_space
+from ompd import SolverRunError, cli, experiments, whole_space
 from ompd.cli import main
 
 EX2_SMALL = ("[example2]\nframe_dim = 16\nwindow = 8\n"
@@ -31,6 +32,36 @@ def _run_example1(tmp_path, extra=()):
     code = main(["run", "--experiment", "example1", "--seed", "7",
                  "--horizon", "40", "--out", str(out), *extra])
     return code, out
+
+
+@pytest.fixture(scope="module")
+def ex1_exact_run(tmp_path_factory):
+    """One example1 run (T=40, exact) that tests copy before doctoring."""
+    out = tmp_path_factory.mktemp("ex1") / "results"
+    assert main(["run", "--experiment", "example1", "--seed", "7",
+                 "--horizon", "40", "--variant", "exact",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _set_cell(path, row, column, text):
+    lines = path.read_text().splitlines()
+    parts = lines[row].split(",")
+    parts[lines[0].split(",").index(column)] = text
+    lines[row] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+#: ways to spoil a CSV so that verify cannot read the whole run from it,
+#: each applied to the list of the file's lines
+UNREADABLE = {
+    "non_numeric": lambda lines: lines[:3] + ["abc" + lines[3]] + lines[4:],
+    "ragged_row": lambda lines: (lines[:3] + [lines[3].rsplit(",", 1)[0]]
+                                 + lines[4:]),
+    "header_only": lambda lines: lines[:1],
+    "extra_column": lambda lines: lines[:1] + [ln + ",0" for ln in lines[1:]],
+    "missing_rows": lambda lines: lines[:-10],
+}
 
 
 def _recorded_optimum_tol(out):
@@ -190,6 +221,23 @@ class TestRun:
                 == (used_domain.kind, used_domain.diameter))
         assert main(["verify", "--out", str(out)]) == 0
 
+    def test_failed_run_writes_partial_trace(self, tmp_path, monkeypatch):
+        trace = experiments.run_example1(
+            experiments.GaussMarkovConfig(horizon=6, seed=1),
+            variants=("exact",))["exact"].trace
+
+        def spy(*args, **kwargs):
+            raise SolverRunError("subproblem failed at step 4",
+                                 trace.truncated(3))
+
+        monkeypatch.setattr(experiments, "run_example1", spy)
+        out = tmp_path / "res"
+        assert main(["run", "--experiment", "example1",
+                     "--out", str(out)]) == 1
+        expected = "k,f_x\n" + "".join(
+            f"{k},{f:.17g}\n" for k, f in enumerate(trace.f_played[:3], 1))
+        assert (out / "partial_trace.csv").read_bytes() == expected.encode()
+
     def test_example2_records_its_default_optimum_tol(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(EX2_SMALL)
@@ -288,3 +336,28 @@ class TestVerify:
                    for tok in line.split() if tok.startswith("worst_margin=")]
         assert len(margins) == 2
         assert all(m >= 0.0 for m in margins)
+
+    @pytest.mark.parametrize("name, code, report", [
+        ("trace.csv", 5, "error=sanity worst=nan"),
+        ("bound_state.csv", 1, "worst_margin=nan error=bound_violated"),
+    ])
+    def test_nan_played_loss_is_not_certified(self, tmp_path, capsys,
+                                              ex1_exact_run, name, code,
+                                              report):
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        _set_cell(out / "exact" / name, 5, "f_x", "nan")
+        assert main(["verify", "--out", str(out)]) == code
+        assert report in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doctor", UNREADABLE.values(),
+                             ids=UNREADABLE.keys())
+    @pytest.mark.parametrize("name", ["trace.csv", "bound_state.csv"])
+    def test_unreadable_csv_exit_4(self, tmp_path, capsys, ex1_exact_run,
+                                   name, doctor):
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "exact" / name
+        path.write_text("\n".join(doctor(path.read_text().splitlines()))
+                        + "\n")
+        assert main(["verify", "--out", str(out)]) == 4
+        assert capsys.readouterr().out == ("variant=exact "
+                                           "error=unreadable_trace\n")

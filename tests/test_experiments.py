@@ -8,7 +8,7 @@ from ompd import (GaussMarkovConfig, SeparationConfig, background_spectrum,
                   generate_separation, run_example1, run_example2,
                   separation_blocks, separation_f1, separation_smoothness,
                   validate_constants)
-from ompd.experiments import gradient_mapping_norm
+from ompd.prox import gradient_mapping_norm
 
 
 class TestGaussMarkovGenerator:

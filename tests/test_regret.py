@@ -150,6 +150,17 @@ class TestOfflineOptimum:
 
 
 class TestLassoOptimaBatch:
+    def test_nonfinite_residual_stops_at_the_first_check(self):
+        """A NaN in Y used to keep its problem running to max_iters."""
+        cfg = GaussMarkovConfig(horizon=3, seed=9)
+        _, truth = generate_gauss_markov(cfg)
+        Y = truth["Y"].copy()
+        Y[1, 0] = np.nan
+        with pytest.raises(OptimumError) as err:
+            lasso_optima_batch(truth["X"], Y, cfg.eta)
+        assert err.value.iterations <= prox.RESIDUAL_CHECK_EVERY
+        assert not np.isfinite(err.value.residual)
+
     def test_near_active_straggler_solves_exactly(self):
         """Step 426: an inactive |grad_j| at 0.999994 eta stalls FISTA."""
         cfg = GaussMarkovConfig(horizon=5000, seed=7)

@@ -1,0 +1,50 @@
+"""The CSV codec of every run table, and the state file."""
+
+import numpy as np
+
+from ompd import (GaussMarkovConfig, SolverConfig, euclidean_generator,
+                  fill_optima, generate_gauss_markov, run, zero_error_model)
+from ompd.runio import (_BLOCK_CELLS, read_state_csv, read_table,
+                        write_state_csv, write_table)
+
+
+class TestTable:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        """Extremes, and more rows than one write block holds."""
+        extremes = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1]
+        values = np.resize(extremes, _BLOCK_CELLS + 3)
+        k = np.arange(1, values.size + 1)
+        path = tmp_path / "table.csv"
+        write_table(path, ("k", "v"), [k, values])
+        lines = path.read_text().splitlines()
+        assert lines[:8] == ["k,v", "1,nan", "2,inf", "3,-inf", "4,-0",
+                             "5,4.9406564584124654e-324", "6,1e+308",
+                             "7,0.10000000000000001"]
+        header, data = read_table(path)
+        assert header == ["k", "v"]
+        np.testing.assert_array_equal(data[:, 0], k)
+        np.testing.assert_array_equal(data[:, 1], values)
+        assert np.array_equal(np.signbit(data[:, 1]), np.signbit(values))
+
+
+class TestStateCsv:
+    def test_row_zero_holds_the_initial_point(self, tmp_path):
+        cfg = GaussMarkovConfig(horizon=5, n_coeffs=4, active_set=(1,),
+                                seed=3)
+        stream, _ = generate_gauss_markov(cfg)
+        x0 = np.array([0.5, -0.25, 1.0 / 3.0, 0.0])
+        config = SolverConfig(step_size=cfg.step_size,
+                              generator=euclidean_generator(),
+                              initial_point=x0)
+        trace = run(stream, config, zero_error_model())
+        fill_optima(trace, stream, tol=1e-9)
+        path = tmp_path / "bound_state.csv"
+        write_state_csv(trace, path)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == (b"k,eps,e_norm,q_norm,L_k,B_k,f_x,f_star,"
+                            b"xstar_0,xstar_1,xstar_2,xstar_3")
+        assert lines[1] == b"0,0,0,0,0,0,0,0,0.5,-0.25,0.33333333333333331,0"
+        state = read_state_csv(path)
+        np.testing.assert_array_equal(state["x0"], x0)
+        np.testing.assert_array_equal(state["optima"], trace.optima)
+        np.testing.assert_array_equal(state["f_x"], trace.f_played)
