@@ -13,7 +13,8 @@ from .experiments import (ExperimentResult, GaussMarkovConfig,
                           coefficient_paths, generate_gauss_markov,
                           generate_separation, lasso_optima_batch,
                           run_example1, run_example2, separation_blocks,
-                          separation_f1, separation_smoothness)
+                          separation_f1, separation_optima,
+                          separation_smoothness)
 from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,
                      ProblemStream, ball, box, noisy_gradient, simplex,
                      validate_constants, whole_space, zero_error_model)

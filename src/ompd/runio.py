@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -57,16 +58,22 @@ class RunTrace:
 
 
 def write_table(path, header, columns) -> None:
-    """Write equal-length arrays, each one column or (2-D) several."""
+    """Write equal-length arrays as columns; the last may be 2-D (several).
+
+    Each block of rows is cut from every array with one ``tolist``, so
+    integer columns reach ``%d`` as Python ints, exact at any size.
+    """
+    wide = columns[-1].ndim == 2
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns
                    for _ in range(c.shape[1] if c.ndim == 2 else 1)) + "\n"
     rows = max(1, _BLOCK_CELLS // len(header))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), rows):
-            # one float64 block: integers stay exact below 2**53 for %d
-            block = np.column_stack([c[lo:lo + rows] for c in columns])
-            fh.write("".join(row % tuple(v) for v in block.tolist()))
+            block = zip(*(c[lo:lo + rows].tolist() for c in columns))
+            if wide:  # the 2-D group's cells close each row
+                block = ((*head, *tail) for *head, tail in block)
+            fh.write("".join(row % cells for cells in block))
 
 
 def read_table(path):
@@ -87,6 +94,17 @@ def read_table(path):
     return header, data
 
 
+def _check_header(path, header, expected) -> None:
+    """Raise ValueError at the first column name that is not the writer's."""
+    for j, (got, want) in enumerate(zip_longest(header, expected), 1):
+        if got != want:
+            raise ValueError(f"{path}: column {j} is {got!r}, not {want!r}")
+
+
+#: trace.csv columns, in order
+TRACE_CSV_HEADER = ("k,f_x,f_star,instant_regret,grad_error_norm,eps,"
+                    "dist_to_optimum,cum_regret").split(",")
+
 #: bound_state.csv scalar column -> the RunTrace field it holds
 _STATE_COLUMNS = {"eps": "eps", "e_norm": "grad_error_norms",
                   "q_norm": "q_norms", "L_k": "smoothness",
@@ -94,20 +112,25 @@ _STATE_COLUMNS = {"eps": "eps", "e_norm": "grad_error_norms",
                   "f_star": "f_star"}
 
 
+def _state_header(dim: int) -> list:
+    return ["k", *_STATE_COLUMNS] + [f"xstar_{j}" for j in range(dim)]
+
+
 def write_state_csv(trace: RunTrace, path) -> None:
     """Per-step scalars and optima for ``verify``; row k = 0 holds x0."""
     if trace.optima is None:
         raise ValueError("state csv needs filled optima")
     points = np.vstack([trace.x0, trace.optima])
-    write_table(path, ["k", *_STATE_COLUMNS]
-                + [f"xstar_{j}" for j in range(trace.dim)],
+    write_table(path, _state_header(trace.dim),
                 [np.arange(trace.horizon + 1),
                  *(np.concatenate(([0.0], getattr(trace, field)))
                    for field in _STATE_COLUMNS.values()), points])
 
 
 def read_state_csv(path) -> dict:
+    """The state file's columns; ValueError unless its header is ours."""
     header, data = read_table(path)
+    _check_header(path, header, _state_header(len(header) - 8))
     state = {name: data[1:, j] for j, name in enumerate(_STATE_COLUMNS, 1)}
     return dict(state, x0=data[0, 8:], optima=data[1:, 8:],
                 dim=len(header) - 8)
@@ -131,5 +154,7 @@ def trace_from_state(state: dict, step_size: float, domain_kind: str,
 
 
 def read_trace_csv(path) -> dict:
+    """trace.csv by column name; ValueError unless its header is ours."""
     header, data = read_table(path)
+    _check_header(path, header, TRACE_CSV_HEADER)
     return {name: data[:, j] for j, name in enumerate(header)}

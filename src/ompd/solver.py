@@ -29,7 +29,7 @@ from .errors import (MissingOptimaError, OmpdError, SolverRunError,
                      StepSizeError)
 from .losses import ErrorModel, ProblemStream
 from .prox import SubproblemSpec, inexact_mirror_prox, INNER_TOL_DEFAULT
-from .runio import RunTrace, write_table
+from .runio import TRACE_CSV_HEADER, RunTrace, write_table
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,6 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
         trace.step_seconds[i] = time.perf_counter() - t0
         x = x_new
     return trace
-
-
-TRACE_CSV_HEADER = ("k,f_x,f_star,instant_regret,grad_error_norm,eps,"
-                    "dist_to_optimum,cum_regret").split(",")
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

@@ -61,6 +61,9 @@ UNREADABLE = {
     "header_only": lambda lines: lines[:1],
     "extra_column": lambda lines: lines[:1] + [ln + ",0" for ln in lines[1:]],
     "missing_rows": lambda lines: lines[:-10],
+    "renamed_column": lambda lines: ([lines[0].replace(",f_x,", ",fx,")]
+                                     + lines[1:]),
+    "missing_column": lambda lines: [ln.rsplit(",", 1)[0] for ln in lines],
 }
 
 
@@ -163,6 +166,19 @@ class TestRun:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("key", ["mu_L", "mu_S", "lambda_L", "lambda_S"])
+    def test_negative_separation_weight_exits_2(self, tmp_path, capsys,
+                                                command, key):
+        """mu_S = -1 used to run until the optimum search gave up."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX2_SMALL.replace("window = 8",
+                                         f"window = 8\n{key} = -1"))
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key} must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("text, named", [
@@ -283,6 +299,15 @@ class TestVerify:
         parts[1] = str(float(parts[2]) - 1.0)  # f_x below f_star
         lines[5] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--out", str(out)]) == 5
+
+    def test_doctored_state_exit_5(self, tmp_path, ex1_exact_run):
+        """The bound reads f_x from bound_state.csv, so the gate does too."""
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "exact" / "bound_state.csv"
+        header, *rows = path.read_text().splitlines()
+        f_star = float(rows[4].split(",")[header.split(",").index("f_star")])
+        _set_cell(path, 5, "f_x", repr(f_star - 1.0))
         assert main(["verify", "--out", str(out)]) == 5
 
     def test_stale_small_smoothness_exit_6(self, tmp_path):

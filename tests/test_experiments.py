@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from ompd import (GaussMarkovConfig, SeparationConfig, background_spectrum,
-                  coefficient_paths, generate_gauss_markov,
-                  generate_separation, run_example1, run_example2,
-                  separation_blocks, separation_f1, separation_smoothness,
-                  validate_constants)
+from ompd import (GaussMarkovConfig, OptimumError, SeparationConfig,
+                  background_spectrum, coefficient_paths,
+                  generate_gauss_markov, generate_separation,
+                  offline_optimum, prox, run_example1, run_example2,
+                  separation_blocks, separation_f1, separation_optima,
+                  separation_smoothness, stream_optima, validate_constants)
+from ompd.experiments import SEPARATION_CHECK_EVERY
 from ompd.prox import gradient_mapping_norm
 
 
@@ -163,6 +165,61 @@ class TestSeparationGenerator:
         # the understated single-block constant fails the same check
         loose = separation_smoothness(cfg)
         assert loose > 2.0 * (1.0 + max(cfg.mu_L, cfg.mu_S))
+
+
+class TestSeparationOptima:
+    @pytest.mark.parametrize("mu_L", [0.005, 0.0])
+    @pytest.mark.parametrize("seed", [3, 5, 9])
+    def test_agrees_with_the_generic_oracle(self, seed, mu_L):
+        cfg = SeparationConfig(frame_dim=16, window=8, horizon=12, seed=seed,
+                               mu_L=mu_L)
+        stream, truth = generate_separation(cfg)
+        tol = 1e-6
+        _, f_ref = stream_optima(stream, tol=tol)
+        optima, f_star, residuals = separation_optima(stream, truth["M"],
+                                                      cfg, tol=tol)
+        assert np.all(residuals <= tol)
+        np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
+        for k in (1, 12):  # f_star is F at the returned point
+            step = stream.step_at(k)
+            assert f_star[k - 1] == step.total_value(optima[k - 1])
+
+    def test_out_of_budget_raises(self):
+        cfg = SeparationConfig(frame_dim=16, window=8, horizon=3, seed=3)
+        stream, truth = generate_separation(cfg)
+        with pytest.raises(OptimumError) as err:
+            separation_optima(stream, truth["M"], cfg, tol=1e-12,
+                              max_sweeps=2)
+        assert err.value.residual > 1e-12
+        assert err.value.iterations == 2
+
+    def test_nonfinite_data_stops_at_the_first_check(self):
+        cfg = SeparationConfig(frame_dim=16, window=8, horizon=3, seed=3)
+        stream, truth = generate_separation(cfg)
+        M = truth["M"].copy()
+        M[1, 0, 0] = np.nan
+        with pytest.raises(OptimumError) as err:
+            separation_optima(stream, M, cfg)
+        assert err.value.iterations <= SEPARATION_CHECK_EVERY
+        assert not np.isfinite(err.value.residual)
+
+    def test_cold_step_costs_few_svts(self, monkeypatch):
+        """A cold 16x8 step at tol 1e-6: 30 SVTs; the generic oracle 78."""
+        cfg = SeparationConfig(frame_dim=16, window=8, horizon=1, seed=1)
+        stream, truth = generate_separation(cfg)
+        calls = []
+        real = prox.singular_value_threshold
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prox, "singular_value_threshold", counting)
+        offline_optimum(stream.step_at(1), stream.domain, tol=1e-6)
+        generic = len(calls)
+        calls.clear()
+        separation_optima(stream, truth["M"], cfg, tol=1e-6)
+        assert len(calls) <= 30 < generic
 
 
 class TestUpdateSchemes:

@@ -27,6 +27,18 @@ class TestTable:
         assert np.array_equal(np.signbit(data[:, 1]), np.signbit(values))
 
 
+    def test_integers_are_exact_beside_floats(self, tmp_path):
+        """Integers used to pass through float64, exact only below 2**53."""
+        k = np.array([2 ** 53 + 1, -(2 ** 62) - 3])
+        path = tmp_path / "table.csv"
+        write_table(path, ("k", "v", "x_0", "x_1"),
+                    [k, np.array([0.5, -1.0]), np.array([[1.5, 2.0],
+                                                         [0.0, -0.0]])])
+        assert path.read_text().splitlines() == [
+            "k,v,x_0,x_1", "9007199254740993,0.5,1.5,2",
+            "-4611686018427387907,-1,0,-0"]
+
+
 class TestStateCsv:
     def test_row_zero_holds_the_initial_point(self, tmp_path):
         cfg = GaussMarkovConfig(horizon=5, n_coeffs=4, active_set=(1,),
