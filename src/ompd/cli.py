@@ -8,9 +8,11 @@ Configuration files are flat INI-style key=value text; command-line flags
 override file values. [run] holds experiment, seed (>= 0), horizon (>= 1),
 variant and optimum_tol. example1 and custom read [example1] or its alias
 [custom] and accept a box [domain]; example2 reads [example2] and runs on
-the whole space. Every run writes the resolved configuration to
-``run_config.cfg`` inside the output directory, which is what ``verify``
-reads back.
+the whole space. One resolver turns a file into a run for both commands,
+so ``verify --config FILE`` rebuilds the run that ``run --config FILE``
+played. Every run writes the resolved configuration to ``run_config.cfg``
+inside the output directory, which resolves to the run that wrote it and
+is what ``verify`` reads by default.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
@@ -186,7 +188,40 @@ def _build_domain(exp: _Experiment, dom, cfg):
                       f"{kind}")
 
 
-def _write_resolved_config(path, manifest, cfg, dom) -> None:
+def _resolve(path, experiment=None, seed=None, horizon=None, variant=None):
+    """Resolve a config file and the ``run`` flags into one run.
+
+    Returns (exp, cfg, domain, variants, manifest). A flag beats its [run]
+    key, and [run] horizon beats the section's; the stream seed is always
+    the manifest seed XOR STREAM_SEED_XOR. ``manifest`` is what
+    ``run_config.cfg`` records, and that file resolves to the same run.
+    """
+    sections = _load_config(path)
+    run_cfg = sections["run"]
+    experiment = experiment or run_cfg.get("experiment")
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(f"invalid or missing key 'experiment': {experiment}")
+    exp = _EXPERIMENTS[experiment]
+    seed = run_cfg.get("seed", 0) if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"invalid value for key 'seed': {seed} "
+                          f"(must be nonnegative)")
+    variant = variant or run_cfg.get("variant", "both")
+    variants = _variants(variant)
+    params = dict(sections[exp.section])
+    horizon = run_cfg.get("horizon") if horizon is None else horizon
+    if horizon is not None:
+        params["horizon"] = horizon
+    params["seed"] = seed ^ STREAM_SEED_XOR
+    cfg = exp.config(**params)
+    domain = _build_domain(exp, sections["domain"], cfg)
+    manifest = {"experiment": experiment, "seed": seed, "variant": variant,
+                "optimum_tol": run_cfg.get("optimum_tol", exp.optimum_tol),
+                "domain": sections["domain"]}
+    return exp, cfg, domain, variants, manifest
+
+
+def _write_resolved_config(path, manifest, cfg) -> None:
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser["run"] = {"experiment": manifest["experiment"],
@@ -202,38 +237,17 @@ def _write_resolved_config(path, manifest, cfg, dom) -> None:
         parser[section][field.name] = (f"{value:.17g}"
                                        if isinstance(value, float)
                                        else str(value))
-    parser["domain"] = {k: str(v) for k, v in dom.items()} or \
-        {"kind": "whole_space"}
+    parser["domain"] = ({k: str(v) for k, v in manifest["domain"].items()}
+                        or {"kind": "whole_space"})
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
 def cmd_run(args) -> int:
     try:
-        sections = _load_config(args.config)
-        run_cfg = sections["run"]
-        experiment = args.experiment or run_cfg.get("experiment")
-        if experiment not in _EXPERIMENTS:
-            raise ConfigError(
-                f"invalid or missing key 'experiment': {experiment}")
-        exp = _EXPERIMENTS[experiment]
-        seed = args.seed if args.seed is not None else run_cfg.get("seed", 0)
-        if seed < 0:
-            raise ConfigError(f"invalid value for key 'seed': {seed} "
-                              f"(must be nonnegative)")
-        variant = args.variant or run_cfg.get("variant", "both")
-        variants = _variants(variant)
-        optimum_tol = run_cfg.get("optimum_tol", exp.optimum_tol)
-        manifest = {"experiment": experiment, "seed": seed,
-                    "variant": variant, "optimum_tol": optimum_tol}
-        params = dict(sections[exp.section])
-        if args.horizon is not None:
-            params["horizon"] = args.horizon
-        elif "horizon" in run_cfg:
-            params["horizon"] = run_cfg["horizon"]
-        params["seed"] = seed ^ STREAM_SEED_XOR
-        cfg = exp.config(**params)
-        domain = _build_domain(exp, sections["domain"], cfg)
+        exp, cfg, domain, variants, manifest = _resolve(
+            args.config, args.experiment, args.seed, args.horizon,
+            args.variant)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -247,8 +261,8 @@ def cmd_run(args) -> int:
 
     try:
         results = exp.run(cfg, domain, out_dir=out_dir, variants=variants,
-                          error_seed=seed ^ ERROR_SEED_XOR,
-                          optimum_tol=optimum_tol)
+                          error_seed=manifest["seed"] ^ ERROR_SEED_XOR,
+                          optimum_tol=manifest["optimum_tol"])
     except SolverRunError as exc:
         path = os.path.join(out_dir, "partial_trace.csv")
         runio.write_table(path, ("k", "f_x"), [
@@ -260,7 +274,7 @@ def cmd_run(args) -> int:
         return EXIT_FAIL
 
     _write_resolved_config(os.path.join(out_dir, "run_config.cfg"),
-                           manifest, cfg, sections["domain"])
+                           manifest, cfg)
     for variant in variants:
         res = results[variant]
         T = res.trace.horizon
@@ -326,16 +340,7 @@ def cmd_verify(args) -> int:
         print(f"verify: no run configuration at {cfg_path}", file=sys.stderr)
         return EXIT_MISSING
     try:
-        sections = _load_config(cfg_path)
-        run_cfg = sections["run"]
-        experiment = run_cfg.get("experiment")
-        if experiment not in _EXPERIMENTS:
-            raise ConfigError(f"invalid key 'experiment': {experiment}")
-        exp = _EXPERIMENTS[experiment]
-        variants = _variants(run_cfg.get("variant", "both"))
-        optimum_tol = run_cfg.get("optimum_tol", exp.optimum_tol)
-        cfg = exp.config(**sections[exp.section])
-        domain = _build_domain(exp, sections["domain"], cfg)
+        exp, cfg, domain, variants, manifest = _resolve(cfg_path)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -345,7 +350,7 @@ def cmd_verify(args) -> int:
     status = EXIT_OK
     for variant in variants:
         code, line = _verify_variant(out_dir, variant, stream, lam,
-                                     optimum_tol)
+                                     manifest["optimum_tol"])
         print(line)
         if code != EXIT_OK and status == EXIT_OK:
             status = code
@@ -373,7 +378,8 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify",
                            help="recheck the certified bound from CSVs")
     p_ver.add_argument("--out", required=True)
-    p_ver.add_argument("--config")
+    p_ver.add_argument("--config", help="config file, resolved as `run` "
+                       "resolves it (default: OUT/run_config.cfg)")
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -97,7 +97,6 @@ def fill_optima(trace: RunTrace, stream: ProblemStream,
         f_star = np.array([stream.step_at(k).total_value(trace.optima[k - 1])
                            for k in range(1, trace.horizon + 1)])
     trace.f_star = np.asarray(f_star, dtype=float)
-    trace.optimum_tolerance = tol
     return trace
 
 

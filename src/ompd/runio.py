@@ -17,9 +17,8 @@ import numpy as np
 _BLOCK_CELLS = 4096
 
 #: the RunTrace arrays filled one row per step by ``solver.run``
-_PER_STEP_FIELDS = ("iterates", "subproblem_solutions", "grad_error_norms",
-                    "eps", "f_played", "q_norms", "smoothness",
-                    "reg_lipschitz", "step_seconds")
+_PER_STEP_FIELDS = ("iterates", "grad_error_norms", "eps", "f_played",
+                    "q_norms", "smoothness", "reg_lipschitz", "step_seconds")
 
 
 @dataclass
@@ -30,7 +29,6 @@ class RunTrace:
     dim: int
     x0: np.ndarray
     iterates: np.ndarray            # (T, dim)
-    subproblem_solutions: np.ndarray  # (T, dim)
     grad_error_norms: np.ndarray    # (T,)
     eps: np.ndarray                 # (T,)
     f_played: np.ndarray            # (T,)
@@ -43,7 +41,6 @@ class RunTrace:
     domain_diameter: Optional[float]
     optima: Optional[np.ndarray] = None      # (T, dim)
     f_star: Optional[np.ndarray] = None      # (T,)
-    optimum_tolerance: Optional[float] = None
     partial: bool = False
 
     def has_optima(self) -> bool:
@@ -54,7 +51,7 @@ class RunTrace:
         steps = {name: getattr(self, name)[:upto].copy()
                  for name in _PER_STEP_FIELDS}
         return replace(self, horizon=upto, optima=None, f_star=None,
-                       optimum_tolerance=None, partial=True, **steps)
+                       partial=True, **steps)
 
 
 def write_table(path, header, columns) -> None:
@@ -140,14 +137,14 @@ def trace_from_state(state: dict, step_size: float, domain_kind: str,
                      diameter) -> RunTrace:
     """Rebuild the trace fields the ledger and bound evaluators consume.
 
-    Iterates and subproblem solutions are not persisted (the bound needs
-    only the recorded scalars and optima), so those arrays are zeros.
+    Iterates are not persisted (the bound needs only the recorded scalars
+    and optima), so that array is zeros.
     """
     T, n = state["optima"].shape
     return RunTrace(
         horizon=T, dim=n, x0=state["x0"],
-        iterates=np.zeros((T, n)), subproblem_solutions=np.zeros((T, n)),
-        step_seconds=np.zeros(T), step_size=step_size,
+        iterates=np.zeros((T, n)), step_seconds=np.zeros(T),
+        step_size=step_size,
         domain_kind=domain_kind, domain_diameter=diameter,
         optima=state["optima"],
         **{field: state[name] for name, field in _STATE_COLUMNS.items()})

@@ -37,7 +37,6 @@ class SolverConfig:
     step_size: float
     generator: DistanceGenerator
     initial_point: np.ndarray
-    enforce_stepsize_rule: bool = True
     inner_tolerance: float = INNER_TOL_DEFAULT
 
 
@@ -46,9 +45,9 @@ def _empty_trace(stream: ProblemStream, config: SolverConfig) -> RunTrace:
     return RunTrace(
         horizon=T, dim=n,
         x0=np.array(config.initial_point, dtype=float),
-        iterates=np.zeros((T, n)), subproblem_solutions=np.zeros((T, n)),
-        grad_error_norms=np.zeros(T), eps=np.zeros(T), f_played=np.zeros(T),
-        q_norms=np.zeros(T), smoothness=np.zeros(T), reg_lipschitz=np.zeros(T),
+        iterates=np.zeros((T, n)), grad_error_norms=np.zeros(T),
+        eps=np.zeros(T), f_played=np.zeros(T), q_norms=np.zeros(T),
+        smoothness=np.zeros(T), reg_lipschitz=np.zeros(T),
         step_seconds=np.zeros(T), step_size=config.step_size,
         domain_kind=stream.domain.kind,
         domain_diameter=stream.domain.diameter)
@@ -67,11 +66,10 @@ def run(stream: ProblemStream, config: SolverConfig,
 
     Raises SolverRunError with the partial trace attached if a subproblem
     fails mid-run; raises StepSizeError up front when the step-size rule
-    is enforced and violated.
+    is violated.
     """
     steps = stream.steps()
-    if config.enforce_stepsize_rule:
-        _check_step_rule(config, steps)
+    _check_step_rule(config, steps)
     trace = _empty_trace(stream, config)
     gen = config.generator
     lam = config.step_size
@@ -84,8 +82,7 @@ def run(stream: ProblemStream, config: SolverConfig,
         grad = step.smooth_gradient(x) + e
         spec = SubproblemSpec(
             loss=step, gen=gen, anchor=x, noisy_grad=grad, step_size=lam,
-            domain=stream.domain, inner_tolerance=config.inner_tolerance,
-            allow_oversized_step=not config.enforce_stepsize_rule)
+            domain=stream.domain, inner_tolerance=config.inner_tolerance)
         try:
             x_new, y, eps_k = inexact_mirror_prox(spec, model, k)
         except OmpdError as exc:
@@ -94,7 +91,6 @@ def run(stream: ProblemStream, config: SolverConfig,
                 trace.truncated(k - 1)) from exc
         i = k - 1
         trace.iterates[i] = x_new
-        trace.subproblem_solutions[i] = y
         trace.grad_error_norms[i] = np.linalg.norm(e)
         trace.eps[i] = eps_k
         trace.f_played[i] = step.total_value(x_new)
@@ -142,10 +138,9 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     """
     steps = stream.steps()
     lam = config.step_size
-    if config.enforce_stepsize_rule:
-        L = max(s.smoothness_constant for s in steps)
-        if lam > 2.0 / L:
-            raise StepSizeError(lam, L, 1.0)
+    L = max(s.smoothness_constant for s in steps)
+    if lam > 2.0 / L:
+        raise StepSizeError(lam, L, 1.0)
     trace = _empty_trace(stream, config)
     domain = stream.domain
     x = np.array(config.initial_point, dtype=float)
@@ -165,7 +160,6 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
         x_new = domain.project(y + offset) if radius > 0.0 else y
         i = k - 1
         trace.iterates[i] = x_new
-        trace.subproblem_solutions[i] = y
         trace.grad_error_norms[i] = np.linalg.norm(e)
         trace.eps[i] = radius
         trace.f_played[i] = step.total_value(x_new)

@@ -227,15 +227,35 @@ class TestRun:
         cfg_path.write_text(text)
         out = tmp_path / "res"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        sections = cli._load_config(out / "run_config.cfg")
-        exp = cli._EXPERIMENTS[sections["run"]["experiment"]]
-        rebuilt = exp.config(**sections[exp.section])
-        domain = cli._build_domain(exp, sections["domain"], rebuilt)
         [(cfg, used_domain)] = used
-        assert rebuilt == cfg
-        assert ((domain.kind, domain.diameter)
-                == (used_domain.kind, used_domain.diameter))
+        # the user's file and the recorded file both resolve to the run
+        for path in (cfg_path, out / "run_config.cfg"):
+            _, rebuilt, domain, _, _ = cli._resolve(path)
+            assert rebuilt == cfg
+            assert ((domain.kind, domain.diameter)
+                    == (used_domain.kind, used_domain.diameter))
         assert main(["verify", "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out),
+                     "--config", str(cfg_path)]) == 0
+
+    def test_verify_config_regenerates_the_played_stream(self, tmp_path,
+                                                         monkeypatch):
+        streams = []
+
+        def spy(cfg, *args, _real=experiments.generate_gauss_markov, **kw):
+            streams.append((cfg.seed, cfg.horizon))
+            return _real(cfg, *args, **kw)
+
+        monkeypatch.setattr(experiments, "generate_gauss_markov", spy)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[run]\nexperiment = example1\nseed = 5\n"
+                            "[example1]\nhorizon = 30\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert streams == [(5 ^ cli.STREAM_SEED_XOR, 30)]
+        assert main(["verify", "--out", str(out),
+                     "--config", str(cfg_path)]) == 0
+        assert streams == [(5 ^ cli.STREAM_SEED_XOR, 30)] * 2
 
     def test_failed_run_writes_partial_trace(self, tmp_path, monkeypatch):
         trace = experiments.run_example1(

@@ -51,7 +51,7 @@ def _manual_trace(f_played, f_star, optima, x0=None, eps=None, e_norms=None,
     trace = RunTrace(
         horizon=T, dim=n,
         x0=np.zeros(n) if x0 is None else np.asarray(x0, float),
-        iterates=np.zeros((T, n)), subproblem_solutions=np.zeros((T, n)),
+        iterates=np.zeros((T, n)),
         grad_error_norms=np.zeros(T) if e_norms is None else np.asarray(e_norms, float),
         eps=np.zeros(T) if eps is None else np.asarray(eps, float),
         f_played=f_played,
@@ -59,8 +59,7 @@ def _manual_trace(f_played, f_star, optima, x0=None, eps=None, e_norms=None,
         smoothness=np.ones(T), reg_lipschitz=np.full(T, B),
         step_seconds=np.zeros(T), step_size=step_size,
         domain_kind=domain_kind, domain_diameter=diameter,
-        optima=optima, f_star=np.asarray(f_star, dtype=float),
-        optimum_tolerance=1e-9)
+        optima=optima, f_star=np.asarray(f_star, dtype=float))
     return trace
 
 
