@@ -19,10 +19,9 @@ from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,
                      ProblemStream, ball, box, noisy_gradient, simplex,
                      validate_constants, whole_space, zero_error_model)
 from .prox import (BlockRule, ProxRule, SubproblemSpec, block_rule,
-                   composed_prox, exact_mirror_prox, indicator_rule,
-                   inexact_mirror_prox, l1_rule, nuclear_rule,
-                   singular_value_threshold, soft_threshold,
-                   subproblem_value, zero_rule)
+                   composed_prox, exact_mirror_prox, inexact_mirror_prox,
+                   l1_rule, nuclear_rule, singular_value_threshold,
+                   soft_threshold, subproblem_value, zero_rule)
 from .regret import (BoundLedger, certified_margin, dynamic_regret,
                      fill_optima, ledger_from_trace, offline_optimum,
                      recursion_bound, stream_optima, theorem_rhs,

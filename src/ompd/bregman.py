@@ -116,13 +116,17 @@ def _as_pair(x, y):
 
 
 def divergence(gen: DistanceGenerator, x, y) -> float:
-    """V(x, y) for the given generator; always nonnegative."""
+    """V(x, y) for the given generator; nonnegative unless NaN.
+
+    Rounding below zero is clamped to 0; a NaN input stays NaN, so it
+    cannot pass for a zero divergence.
+    """
     x, y = _as_pair(x, y)
     if gen.pair_divergence is not None:
         v = gen.pair_divergence(x, y)
     else:
         v = gen.value(x) - gen.value(y) - float(np.dot(gen.gradient(y), x - y))
-    return v if v > 0.0 else 0.0
+    return 0.0 if v <= 0.0 else v
 
 
 def divergence_gradient(gen: DistanceGenerator, x, y) -> np.ndarray:

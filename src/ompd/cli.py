@@ -12,7 +12,8 @@ the whole space. One resolver turns a file into a run for both commands,
 so ``verify --config FILE`` rebuilds the run that ``run --config FILE``
 played. Every run writes the resolved configuration to ``run_config.cfg``
 inside the output directory, which resolves to the run that wrote it and
-is what ``verify`` reads by default.
+is what ``verify`` reads by default. ``verify`` certifies each variant
+from its ``bound_state.csv`` alone; ``trace.csv`` is a report for readers.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
@@ -25,8 +26,9 @@ Exit codes:
     1  certified bound violated, or a run failed mid-stream
     2  configuration parse or validation error
     3  output directory nonempty and --overwrite not given
-    4  expected trace files missing or unreadable
-    5  trace sanity violation (some f_k(x_k) below f_k(x_k*), or nonfinite)
+    4  run_config.cfg missing, or a bound_state.csv missing or unreadable
+    5  sanity violation in bound_state.csv (some f_k(x_k) below
+       f_k(x_k*), or a nonfinite gap)
     6  recorded constants fail sampled validation
 """
 
@@ -231,6 +233,8 @@ def _write_resolved_config(path, manifest, cfg) -> None:
     section = _EXPERIMENTS[manifest["experiment"]].section
     parser[section] = {}
     for field in dataclasses.fields(cfg):
+        if field.name == "seed":
+            continue  # the stream seed derives from [run] seed
         value = getattr(cfg, field.name)
         if isinstance(value, tuple):
             value = " ".join(str(i) for i in value)
@@ -285,24 +289,18 @@ def cmd_run(args) -> int:
 
 
 def _verify_variant(out_dir, variant, stream, lam, optimum_tol):
-    vdir = os.path.join(out_dir, variant)
-    trace_path = os.path.join(vdir, "trace.csv")
-    state_path = os.path.join(vdir, "bound_state.csv")
-    if not (os.path.exists(trace_path) and os.path.exists(state_path)):
+    state_path = os.path.join(out_dir, variant, "bound_state.csv")
+    if not os.path.exists(state_path):
         return EXIT_MISSING, f"variant={variant} error=missing_trace"
     try:
-        trace_cols = runio.read_trace_csv(trace_path)
         state = runio.read_state_csv(state_path)
-        if not (trace_cols["k"].size == state["eps"].size == stream.horizon
+        if not (state["eps"].size == stream.horizon
                 and state["dim"] == stream.dim):
-            raise ValueError("the files do not cover the run")
+            raise ValueError("the file does not cover the run")
     except (OSError, ValueError):
         return EXIT_MISSING, f"variant={variant} error=unreadable_trace"
-    # the bound is certified from the state file's own f_x and f_star, so
-    # its finite gaps face this gate too; a nonfinite one fails the bound
-    state_gap = state["f_x"] - state["f_star"]
-    gap = np.concatenate((trace_cols["f_x"] - trace_cols["f_star"],
-                          state_gap[np.isfinite(state_gap)]))
+    # the bound is certified from this file's f_x and f_star
+    gap = state["f_x"] - state["f_star"]
     worst_gap = np.min(gap) if np.all(np.isfinite(gap)) else np.nan
     if not worst_gap >= -(_SANITY_TOL + optimum_tol):
         return EXIT_SANITY, (f"variant={variant} error=sanity "

@@ -65,14 +65,14 @@ class GaussMarkovConfig:
             raise ValueError("active_set indices must lie in 1..n_coeffs")
 
 
-def coefficient_paths(cfg: GaussMarkovConfig, horizon: Optional[int] = None,
+def coefficient_paths(cfg: GaussMarkovConfig,
                       rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Ground-truth coefficients, shape (horizon, n_coeffs), times 1..T.
 
     Active coordinates follow a_t = alpha a_{t-1} + v_t with stationary
     unit variance (v_t has variance 1 - alpha^2); inactive ones stay zero.
     """
-    T = cfg.horizon if horizon is None else horizon
+    T = cfg.horizon
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     active = [i - 1 for i in cfg.active_set]
@@ -248,7 +248,6 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
 class ExperimentResult:
     variant: str
     trace: RunTrace
-    ledger: object
     rhs: np.ndarray
     regret: np.ndarray
 
@@ -283,7 +282,7 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
                                    stream.domain)
         rhs = theorem_rhs(ledger, trace, stream.domain.kind)
         results[variant] = ExperimentResult(
-            variant=variant, trace=trace, ledger=ledger, rhs=rhs,
+            variant=variant, trace=trace, rhs=rhs,
             regret=dynamic_regret(trace))
         if out_dir is not None:
             vdir = os.path.join(out_dir, variant)
@@ -397,8 +396,9 @@ def separation_smoothness(cfg: SeparationConfig) -> float:
     return 0.5 * ((a + b) + np.hypot(a - b, 4.0))
 
 
-def _orthonormal(rng, rows: int, cols: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(rows, cols)))
+def _orthonormalize(A: np.ndarray) -> np.ndarray:
+    """Q of A's QR factorisation, column signs fixed by R's diagonal."""
+    q, r = np.linalg.qr(A)
     return q * np.sign(np.diag(r))
 
 
@@ -422,10 +422,12 @@ def generate_separation(cfg: SeparationConfig):
     rng = np.random.default_rng(cfg.seed)
     T, rows, cols, r = cfg.horizon, cfg.window, cfg.frame_dim, cfg.synth_rank
     spectrum = background_spectrum(cfg)
-    U = _orthonormal(rng, rows, r)
-    V = _orthonormal(rng, cols, r)
-    RU = _plane_rotation(_orthonormal(rng, rows, 2), cfg.rotation)
-    RV = _plane_rotation(_orthonormal(rng, cols, 2), cfg.rotation)
+    U = _orthonormalize(rng.normal(size=(rows, r)))
+    V = _orthonormalize(rng.normal(size=(cols, r)))
+    RU = _plane_rotation(_orthonormalize(rng.normal(size=(rows, 2))),
+                         cfg.rotation)
+    RV = _plane_rotation(_orthonormalize(rng.normal(size=(cols, 2))),
+                         cfg.rotation)
     mask = rng.uniform(size=(rows, cols)) < cfg.synth_sparsity
     signs = np.where(rng.uniform(size=(rows, cols)) < 0.5, -1.0, 1.0)
     magnitudes = rng.uniform(cfg.foreground_scale, 2.0 * cfg.foreground_scale,
@@ -437,8 +439,8 @@ def generate_separation(cfg: SeparationConfig):
         backgrounds[t] = (U * spectrum) @ V.T
         M[t] = backgrounds[t] + S_true + rng.normal(scale=cfg.noise_std,
                                                     size=(rows, cols))
-        U = _reorthonormalize(RU @ U)
-        V = _reorthonormalize(RV @ V)
+        U = _orthonormalize(RU @ U)
+        V = _orthonormalize(RV @ V)
     m = rows * cols
     L_const = separation_smoothness(cfg)
     B_const = float(np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
@@ -533,11 +535,6 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
         optima[k - 1], f_star[k - 1] = p, step.total_value(p)
         residuals[k - 1] = residual
     return optima, f_star, residuals
-
-
-def _reorthonormalize(A: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(A)
-    return q * np.sign(np.diag(r))
 
 
 def separation_blocks(trace_row: np.ndarray, cfg: SeparationConfig):

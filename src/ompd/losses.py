@@ -44,19 +44,18 @@ def whole_space() -> Domain:
                   diameter=None, name="whole_space")
 
 
-def ball(diameter: float, dim: int, center=None) -> Domain:
-    """Euclidean ball of the given diameter (radius diameter/2)."""
+def ball(diameter: float, dim: int) -> Domain:
+    """Origin-centred Euclidean ball of the given diameter in R^dim."""
     if diameter <= 0:
         raise ValueError("diameter must be positive")
     radius = 0.5 * diameter
-    c = np.zeros(dim) if center is None else np.asarray(center, float)
 
     def project(x):
-        d = np.asarray(x, float) - c
-        nrm = float(np.linalg.norm(d))
+        x = np.asarray(x, float)
+        nrm = float(np.linalg.norm(x))
         if nrm <= radius:
-            return np.asarray(x, float)
-        return c + d * (radius / nrm)
+            return x
+        return x * (radius / nrm)
 
     return Domain(kind="bounded", project=project, diameter=float(diameter),
                   name="ball")
@@ -201,10 +200,10 @@ class ConstantsReport:
 
 
 def validate_constants(step: CompositeLossStep, samples: int = 200,
-                       seed: int = 0, scale: float = 1.0) -> ConstantsReport:
+                       seed: int = 0) -> ConstantsReport:
     """Sample-check the declared constants and convexity of one step.
 
-    Draws Gaussian point pairs at the given scale and reports the largest
+    Draws standard Gaussian point pairs and reports the largest
     violation of: the descent lemma for the smooth part, the Lipschitz
     bound for the regularizer, and midpoint convexity for both parts.
     """
@@ -215,8 +214,8 @@ def validate_constants(step: CompositeLossStep, samples: int = 200,
     B = step.regularizer_lipschitz
     worst = [-np.inf] * 4
     for _ in range(samples):
-        x = rng.normal(0.0, scale, size=step.dim)
-        y = rng.normal(0.0, scale, size=step.dim)
+        x = rng.normal(size=step.dim)
+        y = rng.normal(size=step.dim)
         gx = float(step.smooth_value(x))
         gy = float(step.smooth_value(y))
         grad_x = step.smooth_gradient(x)

@@ -57,14 +57,14 @@ def singular_value_threshold(Z, lam: float, svd=np.linalg.svd):
 class ProxRule:
     """Exact prox map of one nonsmooth term.
 
-    kind: "l1" (weight eta), "nuclear" (weight), "indicator" (a Domain),
-    or "zero". ``apply(v, scale)`` returns the minimizer of
+    kind: "l1" (weight eta), "nuclear" (weight), or "zero". A constraint
+    is not a rule: it is the stream's Domain, which ``composed_prox``
+    projects onto. ``apply(v, scale)`` returns the minimizer of
     h(u) + ||u - v||^2 / (2*scale) in the Euclidean geometry.
     """
 
     kind: str
     weight: float = 0.0
-    domain: Domain | None = None
 
     def apply(self, v, scale: float):
         v = np.asarray(v, dtype=float)
@@ -76,8 +76,6 @@ class ProxRule:
             if v.ndim != 2:
                 raise ValueError("nuclear prox expects a matrix")
             return singular_value_threshold(v, scale * self.weight)
-        if self.kind == "indicator":
-            return self.domain.project(v)
         raise ValueError(f"unknown prox rule kind {self.kind!r}")
 
 
@@ -87,10 +85,6 @@ def l1_rule(weight: float) -> ProxRule:
 
 def nuclear_rule(weight: float) -> ProxRule:
     return ProxRule(kind="nuclear", weight=float(weight))
-
-
-def indicator_rule(domain: Domain) -> ProxRule:
-    return ProxRule(kind="indicator", domain=domain)
 
 
 def zero_rule() -> ProxRule:
@@ -140,11 +134,6 @@ def composed_prox(rule, domain: Domain, v, scale: float):
         return rule.apply(v, scale)
     if kind == "zero":
         return domain.project(v)
-    if kind == "indicator":
-        if rule.domain is domain:
-            return domain.project(v)
-        raise CompositionError(
-            "indicator prox combined with a different bounded domain")
     if kind == "l1":
         if domain.name in ("box", "ball"):
             return domain.project(soft_threshold(v, scale * rule.weight))

@@ -10,8 +10,8 @@ The central objects are the accumulators of the run:
 
 plus the regime constant D (2B on the whole space; on bounded domains
 2B + max_k ||grad g_k(x_{k-1}) + e_k + grad V(y_k, x_{k-1})/lam||), the
-start cost Z0 = (V(x_0*, x_0) + G s_1 ||x_0* - x_0||) / lam, and the
-recursion sequences
+start cost Z0 = V(x_0*, x_0) / lam (its drift term G s_1 ||x_0* - x_0||
+vanishes with s_1), and the recursion sequences
 
     S_i   = (2 lam / sigma) Z0 + (2 lam D / sigma) sum_{k<=i} eps_k
             + (2 G / sigma - 1) sum_{k<=i} s_k^2
@@ -21,9 +21,8 @@ recursion sequences
 ``theorem_rhs`` evaluates, at every prefix horizon T', the certified
 upper bound on R_{T'}:
 
-    bounded domain:
-        V(x_0*, x_0)/lam + R G s_1 / lam + D P + (G - sigma/2) SigmaBar/lam
-        + R * C
+    bounded domain (its start term R G s_1 / lam vanishes with s_1):
+        Z0 + D P + (G - sigma/2) SigmaBar / lam + R * C
     whole space:
         Z0 + D P + (G - sigma/2) SigmaBar / lam
         + (sum tau + sqrt(S)) * C
@@ -148,9 +147,7 @@ def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
     sigma, G = gen.sigma_omega, gen.g_omega
     e = trace.grad_error_norms
     eps = trace.eps
-    x0_star = opt[0]
-    Z0 = (divergence(gen, x0_star, trace.x0)
-          + G * s[1] * float(np.linalg.norm(x0_star - trace.x0))) / lam
+    Z0 = divergence(gen, opt[0], trace.x0) / lam
     B = float(np.max(trace.reg_lipschitz)) if T else 0.0
     if domain.is_bounded:
         D = 2.0 * B + float(np.max(trace.q_norms)) if T else 2.0 * B
@@ -220,20 +217,12 @@ def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
     C = E + (G / lam) * (drift + P)
     curvature = (G - 0.5 * sigma) / lam * SigmaBar
     if regime == "bounded":
-        R = ledger.diameter
-        start = divergence_start(ledger, trace) + R * G * ledger.s[1] / lam
-        return start + ledger.D * P + curvature + R * C
+        return ledger.Z0 + ledger.D * P + curvature + ledger.diameter * C
     tau_sum = (2.0 * lam / sigma) * C
     S_pref = ((2.0 * lam / sigma) * ledger.Z0
               + (2.0 * lam * ledger.D / sigma) * P
               + (2.0 * G / sigma - 1.0) * SigmaBar)
     return ledger.Z0 + ledger.D * P + curvature + (tau_sum + np.sqrt(S_pref)) * C
-
-
-def divergence_start(ledger: BoundLedger, trace: RunTrace) -> float:
-    # V(x_0*, x_0)/lam isolated from Z0 (they coincide when s_1 = 0).
-    return ledger.Z0 - ledger.g_omega * ledger.s[1] * float(
-        np.linalg.norm(trace.optima[0] - trace.x0)) / ledger.lam
 
 
 BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin".split(",")

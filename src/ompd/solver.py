@@ -114,8 +114,6 @@ def _baseline_prox(rule, v, scale: float):
     if kind == "nuclear":
         U, s, Vt = np.linalg.svd(v, full_matrices=False)
         return (U * np.maximum(s - scale * rule.weight, 0.0)) @ Vt
-    if kind == "indicator":
-        return rule.domain.project(v)
     if kind == "block":
         out = np.empty_like(v)
         offset = 0

@@ -77,6 +77,13 @@ class TestDivergence:
                 assert (divergence(gen, x, y)
                         <= 0.5 * gen.g_omega * gap + 1e-12)
 
+    def test_nan_input_gives_nan(self):
+        """The clamp at zero must not turn a NaN into a zero divergence."""
+        x = np.array([np.nan, 1.0])
+        for gen in (EUCLID, ENTROPY):
+            assert np.isnan(divergence(gen, x, np.zeros(2)))
+            assert np.isnan(divergence(gen, np.ones(2), x))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             divergence(EUCLID, np.zeros(2), np.zeros(3))

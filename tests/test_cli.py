@@ -44,11 +44,14 @@ def ex1_exact_run(tmp_path_factory):
     return out
 
 
-def _set_cell(path, row, column, text):
-    lines = path.read_text().splitlines()
+def _with_cell(lines, row, column, text):
     parts = lines[row].split(",")
     parts[lines[0].split(",").index(column)] = text
-    lines[row] = ",".join(parts)
+    return lines[:row] + [",".join(parts)] + lines[row + 1:]
+
+
+def _set_cell(path, row, column, text):
+    lines = _with_cell(path.read_text().splitlines(), row, column, text)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -64,6 +67,14 @@ UNREADABLE = {
     "renamed_column": lambda lines: ([lines[0].replace(",f_x,", ",fx,")]
                                      + lines[1:]),
     "missing_column": lambda lines: [ln.rsplit(",", 1)[0] for ln in lines],
+}
+
+#: edits of trace.csv that verify used to reject; it no longer reads the file
+TRACE_EDITS = {
+    **UNREADABLE,
+    "nan_f_x": lambda lines: _with_cell(lines, 5, "f_x", "nan"),
+    "f_x_below_f_star": lambda lines: _with_cell(
+        lines, 5, "f_x", repr(float(lines[5].split(",")[2]) - 1.0)),
 }
 
 
@@ -274,6 +285,24 @@ class TestRun:
             f"{k},{f:.17g}\n" for k, f in enumerate(trace.f_played[:3], 1))
         assert (out / "partial_trace.csv").read_bytes() == expected.encode()
 
+    def test_run_config_omits_the_stream_seed(self, tmp_path, capsys,
+                                              ex1_exact_run):
+        """[run] seed alone sets the stream; a recorded one is still read."""
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "run_config.cfg"
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(path)
+        assert parser["run"]["seed"] == "7"
+        assert "seed" not in parser["example1"]
+        assert main(["verify", "--out", str(out)]) == 0
+        expected = capsys.readouterr().out
+        parser["example1"]["seed"] = "12345"  # as earlier versions wrote it
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert main(["verify", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_example2_records_its_default_optimum_tol(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(EX2_SMALL)
@@ -303,23 +332,11 @@ class TestVerify:
     def test_missing_outputs_exit_4(self, tmp_path):
         code, out = _run_example1(tmp_path)
         assert code == 0
-        (out / "exact" / "trace.csv").unlink()
+        (out / "exact" / "bound_state.csv").unlink()
         assert main(["verify", "--out", str(out)]) == 4
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 4
-
-    def test_doctored_trace_exit_5(self, tmp_path):
-        """Lowering one played value below its optimum trips the sanity gate."""
-        code, out = _run_example1(tmp_path)
-        assert code == 0
-        path = out / "exact" / "trace.csv"
-        lines = path.read_text().splitlines()
-        parts = lines[5].split(",")
-        parts[1] = str(float(parts[2]) - 1.0)  # f_x below f_star
-        lines[5] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["verify", "--out", str(out)]) == 5
 
     def test_doctored_state_exit_5(self, tmp_path, ex1_exact_run):
         """The bound reads f_x from bound_state.csv, so the gate does too."""
@@ -382,21 +399,42 @@ class TestVerify:
         assert len(margins) == 2
         assert all(m >= 0.0 for m in margins)
 
-    @pytest.mark.parametrize("name, code, report", [
-        ("trace.csv", 5, "error=sanity worst=nan"),
-        ("bound_state.csv", 1, "worst_margin=nan error=bound_violated"),
-    ])
     def test_nan_played_loss_is_not_certified(self, tmp_path, capsys,
-                                              ex1_exact_run, name, code,
-                                              report):
+                                              ex1_exact_run):
         out = shutil.copytree(ex1_exact_run, tmp_path / "res")
-        _set_cell(out / "exact" / name, 5, "f_x", "nan")
-        assert main(["verify", "--out", str(out)]) == code
-        assert report in capsys.readouterr().out
+        _set_cell(out / "exact" / "bound_state.csv", 5, "f_x", "nan")
+        assert main(["verify", "--out", str(out)]) == 5
+        assert "error=sanity worst=nan" in capsys.readouterr().out
+
+    def test_nan_start_point_is_not_certified(self, tmp_path, capsys,
+                                              ex1_exact_run):
+        """A NaN x0 (row k = 0) leaves the start cost, and the bound, NaN."""
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        _set_cell(out / "exact" / "bound_state.csv", 1, "xstar_0", "nan")
+        assert main(["verify", "--out", str(out)]) == 1
+        assert ("worst_margin=nan error=bound_violated"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("doctor", [None, *TRACE_EDITS.values()],
+                             ids=["deleted", *TRACE_EDITS])
+    def test_trace_csv_is_not_read(self, tmp_path, capsys, ex1_exact_run,
+                                   doctor):
+        """verify certifies from bound_state.csv alone."""
+        assert main(["verify", "--out", str(ex1_exact_run)]) == 0
+        expected = capsys.readouterr().out
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "exact" / "trace.csv"
+        if doctor is None:
+            path.unlink()
+        else:
+            path.write_text("\n".join(doctor(path.read_text().splitlines()))
+                            + "\n")
+        assert main(["verify", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("doctor", UNREADABLE.values(),
                              ids=UNREADABLE.keys())
-    @pytest.mark.parametrize("name", ["trace.csv", "bound_state.csv"])
+    @pytest.mark.parametrize("name", ["bound_state.csv"])
     def test_unreadable_csv_exit_4(self, tmp_path, capsys, ex1_exact_run,
                                    name, doctor):
         out = shutil.copytree(ex1_exact_run, tmp_path / "res")
