@@ -288,7 +288,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_variant(out_dir, variant, stream, lam, optimum_tol):
+def _verify_variant(out_dir, variant, stream, lam, optimum_tol, reports):
+    """Check one variant's state file; ``reports`` memoises the sampled
+    constant checks across variants, keyed on (k, L_k, B_k)."""
     state_path = os.path.join(out_dir, variant, "bound_state.csv")
     if not os.path.exists(state_path):
         return EXIT_MISSING, f"variant={variant} error=missing_trace"
@@ -309,11 +311,14 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol):
     # sampled validation of the recorded constants against the stream
     T = state["eps"].shape[0]
     for k in np.linspace(1, T, num=min(5, T), dtype=int):
-        step = stream.step_at(int(k))
-        recorded = dataclasses.replace(
-            step, smoothness_constant=float(state["L_k"][k - 1]),
-            regularizer_lipschitz=float(state["B_k"][k - 1]))
-        report = validate_constants(recorded, samples=100, seed=int(k))
+        key = (int(k), float(state["L_k"][k - 1]), float(state["B_k"][k - 1]))
+        if key not in reports:
+            recorded = dataclasses.replace(
+                stream.step_at(key[0]), smoothness_constant=key[1],
+                regularizer_lipschitz=key[2])
+            reports[key] = validate_constants(recorded, samples=100,
+                                              seed=key[0])
+        report = reports[key]
         if not report.passed(tol=1e-6 * max(1.0, state["L_k"][k - 1])):
             return EXIT_CONSTANTS, (f"variant={variant} error=constants "
                                     f"step={k} "
@@ -346,9 +351,10 @@ def cmd_verify(args) -> int:
     stream = exp.stream(cfg, domain)
     lam = getattr(cfg, exp.step_size)
     status = EXIT_OK
+    reports = {}
     for variant in variants:
         code, line = _verify_variant(out_dir, variant, stream, lam,
-                                     manifest["optimum_tol"])
+                                     manifest["optimum_tol"], reports)
         print(line)
         if code != EXIT_OK and status == EXIT_OK:
             status = code

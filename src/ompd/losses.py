@@ -5,12 +5,15 @@ with declared gradient Lipschitz constant, a Lipschitz regularizer, and a
 handle to its exact prox rule. ``ErrorModel`` produces the gradient and
 prox error sequences; draws are keyed on (seed XOR purpose tag, step
 index) so any single draw can be replayed bit-identically without
-consuming shared RNG state.
+consuming shared RNG state. A run seeds all draws of its horizon in one
+vectorised pass (``ErrorModel.for_horizon``); every draw still equals the
+one of ``np.random.default_rng((seed XOR tag, k))``, which stays the
+single-draw replay path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,8 +47,8 @@ def whole_space() -> Domain:
                   diameter=None, name="whole_space")
 
 
-def ball(diameter: float, dim: int) -> Domain:
-    """Origin-centred Euclidean ball of the given diameter in R^dim."""
+def ball(diameter: float) -> Domain:
+    """Origin-centred Euclidean ball of the given diameter."""
     if diameter <= 0:
         raise ValueError("diameter must be positive")
     radius = 0.5 * diameter
@@ -135,6 +138,67 @@ class ProblemStream:
         return [self.step_at(k) for k in range(1, self.horizon + 1)]
 
 
+# numpy's SeedSequence hash (``mix_entropy`` and ``generate_state`` in
+# numpy/random/bit_generator.pyx) and PCG64's seeding are fixed algorithms
+# under numpy's stream-compatibility policy (NEP 19), so they can be
+# recomputed here bit for bit.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """numpy's ``hashmix``, whose multiplier advances on every call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_states(key: int, horizon: int) -> np.ndarray:
+    """Row k-1 is ``SeedSequence((key, k)).generate_state(4, np.uint64)``.
+
+    The entropy of (key, k) is the little-endian uint32 words of ``key``
+    followed by the one word of k, so all k = 1..horizon hash in one pass
+    of uint32 array arithmetic (which wraps, as numpy's C code does).
+    """
+    if key < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [np.full(horizon, (key >> shift) & _MASK32, dtype=np.uint32)
+               for shift in range(0, max(key.bit_length(), 1), 32)]
+    entropy.append(np.arange(1, horizon + 1, dtype=np.uint32))
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+    zero = np.zeros(horizon, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    state = np.empty((horizon, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(state.shape[1]):
+        state[:, i] = hashmix(pool[i % _POOL_SIZE])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Deterministic per-step gradient and prox error draws.
@@ -145,24 +209,57 @@ class ErrorModel:
     reported to the ledger, so the offset norm never exceeds it. With a
     fixed seed the full sequence is bit-reproducible draw by draw
     (PCG64 + ziggurat Gaussians, keyed on (seed XOR tag, k)).
+
+    A plain model seeds each draw with ``np.random.default_rng((seed XOR
+    tag, k))``. The copy ``for_horizon(T)`` returns holds the seeds of
+    steps 1..T, computed in one pass, and reseeds one reused PCG64 from
+    them; its draws are bit-identical to the plain model's.
     """
 
     gradient_std: float = 0.0
     prox_std: float = 0.0
     eps_cap: Optional[float] = None
     seed: int = 0
+    #: purpose tag -> (T, 4) SeedSequence states of steps 1..T
+    _seeds: dict = field(default_factory=dict, compare=False, repr=False)
+    _rng: Optional[np.random.Generator] = field(default=None, compare=False,
+                                                repr=False)
+
+    def for_horizon(self, horizon: int) -> "ErrorModel":
+        """A copy that seeds the draws of steps 1..horizon in one pass."""
+        seeds = {tag: _seed_states(self.seed ^ tag, horizon)
+                 for tag, std in ((GRAD_ERROR_TAG, self.gradient_std),
+                                  (PROX_ERROR_TAG, self.prox_std))
+                 if std != 0.0}
+        return replace(self, _seeds=seeds,
+                       _rng=np.random.Generator(np.random.PCG64(0)))
+
+    def _generator(self, tag: int, k: int) -> np.random.Generator:
+        seeds = self._seeds.get(tag)
+        if seeds is None or not 1 <= k <= len(seeds):
+            return np.random.default_rng((self.seed ^ tag, k))
+        s0, s1, i0, i1 = seeds[k - 1].tolist()
+        # PCG64's srandom: inc = 2*seq + 1, then an LCG step from 0, the
+        # initial state added, and one more step
+        inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
+        state = ((((s0 << 64) | s1) + inc) * _PCG64_MULT + inc) & _MASK128
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self._rng
 
     def gradient_error(self, k: int, dim: int) -> np.ndarray:
         if self.gradient_std == 0.0:
             return np.zeros(dim)
-        rng = np.random.default_rng((self.seed ^ GRAD_ERROR_TAG, k))
+        rng = self._generator(GRAD_ERROR_TAG, k)
         return rng.normal(0.0, self.gradient_std, size=dim)
 
     def prox_error(self, k: int, dim: int):
         """Return (offset vector, realized bound eps_k)."""
         if self.prox_std == 0.0:
             return np.zeros(dim), 0.0
-        rng = np.random.default_rng((self.seed ^ PROX_ERROR_TAG, k))
+        rng = self._generator(PROX_ERROR_TAG, k)
         radius = abs(rng.normal(0.0, self.prox_std))
         if self.eps_cap is not None:
             radius = min(radius, self.eps_cap)

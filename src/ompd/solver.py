@@ -66,7 +66,8 @@ def run(stream: ProblemStream, config: SolverConfig,
 
     Raises SolverRunError with the partial trace attached if a subproblem
     fails mid-run; raises StepSizeError up front when the step-size rule
-    is violated.
+    is violated. The model's draws are seeded for the whole horizon once
+    (``ErrorModel.for_horizon``) and equal its per-step draws bit for bit.
     """
     steps = stream.steps()
     _check_step_rule(config, steps)
@@ -76,6 +77,7 @@ def run(stream: ProblemStream, config: SolverConfig,
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (stream.dim,):
         raise ValueError("initial point dimension does not match the stream")
+    model = model.for_horizon(stream.horizon)
     for k, step in enumerate(steps, start=1):
         t0 = time.perf_counter()
         e = model.gradient_error(k, stream.dim)

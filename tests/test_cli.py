@@ -5,7 +5,8 @@ import shutil
 
 import pytest
 
-from ompd import SolverRunError, cli, experiments, whole_space
+from ompd import (SolverRunError, cli, experiments, validate_constants,
+                  whole_space)
 from ompd.cli import main
 
 EX2_SMALL = ("[example2]\nframe_dim = 16\nwindow = 8\n"
@@ -362,6 +363,38 @@ class TestVerify:
             doctored.append(",".join(parts))
         path.write_text("\n".join(doctored) + "\n")
         assert main(["verify", "--out", str(out)]) == 6
+
+    def test_constants_validated_once_per_sampled_step(self, tmp_path,
+                                                       monkeypatch):
+        """Both example1 variants record the same L_k and B_k, so the five
+        sampled steps are validated once, not once per variant."""
+        code, out = _run_example1(tmp_path)
+        assert code == 0
+        calls = []
+
+        def spy(step, samples, seed):
+            calls.append(seed)
+            return validate_constants(step, samples=samples, seed=seed)
+
+        monkeypatch.setattr(cli, "validate_constants", spy)
+        assert main(["verify", "--out", str(out)]) == 0
+        assert sorted(calls) == [1, 10, 20, 30, 40]
+
+    @pytest.mark.parametrize("variant", ["exact", "inexact"])
+    def test_stale_smoothness_fails_only_its_variant(self, tmp_path, capsys,
+                                                      variant):
+        code, out = _run_example1(tmp_path)
+        assert code == 0
+        path = out / variant / "bound_state.csv"
+        header, *rows = path.read_text().splitlines()
+        L = float(rows[-1].split(",")[header.split(",").index("L_k")])
+        _set_cell(path, len(rows), "L_k", repr(0.01 * L))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 6
+        for line in capsys.readouterr().out.splitlines():
+            doctored = line.startswith(f"variant={variant} ")
+            assert ("error=constants step=40" in line) == doctored
+            assert ("worst_margin=" in line) != doctored
 
     def test_inflated_played_losses_exit_1(self, tmp_path):
         """Blowing up recorded f_x in the state file breaks the bound."""

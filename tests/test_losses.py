@@ -6,6 +6,7 @@ import pytest
 from ompd import (CompositeLossStep, ErrorModel, ball, box, l1_rule,
                   noisy_gradient, simplex, validate_constants, whole_space,
                   zero_error_model)
+from ompd.losses import GRAD_ERROR_TAG
 
 
 def _least_squares_step(A, b, eta=0.0, L=None, B=None):
@@ -41,7 +42,7 @@ def _power_iteration_lambda_max(matvec, dim, iters=5000, seed=0):
 class TestDomains:
     def test_projection_idempotent(self):
         rng = np.random.default_rng(0)
-        domains = [whole_space(), ball(4.0, dim=5), box(-1.0, 2.0, dim=5),
+        domains = [whole_space(), ball(4.0), box(-1.0, 2.0, dim=5),
                    simplex(5)]
         for dom in domains:
             for _ in range(100):
@@ -51,7 +52,7 @@ class TestDomains:
 
     def test_projection_nonexpansive_sampled(self):
         rng = np.random.default_rng(1)
-        domains = [ball(4.0, dim=5), box(-1.0, 2.0, dim=5), simplex(5)]
+        domains = [ball(4.0), box(-1.0, 2.0, dim=5), simplex(5)]
         for dom in domains:
             for _ in range(300):
                 x, y = rng.normal(scale=3.0, size=(2, 5))
@@ -60,7 +61,7 @@ class TestDomains:
 
     def test_bounded_pairs_within_diameter(self):
         rng = np.random.default_rng(2)
-        domains = [ball(4.0, dim=5), box(-1.0, 2.0, dim=5), simplex(5)]
+        domains = [ball(4.0), box(-1.0, 2.0, dim=5), simplex(5)]
         for dom in domains:
             for _ in range(300):
                 x, y = rng.normal(scale=5.0, size=(2, 5))
@@ -81,7 +82,7 @@ class TestDomains:
                         <= np.linalg.norm(v - w) + 1e-12)
 
     def test_ball_diameter_is_twice_radius(self):
-        dom = ball(6.0, dim=3)
+        dom = ball(6.0)
         far = dom.project(np.array([100.0, 0.0, 0.0]))
         assert abs(np.linalg.norm(far) - 3.0) <= 1e-12
 
@@ -103,11 +104,41 @@ class TestErrorModel:
             assert e1 == e2
 
     def test_draws_independent_of_call_order(self):
-        m = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=7)
-        forward = [m.gradient_error(k, 10) for k in range(1, 6)]
-        backward = [m.gradient_error(k, 10) for k in range(5, 0, -1)]
-        for k in range(1, 6):
-            np.testing.assert_array_equal(forward[k - 1], backward[5 - k])
+        plain = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=7)
+        for m in (plain, plain.for_horizon(5)):
+            forward = [m.gradient_error(k, 10) for k in range(1, 6)]
+            backward = [m.gradient_error(k, 10) for k in range(5, 0, -1)]
+            for k in range(1, 6):
+                np.testing.assert_array_equal(forward[k - 1], backward[5 - k])
+
+    #: seed ^ tag spans one, two, three and four uint32 words
+    @pytest.mark.parametrize("seed", [0, 42, 2**40 + 3, 2**64 + 1, 2**96 + 5])
+    @pytest.mark.parametrize("eps_cap", [None, 0.02])
+    def test_horizon_copy_draws_equal_the_per_step_draws(self, seed,
+                                                         eps_cap):
+        """``for_horizon`` reseeds one generator from vectorised seeds;
+        every draw must still be ``default_rng((seed ^ tag, k))``'s."""
+        fresh = ErrorModel(gradient_std=0.05, prox_std=0.05, eps_cap=eps_cap,
+                           seed=seed)
+        copy = fresh.for_horizon(3000)
+        assert copy == fresh
+        for k in (*range(1, 3001), 3001, 4000):
+            np.testing.assert_array_equal(copy.gradient_error(k, 3),
+                                          fresh.gradient_error(k, 3))
+            o1, e1 = copy.prox_error(k, 3)
+            o2, e2 = fresh.prox_error(k, 3)
+            np.testing.assert_array_equal(o1, o2)
+            assert e1 == e2
+        rng = np.random.default_rng((seed ^ GRAD_ERROR_TAG, 3000))
+        np.testing.assert_array_equal(copy.gradient_error(3000, 3),
+                                      rng.normal(0.0, 0.05, size=3))
+
+    def test_horizon_copy_of_zero_model_draws_zeros(self):
+        m = zero_error_model(seed=9).for_horizon(10)
+        np.testing.assert_array_equal(m.gradient_error(3, 4), np.zeros(4))
+        offset, eps = m.prox_error(3, 4)
+        np.testing.assert_array_equal(offset, np.zeros(4))
+        assert eps == 0.0
 
     def test_offset_norm_matches_reported_bound(self):
         m = ErrorModel(prox_std=0.05, seed=3)

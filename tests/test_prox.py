@@ -148,7 +148,7 @@ class TestComposedProx:
 
     def test_ball_plus_l1_beats_sampled_feasible_points(self):
         rng = np.random.default_rng(7)
-        dom = ball(1.5, dim=6)
+        dom = ball(1.5)
         rule = l1_rule(0.3)
         for _ in range(30):
             v = rng.normal(scale=2.0, size=6)
@@ -321,7 +321,7 @@ class TestInexactMirrorProx:
             assert np.linalg.norm(x - y) <= eps + 1e-14
 
     def test_projection_keeps_contract_on_bounded_domain(self):
-        dom = ball(1.0, dim=6)
+        dom = ball(1.0)
         spec = self._spec(dom)
         model = ErrorModel(prox_std=0.5, seed=16)
         for k in range(1, 500):

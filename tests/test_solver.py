@@ -90,17 +90,26 @@ class TestRun:
             assert np.linalg.norm(dom.project(x) - x) <= 1e-12
 
     def test_recorded_error_sequences_match_model_draws(self):
-        cfg = GaussMarkovConfig(horizon=40, seed=7)
-        stream, _ = generate_gauss_markov(cfg)
+        """``run`` seeds its horizon in one pass; what it records must
+        equal a plain model's per-step draws with no gap at all."""
+        cfg = GaussMarkovConfig(horizon=300, seed=7)
+        n = cfg.n_coeffs
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
-                              initial_point=np.zeros(cfg.n_coeffs))
-        model = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=11)
-        trace = run(stream, config, model)
-        for k in range(1, 41):
-            e = model.gradient_error(k, cfg.n_coeffs)
-            assert trace.grad_error_norms[k - 1] == np.linalg.norm(e)
-            _, eps = model.prox_error(k, cfg.n_coeffs)
-            assert trace.eps[k - 1] == eps
+                              initial_point=np.zeros(n))
+        for domain, fresh in (
+                (None, ErrorModel(gradient_std=0.05, prox_std=0.05,
+                                  seed=11)),
+                (box(-0.5, 0.5, dim=n),
+                 ErrorModel(gradient_std=0.05, prox_std=0.05, eps_cap=0.03,
+                            seed=12))):
+            stream, _ = generate_gauss_markov(cfg, domain=domain)
+            trace = run(stream, config, fresh)
+            ks = range(1, cfg.horizon + 1)
+            np.testing.assert_array_equal(
+                trace.grad_error_norms,
+                [np.linalg.norm(fresh.gradient_error(k, n)) for k in ks])
+            np.testing.assert_array_equal(
+                trace.eps, [fresh.prox_error(k, n)[1] for k in ks])
 
     def test_wall_time_recorded(self):
         step = _quadratic_step(np.eye(2), np.zeros(2))
