@@ -168,17 +168,118 @@ def _support_candidate(p, g, X, Y, eta, halfwidth):
     return c
 
 
+def _lasso_path(X, Y, eta, max_events):
+    """Exact lasso solutions at ``eta`` by a batched LARS-lasso homotopy.
+
+    The lasso path in lambda is piecewise linear (Efron et al., Ann. Stat.
+    2004; Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000). Each
+    problem starts at lambda_max = ||2 X^T y||_inf with a = 0 and no
+    active coordinate (its first event joins the largest correlation), and
+    keeps at most min(d, n) active slots.
+    On the active set A with signs s, a_A(lam) = v - lam w with
+    2 X_A^T X_A [v, w] = [2 X_A^T y, s], and every inactive correlation
+    c_j(lam) = 2 x_j^T (y - X_A a_A(lam)) is linear in lam. The next event
+    is the largest lam' below lam at which an inactive |c_j| reaches lam'
+    (a join, with the sign of c_j), an active a_j reaches 0 against its
+    sign (a drop), or lam' = eta (the stop). A coordinate dropped at one
+    event may not rejoin at the next: rounding would let it rejoin with
+    the wrong sign. Returns a; a problem whose path outlasts
+    ``max_events`` or meets nonfinite data keeps a = 0 (the caller's
+    acceptance test judges every row).
+    """
+    T, d, n = X.shape
+    K = min(d, n)
+    lam = np.max(np.abs(2.0 * np.einsum("tdn,td->tn", X, Y)), axis=1)
+    slots = np.full((T, K), -1)  # active coordinates, -1 marks a free slot
+    signs = np.zeros((T, K))
+    barred = np.full(T, -1)  # the coordinate dropped at the previous event
+    a = np.zeros((T, n))
+    run = np.flatnonzero(lam > eta)  # else a = 0 is optimal
+    diag = np.arange(K)
+    for _ in range(max_events):
+        if run.size == 0:
+            break
+        S, s = slots[run], signs[run]
+        used = S >= 0
+        rows = np.arange(run.size)
+        XA = (np.swapaxes(X[run[:, None], :, np.where(used, S, 0)], 1, 2)
+              * used[:, None, :])  # a free slot holds a zero column
+        gram = 2.0 * np.einsum("tdk,tdl->tkl", XA, XA)
+        # the shift of _support_candidate; a free slot solves to 0
+        gram[:, diag, diag] += np.where(
+            used, (1e-14 * np.trace(gram, axis1=1, axis2=2)
+                   + np.finfo(float).tiny)[:, None], 1.0)
+        rhs = np.stack((2.0 * np.einsum("tdk,td->tk", XA, Y[run]), s), axis=2)
+        vw = np.linalg.solve(gram, rhs)
+        v, w = vw[..., 0], vw[..., 1]
+        # c(lam') = p + lam' q with p = 2 X^T (y - X_A v), q = 2 X^T X_A w
+        fit = 2.0 * np.einsum("tdk,tkm->tmd", XA, vw)
+        fit[:, 0] = 2.0 * Y[run] - fit[:, 0]
+        pq = fit @ X[run]
+        p, q = pq[:, 0], pq[:, 1]
+        free = np.ones((run.size, n), dtype=bool)
+        free[np.nonzero(used)[0], S[used]] = False
+        b = barred[run]
+        free[np.flatnonzero(b >= 0), b[b >= 0]] = False
+        # a full set leaves no coordinate (n <= d) or fits y exactly with a
+        # square X_A, so that every c_j / lam' stays fixed (d < n)
+        free[np.all(used, axis=1)] = False
+        # c_j(lam') = lam' at p / (1 - q) and -lam' at p / (-1 - q); a
+        # crossing counts where |c_j| - lam' grows as lam' falls
+        lam_r = lam[run][:, None]
+        cross = np.divide(p, 1.0 - q, out=np.full_like(p, -np.inf),
+                          where=free & (q < 1.0))
+        np.fmax(cross, np.divide(p, -1.0 - q, out=np.full_like(p, -np.inf),
+                                 where=free & (q > -1.0)), out=cross)
+        np.minimum(cross, lam_r, out=cross)
+        j = np.argmax(cross, axis=1)
+        join_lam = cross[rows, j]
+        join_sign = np.sign(p[rows, j] + join_lam * q[rows, j])
+        drop = np.divide(v, w, out=np.full_like(v, -np.inf),
+                         where=used & (w * s < 0.0))
+        np.minimum(drop, lam_r, out=drop)
+        k = np.argmax(drop, axis=1)
+        drop_lam = drop[rows, k]
+        nxt = np.maximum(np.maximum(join_lam, drop_lam), eta)
+        stop = nxt <= eta  # the stop wins a tie
+        is_drop = ~stop & (drop_lam >= join_lam)
+        is_join = ~stop & ~is_drop
+        done = stop | ~np.isfinite(nxt)  # NaN data ends here
+        ri, ki = np.nonzero(stop[:, None] & used)
+        a[run[ri], S[ri, ki]] = v[ri, ki] - eta * w[ri, ki]
+        dr = np.flatnonzero(is_drop & ~done)
+        slots[run[dr], k[dr]] = -1
+        signs[run[dr], k[dr]] = 0.0
+        jn = np.flatnonzero(is_join & ~done)
+        vacant = np.argmin(used[jn], axis=1)  # the first free slot
+        slots[run[jn], vacant] = j[jn]
+        signs[run[jn], vacant] = join_sign[jn]
+        barred[run] = -1
+        barred[run[dr]] = S[dr, k[dr]]
+        lam[run] = nxt
+        run = run[~done]
+        del pq, p, q, cross  # before the next event allocates its own
+    return a
+
+
 def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
                        max_iters=200_000):
     """Per-step optima of ||y_t - X_t a||^2 + eta ||a||_1, all t at once.
 
-    Accelerated proximal gradient with gradient restart, one step size per
-    problem (1/L_t); optionally box-constrained to [-halfwidth, halfwidth]
-    per coordinate (clip after shrink is the exact composed prox).
-    At every residual check each running problem also tries an exact
-    candidate guessed from its prox-gradient point (``_support_candidate``)
-    and keeps whichever of the two has the smaller mapping norm.
-    Problems whose prox-gradient mapping norm drops below ``tol`` are
+    Optionally box-constrained to [-halfwidth, halfwidth] per coordinate
+    (clip after shrink is the exact composed prox). Two stages share one
+    acceptance test: a point is kept as its prox-gradient point p at step
+    1/L_t once the mapping norm ||p - a|| L_t is at most ``tol``.
+    First the exact lasso homotopy (``_lasso_path``, at most 4n events,
+    blind to the box) solves every problem at once; on the small default
+    designs it reaches eta in a few events and its points pass the test
+    up to rounding.
+    The problems it leaves (degenerate paths, a box that binds, paths out
+    of events) then run accelerated proximal gradient with gradient
+    restart from 0, one step size per problem (1/L_t). At every residual
+    check each running problem also tries an exact candidate guessed from
+    its prox-gradient point (``_support_candidate``) and keeps whichever of
+    the two has the smaller mapping norm. Problems that pass the test are
     frozen so stragglers do not keep the whole batch busy.
     Returns (optima, f_star, residuals); raises OptimumError at the first
     nonfinite residual, or at ``max_iters`` with any problem above ``tol``.
@@ -188,7 +289,7 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     T, d, n = X.shape
     gram = np.einsum("tdn,ten->tde", X, X)
     L = 2.0 * np.linalg.eigvalsh(gram)[:, -1]
-    step_all = 1.0 / L
+    step_all = 1.0 / np.where(L > 0.0, L, 1.0)  # as offline_optimum: X = 0
 
     def prox(v, s):
         w = np.sign(v) * np.maximum(np.abs(v) - s * eta, 0.0)
@@ -200,15 +301,20 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
         return 2.0 * np.einsum("tdn,td->tn", Xa,
                                np.einsum("tdn,tn->td", Xa, a) - Ya)
 
-    out = np.zeros((T, n))
-    out_res = np.full(T, np.inf)
-    active = np.arange(T)
-    Xa, Ya = X, Y
     s = step_all[:, None]
-    a = np.zeros((T, n))
+    with np.errstate(all="ignore"):  # a nonfinite path point fails the test
+        a = _lasso_path(X, Y, eta, max_events=4 * n)
+        out = prox(a - s * grad(a, X, Y), s)
+        out_res = np.linalg.norm(out - a, axis=1) / step_all
+    active = np.flatnonzero(~(out_res <= tol))  # NaN fails too
+    Xa, Ya = X[active], Y[active]
+    s = step_all[active][:, None]
+    a = np.zeros((active.size, n))
     z = a.copy()
-    tmom = np.ones(T)
+    tmom = np.ones(active.size)
     for it in range(1, max_iters + 1):
+        if active.size == 0:  # the exact stage solved every problem
+            break
         a_new = prox(z - s * grad(z, Xa, Ya), s)
         restart = np.einsum("tn,tn->t", z - a_new, a_new - a) > 0.0
         tmom[restart] = 1.0

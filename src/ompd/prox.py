@@ -277,6 +277,8 @@ def inexact_mirror_prox(spec: SubproblemSpec, model: ErrorModel, k: int):
     the true argmin.
     """
     y, inner_bound = _solve_with_bound(spec)
+    if model.prox_std == 0.0:  # the draw would be (0, 0.0)
+        return y, y, inner_bound
     offset, radius = model.prox_error(k, y.size)
     if radius == 0.0:
         x = y

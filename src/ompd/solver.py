@@ -67,7 +67,8 @@ def run(stream: ProblemStream, config: SolverConfig,
     Raises SolverRunError with the partial trace attached if a subproblem
     fails mid-run; raises StepSizeError up front when the step-size rule
     is violated. The model's draws are seeded for the whole horizon once
-    (``ErrorModel.for_horizon``) and equal its per-step draws bit for bit.
+    (``ErrorModel.for_horizon``) and equal its per-step draws bit for bit;
+    a draw of zero std, which would add nothing, is skipped.
     """
     steps = stream.steps()
     _check_step_rule(config, steps)
@@ -78,10 +79,14 @@ def run(stream: ProblemStream, config: SolverConfig,
     if x.shape != (stream.dim,):
         raise ValueError("initial point dimension does not match the stream")
     model = model.for_horizon(stream.horizon)
+    draws = model.gradient_std != 0.0
     for k, step in enumerate(steps, start=1):
         t0 = time.perf_counter()
-        e = model.gradient_error(k, stream.dim)
-        grad = step.smooth_gradient(x) + e
+        if draws:
+            e = model.gradient_error(k, stream.dim)
+            grad = step.smooth_gradient(x) + e
+        else:  # adding the zero draw turned -0.0 into +0.0; so does this
+            grad = step.smooth_gradient(x) + 0.0
         spec = SubproblemSpec(
             loss=step, gen=gen, anchor=x, noisy_grad=grad, step_size=lam,
             domain=stream.domain, inner_tolerance=config.inner_tolerance)
@@ -93,7 +98,8 @@ def run(stream: ProblemStream, config: SolverConfig,
                 trace.truncated(k - 1)) from exc
         i = k - 1
         trace.iterates[i] = x_new
-        trace.grad_error_norms[i] = np.linalg.norm(e)
+        if draws:
+            trace.grad_error_norms[i] = np.linalg.norm(e)
         trace.eps[i] = eps_k
         trace.f_played[i] = step.total_value(x_new)
         trace.q_norms[i] = np.linalg.norm(

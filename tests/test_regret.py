@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   OptimumError, ProblemStream, RegimeMismatchError,
@@ -9,6 +11,7 @@ from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   euclidean_generator, fill_optima, l1_rule,
                   ledger_from_trace, offline_optimum, prox, recursion_bound,
                   run, theorem_rhs, whole_space, zero_error_model, zero_rule)
+from ompd import experiments
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _support_candidate, generate_gauss_markov,
                               generate_separation, lasso_optima_batch)
@@ -139,11 +142,12 @@ class TestOfflineOptimum:
         assert len(calls) < 1000
 
     def test_batch_out_of_budget_raises(self):
+        """A box that binds leaves its problems to the iterative stage."""
         cfg = GaussMarkovConfig(horizon=20, seed=9)
         _, truth = generate_gauss_markov(cfg)
         with pytest.raises(OptimumError) as err:
-            lasso_optima_batch(truth["X"], truth["Y"], cfg.eta, tol=1e-12,
-                               max_iters=5)
+            lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                               halfwidth=0.2, tol=1e-12, max_iters=5)
         assert err.value.residual > 1e-12
         assert err.value.iterations == 5
 
@@ -198,6 +202,71 @@ class TestLassoOptimaBatch:
             x_ref, f_ref = offline_optimum(stream.step_at(k), dom, tol=tol)
             np.testing.assert_allclose(optima[k - 1], x_ref, atol=1e-6)
             np.testing.assert_allclose(f_star[k - 1], f_ref, rtol=1e-10)
+
+    def test_empty_batch_returns_at_once(self):
+        """T=0 used to spin the whole iteration budget, then raise."""
+        optima, f_star, residuals = lasso_optima_batch(
+            np.zeros((0, 2, 30)), np.zeros((0, 2)), 0.05)
+        assert optima.shape == (0, 30)
+        assert f_star.shape == residuals.shape == (0,)
+
+    def test_exact_stage_solves_a_whole_space_stream(self, monkeypatch):
+        """The iterative stage, with its candidate, is never entered."""
+        def spy(*args):
+            raise AssertionError("_support_candidate was called")
+
+        monkeypatch.setattr(experiments, "_support_candidate", spy)
+        cfg = GaussMarkovConfig(horizon=2000, seed=7)
+        _, truth = generate_gauss_markov(cfg)
+        _, _, residuals = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta)
+        assert np.all(residuals <= 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), n=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1),
+           eta_frac=st.one_of(st.just(0.0), st.floats(0.01, 1.2)),
+           twin=st.sampled_from([0, 1, -1]),
+           zero_column=st.booleans(),
+           halfwidth=st.one_of(st.none(), st.floats(0.05, 2.0)))
+    def test_optima_meet_lasso_kkt_and_oracle(self, d, n, seed, eta_frac,
+                                              twin, zero_column, halfwidth):
+        """eta from 0 to above lambda_max = max_t ||2 X_t^T y_t||_inf.
+
+        It skips (0, 0.01 lambda_max), where the reference oracle takes up
+        to seconds per problem.
+        """
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(3, d, n))
+        Y = rng.normal(size=(3, d))
+        if twin and n >= 2:
+            X[:, :, 1] = twin * X[:, :, 0]
+        if zero_column:
+            X[:, :, -1] = 0.0
+        eta = eta_frac * float(np.max(np.abs(
+            2.0 * np.einsum("tdn,td->tn", X, Y))))
+        tol = 1e-10
+        optima, f_star, residuals = lasso_optima_batch(
+            X, Y, eta, halfwidth=halfwidth, tol=tol)
+        assert np.all(residuals <= tol)
+        # the test certifies that -grad g(p) lies within 2 * residual of the
+        # subdifferential of eta ||.||_1 (plus the box) at the returned p
+        c = 2.0 * np.einsum("tdn,td->tn", X,
+                            Y - np.einsum("tdn,tn->td", X, optima))
+        slack = 2.0 * tol + 1e-9 * eta
+        w = np.inf if halfwidth is None else halfwidth
+        inside = np.abs(optima) < w
+        on = inside & (optima != 0.0)
+        assert np.all(np.abs(c[inside & (optima == 0.0)]) <= eta + slack)
+        assert np.all(np.abs(c[on] - eta * np.sign(optima[on])) <= slack)
+        assert np.all(c[optima == w] >= eta - slack)
+        assert np.all(c[optima == -w] <= -eta + slack)
+        domain = (whole_space() if halfwidth is None
+                  else box(-halfwidth, halfwidth, dim=n))
+        for t in range(3):
+            _, f_ref = offline_optimum(_lasso_step(X[t], Y[t], eta), domain,
+                                       tol=tol)
+            np.testing.assert_allclose(f_star[t], f_ref, rtol=1e-10,
+                                       atol=1e-12)
 
 
 def _underdeclared_step():
