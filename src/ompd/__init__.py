@@ -10,9 +10,10 @@ from .errors import (CompositionError, DimensionMismatchError,
                      StepSizeError, SvdError)
 from .experiments import (ExperimentResult, GaussMarkovConfig,
                           SeparationConfig, background_spectrum,
-                          coefficient_paths, generate_gauss_markov,
-                          generate_separation, lasso_optima_batch,
-                          run_example1, run_example2, separation_blocks,
+                          coefficient_paths, gauss_markov_constants,
+                          generate_gauss_markov, generate_separation,
+                          lasso_optima_batch, run_example1, run_example2,
+                          separation_blocks, separation_constants,
                           separation_f1, separation_optima,
                           separation_smoothness)
 from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,

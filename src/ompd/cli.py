@@ -29,7 +29,7 @@ Exit codes:
     4  run_config.cfg missing, or a bound_state.csv missing or unreadable
     5  sanity violation in bound_state.csv (some f_k(x_k) below
        f_k(x_k*), or a nonfinite gap)
-    6  recorded constants fail sampled validation
+    6  a recorded L_k or B_k below its exact value at some step
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from . import experiments, regret, runio
 from .bregman import euclidean_generator
 from .errors import OmpdError, SolverRunError
-from .losses import box, validate_constants, whole_space
+from .losses import box, whole_space
 
 STREAM_SEED_XOR = 0x53545245  # "STRE"
 ERROR_SEED_XOR = experiments.ERROR_SEED_XOR
@@ -62,6 +62,8 @@ EXIT_CONSTANTS = 6
 
 _SANITY_TOL = 1e-6
 _BOUND_TOL_PER_STEP = 1e-6
+#: relative slack of the constants check, for rounding in the closed forms
+_CONSTANTS_RTOL = 1e-12
 
 
 class ConfigError(Exception):
@@ -77,7 +79,8 @@ class _Experiment:
     step_size: str         # the config field holding lambda
     optimum_tol: float     # default of [run] optimum_tol
     domain_dim: Optional[str]  # field sizing a box [domain]; None: whole space
-    stream: Callable       # (cfg, domain) -> ProblemStream
+    stream: Callable       # (cfg, domain) -> (ProblemStream, truth)
+    constants: Callable    # (cfg, truth) -> exact (L[T], B[T])
     run: Callable          # (cfg, domain, **kwargs) -> {variant: result}
 
 
@@ -89,14 +92,17 @@ _EXPERIMENTS = {
         step_size="step_size", optimum_tol=regret.OPTIMUM_TOL_DEFAULT,
         domain_dim="n_coeffs",
         stream=lambda cfg, domain: experiments.generate_gauss_markov(
-            cfg, domain)[0],
+            cfg, domain),
+        constants=lambda cfg, truth: experiments.gauss_markov_constants(
+            cfg, truth),
         run=lambda cfg, domain, **kw: experiments.run_example1(
             cfg, domain=domain, **kw)),
     "example2": _Experiment(
         section="example2", config=experiments.SeparationConfig,
         step_size="alpha_L", optimum_tol=experiments.SEPARATION_OPTIMUM_TOL,
         domain_dim=None,
-        stream=lambda cfg, domain: experiments.generate_separation(cfg)[0],
+        stream=lambda cfg, domain: experiments.generate_separation(cfg),
+        constants=lambda cfg, truth: experiments.separation_constants(cfg),
         run=lambda cfg, domain, **kw: experiments.run_example2(cfg, **kw)[0]),
 }
 # custom is example1 read from a [custom] section
@@ -288,9 +294,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_variant(out_dir, variant, stream, lam, optimum_tol, reports):
-    """Check one variant's state file; ``reports`` memoises the sampled
-    constant checks across variants, keyed on (k, L_k, B_k)."""
+def _verify_variant(out_dir, variant, stream, lam, optimum_tol, exact):
+    """Check one variant's state file against the regenerated stream and
+    its exact per-step constants ``exact`` = (L[T], B[T])."""
     state_path = os.path.join(out_dir, variant, "bound_state.csv")
     if not os.path.exists(state_path):
         return EXIT_MISSING, f"variant={variant} error=missing_trace"
@@ -308,21 +314,14 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol, reports):
         return EXIT_SANITY, (f"variant={variant} error=sanity "
                              f"worst={worst_gap:.6g}")
 
-    # sampled validation of the recorded constants against the stream
-    T = state["eps"].shape[0]
-    for k in np.linspace(1, T, num=min(5, T), dtype=int):
-        key = (int(k), float(state["L_k"][k - 1]), float(state["B_k"][k - 1]))
-        if key not in reports:
-            recorded = dataclasses.replace(
-                stream.step_at(key[0]), smoothness_constant=key[1],
-                regularizer_lipschitz=key[2])
-            reports[key] = validate_constants(recorded, samples=100,
-                                              seed=key[0])
-        report = reports[key]
-        if not report.passed(tol=1e-6 * max(1.0, state["L_k"][k - 1])):
-            return EXIT_CONSTANTS, (f"variant={variant} error=constants "
-                                    f"step={k} "
-                                    f"descent={report.descent_margin:.6g}")
+    # every recorded constant must bound its exact value; NaN and inf fail
+    recorded = np.stack((state["L_k"], state["B_k"]))
+    ok = np.all(np.isfinite(recorded)
+                & (recorded >= np.stack(exact) * (1.0 - _CONSTANTS_RTOL)),
+                axis=0)
+    if not np.all(ok):
+        k = int(np.argmin(ok)) + 1
+        return EXIT_CONSTANTS, f"variant={variant} error=constants step={k}"
 
     domain = stream.domain
     rebuilt = runio.trace_from_state(state, lam, domain.kind, domain.diameter)
@@ -348,13 +347,13 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    stream = exp.stream(cfg, domain)
+    stream, truth = exp.stream(cfg, domain)
+    exact = exp.constants(cfg, truth)
     lam = getattr(cfg, exp.step_size)
     status = EXIT_OK
-    reports = {}
     for variant in variants:
         code, line = _verify_variant(out_dir, variant, stream, lam,
-                                     manifest["optimum_tol"], reports)
+                                     manifest["optimum_tol"], exact)
         print(line)
         if code != EXIT_OK and status == EXIT_OK:
             status = code

@@ -12,6 +12,7 @@ separate seed (derived by XOR with ``ERROR_SEED_XOR`` unless given).
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -71,6 +72,8 @@ def coefficient_paths(cfg: GaussMarkovConfig,
 
     Active coordinates follow a_t = alpha a_{t-1} + v_t with stationary
     unit variance (v_t has variance 1 - alpha^2); inactive ones stay zero.
+    Each coordinate's recursion runs on Python floats: one rounded multiply
+    and one rounded add per step, as numpy's elementwise ops round them.
     """
     T = cfg.horizon
     if rng is None:
@@ -79,10 +82,11 @@ def coefficient_paths(cfg: GaussMarkovConfig,
     a0 = rng.normal(size=len(active))
     v = rng.normal(scale=np.sqrt(1.0 - cfg.alpha ** 2), size=(T, len(active)))
     path = np.zeros((T, cfg.n_coeffs))
-    prev = a0
-    for t in range(T):
-        prev = cfg.alpha * prev + v[t]
-        path[t, active] = prev
+    alpha = float(cfg.alpha)
+    for j, i in enumerate(active):
+        path[:, i] = list(itertools.accumulate(
+            v[:, j].tolist(), lambda p, x: alpha * p + x,
+            initial=float(a0[j])))[1:]
     return path
 
 
@@ -129,6 +133,17 @@ def generate_gauss_markov(cfg: GaussMarkovConfig,
     stream = ProblemStream(horizon=T, step_at=step_at, domain=dom, dim=n)
     truth = {"a_true": a_true, "X": X, "Y": Y, "smoothness": L}
     return stream, truth
+
+
+def gauss_markov_constants(cfg: GaussMarkovConfig, truth):
+    """Exact per-step (L, B) of a regression stream, arrays of length T.
+
+    L_k = 2 ||X_k||_2^2 (the largest curvature of ||y - X_k a||^2, from
+    the spectral norm rather than the generator's Gram eigenvalues) and
+    B_k = eta sqrt(n) (the largest norm of a subgradient of eta ||a||_1).
+    """
+    L = 2.0 * np.linalg.norm(truth["X"], 2, axis=(1, 2)) ** 2
+    return L, np.full(cfg.horizon, cfg.eta * np.sqrt(cfg.n_coeffs))
 
 
 def _support_candidate(p, g, X, Y, eta, halfwidth):
@@ -500,6 +515,24 @@ def separation_smoothness(cfg: SeparationConfig) -> float:
     a = 2.0 + 2.0 * cfg.mu_L
     b = 2.0 + 2.0 * cfg.mu_S
     return 0.5 * ((a + b) + np.hypot(a - b, 4.0))
+
+
+def separation_constants(cfg: SeparationConfig):
+    """Exact per-step (L, B) of a separation stream, arrays of length T.
+
+    The Hessian acts entrywise on (L, S) as [[2 + 2 mu_L, 2], [2, 2 + 2
+    mu_S]], so L is that matrix's largest eigenvalue (``eigvalsh``, not
+    ``separation_smoothness``'s formula). With r = min(rows, cols) and
+    m = rows cols, the largest subgradient norm of lambda_L ||L||_* +
+    lambda_S ||S||_1 is B = hypot(lambda_L sqrt(r), lambda_S sqrt(m)).
+    """
+    hessian = np.array([[2.0 + 2.0 * cfg.mu_L, 2.0],
+                        [2.0, 2.0 + 2.0 * cfg.mu_S]])
+    L = np.linalg.eigvalsh(hessian)[-1]
+    rows, cols = cfg.window, cfg.frame_dim
+    B = np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
+                 cfg.lambda_S * np.sqrt(rows * cols))
+    return np.full(cfg.horizon, L), np.full(cfg.horizon, B)
 
 
 def _orthonormalize(A: np.ndarray) -> np.ndarray:

@@ -5,8 +5,7 @@ import shutil
 
 import pytest
 
-from ompd import (SolverRunError, cli, experiments, validate_constants,
-                  whole_space)
+from ompd import SolverRunError, cli, experiments, losses, whole_space
 from ompd.cli import main
 
 EX2_SMALL = ("[example2]\nframe_dim = 16\nwindow = 8\n"
@@ -364,21 +363,64 @@ class TestVerify:
         path.write_text("\n".join(doctored) + "\n")
         assert main(["verify", "--out", str(out)]) == 6
 
-    def test_constants_validated_once_per_sampled_step(self, tmp_path,
-                                                       monkeypatch):
-        """Both example1 variants record the same L_k and B_k, so the five
-        sampled steps are validated once, not once per variant."""
+    def test_exact_constants_computed_once_and_never_sampled(self, tmp_path,
+                                                             monkeypatch):
+        """Both example1 variants are checked against one computation of
+        the exact constants, and no sampled validation runs."""
         code, out = _run_example1(tmp_path)
         assert code == 0
-        calls = []
+        exact, sampled = [], []
 
-        def spy(step, samples, seed):
-            calls.append(seed)
-            return validate_constants(step, samples=samples, seed=seed)
+        def spy(cfg, truth, _real=experiments.gauss_markov_constants):
+            exact.append(cfg.horizon)
+            return _real(cfg, truth)
 
-        monkeypatch.setattr(cli, "validate_constants", spy)
+        monkeypatch.setattr(experiments, "gauss_markov_constants", spy)
+        for module in (losses, cli):
+            monkeypatch.setattr(module, "validate_constants",
+                                lambda *args, **kw: sampled.append(args),
+                                raising=False)
         assert main(["verify", "--out", str(out)]) == 0
-        assert sorted(calls) == [1, 10, 20, 30, 40]
+        assert exact == [40]
+        assert sampled == []
+
+    @pytest.mark.parametrize("step, edits", [
+        (2, {"L_k": lambda v: repr(0.01 * float(v)),
+             "B_k": lambda v: repr(0.01 * float(v))}),
+        (7, {"B_k": lambda v: "nan"}),
+        (7, {"L_k": lambda v: "inf"}),
+    ], ids=["step2_scaled", "nan_B_k", "inf_L_k"])
+    def test_understated_constant_at_any_step_exit_6(self, tmp_path, capsys,
+                                                    ex1_exact_run, step,
+                                                    edits):
+        """Every step is checked: steps 2 and 7 lie between the steps 1,
+        10, 20, 30 and 40 that a five-step sample of this run would see."""
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "exact" / "bound_state.csv"
+        header, *rows = path.read_text().splitlines()
+        for column, edit in edits.items():
+            cell = rows[step].split(",")[header.split(",").index(column)]
+            _set_cell(path, step + 1, column, edit(cell))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 6
+        assert capsys.readouterr().out == (f"variant=exact error=constants "
+                                           f"step={step}\n")
+
+    def test_example2_understated_smoothness_exit_6(self, tmp_path, capsys):
+        """1 % below example2's exact L_k: random point pairs cannot see
+        it, as half of their curvature lies below the top eigenvalue."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX2_SMALL)
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "exact" / "bound_state.csv"
+        header, *rows = path.read_text().splitlines()
+        L = float(rows[3].split(",")[header.split(",").index("L_k")])
+        _set_cell(path, 4, "L_k", repr(0.99 * L))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 6
+        assert (capsys.readouterr().out
+                == "variant=exact error=constants step=3\n")
 
     @pytest.mark.parametrize("variant", ["exact", "inexact"])
     def test_stale_smoothness_fails_only_its_variant(self, tmp_path, capsys,

@@ -1,14 +1,17 @@
 """Generators and drivers for both experiment families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ompd import (GaussMarkovConfig, OptimumError, SeparationConfig,
-                  background_spectrum, coefficient_paths,
-                  generate_gauss_markov, generate_separation,
-                  offline_optimum, prox, run_example1, run_example2,
-                  separation_blocks, separation_f1, separation_optima,
-                  separation_smoothness, stream_optima, validate_constants)
+                  background_spectrum, box, coefficient_paths,
+                  gauss_markov_constants, generate_gauss_markov,
+                  generate_separation, offline_optimum, prox, run_example1,
+                  run_example2, separation_blocks, separation_constants,
+                  separation_f1, separation_optima, separation_smoothness,
+                  stream_optima, validate_constants)
 from ompd.experiments import SEPARATION_CHECK_EVERY
 from ompd.prox import gradient_mapping_norm
 
@@ -34,6 +37,21 @@ class TestGaussMarkovGenerator:
             samples.append(coefficient_paths(cfg)[:, [0, 1]].ravel())
         var = float(np.var(np.concatenate(samples)))
         assert 0.95 <= var <= 1.05
+
+    @pytest.mark.parametrize("horizon", [1, 5000])
+    def test_paths_match_the_per_step_loop(self, horizon):
+        """Bit for bit the numpy loop the scalar recursions replaced."""
+        cfg = GaussMarkovConfig(horizon=horizon, seed=8, active_set=(1, 2, 5))
+        rng = np.random.default_rng(cfg.seed)
+        active = [i - 1 for i in cfg.active_set]
+        prev = rng.normal(size=len(active))
+        v = rng.normal(scale=np.sqrt(1.0 - cfg.alpha ** 2),
+                       size=(horizon, len(active)))
+        expected = np.zeros((horizon, cfg.n_coeffs))
+        for t in range(horizon):
+            prev = cfg.alpha * prev + v[t]
+            expected[t, active] = prev
+        assert coefficient_paths(cfg).tobytes() == expected.tobytes()
 
     def test_streams_are_seed_deterministic(self):
         cfg = GaussMarkovConfig(horizon=50, seed=2)
@@ -165,6 +183,90 @@ class TestSeparationGenerator:
         # the understated single-block constant fails the same check
         loose = separation_smoothness(cfg)
         assert loose > 2.0 * (1.0 + max(cfg.mu_L, cfg.mu_S))
+
+
+def _descent_margin(step, x, y, L):
+    """g(y) - g(x) - <grad g(x), y - x> - L/2 ||y - x||^2."""
+    d = y - x
+    return (step.smooth_value(y) - step.smooth_value(x)
+            - float(np.dot(step.smooth_gradient(x), d))
+            - 0.5 * L * float(np.dot(d, d)))
+
+
+#: a constant counts as attained when this much less of it fails
+_SHORTFALL = 1e-6
+
+
+def _curvature_attained(step, x, direction):
+    """Along ``direction`` the descent lemma holds at the step's L, up to
+    rounding, and fails at (1 - _SHORTFALL) L."""
+    L, y = step.smoothness_constant, x + direction
+    scale = L * float(np.dot(direction, direction))
+    return (_descent_margin(step, x, y, L) <= 1e-12 * scale
+            and _descent_margin(step, x, y, (1.0 - _SHORTFALL) * L) > 0.0)
+
+
+def _lipschitz_attained(step, x, y):
+    """Between x and y, h changes by B times their distance, up to
+    rounding, and by more than (1 - _SHORTFALL) B times it."""
+    gain = abs(step.nonsmooth_value(y) - step.nonsmooth_value(x))
+    bound = step.regularizer_lipschitz * float(np.linalg.norm(y - x))
+    return (1.0 - _SHORTFALL) * bound < gain <= (1.0 + 1e-12) * bound
+
+
+def _with_constants(step, L, B):
+    return dataclasses.replace(step, smoothness_constant=float(L),
+                               regularizer_lipschitz=float(B))
+
+
+class TestExactConstants:
+    """The closed forms ``verify`` checks against pass the sampled check
+    and are attained along an extremal direction, so a closed form that
+    is too small or too large fails."""
+
+    @pytest.mark.parametrize("domain", [None, box(-0.5, 0.5, dim=30)],
+                             ids=["whole_space", "box"])
+    def test_gauss_markov_constants(self, domain):
+        cfg = GaussMarkovConfig(horizon=12, seed=4)
+        stream, truth = generate_gauss_markov(cfg, domain)
+        L, B = gauss_markov_constants(cfg, truth)
+        assert L.shape == B.shape == (cfg.horizon,)
+        x = np.random.default_rng(0).normal(size=cfg.n_coeffs)
+        for k in (1, 6, 12):
+            step = _with_constants(stream.step_at(k), L[k - 1], B[k - 1])
+            assert validate_constants(step, samples=300, seed=k).passed(
+                tol=1e-9)
+            top = np.linalg.svd(truth["X"][k - 1])[2][0]  # right, largest
+            assert _curvature_attained(step, x, 3.0 * top)
+            # eta ||a||_1 grows by eta n along the all-ones direction
+            assert _lipschitz_attained(step, 0.0 * x, np.ones(cfg.n_coeffs))
+
+    # at the default lambda_L, lambda_S sqrt(m) moves B by about 1e-12
+    @pytest.mark.parametrize("lambda_L", [1e5, 0.1])
+    def test_separation_constants(self, lambda_L):
+        cfg = SeparationConfig(frame_dim=12, window=6, horizon=3, seed=13,
+                               background_scale=1.0, foreground_scale=1.0,
+                               noise_std=0.01, lambda_L=lambda_L)
+        stream, _ = generate_separation(cfg)
+        L, B = separation_constants(cfg)
+        assert L.shape == B.shape == (cfg.horizon,)
+        rows, cols = cfg.window, cfg.frame_dim
+        # the Hessian acts entrywise on (L, S) by one 2 x 2 matrix
+        u = np.linalg.eigh([[2.0 + 2.0 * cfg.mu_L, 2.0],
+                            [2.0, 2.0 + 2.0 * cfg.mu_S]])[1][:, -1]
+        for k in (1, 3):
+            step = _with_constants(stream.step_at(k), L[k - 1], B[k - 1])
+            assert validate_constants(step, samples=200, seed=k).passed(
+                tol=1e-9)
+            E = np.random.default_rng(k).normal(size=rows * cols)
+            x = np.zeros(step.dim)
+            assert _curvature_attained(step, x, np.concatenate((u[0] * E,
+                                                                 u[1] * E)))
+            # B is attained at (lambda_L P, lambda_S 1) with P a partial
+            # identity, whose min(rows, cols) singular values are all one
+            y = np.concatenate((cfg.lambda_L * np.eye(rows, cols).ravel(),
+                                np.full(rows * cols, cfg.lambda_S)))
+            assert _lipschitz_attained(step, x, y)
 
 
 class TestSeparationOptima:
