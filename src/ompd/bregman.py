@@ -35,6 +35,8 @@ class DistanceGenerator:
     present it is used instead of the three-term definition, which matters
     for conditioning (e.g. the Euclidean divergence is exactly half the
     squared distance instead of a difference of squares).
+    ``gradient`` must act row by row on a (T, n) stack: ``solver.run``
+    applies it to all steps at once.
     """
 
     value: Callable[[np.ndarray], float]

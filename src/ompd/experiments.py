@@ -42,6 +42,13 @@ SEPARATION_CHECK_EVERY = 5
 SEPARATION_MAX_SWEEPS = 10_000
 
 
+def _require_step_size(cfg, key: str) -> None:
+    """A step size must be positive and finite; NaN fails too."""
+    value = getattr(cfg, key)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GaussMarkovConfig:
     """Sparse time-varying regression stream (autoregressive truth)."""
@@ -64,6 +71,7 @@ class GaussMarkovConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if any(not 1 <= i <= self.n_coeffs for i in self.active_set):
             raise ValueError("active_set indices must lie in 1..n_coeffs")
+        _require_step_size(self, "step_size")
 
 
 def coefficient_paths(cfg: GaussMarkovConfig,
@@ -130,7 +138,14 @@ def generate_gauss_markov(cfg: GaussMarkovConfig,
             smoothness_constant=float(L[k - 1]), regularizer_lipschitz=B,
             prox_handle=prox, dim=n)
 
-    stream = ProblemStream(horizon=T, step_at=step_at, domain=dom, dim=n)
+    def values(A):
+        # stacked matmuls: the same dot products as g's, bit for bit
+        r = (X[:len(A)] @ A[:, :, None])[:, :, 0] - Y[:len(A)]
+        return ((r[:, None, :] @ r[:, :, None])[:, 0, 0]
+                + cfg.eta * np.sum(np.abs(A), axis=1))
+
+    stream = ProblemStream(horizon=T, step_at=step_at, domain=dom, dim=n,
+                           batch_values=values)
     truth = {"a_true": a_true, "X": X, "Y": Y, "smoothness": L}
     return stream, truth
 
@@ -494,6 +509,8 @@ class SeparationConfig:
             raise ValueError("synth_rank must be below min(window, frame_dim)")
         if not 0.0 <= self.synth_sparsity < 1.0:
             raise ValueError("synth_sparsity must lie in [0, 1)")
+        for key in ("alpha_L", "alpha_S"):
+            _require_step_size(self, key)
         if self.alpha_L != self.alpha_S:
             raise ValueError("paired updates need alpha_L == alpha_S to form "
                              "one block step")
@@ -616,8 +633,20 @@ def generate_separation(cfg: SeparationConfig):
             smoothness_constant=L_const, regularizer_lipschitz=B_const,
             prox_handle=prox, dim=2 * m)
 
+    def values(Z):
+        t = len(Z)
+        Lm = Z[:, :m].reshape(t, rows, cols)
+        Sm = Z[:, m:].reshape(t, rows, cols)
+        res = Lm + Sm - M[:t]
+        sv = np.linalg.svd(Lm, compute_uv=False)
+        return (np.sum(res * res, axis=(1, 2))
+                + cfg.mu_L * np.sum(Lm * Lm, axis=(1, 2))
+                + cfg.mu_S * np.sum(Sm * Sm, axis=(1, 2))
+                + (cfg.lambda_L * np.sum(sv, axis=1)
+                   + cfg.lambda_S * np.sum(np.abs(Z[:, m:]), axis=1)))
+
     stream = ProblemStream(horizon=T, step_at=step_at, domain=whole_space(),
-                           dim=2 * m)
+                           dim=2 * m, batch_values=values)
     truth = {"background": backgrounds, "foreground": S_true,
              "support": mask, "M": M, "spectrum": spectrum}
     return stream, truth

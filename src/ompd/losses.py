@@ -127,15 +127,35 @@ class CompositeLossStep:
 
 @dataclass(frozen=True)
 class ProblemStream:
-    """A horizon of composite steps over a common domain."""
+    """A horizon of composite steps over a common domain.
+
+    ``batch_values``, when given, maps a (t, dim) stack of points to the
+    (t,) values f_k(xs[k-1]) of steps 1..t in array code, equal bit for
+    bit to each step's ``total_value``; ``total_values`` uses it.
+    """
 
     horizon: int
     step_at: Callable[[int], CompositeLossStep]
     domain: Domain
     dim: int
+    batch_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def steps(self):
         return [self.step_at(k) for k in range(1, self.horizon + 1)]
+
+    def total_values(self, xs, steps=None) -> np.ndarray:
+        """f_k(xs[k-1]) for k = 1..len(xs), one entry per row of ``xs``.
+
+        Without ``batch_values`` each step's ``total_value`` is called, on
+        ``steps`` when the caller has built them already.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.batch_values is not None:
+            return self.batch_values(xs)
+        if steps is None:
+            steps = map(self.step_at, range(1, len(xs) + 1))
+        return np.array([step.total_value(x) for step, x in zip(steps, xs)],
+                        dtype=float)
 
 
 # numpy's SeedSequence hash (``mix_entropy`` and ``generate_state`` in

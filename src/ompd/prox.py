@@ -144,9 +144,28 @@ def composed_prox(rule, domain: Domain, v, scale: float):
         f"{domain.name!r}")
 
 
+def check_step_size(step_size: float, smoothness: float,
+                    sigma_omega: float) -> None:
+    """Require 0 < step_size <= 2 sigma_omega / L; a NaN step fails.
+
+    A step that is not positive raises ValueError, one above the limit
+    StepSizeError.
+    """
+    if not step_size > 0.0:
+        raise ValueError(f"step_size must be positive, got {step_size}")
+    if step_size > 2.0 * sigma_omega / smoothness:
+        raise StepSizeError(step_size, smoothness, sigma_omega)
+
+
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """One mirror step: anchor, noisy gradient, geometry, and domain."""
+    """One mirror step: anchor, noisy gradient, geometry, and domain.
+
+    The step size is checked against this step's L (``check_step_size``)
+    unless ``allow_oversized_step`` is set, which skips the check:
+    ``solver.run`` sets it, having checked once per run against the
+    largest L of the stream.
+    """
 
     loss: CompositeLossStep
     gen: DistanceGenerator
@@ -158,12 +177,9 @@ class SubproblemSpec:
     allow_oversized_step: bool = False
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        limit = 2.0 * self.gen.sigma_omega / self.loss.smoothness_constant
-        if self.step_size > limit and not self.allow_oversized_step:
-            raise StepSizeError(self.step_size, self.loss.smoothness_constant,
-                                self.gen.sigma_omega)
+        if not self.allow_oversized_step:
+            check_step_size(self.step_size, self.loss.smoothness_constant,
+                            self.gen.sigma_omega)
 
 
 def subproblem_value(spec: SubproblemSpec, x) -> float:

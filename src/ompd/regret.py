@@ -93,8 +93,7 @@ def fill_optima(trace: RunTrace, stream: ProblemStream,
         optima, f_star = stream_optima(stream, tol=tol)
     trace.optima = np.asarray(optima, dtype=float)
     if f_star is None:
-        f_star = np.array([stream.step_at(k).total_value(trace.optima[k - 1])
-                           for k in range(1, trace.horizon + 1)])
+        f_star = stream.total_values(trace.optima[:trace.horizon])
     trace.f_star = np.asarray(f_star, dtype=float)
     return trace
 

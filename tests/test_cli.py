@@ -192,6 +192,27 @@ class TestRun:
         assert f"{key} must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+    @pytest.mark.parametrize("experiment, keys", [
+        ("example1", ("step_size",)), ("example2", ("alpha_L", "alpha_S"))])
+    def test_bad_step_size_names_key(self, tmp_path, capsys, command, value,
+                                     experiment, keys):
+        """A zero or negative step size ended in a traceback, and NaN ran
+        to a NaN bound (example1) or named alpha_L == alpha_S (example2)."""
+        lines = "".join(f"{key} = {value}\n" for key in keys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX1_SMALL + "[example1]\n" + lines
+                       if experiment == "example1"
+                       else EX2_SMALL.replace("window = 8\n",
+                                              "window = 8\n" + lines))
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"{keys[0]} must be positive and finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("text, named", [
         (EX1_SMALL + "[run]\nseed = 6\n", "'run' already exists"),
         (EX1_SMALL + "seed = 6\n", "'seed' in section 'run' already"),

@@ -1,15 +1,22 @@
 """Online loop behavior: convergence, determinism, equivalence, guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   ProblemStream, SolverConfig, SolverRunError, StepSizeError,
                   box, euclidean_generator, fill_optima, l1_rule,
-                  nuclear_rule, run, run_proximal_gradient, whole_space,
-                  write_trace_csv, zero_error_model, zero_rule)
-from ompd.experiments import GaussMarkovConfig, generate_gauss_markov
-from ompd.runio import read_trace_csv
+                  negative_entropy_generator, nuclear_rule, run,
+                  run_proximal_gradient, whole_space, write_trace_csv,
+                  zero_error_model, zero_rule)
+from ompd import solver
+from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
+                              _error_model, generate_gauss_markov,
+                              generate_separation)
+from ompd.prox import SubproblemSpec, inexact_mirror_prox
+from ompd.runio import _PER_STEP_FIELDS, read_trace_csv
 
 EUCLID = euclidean_generator()
 
@@ -129,6 +136,14 @@ class TestRun:
         msg = str(err.value)
         assert "10" in msg and "sigma_omega" in msg
 
+    @pytest.mark.parametrize("lam", [0.0, -0.5, np.nan])
+    def test_nonpositive_step_rejected_before_the_loop(self, lam):
+        step = _quadratic_step(np.eye(2), np.zeros(2))
+        config = SolverConfig(step_size=lam, generator=EUCLID,
+                              initial_point=np.zeros(2))
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            run(_static_stream(step, 5), config, zero_error_model())
+
     def test_partial_trace_attached_on_mid_run_failure(self):
         """A refused prox/domain composition aborts with the prefix trace."""
         good = _quadratic_step(np.eye(2), np.zeros(2))
@@ -144,12 +159,137 @@ class TestRun:
             domain=dom, dim=2)
         config = SolverConfig(step_size=0.5, generator=EUCLID,
                               initial_point=np.zeros(2))
+        model = ErrorModel(gradient_std=0.3, prox_std=0.2, seed=4)
         with pytest.raises(SolverRunError) as err:
-            run(stream, config, zero_error_model())
-        assert err.value.trace.horizon == 2
-        assert err.value.trace.partial
-        assert err.value.trace.iterates.shape == (2, 2)
-        assert err.value.trace.optima is None
+            run(stream, config, model)
+        partial = err.value.trace
+        assert partial.horizon == 2
+        assert partial.partial
+        assert partial.iterates.shape == (2, 2)
+        assert partial.optima is None
+        # the completed steps are filled as an unfailed run fills them
+        full = run(ProblemStream(horizon=5, step_at=lambda k: good,
+                                 domain=dom, dim=2), config, model)
+        for name in ("iterates", "f_played", "q_norms", "eps",
+                     "grad_error_norms"):
+            np.testing.assert_array_equal(getattr(partial, name),
+                                          getattr(full, name)[:2])
+        assert np.all(partial.grad_error_norms > 0.0)
+        assert np.all(partial.eps > 0.0)
+
+
+def _per_step_loop(stream, config, model):
+    """The online loop with every record made inside it, per step."""
+    steps = stream.steps()
+    gen, lam = config.generator, config.step_size
+    T, n = stream.horizon, stream.dim
+    out = {name: np.zeros(T) for name in (
+        "grad_error_norms", "eps", "f_played", "q_norms", "smoothness",
+        "reg_lipschitz")}
+    out["iterates"] = np.zeros((T, n))
+    x = np.array(config.initial_point, dtype=float)
+    model = model.for_horizon(T)
+    draws = model.gradient_std != 0.0
+    for k, step in enumerate(steps, start=1):
+        if draws:
+            e = model.gradient_error(k, n)
+            grad = step.smooth_gradient(x) + e
+        else:
+            grad = step.smooth_gradient(x) + 0.0
+        spec = SubproblemSpec(
+            loss=step, gen=gen, anchor=x, noisy_grad=grad, step_size=lam,
+            domain=stream.domain, inner_tolerance=config.inner_tolerance)
+        x_new, y, eps_k = inexact_mirror_prox(spec, model, k)
+        i = k - 1
+        out["iterates"][i] = x_new
+        if draws:
+            out["grad_error_norms"][i] = np.linalg.norm(e)
+        out["eps"][i] = eps_k
+        out["f_played"][i] = step.total_value(x_new)
+        out["q_norms"][i] = np.linalg.norm(
+            grad + (gen.gradient(y) - gen.gradient(x)) / lam)
+        out["smoothness"][i] = step.smoothness_constant
+        out["reg_lipschitz"][i] = step.regularizer_lipschitz
+        x = x_new
+    return out
+
+
+def _entropy_box_stream(T=40, dim=8, seed=3):
+    """||x - c_k||^2 + 0.1 ||x||_1 on [0.2, 1]^dim, c_k a clipped walk."""
+    rng = np.random.default_rng(seed)
+    centers = np.clip(0.6 + np.cumsum(rng.normal(0.0, 0.05, (T, dim)),
+                                      axis=0), 0.3, 0.9)
+    rule = l1_rule(0.1)
+
+    def step_at(k):
+        ck = centers[k - 1]
+        return CompositeLossStep(
+            smooth_value=lambda x: float(np.dot(x - ck, x - ck)),
+            smooth_gradient=lambda x: 2.0 * (x - ck),
+            nonsmooth_value=lambda x: 0.1 * float(np.sum(np.abs(x))),
+            smoothness_constant=2.0, regularizer_lipschitz=0.1 * np.sqrt(dim),
+            prox_handle=rule, dim=dim)
+
+    return ProblemStream(horizon=T, step_at=step_at,
+                         domain=box(0.2, 1.0, dim=dim), dim=dim)
+
+
+def _bookkeeping_cases():
+    """(label, stream, config, model) for each case of the loop test."""
+    cfg = GaussMarkovConfig(horizon=300, seed=7)
+    n = cfg.n_coeffs
+    halfwidth = 5.0 / (2.0 * np.sqrt(n))  # binds: optima reach it
+    euclid = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
+                          initial_point=np.zeros(n))
+    for label, domain in (("whole", None),
+                          ("box", box(-halfwidth, halfwidth, dim=n))):
+        stream, _ = generate_gauss_markov(cfg, domain=domain)
+        for variant in ("exact", "inexact"):
+            yield (f"example1-{label}-{variant}", stream, euclid,
+                   _error_model(cfg.error_std, variant, 21))
+    sep = SeparationConfig(frame_dim=16, window=8, horizon=12, seed=2,
+                           error_std=0.5)
+    stream, _ = generate_separation(sep)
+    config = SolverConfig(step_size=sep.alpha_L, generator=EUCLID,
+                          initial_point=np.zeros(stream.dim))
+    for variant in ("exact", "inexact"):
+        yield (f"example2-{variant}", stream, config,
+               _error_model(sep.error_std, variant, 22))
+    stream = _entropy_box_stream()
+    config = SolverConfig(
+        step_size=0.3, generator=negative_entropy_generator(lo=0.2, hi=1.0),
+        initial_point=np.full(stream.dim, 0.6))
+    yield ("entropy-box", stream, config,
+           ErrorModel(gradient_std=0.05, prox_std=0.01, eps_cap=0.02,
+                      seed=23))
+
+
+@pytest.mark.parametrize("case", list(_bookkeeping_cases()),
+                         ids=lambda case: case[0])
+def test_bookkeeping_matches_the_per_step_loop(case, monkeypatch):
+    """The records filled after the loop equal per-step ones exactly."""
+    _, stream, config, model = case
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 7)  # several blocks, one short
+    trace = run(stream, config, model)
+    expected = _per_step_loop(stream, config, model)
+    for name in _PER_STEP_FIELDS:
+        if name != "step_seconds":
+            np.testing.assert_array_equal(getattr(trace, name),
+                                          expected[name], err_msg=name)
+
+
+@pytest.mark.parametrize("case", [
+    case for case in _bookkeeping_cases()
+    if case[1].batch_values is not None], ids=lambda case: case[0])
+def test_total_values_override_matches_the_fallback(case):
+    _, stream, config, model = case
+    fallback = dataclasses.replace(stream, batch_values=None)
+    xs = run(stream, config, model).iterates
+    xs[-3:] = np.random.default_rng(5).normal(scale=1e3,
+                                              size=(3, stream.dim))
+    for rows in (xs, xs[:5]):
+        np.testing.assert_array_equal(stream.total_values(rows),
+                                      fallback.total_values(rows))
 
 
 class TestEuclideanEquivalence:
