@@ -22,7 +22,8 @@ from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,
 from .prox import (BlockRule, ProxRule, SubproblemSpec, block_rule,
                    composed_prox, exact_mirror_prox, inexact_mirror_prox,
                    l1_rule, nuclear_rule, singular_value_threshold,
-                   soft_threshold, subproblem_value, zero_rule)
+                   soft_threshold, subproblem_solver, subproblem_value,
+                   zero_rule)
 from .regret import (BoundLedger, certified_margin, dynamic_regret,
                      fill_optima, ledger_from_trace, offline_optimum,
                      recursion_bound, stream_optima, theorem_rhs,

@@ -28,7 +28,7 @@ from .prox import (RESIDUAL_CHECK_EVERY, _prox_gradient_point, block_rule,
 from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
                      ledger_from_trace, stream_optima, theorem_rhs,
                      write_bound_csv)
-from .runio import RunTrace, write_state_csv, write_table
+from .runio import RunTrace, one_per_path, write_state_csv, write_tables
 from .solver import SolverConfig, run, write_trace_csv
 
 #: default derivation of the error-model seed from the stream seed
@@ -49,6 +49,13 @@ def _require_step_size(cfg, key: str) -> None:
         raise ValueError(f"{key} must be positive and finite, got {value}")
 
 
+def _require_scale(cfg, key: str) -> None:
+    """A weight or standard deviation must be nonnegative and finite."""
+    value = getattr(cfg, key)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{key} must be nonnegative and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GaussMarkovConfig:
     """Sparse time-varying regression stream (autoregressive truth)."""
@@ -65,13 +72,16 @@ class GaussMarkovConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        for key in ("horizon", "n_coeffs", "input_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if any(not 1 <= i <= self.n_coeffs for i in self.active_set):
             raise ValueError("active_set indices must lie in 1..n_coeffs")
         _require_step_size(self, "step_size")
+        for key in ("eta", "obs_noise_std", "error_std"):
+            _require_scale(self, key)
 
 
 def coefficient_paths(cfg: GaussMarkovConfig,
@@ -401,41 +411,58 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
                    f_star, out_dir: Optional[str], write_extra):
     """Play each variant on one stream against the shared optima.
 
-    Variants differ only in their error model. With ``out_dir``, each
-    writes trace.csv, bound.csv and bound_state.csv into its directory,
-    then calls ``write_extra(trace, variant_dir)``.
+    Variants differ only in their error model; the stream's steps are
+    built once and shared. With ``out_dir``, the variants' trace.csv,
+    bound.csv and bound_state.csv are written together, one directory per
+    variant, then ``write_extra(traces, variant_dirs)`` is called.
     """
     config = SolverConfig(step_size=step_size,
                           generator=euclidean_generator(),
                           initial_point=np.zeros(stream.dim))
     seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
-    results = {}
+    steps = stream.steps()
+    results, ledgers = {}, {}
     for variant in variants:
-        trace = run(stream, config, _error_model(cfg.error_std, variant, seed))
+        trace = run(stream, config, _error_model(cfg.error_std, variant, seed),
+                    steps=steps)
         fill_optima(trace, stream, tol=optimum_tol, optima=optima,
                     f_star=f_star)
-        ledger = ledger_from_trace(trace, config.generator, step_size,
-                                   stream.domain)
+        ledgers[variant] = ledger = ledger_from_trace(
+            trace, config.generator, step_size, stream.domain)
         rhs = theorem_rhs(ledger, trace, stream.domain.kind)
         results[variant] = ExperimentResult(
             variant=variant, trace=trace, rhs=rhs,
             regret=dynamic_regret(trace))
-        if out_dir is not None:
-            vdir = os.path.join(out_dir, variant)
+    del steps  # the closures are not needed to write the tables
+    if out_dir is not None:
+        vdirs = [os.path.join(out_dir, variant) for variant in results]
+        for vdir in vdirs:
             os.makedirs(vdir, exist_ok=True)
-            write_trace_csv(trace, os.path.join(vdir, "trace.csv"))
-            write_bound_csv(trace, ledger, rhs,
-                            os.path.join(vdir, "bound.csv"))
-            write_state_csv(trace, os.path.join(vdir, "bound_state.csv"))
-            write_extra(trace, vdir)
+
+        def paths(name):
+            return [os.path.join(vdir, name) for vdir in vdirs]
+
+        traces = [res.trace for res in results.values()]
+        write_trace_csv(traces, *paths("trace.csv"))
+        write_bound_csv(traces, list(ledgers.values()),
+                        [res.rhs for res in results.values()],
+                        *paths("bound.csv"))
+        write_state_csv(traces, *paths("bound_state.csv"))
+        write_extra(traces, vdirs)
     return results
 
 
-def _write_coefficients_csv(path, a_true, a_pred) -> None:
-    """Columns t, i, a_true, a_pred (i is 1-based)."""
+def _write_coefficients_csv(a_true, a_pred, *paths) -> None:
+    """Columns t, i, a_true, a_pred (i is 1-based).
+
+    ``a_pred`` is one (T, n) array, or a list of one per path; the files
+    are written together (``runio.write_tables``).
+    """
     t, i = np.indices(a_true.shape) + 1
-    write_table(path, ("t", "i", "a_true", "a_pred"),
-                [t.ravel(), i.ravel(), a_true.ravel(), a_pred.ravel()])
+    shared = [t.ravel(), i.ravel(), a_true.ravel()]
+    write_tables(paths, ("t", "i", "a_true", "a_pred"),
+                 [[*shared, pred.ravel()]
+                  for pred in one_per_path(a_pred, paths)])
 
 
 def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
@@ -461,9 +488,10 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
             truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth,
             tol=optimum_tol)
 
-    def write_coefficients(trace, vdir):
-        _write_coefficients_csv(os.path.join(vdir, "coefficients.csv"),
-                                truth["a_true"], trace.iterates)
+    def write_coefficients(traces, vdirs):
+        _write_coefficients_csv(
+            truth["a_true"], [trace.iterates for trace in traces],
+            *(os.path.join(vdir, "coefficients.csv") for vdir in vdirs))
 
     return _play_variants(stream, cfg, cfg.step_size, variants, error_seed,
                           optimum_tol, optima, f_star, out_dir,
@@ -511,6 +539,8 @@ class SeparationConfig:
             raise ValueError("synth_sparsity must lie in [0, 1)")
         for key in ("alpha_L", "alpha_S"):
             _require_step_size(self, key)
+        for key in ("noise_std", "error_std"):
+            _require_scale(self, key)
         if self.alpha_L != self.alpha_S:
             raise ValueError("paired updates need alpha_L == alpha_S to form "
                              "one block step")
@@ -761,8 +791,12 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
     stream, truth = generate_separation(cfg)
     optima, f_star, _ = separation_optima(stream, truth["M"], cfg,
                                           tol=optimum_tol)
+
+    def write_snapshots(traces, vdirs):
+        for trace, vdir in zip(traces, vdirs):
+            _write_snapshots(trace, cfg, vdir, snapshot_every)
+
     results = _play_variants(
         stream, cfg, cfg.alpha_L, variants, error_seed, optimum_tol, optima,
-        f_star, out_dir,
-        lambda trace, vdir: _write_snapshots(trace, cfg, vdir, snapshot_every))
+        f_star, out_dir, write_snapshots)
     return results, truth

@@ -8,13 +8,16 @@ where c is the (possibly noisy) gradient. For the Euclidean generator and
 a closed-form prox rule the minimizer is the classical proximal step; for
 other generators ``prox_gradient``, the one prox-gradient loop that the
 offline oracle ``regret.offline_optimum`` also runs, drives the mapping
-norm of Phi below ``inner_tolerance``. The inexactness wrapper then
-perturbs the solution by a norm-bounded offset and reports an honest
-eps_k for the ledger (offset radius plus the inner residual bound).
+norm of Phi below ``inner_tolerance``. ``subproblem_solver`` makes that
+choice once for every step that shares a prox rule. The inexactness
+wrapper then perturbs the solution by a norm-bounded offset and reports
+an honest eps_k for the ledger (offset radius plus the inner residual
+bound).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +165,9 @@ class SubproblemSpec:
     """One mirror step: anchor, noisy gradient, geometry, and domain.
 
     The step size is checked against this step's L (``check_step_size``)
-    unless ``allow_oversized_step`` is set, which skips the check:
-    ``solver.run`` sets it, having checked once per run against the
-    largest L of the stream.
+    unless ``allow_oversized_step`` is set, which skips the check.
+    ``solver.run`` builds no spec: it checks the step size once against
+    the largest L of the stream and calls ``subproblem_solver`` maps.
     """
 
     loss: CompositeLossStep
@@ -180,6 +183,11 @@ class SubproblemSpec:
         if not self.allow_oversized_step:
             check_step_size(self.step_size, self.loss.smoothness_constant,
                             self.gen.sigma_omega)
+
+    def solver(self):
+        """``subproblem_solver`` for this step's rule, geometry and domain."""
+        return subproblem_solver(self.loss.prox_handle, self.gen, self.domain,
+                                 self.step_size, self.inner_tolerance)
 
 
 def subproblem_value(spec: SubproblemSpec, x) -> float:
@@ -234,7 +242,8 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
     return p, residual, False
 
 
-def _inner_solve(spec: SubproblemSpec):
+def _inner_solve(rule, gen: DistanceGenerator, domain: Domain, lam: float,
+                 tol: float, anchor, c):
     """``prox_gradient`` on Phi; returns (point, position bound).
 
     The smooth part <c, x> + V(x, anchor)/lam has Lipschitz gradient
@@ -242,62 +251,75 @@ def _inner_solve(spec: SubproblemSpec):
     prox point y satisfies ||y - argmin|| <= 2*residual*lam/sigma_omega,
     where residual is the prox-gradient mapping norm at acceptance.
     """
-    lam = spec.step_size
-    gen = spec.gen
-    c = spec.noisy_grad
-    grad_anchor = gen.gradient(spec.anchor)
+    grad_anchor = gen.gradient(anchor)
 
     def smooth_grad(x):
         return c + (gen.gradient(x) - grad_anchor) / lam
 
     # 1/(G_omega/lam), not lam/G_omega: recorded traces rest on its last bit
     y, residual, converged = prox_gradient(
-        smooth_grad, spec.loss.prox_handle, spec.domain,
-        spec.domain.project(spec.anchor), 1.0 / (gen.g_omega / lam),
-        spec.inner_tolerance, INNER_MAX_ITERS)
+        smooth_grad, rule, domain, domain.project(anchor),
+        1.0 / (gen.g_omega / lam), tol, INNER_MAX_ITERS)
     if not converged:
-        raise InnerSolverError(residual, spec.inner_tolerance,
-                               INNER_MAX_ITERS)
+        raise InnerSolverError(residual, tol, INNER_MAX_ITERS)
     return y, 2.0 * residual * lam / gen.sigma_omega
 
 
-def _solve_with_bound(spec: SubproblemSpec):
-    """Exact minimizer plus an upper bound on its distance to the argmin."""
-    lam = spec.step_size
-    if spec.gen.name == "euclidean":
-        v = spec.anchor - lam * spec.noisy_grad
-        return composed_prox(spec.loss.prox_handle, spec.domain, v, lam), 0.0
-    if (spec.gen.name == "negative_entropy"
-            and getattr(spec.loss.prox_handle, "kind", None) == "zero"):
-        w = spec.anchor * np.exp(-lam * spec.noisy_grad)
-        if spec.domain.name == "simplex":
-            return w / float(np.sum(w)), 0.0  # multiplicative weights
-        if spec.domain.kind == "whole_space":
-            return w, 0.0  # positive-orthant stationary point
-    return _inner_solve(spec)
+def subproblem_solver(rule, gen: DistanceGenerator, domain: Domain,
+                      step_size: float,
+                      inner_tolerance: float = INNER_TOL_DEFAULT):
+    """The solver of every step whose nonsmooth term has prox ``rule``.
+
+    Returns solve(anchor, noisy_grad) -> (y, bound): the minimizer of Phi
+    over the domain and an upper bound on its distance to the argmin.
+    The form is chosen here, once: the Euclidean proximal step
+    (``composed_prox``, bound 0), the entropy closed forms for a zero rule
+    (multiplicative weights on the simplex, the positive-orthant
+    stationary point on the whole space, bound 0), or ``_inner_solve``.
+    """
+    lam = step_size
+    if gen.name == "euclidean":
+        def solve(anchor, c):
+            return composed_prox(rule, domain, anchor - lam * c, lam), 0.0
+        return solve
+    if (gen.name == "negative_entropy"
+            and getattr(rule, "kind", None) == "zero"):
+        if domain.name == "simplex":
+            def solve(anchor, c):  # multiplicative weights
+                w = anchor * np.exp(-lam * c)
+                return w / float(np.sum(w)), 0.0
+            return solve
+        if domain.kind == "whole_space":
+            def solve(anchor, c):  # positive-orthant stationary point
+                return anchor * np.exp(-lam * c), 0.0
+            return solve
+    return functools.partial(_inner_solve, rule, gen, domain, lam,
+                             inner_tolerance)
 
 
 def exact_mirror_prox(spec: SubproblemSpec) -> np.ndarray:
     """Minimize Phi over the domain; closed form when one exists."""
-    y, _ = _solve_with_bound(spec)
+    y, _ = spec.solver()(spec.anchor, spec.noisy_grad)
     return y
 
 
-def inexact_mirror_prox(spec: SubproblemSpec, model: ErrorModel, k: int):
-    """Solve the step, then perturb within the model's eps_k ball.
+def inexact_mirror_prox(solve, domain: Domain, anchor, noisy_grad,
+                        model: ErrorModel, k: int):
+    """Solve one step with ``solve``, then perturb within the eps_k ball.
 
+    ``solve`` is a ``subproblem_solver`` map for the step's prox rule.
     Returns (x_k, y_k, eps_k) with ||x_k - y_k|| <= eps_k guaranteed: the
     offset radius caps the perturbation and projecting back onto the
     domain is nonexpansive around the feasible y_k. eps_k also covers the
     inner solver's own inaccuracy, so it stays a valid bound relative to
     the true argmin.
     """
-    y, inner_bound = _solve_with_bound(spec)
+    y, inner_bound = solve(anchor, noisy_grad)
     if model.prox_std == 0.0:  # the draw would be (0, 0.0)
         return y, y, inner_bound
     offset, radius = model.prox_error(k, y.size)
     if radius == 0.0:
         x = y
     else:
-        x = spec.domain.project(y + offset)
+        x = domain.project(y + offset)
     return x, y, radius + inner_bound

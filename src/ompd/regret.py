@@ -43,7 +43,7 @@ from .errors import (MissingOptimaError, OptimumError, RegimeMismatchError)
 from .losses import CompositeLossStep, Domain, ProblemStream
 # composed_prox stays importable here: perfbench's tracer test wraps it
 from .prox import composed_prox, prox_gradient  # noqa: F401
-from .runio import RunTrace, write_table
+from .runio import RunTrace, one_per_path, write_tables
 
 OPTIMUM_TOL_DEFAULT = 1e-9
 OPTIMUM_MAX_ITERS = 10 ** 6
@@ -227,14 +227,22 @@ def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
 BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin".split(",")
 
 
-def write_bound_csv(trace: RunTrace, ledger: BoundLedger, rhs: np.ndarray,
-                    path) -> None:
-    """Prefix ledger and bound values, one row per horizon."""
-    R = dynamic_regret(trace)
-    Sigma, SigmaBar, E, P, _ = _prefix_sums(trace, ledger)
-    write_table(path, BOUND_CSV_HEADER,
-                [np.arange(1, trace.horizon + 1), R, rhs, Sigma, SigmaBar, E,
-                 P, rhs - R])
+def write_bound_csv(traces, ledgers, rhs, *paths) -> None:
+    """Prefix ledger and bound values, one row per horizon.
+
+    ``traces``, ``ledgers`` and ``rhs`` are one value each, or lists of
+    one per path; the files are written together (``runio.write_tables``).
+    """
+    def columns(trace, ledger, bound):
+        R = dynamic_regret(trace)
+        Sigma, SigmaBar, E, P, _ = _prefix_sums(trace, ledger)
+        return [np.arange(1, trace.horizon + 1), R, bound, Sigma, SigmaBar, E,
+                P, bound - R]
+
+    write_tables(paths, BOUND_CSV_HEADER, [
+        columns(*run) for run in zip(one_per_path(traces, paths),
+                                     one_per_path(ledgers, paths),
+                                     one_per_path(rhs, paths))])
 
 
 def certified_margin(trace: RunTrace, ledger: BoundLedger,

@@ -2,19 +2,26 @@
 
 Every table is a header line, then rows of integer index columns (``%d``)
 and float columns at 17 significant digits, which read back bit for bit.
+The tables of several variants are written together (``write_tables``),
+so the cells they share are formatted once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, replace
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Optional
 
 import numpy as np
 
 #: cells formatted per write; a bound on the text held in memory at once
 _BLOCK_CELLS = 4096
+#: rows whose own cells one ``%`` fills in ``write_tables``. Its output
+#: grows by reallocation; a whole block per ``%`` fragmented the heap and
+#: raised the peak RSS of a T = 5000 example1 run by about 2 MB.
+_FILL_ROWS = 32
 
 #: the RunTrace arrays filled one row per step by ``solver.run``
 _PER_STEP_FIELDS = ("iterates", "grad_error_norms", "eps", "f_played",
@@ -54,23 +61,103 @@ class RunTrace:
                        partial=True, **steps)
 
 
-def write_table(path, header, columns) -> None:
-    """Write equal-length arrays as columns; the last may be 2-D (several).
+def one_per_path(value, paths) -> list:
+    """``value`` for each of ``paths``, unless it is a list of one each."""
+    if not paths:
+        raise ValueError("no path to write to")
+    if not isinstance(value, (list, tuple)):
+        return [value] * len(paths)
+    if len(value) != len(paths):
+        raise ValueError(f"{len(value)} values for {len(paths)} paths")
+    return list(value)
+
+
+def _same_cells(arrays) -> bool:
+    """Whether every array writes the text of the first: equal shape,
+    dtype and values, signs of zero included (NaN never counts as equal)."""
+    first = arrays[0]
+    return all(a is first or (a.dtype == first.dtype
+                              and a.shape == first.shape
+                              and np.array_equal(a, first)
+                              and np.array_equal(np.signbit(a),
+                                                 np.signbit(first)))
+               for a in arrays[1:])
+
+
+def _cell_formats(column) -> list:
+    cell = "%d" if column.dtype.kind in "iu" else "%.17g"
+    return [cell] * (column.shape[1] if column.ndim == 2 else 1)
+
+
+def _row_cells(columns, lo: int, hi: int):
+    """The cells of rows lo..hi-1 of ``columns``, one tuple per row.
 
     Each block of rows is cut from every array with one ``tolist``, so
     integer columns reach ``%d`` as Python ints, exact at any size.
     """
-    wide = columns[-1].ndim == 2
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns
-                   for _ in range(c.shape[1] if c.ndim == 2 else 1)) + "\n"
+    block = zip(*(c[lo:hi].tolist() for c in columns))
+    if columns[-1].ndim == 2:  # the 2-D group's cells close each row
+        block = ((*head, *tail) for *head, tail in block)
+    return block
+
+
+def write_tables(paths, header, tables) -> None:
+    """Write one table per path, block by block, under one header.
+
+    ``tables`` holds each path's columns: equal-length arrays, of which
+    the last may be 2-D (several columns). Per block of rows, the cells
+    that are equal in every table (``_same_cells``) are formatted once,
+    into row texts that keep a ``%`` spec in place of every other cell.
+    Each table's own cells then fill those texts, ``_FILL_ROWS`` rows per
+    ``%``. With one path every cell is shared and the row texts are the
+    block itself.
+    """
+    if not paths or len(tables) != len(paths):
+        raise ValueError(f"{len(tables)} tables for {len(paths)} paths")
+    by_column = list(zip(*tables))
+    for arrays in by_column:
+        if any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("the tables differ in shape")
+    shared = [_same_cells(arrays) for arrays in by_column]
+    specs = [_cell_formats(arrays[0]) for arrays in by_column]
+    # a cell that differs between tables keeps its spec, escaped
+    row = ",".join(spec if same else "%" + spec
+                   for same, column in zip(shared, specs)
+                   for spec in column) + "\n"
+    common = [arrays[0] for same, arrays in zip(shared, by_column) if same]
+    own = [list(columns) for columns in zip(*(
+        arrays for same, arrays in zip(shared, by_column) if not same))]
+    fill = _FILL_ROWS * sum(len(column) for same, column
+                            in zip(shared, specs) if not same)
     rows = max(1, _BLOCK_CELLS // len(header))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), rows):
-            block = zip(*(c[lo:lo + rows].tolist() for c in columns))
-            if wide:  # the 2-D group's cells close each row
-                block = ((*head, *tail) for *head, tail in block)
-            fh.write("".join(row % cells for cells in block))
+    n = len(by_column[0][0])
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8"))
+                 for p in paths]
+        for fh in files:
+            fh.write(",".join(header) + "\n")
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            # without a shared cell, ``% ()`` only unescapes the specs
+            texts = ([row % cells for cells in _row_cells(common, lo, hi)]
+                     if common else [row % ()] * (hi - lo))
+            if not own:
+                text = "".join(texts)
+                for fh in files:
+                    fh.write(text)
+                continue
+            chunks = ["".join(texts[j:j + _FILL_ROWS])
+                      for j in range(0, hi - lo, _FILL_ROWS)]
+            for fh, columns in zip(files, own):
+                cells = list(chain.from_iterable(_row_cells(columns, lo, hi)))
+                fh.write("".join([
+                    chunk % tuple(cells[j:j + fill])
+                    for chunk, j in zip(chunks, range(0, len(cells), fill))]))
+
+
+def write_table(path, header, columns) -> None:
+    """One table: ``write_tables`` with one path."""
+    write_tables((path,), header, (columns,))
 
 
 def read_table(path):
@@ -113,15 +200,20 @@ def _state_header(dim: int) -> list:
     return ["k", *_STATE_COLUMNS] + [f"xstar_{j}" for j in range(dim)]
 
 
-def write_state_csv(trace: RunTrace, path) -> None:
-    """Per-step scalars and optima for ``verify``; row k = 0 holds x0."""
-    if trace.optima is None:
+def write_state_csv(traces, *paths) -> None:
+    """Per-step scalars and optima for ``verify``; row k = 0 holds x0.
+
+    ``traces`` is one trace, or a list of one per path; the files are
+    written together (``write_tables``).
+    """
+    traces = one_per_path(traces, paths)
+    if any(trace.optima is None for trace in traces):
         raise ValueError("state csv needs filled optima")
-    points = np.vstack([trace.x0, trace.optima])
-    write_table(path, _state_header(trace.dim),
-                [np.arange(trace.horizon + 1),
-                 *(np.concatenate(([0.0], getattr(trace, field)))
-                   for field in _STATE_COLUMNS.values()), points])
+    write_tables(paths, _state_header(traces[0].dim), [
+        [np.arange(trace.horizon + 1),
+         *(np.concatenate(([0.0], getattr(trace, field)))
+           for field in _STATE_COLUMNS.values()),
+         np.vstack([trace.x0, trace.optima])] for trace in traces])
 
 
 def read_state_csv(path) -> dict:

@@ -32,9 +32,9 @@ from .bregman import DistanceGenerator
 from .errors import (MissingOptimaError, OmpdError, SolverRunError,
                      StepSizeError)
 from .losses import ErrorModel, ProblemStream
-from .prox import (INNER_TOL_DEFAULT, SubproblemSpec, check_step_size,
-                   inexact_mirror_prox)
-from .runio import TRACE_CSV_HEADER, RunTrace, write_table
+from .prox import (INNER_TOL_DEFAULT, check_step_size, inexact_mirror_prox,
+                   subproblem_solver)
+from .runio import TRACE_CSV_HEADER, RunTrace, one_per_path, write_tables
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,39 @@ def _record(trace: RunTrace, stream: ProblemStream, steps, config, upto: int,
     trace.f_played[:upto] = stream.total_values(xs[:upto], steps)
 
 
-def run(stream: ProblemStream, config: SolverConfig,
-        model: ErrorModel) -> RunTrace:
+def _solvers(steps, config: SolverConfig, domain) -> list:
+    """Each step's ``subproblem_solver``, made once per distinct rule.
+
+    Rules are told apart by identity, which ``steps`` keeps alive.
+    """
+    made = {}
+    solvers = []
+    for step in steps:
+        rule = step.prox_handle
+        solve = made.get(id(rule))
+        if solve is None:
+            solve = made[id(rule)] = subproblem_solver(
+                rule, config.generator, domain, config.step_size,
+                config.inner_tolerance)
+        solvers.append(solve)
+    return solvers
+
+
+def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
+        steps=None) -> RunTrace:
     """Drive the inexact mirror step over the full stream.
 
-    The loop runs the recursion only (one gradient, one error draw, one
-    ``inexact_mirror_prox`` call per step) and keeps the noisy gradient,
+    ``steps`` is ``stream.steps()``, built here unless the caller passes
+    the list it built for several runs on one stream. The form of the
+    subproblem solve is chosen before the loop, once for each distinct
+    prox rule (``subproblem_solver``). The loop runs the recursion only:
+    per step one gradient, the model's gradient draw (none at zero std),
+    and one ``inexact_mirror_prox`` call with the solver of the step's
+    rule, which also makes the prox draw. It keeps the noisy gradient,
     the draw and the prox point y_k in (T, n) buffers; ``step_seconds``
-    times exactly that. The played losses (``stream.total_values``) and
-    the error and q norms are filled after the loop in array calls, bit
-    for bit the per-step values.
+    times exactly that. The played losses (``stream.total_values``) and the
+    error and q norms are filled after the loop in array calls, bit for
+    bit the per-step values.
 
     Raises ValueError or StepSizeError up front, once per run, unless
     0 < step_size <= 2 sigma_omega / max_k L_k. Raises SolverRunError if
@@ -112,7 +135,10 @@ def run(stream: ProblemStream, config: SolverConfig,
     draws bit for bit; a draw of zero std, which would add nothing, is
     skipped.
     """
-    steps = stream.steps()
+    if steps is None:
+        steps = stream.steps()
+    elif len(steps) != stream.horizon:
+        raise ValueError("steps do not cover the stream's horizon")
     smoothness = [s.smoothness_constant for s in steps]
     gen = config.generator
     lam = config.step_size
@@ -129,19 +155,18 @@ def run(stream: ProblemStream, config: SolverConfig,
     errors = np.empty((T, n)) if model.gradient_std != 0.0 else None
     # without prox draws y_k is x_k
     ys = trace.iterates if model.prox_std == 0.0 else np.empty((T, n))
-    for i, step in enumerate(steps):
+    domain = stream.domain
+    for i, (step, solve) in enumerate(zip(steps,
+                                          _solvers(steps, config, domain))):
         t0 = time.perf_counter()
         if errors is not None:
             e = errors[i] = model.gradient_error(i + 1, n)
             grad = np.add(step.smooth_gradient(x), e, out=grads[i])
         else:  # adding the zero draw turned -0.0 into +0.0; so does this
             grad = np.add(step.smooth_gradient(x), 0.0, out=grads[i])
-        spec = SubproblemSpec(
-            loss=step, gen=gen, anchor=x, noisy_grad=grad, step_size=lam,
-            domain=stream.domain, inner_tolerance=config.inner_tolerance,
-            allow_oversized_step=True)  # checked once, above
         try:
-            x, ys[i], trace.eps[i] = inexact_mirror_prox(spec, model, i + 1)
+            x, ys[i], trace.eps[i] = inexact_mirror_prox(
+                solve, domain, x, grad, model, i + 1)
         except OmpdError as exc:
             _record(trace, stream, steps, config, i, grads, ys, errors)
             raise SolverRunError(f"subproblem failed at step {i + 1}: {exc}",
@@ -218,13 +243,20 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     return trace
 
 
-def write_trace_csv(trace: RunTrace, path) -> None:
-    """One row per step, 17 significant digits, header included."""
-    if not trace.has_optima():
+def write_trace_csv(traces, *paths) -> None:
+    """One row per step, 17 significant digits, header included.
+
+    ``traces`` is one trace, or a list of one per path; the files are
+    written together (``runio.write_tables``).
+    """
+    traces = one_per_path(traces, paths)
+    if not all(trace.has_optima() for trace in traces):
         raise MissingOptimaError("trace has no optima; run fill_optima first")
-    inst = trace.f_played - trace.f_star
-    dist = np.linalg.norm(trace.iterates - trace.optima, axis=1)
-    write_table(path, TRACE_CSV_HEADER,
-                [np.arange(1, trace.horizon + 1), trace.f_played,
-                 trace.f_star, inst, trace.grad_error_norms, trace.eps, dist,
-                 np.cumsum(inst)])
+
+    def columns(trace):
+        inst = trace.f_played - trace.f_star
+        dist = np.linalg.norm(trace.iterates - trace.optima, axis=1)
+        return [np.arange(1, trace.horizon + 1), trace.f_played, trace.f_star,
+                inst, trace.grad_error_norms, trace.eps, dist, np.cumsum(inst)]
+
+    write_tables(paths, TRACE_CSV_HEADER, [columns(t) for t in traces])

@@ -213,6 +213,36 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("experiment, key, value, message", [
+        ("example1", "error_std", "nan", "must be nonnegative and finite"),
+        ("example1", "error_std", "inf", "must be nonnegative and finite"),
+        ("example1", "error_std", "-0.1", "must be nonnegative and finite"),
+        ("example1", "obs_noise_std", "-1", "must be nonnegative and finite"),
+        ("example1", "eta", "-0.05", "must be nonnegative and finite"),
+        ("example1", "eta", "nan", "must be nonnegative and finite"),
+        ("example1", "input_dim", "0", "must be at least 1"),
+        ("example2", "error_std", "-0.1", "must be nonnegative and finite"),
+        ("example2", "error_std", "nan", "must be nonnegative and finite"),
+        ("example2", "noise_std", "-1", "must be nonnegative and finite"),
+    ])
+    def test_bad_noise_weight_or_size_names_key(self, tmp_path, capsys,
+                                                command, experiment, key,
+                                                value, message):
+        """NaN or inf error_std ran to a NaN regret; a negative std, eta or
+        input_dim ended in a traceback, or ran the oracle to its budget."""
+        cfg = tmp_path / "run.cfg"
+        line = f"{key} = {value}\n"
+        cfg.write_text(EX1_SMALL + "[example1]\n" + line
+                       if experiment == "example1"
+                       else EX2_SMALL.replace("window = 8\n",
+                                              "window = 8\n" + line))
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("text, named", [
         (EX1_SMALL + "[run]\nseed = 6\n", "'run' already exists"),
         (EX1_SMALL + "seed = 6\n", "'seed' in section 'run' already"),

@@ -269,7 +269,9 @@ class TestInnerSolver:
                               noisy_grad=grad, step_size=0.5,
                               domain=whole_space())
         closed = exact_mirror_prox(spec)
-        iterative, bound = _inner_solve(spec)
+        iterative, bound = _inner_solve(
+            spec.loss.prox_handle, spec.gen, spec.domain, spec.step_size,
+            spec.inner_tolerance, spec.anchor, spec.noisy_grad)
         assert bound <= 2e-9 * 0.5 / 1.0 * 2
         np.testing.assert_allclose(iterative, closed, atol=1e-8)
 
@@ -281,7 +283,8 @@ class TestInnerSolver:
         spec = SubproblemSpec(loss=_zero_step(2), gen=gen, anchor=anchor,
                               noisy_grad=grad, step_size=0.3, domain=dom,
                               allow_oversized_step=True)
-        y, _ = _inner_solve(spec)
+        y, _ = _inner_solve(spec.loss.prox_handle, gen, dom, spec.step_size,
+                            spec.inner_tolerance, anchor, grad)
         lo = np.array([0.2, 0.2])
         hi = np.array([1.0, 1.0])
         for _ in range(7):
@@ -306,9 +309,15 @@ class TestInexactMirrorProx:
                               anchor=anchor, noisy_grad=grad, step_size=0.5,
                               domain=dom)
 
+    @staticmethod
+    def _args(spec):
+        """``inexact_mirror_prox``'s solver, domain, anchor and gradient."""
+        return spec.solver(), spec.domain, spec.anchor, spec.noisy_grad
+
     def test_zero_model_returns_exact_solution(self):
         spec = self._spec(whole_space())
-        x, y, eps = inexact_mirror_prox(spec, zero_error_model(), 1)
+        x, y, eps = inexact_mirror_prox(*self._args(spec), zero_error_model(),
+                                        1)
         np.testing.assert_array_equal(x, y)
         assert eps == 0.0
 
@@ -316,7 +325,7 @@ class TestInexactMirrorProx:
         spec = self._spec(whole_space())
         model = ErrorModel(prox_std=1.0, eps_cap=0.05, seed=15)
         for k in range(1, 1001):
-            x, y, eps = inexact_mirror_prox(spec, model, k)
+            x, y, eps = inexact_mirror_prox(*self._args(spec), model, k)
             assert np.linalg.norm(x - y) <= 0.05 + 1e-14
             assert np.linalg.norm(x - y) <= eps + 1e-14
 
@@ -325,6 +334,6 @@ class TestInexactMirrorProx:
         spec = self._spec(dom)
         model = ErrorModel(prox_std=0.5, seed=16)
         for k in range(1, 500):
-            x, y, eps = inexact_mirror_prox(spec, model, k)
+            x, y, eps = inexact_mirror_prox(*self._args(spec), model, k)
             assert np.linalg.norm(x) <= 0.5 + 1e-12
             assert np.linalg.norm(x - y) <= eps + 1e-14

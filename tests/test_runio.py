@@ -1,11 +1,12 @@
 """The CSV codec of every run table, and the state file."""
 
 import numpy as np
+import pytest
 
 from ompd import (GaussMarkovConfig, SolverConfig, euclidean_generator,
                   fill_optima, generate_gauss_markov, run, zero_error_model)
 from ompd.runio import (_BLOCK_CELLS, read_state_csv, read_table,
-                        write_state_csv, write_table)
+                        write_state_csv, write_table, write_tables)
 
 
 class TestTable:
@@ -37,6 +38,49 @@ class TestTable:
         assert path.read_text().splitlines() == [
             "k,v,x_0,x_1", "9007199254740993,0.5,1.5,2",
             "-4611686018427387907,-1,0,-0"]
+
+
+class TestTables:
+    def _tables(self):
+        """Two tables over more rows than a block holds, whose columns are
+        the same object, equal copies, equal but for the sign of zero,
+        NaN (never shared), and 2-D with one differing cell."""
+        rows = _BLOCK_CELLS // 6 + 70
+        rng = np.random.default_rng(3)
+        k = np.arange(rows)
+        a = rng.normal(size=rows)
+        points = rng.normal(size=(rows, 2))
+        other = points.copy()
+        other[rows - 1, 1] = 0.5
+        return (("k", "a", "z", "n", "p_0", "p_1"),
+                [[k, a, np.zeros(rows), np.full(rows, np.nan), points],
+                 [k, a.copy(), -np.zeros(rows), np.full(rows, np.nan),
+                  other]])
+
+    def test_each_file_holds_its_table_written_alone(self, tmp_path):
+        header, tables = self._tables()
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        write_tables(paths, header, tables)
+        for path, table in zip(paths, tables):
+            alone = tmp_path / "alone.csv"
+            write_table(alone, header, table)
+            assert path.read_bytes() == alone.read_bytes()
+        assert paths[1].read_text().splitlines()[1].split(",")[2] == "-0"
+
+    def test_tables_without_a_shared_column(self, tmp_path):
+        k = np.arange(5)
+        tables = [[k, np.linspace(0.0, 1.0, 5)], [k + 1, np.ones(5)]]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        write_tables(paths, ("k", "v"), tables)
+        assert paths[1].read_text().splitlines()[1:3] == ["1,1", "2,1"]
+        assert paths[0].read_text().splitlines()[2] == "1,0.25"
+
+    def test_tables_of_other_shapes_are_refused(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with pytest.raises(ValueError, match="shape"):
+            write_tables(paths, ("k",), [[np.arange(3)], [np.arange(4)]])
+        with pytest.raises(ValueError, match="paths"):
+            write_tables(paths, ("k",), [[np.arange(3)]])
 
 
 class TestStateCsv:

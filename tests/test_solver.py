@@ -9,8 +9,8 @@ from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   ProblemStream, SolverConfig, SolverRunError, StepSizeError,
                   box, euclidean_generator, fill_optima, l1_rule,
                   negative_entropy_generator, nuclear_rule, run,
-                  run_proximal_gradient, whole_space, write_trace_csv,
-                  zero_error_model, zero_rule)
+                  run_proximal_gradient, simplex, whole_space,
+                  write_trace_csv, zero_error_model, zero_rule)
 from ompd import solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
@@ -199,7 +199,8 @@ def _per_step_loop(stream, config, model):
         spec = SubproblemSpec(
             loss=step, gen=gen, anchor=x, noisy_grad=grad, step_size=lam,
             domain=stream.domain, inner_tolerance=config.inner_tolerance)
-        x_new, y, eps_k = inexact_mirror_prox(spec, model, k)
+        x_new, y, eps_k = inexact_mirror_prox(spec.solver(), spec.domain,
+                                              x, grad, model, k)
         i = k - 1
         out["iterates"][i] = x_new
         if draws:
@@ -234,6 +235,25 @@ def _entropy_box_stream(T=40, dim=8, seed=3):
                          domain=box(0.2, 1.0, dim=dim), dim=dim)
 
 
+def _alternating_rule_stream(domain, T=30, dim=6, seed=4):
+    """||x - c_k||^2 + h_k(x) over ``domain``, with h_k cycling through
+    0.1 ||x||_1, 0.3 ||x||_1 and 0: one prox rule object per kind."""
+    centers = np.random.default_rng(seed).normal(0.2, 0.5, (T, dim))
+    rules = (l1_rule(0.1), l1_rule(0.3), zero_rule())
+
+    def step_at(k):
+        ck, rule = centers[k - 1], rules[k % 3]
+        return CompositeLossStep(
+            smooth_value=lambda x: float(np.dot(x - ck, x - ck)),
+            smooth_gradient=lambda x: 2.0 * (x - ck),
+            nonsmooth_value=lambda x: rule.weight * float(np.sum(np.abs(x))),
+            smoothness_constant=2.0,
+            regularizer_lipschitz=rule.weight * np.sqrt(dim),
+            prox_handle=rule, dim=dim)
+
+    return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=dim)
+
+
 def _bookkeeping_cases():
     """(label, stream, config, model) for each case of the loop test."""
     cfg = GaussMarkovConfig(horizon=300, seed=7)
@@ -262,6 +282,19 @@ def _bookkeeping_cases():
     yield ("entropy-box", stream, config,
            ErrorModel(gradient_std=0.05, prox_std=0.01, eps_cap=0.02,
                       seed=23))
+    # the prox rule changes from step to step, and with it the solver: on
+    # the simplex, entropy steps alternate between the multiplicative
+    # weights closed form (h = 0) and the inner solver (l1)
+    for label, domain, gen, x0 in (
+            ("euclid-box", box(-1.0, 1.0, dim=6), EUCLID, 0.5),
+            ("entropy-simplex", simplex(6),
+             negative_entropy_generator(lo=0.05, hi=1.0), 1.0 / 6.0)):
+        stream = _alternating_rule_stream(domain)
+        config = SolverConfig(step_size=0.3, generator=gen,
+                              initial_point=np.full(stream.dim, x0))
+        yield (f"alternating-rules-{label}", stream, config,
+               ErrorModel(gradient_std=0.05, prox_std=0.01, eps_cap=0.02,
+                          seed=24))
 
 
 @pytest.mark.parametrize("case", list(_bookkeeping_cases()),
@@ -349,3 +382,21 @@ class TestTraceCsv:
         trace = run(stream, config, zero_error_model())
         with pytest.raises(MissingOptimaError):
             write_trace_csv(trace, tmp_path / "trace.csv")
+
+
+def test_one_subproblem_solver_per_distinct_rule():
+    stream = _alternating_rule_stream(box(-1.0, 1.0, dim=6))
+    config = SolverConfig(step_size=0.3, generator=EUCLID,
+                          initial_point=np.zeros(stream.dim))
+    solvers = solver._solvers(stream.steps(), config, stream.domain)
+    assert len(solvers) == stream.horizon
+    assert len({id(solve) for solve in solvers}) == 3
+    assert solvers[0] is solvers[3] and solvers[0] is not solvers[1]
+
+
+def test_run_refuses_steps_of_another_horizon():
+    stream = _alternating_rule_stream(box(-1.0, 1.0, dim=6))
+    config = SolverConfig(step_size=0.3, generator=EUCLID,
+                          initial_point=np.zeros(stream.dim))
+    with pytest.raises(ValueError, match="horizon"):
+        run(stream, config, zero_error_model(), steps=stream.steps()[:-1])
