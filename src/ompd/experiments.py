@@ -36,8 +36,6 @@ ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
 
 #: example2's optimum tolerance; 1e-9 may be out of reach at its 1e5 scale
 SEPARATION_OPTIMUM_TOL = 1e-6
-#: alternating sweeps between residual checks of ``separation_optima``
-SEPARATION_CHECK_EVERY = 5
 #: sweep budget of one step of ``separation_optima``
 SEPARATION_MAX_SWEEPS = 10_000
 
@@ -529,18 +527,17 @@ class SeparationConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        for key in ("mu_L", "mu_S", "lambda_L", "lambda_S"):
-            if not getattr(self, key) >= 0.0:  # NaN fails too
-                raise ValueError(f"{key} must be nonnegative, got "
-                                 f"{getattr(self, key)}")
+        for key in ("mu_L", "mu_S", "lambda_L", "lambda_S", "noise_std",
+                    "error_std", "background_scale", "foreground_scale"):
+            _require_scale(self, key)
+        if not np.isfinite(self.rotation):
+            raise ValueError(f"rotation must be finite, got {self.rotation}")
         if not self.synth_rank < min(self.window, self.frame_dim):
             raise ValueError("synth_rank must be below min(window, frame_dim)")
         if not 0.0 <= self.synth_sparsity < 1.0:
             raise ValueError("synth_sparsity must lie in [0, 1)")
         for key in ("alpha_L", "alpha_S"):
             _require_step_size(self, key)
-        for key in ("noise_std", "error_std"):
-            _require_scale(self, key)
         if self.alpha_L != self.alpha_S:
             raise ValueError("paired updates need alpha_L == alpha_S to form "
                              "one block step")
@@ -682,6 +679,25 @@ def generate_separation(cfg: SeparationConfig):
     return stream, truth
 
 
+def _gram_svt(Z: np.ndarray, tau: float) -> np.ndarray:
+    """SVT(Z, tau) from the eigendecomposition of Z's smaller Gram matrix.
+
+    With w, V = eigh(A A^T) for A the wide orientation of Z, the singular
+    values are s = sqrt(w) and SVT(A) = V diag(max(s - tau, 0) / s) V^T A:
+    one symmetric eigensolve instead of a rectangular SVD. A kept singular
+    value s carries an error of about eps ||Z||^2 / s, so this serves
+    ``separation_optima``'s sweep candidates only; whatever is certified
+    uses ``prox.singular_value_threshold``.
+    """
+    A = Z if Z.shape[0] <= Z.shape[1] else Z.T
+    w, V = np.linalg.eigh(A @ A.T)
+    s = np.sqrt(np.maximum(w, 0.0))
+    shrink = np.divide(np.maximum(s - tau, 0.0), s, out=np.zeros_like(s),
+                       where=s > 0.0)
+    out = (V * shrink) @ (V.T @ A)
+    return out if A is Z else out.T
+
+
 def separation_optima(stream: ProblemStream, M: np.ndarray,
                       cfg: SeparationConfig,
                       tol: float = SEPARATION_OPTIMUM_TOL,
@@ -695,15 +711,20 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
         L = SVT((M_k - S) / (1 + mu_L), lambda_L / (2 (1 + mu_L))),
         S = soft((M_k - L) / (1 + mu_S), lambda_S / (2 (1 + mu_S))),
 
-    applied through the stream's own nuclear and l1 rules. Alternating
-    them converges linearly, as both blocks are strongly convex (Tseng,
-    JOTA 2001; Beck, SIAM J. Optim. 2015). Step k starts from step k-1's
-    blocks. Every ``SEPARATION_CHECK_EVERY`` sweeps the blocks face the
-    test ``offline_optimum`` applies: their prox-gradient point p at step
-    1/L must have mapping norm <= ``tol``; p and F(p) are kept.
-    Returns (optima, f_star, residuals); raises OptimumError at the first
-    nonfinite residual (or SVD failure), or when a step uses up
-    ``max_sweeps``.
+    the L-update by ``_gram_svt``, the S-update by the stream's own l1
+    rule. Alternating them converges linearly, as both blocks are
+    strongly convex (Tseng, JOTA 2001; Beck, SIAM J. Optim. 2015), so the
+    prox-gradient residual is bounded by a constant times the sweep
+    increment ||(L, S) - (L_0, S_0)||_F. Step k starts from step k-1's
+    blocks. At the first sweep whose increment is <= ``tol`` or
+    nonfinite, and at ``max_sweeps``, the blocks face the test
+    ``offline_optimum`` applies: their prox-gradient point p at step 1/L,
+    under the stream's exact SVD-based prox, must have mapping norm
+    <= ``tol``; p and F(p) are kept. Should that check fail (near the
+    rounding floor), the step goes on with the exact SVT and checks every
+    ``RESIDUAL_CHECK_EVERY`` sweeps. Returns (optima, f_star, residuals);
+    raises OptimumError at the first nonfinite residual (or SVD or
+    eigensolver failure), or when a step uses up ``max_sweeps``.
     """
     T, rows, cols = M.shape
     optima = np.zeros((T, stream.dim))
@@ -714,19 +735,29 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
     for k in range(1, T + 1):
         step = stream.step_at(k)
         (_, nuclear), (_, l1) = step.prox_handle.blocks
+        tau_L = 0.5 / shrink_L * nuclear.weight  # rounded as nuclear.apply
         Mk = M[k - 1]
+        exact = False  # set once a Gram candidate fails the test
         try:
             for sweep in range(1, max_sweeps + 1):
-                L = nuclear.apply((Mk - S) / shrink_L, 0.5 / shrink_L)
+                L_prev, S_prev = L, S
+                Z = (Mk - S) / shrink_L
+                L = (nuclear.apply(Z, 0.5 / shrink_L) if exact
+                     else _gram_svt(Z, tau_L))
                 S = l1.apply((Mk - L) / shrink_S, 0.5 / shrink_S)
-                if sweep % SEPARATION_CHECK_EVERY == 0 or sweep == max_sweeps:
+                due = (sweep % RESIDUAL_CHECK_EVERY == 0 if exact else
+                       not np.hypot(np.linalg.norm(L - L_prev),
+                                    np.linalg.norm(S - S_prev)) > tol)
+                if due or sweep == max_sweeps:
                     p, residual = _prox_gradient_point(
                         step.smooth_gradient, step.prox_handle, stream.domain,
                         np.concatenate((L.ravel(), S.ravel())),
                         1.0 / step.smoothness_constant)
                     if residual <= tol or not np.isfinite(residual):
                         break
-        except SvdError as exc:  # LAPACK refuses a nonfinite matrix
+                    exact = True
+        except (SvdError, np.linalg.LinAlgError) as exc:
+            # LAPACK's SVD and eigensolver refuse a nonfinite matrix
             raise OptimumError(np.nan, tol, sweep) from exc
         if not residual <= tol:
             raise OptimumError(residual, tol, sweep)

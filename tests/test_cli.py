@@ -224,12 +224,24 @@ class TestRun:
         ("example2", "error_std", "-0.1", "must be nonnegative and finite"),
         ("example2", "error_std", "nan", "must be nonnegative and finite"),
         ("example2", "noise_std", "-1", "must be nonnegative and finite"),
+        ("example2", "mu_L", "inf", "must be nonnegative and finite"),
+        ("example2", "mu_S", "inf", "must be nonnegative and finite"),
+        ("example2", "lambda_L", "inf", "must be nonnegative and finite"),
+        ("example2", "lambda_S", "nan", "must be nonnegative and finite"),
+        ("example2", "background_scale", "-1",
+         "must be nonnegative and finite"),
+        ("example2", "foreground_scale", "nan",
+         "must be nonnegative and finite"),
+        ("example2", "rotation", "inf", "must be finite"),
+        ("example2", "rotation", "nan", "must be finite"),
     ])
     def test_bad_noise_weight_or_size_names_key(self, tmp_path, capsys,
                                                 command, experiment, key,
                                                 value, message):
         """NaN or inf error_std ran to a NaN regret; a negative std, eta or
-        input_dim ended in a traceback, or ran the oracle to its budget."""
+        input_dim ended in a traceback, or ran the oracle to its budget. An
+        infinite mu_L or rotation stopped the oracle at a NaN residual, a NaN
+        foreground_scale overflowed, and a negative background_scale ran."""
         cfg = tmp_path / "run.cfg"
         line = f"{key} = {value}\n"
         cfg.write_text(EX1_SMALL + "[example1]\n" + line

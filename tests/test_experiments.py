@@ -12,7 +12,7 @@ from ompd import (GaussMarkovConfig, OptimumError, SeparationConfig,
                   run_example2, separation_blocks, separation_constants,
                   separation_f1, separation_optima, separation_smoothness,
                   stream_optima, validate_constants)
-from ompd.experiments import SEPARATION_CHECK_EVERY
+from ompd import experiments
 from ompd.prox import gradient_mapping_norm
 
 
@@ -302,26 +302,91 @@ class TestSeparationOptima:
         M[1, 0, 0] = np.nan
         with pytest.raises(OptimumError) as err:
             separation_optima(stream, M, cfg)
-        assert err.value.iterations <= SEPARATION_CHECK_EVERY
+        assert err.value.iterations == 1
         assert not np.isfinite(err.value.residual)
 
     def test_cold_step_costs_few_svts(self, monkeypatch):
-        """A cold 16x8 step at tol 1e-6: 30 SVTs; the generic oracle 78."""
+        """A cold 16x8 step at tol 1e-6: 30 SVTs; the generic oracle 78.
+
+        The sweeps threshold through ``_gram_svt`` and the acceptance
+        check through ``singular_value_threshold``; both are counted.
+        """
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=1, seed=1)
         stream, truth = generate_separation(cfg)
         calls = []
-        real = prox.singular_value_threshold
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(prox, "singular_value_threshold", counting)
+        for module, name in ((prox, "singular_value_threshold"),
+                             (experiments, "_gram_svt")):
+            monkeypatch.setattr(module, name,
+                                _counting(getattr(module, name), calls))
         offline_optimum(stream.step_at(1), stream.domain, tol=1e-6)
         generic = len(calls)
         calls.clear()
         separation_optima(stream, truth["M"], cfg, tol=1e-6)
         assert len(calls) <= 30 < generic
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_one_exact_check_per_step(self, seed, monkeypatch):
+        """At the 64x16, T=10 benchmark config each step's first check
+        passes: one exact SVT per step, every sweep through the Gram route."""
+        cfg = SeparationConfig(frame_dim=64, window=16, horizon=10,
+                               seed=seed)
+        stream, truth = generate_separation(cfg)
+        exact, gram = [], []
+        monkeypatch.setattr(prox, "singular_value_threshold",
+                            _counting(prox.singular_value_threshold, exact))
+        monkeypatch.setattr(experiments, "_gram_svt",
+                            _counting(experiments._gram_svt, gram))
+        _, _, residuals = separation_optima(stream, truth["M"], cfg,
+                                            tol=1e-6)
+        assert np.all(residuals <= 1e-6)
+        assert len(exact) == cfg.horizon
+        assert len(gram) >= cfg.horizon
+
+    def test_a_rejected_candidate_falls_back_to_the_exact_svt(
+            self, monkeypatch):
+        """Gram candidates pushed off the optimum never pass the exact
+        test; each step then finishes with the exact SVT and meets it."""
+        cfg = SeparationConfig(frame_dim=16, window=8, horizon=3, seed=3)
+        stream, truth = generate_separation(cfg)
+        _, f_ref, _ = separation_optima(stream, truth["M"], cfg)
+        real = experiments._gram_svt
+        monkeypatch.setattr(experiments, "_gram_svt",
+                            lambda Z, tau: real(Z, tau) + 1.0)
+        _, f_star, residuals = separation_optima(stream, truth["M"], cfg)
+        assert np.all(residuals <= experiments.SEPARATION_OPTIMUM_TOL)
+        np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _svt_test_matrices():
+    rng = np.random.default_rng(11)
+    low = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 20))
+    return {"wide": rng.normal(size=(6, 40)),
+            "tall": rng.normal(size=(40, 6)) * 1e5,
+            "square": rng.normal(size=(9, 9)),
+            "rank_deficient": low,
+            "rank_deficient_tall": low.T * 1e4,
+            "zero": np.zeros((5, 7))}
+
+
+class TestGramSvt:
+    @pytest.mark.parametrize("name", sorted(_svt_test_matrices()))
+    @pytest.mark.parametrize("where", ["zero", "mid", "above"])
+    def test_agrees_with_the_exact_svt(self, name, where):
+        Z = _svt_test_matrices()[name]
+        sv = np.linalg.svd(Z, compute_uv=False)
+        tau = {"zero": 0.0, "mid": 0.5 * (sv[0] + sv[-1]),
+               "above": 1.5 * sv[0] + 1.0}[where]
+        out = experiments._gram_svt(Z, tau)
+        assert out.shape == Z.shape
+        assert (np.linalg.norm(out - prox.singular_value_threshold(Z, tau))
+                <= 1e-12 * np.linalg.norm(Z))
 
 
 class TestUpdateSchemes:
