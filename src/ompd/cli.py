@@ -223,9 +223,13 @@ def _resolve(path, experiment=None, seed=None, horizon=None, variant=None):
     params["seed"] = seed ^ STREAM_SEED_XOR
     cfg = exp.config(**params)
     domain = _build_domain(exp, sections["domain"], cfg)
+    optimum_tol = run_cfg.get("optimum_tol", exp.optimum_tol)
+    if not 0.0 < optimum_tol < np.inf:
+        raise ConfigError(f"invalid value for key 'optimum_tol' in section "
+                          f"[run]: {optimum_tol} (must be positive and "
+                          f"finite)")
     manifest = {"experiment": experiment, "seed": seed, "variant": variant,
-                "optimum_tol": run_cfg.get("optimum_tol", exp.optimum_tol),
-                "domain": sections["domain"]}
+                "optimum_tol": optimum_tol, "domain": sections["domain"]}
     return exp, cfg, domain, variants, manifest
 
 

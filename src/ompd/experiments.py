@@ -22,9 +22,9 @@ import numpy as np
 from .bregman import euclidean_generator
 from .errors import OptimumError, SvdError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
-                     whole_space, zero_error_model)
+                     box, whole_space, zero_error_model)
 from .prox import (RESIDUAL_CHECK_EVERY, _prox_gradient_point, block_rule,
-                   l1_rule, nuclear_rule)
+                   l1_rule, nuclear_rule, prox_gradient)
 from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
                      ledger_from_trace, stream_optima, theorem_rhs,
                      write_bound_csv)
@@ -169,68 +169,38 @@ def gauss_markov_constants(cfg: GaussMarkovConfig, truth):
     return L, np.full(cfg.horizon, cfg.eta * np.sqrt(cfg.n_coeffs))
 
 
-def _support_candidate(p, g, X, Y, eta, halfwidth):
-    """Exact lasso point on the support that grad g(p) names, per problem.
-
-    With a d x n design the lasso has a solution with at most
-    k = min(d, n) free nonzeros (Tibshirani 2013), and there each free
-    nonzero a_j has grad_j = -eta sign(a_j). The candidate takes the k
-    coordinates of largest |g| that p does not pin at a box bound, gives
-    them the sign opposite to g, keeps the pinned coordinates at their
-    bound and every other one at 0 (long before p itself is that sparse,
-    g names the support), and solves
-    2 X_S^T X_S a_S = 2 X_S^T (y - X_F a_F) - eta s_S.
-    It is only a guess: the caller accepts it by its mapping norm.
-    """
-    k = min(X.shape[1], X.shape[2])
-    score = np.abs(g)
-    c = np.zeros_like(p)
-    if halfwidth is not None:
-        pinned = np.abs(p) >= halfwidth
-        score[pinned] = -1.0
-        c[pinned] = p[pinned]
-    S = np.argpartition(-score, k - 1, axis=1)[:, :k]
-    np.put_along_axis(c, S, 0.0, axis=1)
-    XS = np.take_along_axis(X, S[:, None, :], axis=2)
-    r = Y - np.einsum("tdn,tn->td", X, c)
-    sign = -np.sign(np.take_along_axis(g, S, axis=1))
-    rhs = 2.0 * np.einsum("tdk,td->tk", XS, r) - eta * sign
-    gram = 2.0 * np.einsum("tdk,tdl->tkl", XS, XS)
-    # a shift far below the tolerance: one singular system must not make
-    # np.linalg.solve raise for the whole stack
-    diag = np.arange(k)
-    gram[:, diag, diag] += (1e-14 * np.trace(gram, axis1=1, axis2=2)
-                            + np.finfo(float).tiny)[:, None]
-    np.put_along_axis(c, S, np.linalg.solve(gram, rhs[..., None])[..., 0],
-                      axis=1)
-    return c
-
-
-def _lasso_path(X, Y, eta, max_events):
+def _lasso_path(X, Y, eta, max_events, halfwidth=None):
     """Exact lasso solutions at ``eta`` by a batched LARS-lasso homotopy.
 
     The lasso path in lambda is piecewise linear (Efron et al., Ann. Stat.
-    2004; Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000). Each
-    problem starts at lambda_max = ||2 X^T y||_inf with a = 0 and no
-    active coordinate (its first event joins the largest correlation), and
-    keeps at most min(d, n) active slots.
-    On the active set A with signs s, a_A(lam) = v - lam w with
-    2 X_A^T X_A [v, w] = [2 X_A^T y, s], and every inactive correlation
-    c_j(lam) = 2 x_j^T (y - X_A a_A(lam)) is linear in lam. The next event
-    is the largest lam' below lam at which an inactive |c_j| reaches lam'
-    (a join, with the sign of c_j), an active a_j reaches 0 against its
-    sign (a drop), or lam' = eta (the stop). A coordinate dropped at one
-    event may not rejoin at the next: rounding would let it rejoin with
-    the wrong sign. Returns a; a problem whose path outlasts
-    ``max_events`` or meets nonfinite data keeps a = 0 (the caller's
-    acceptance test judges every row).
+    2004; Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000), also in
+    the box |a_j| <= ``halfwidth`` (Rosset & Zhu, Ann. Stat. 2007). Each
+    problem starts at lambda_max = ||2 X^T y||_inf with a = 0 (inside any
+    box), and each coordinate is zero, active with sign s_j (at most
+    min(d, n) active slots), or pinned at s_j * halfwidth. With the pinned
+    columns on the right-hand side, r0 = y - X_P a_P, a_A(lam) = v - lam u
+    where 2 X_A^T X_A [v, u] = [2 X_A^T r0, s], and every correlation
+    c_j(lam) = 2 x_j^T (r0 - X_A a_A(lam)) is linear in lam. The next event
+    is the largest lam' below lam at which an active a_j reaches 0 against
+    its sign (a drop), a zero |c_j| reaches lam' (a join), an active a_j
+    reaches s_j * halfwidth (a pin), a pinned s_j c_j falls to lam' (a
+    release), or lam' = eta (the stop). A join takes the sign of c_j, a
+    release keeps s_j. Without a box no pin or release is computed. A full
+    set of slots takes no join or release. A coordinate dropped, pinned or
+    released at one event may not reverse that at the next: rounding would
+    let it. Returns a; a problem whose path outlasts ``max_events`` or
+    meets nonfinite data keeps a = 0 (the caller's acceptance test judges
+    every row).
     """
     T, d, n = X.shape
     K = min(d, n)
     lam = np.max(np.abs(2.0 * np.einsum("tdn,td->tn", X, Y)), axis=1)
     slots = np.full((T, K), -1)  # active coordinates, -1 marks a free slot
     signs = np.zeros((T, K))
-    barred = np.full(T, -1)  # the coordinate dropped at the previous event
+    if halfwidth is not None:  # s_j where a_j is pinned at s_j * halfwidth
+        pins = np.zeros((T, n))
+    barred = np.full(T, -1)  # the coordinate changed at the previous event
+    barred_sign = np.zeros(T)  # its sign if it was dropped, else 0
     a = np.zeros((T, n))
     run = np.flatnonzero(lam > eta)  # else a = 0 is optimal
     diag = np.arange(K)
@@ -243,60 +213,91 @@ def _lasso_path(X, Y, eta, max_events):
         XA = (np.swapaxes(X[run[:, None], :, np.where(used, S, 0)], 1, 2)
               * used[:, None, :])  # a free slot holds a zero column
         gram = 2.0 * np.einsum("tdk,tdl->tkl", XA, XA)
-        # the shift of _support_candidate; a free slot solves to 0
+        # a shift far below the tolerance: one singular system must not make
+        # np.linalg.solve raise for the whole stack; a free slot solves to 0
         gram[:, diag, diag] += np.where(
             used, (1e-14 * np.trace(gram, axis1=1, axis2=2)
                    + np.finfo(float).tiny)[:, None], 1.0)
-        rhs = np.stack((2.0 * np.einsum("tdk,td->tk", XA, Y[run]), s), axis=2)
-        vw = np.linalg.solve(gram, rhs)
-        v, w = vw[..., 0], vw[..., 1]
-        # c(lam') = p + lam' q with p = 2 X^T (y - X_A v), q = 2 X^T X_A w
-        fit = 2.0 * np.einsum("tdk,tkm->tmd", XA, vw)
-        fit[:, 0] = 2.0 * Y[run] - fit[:, 0]
+        r0 = Y[run]
+        if halfwidth is not None:
+            held = pins[run]
+            r0 = r0 - halfwidth * np.einsum("tdn,tn->td", X[run], held)
+        rhs = np.stack((2.0 * np.einsum("tdk,td->tk", XA, r0), s), axis=2)
+        vu = np.linalg.solve(gram, rhs)
+        v, u = vu[..., 0], vu[..., 1]
+        # c(lam') = p + lam' q with p = 2 X^T (r0 - X_A v), q = 2 X^T X_A u
+        fit = 2.0 * np.einsum("tdk,tkm->tmd", XA, vu)
+        fit[:, 0] = 2.0 * r0 - fit[:, 0]
         pq = fit @ X[run]
         p, q = pq[:, 0], pq[:, 1]
         free = np.ones((run.size, n), dtype=bool)
         free[np.nonzero(used)[0], S[used]] = False
-        b = barred[run]
-        free[np.flatnonzero(b >= 0), b[b >= 0]] = False
-        # a full set leaves no coordinate (n <= d) or fits y exactly with a
+        # a full set leaves no coordinate (n <= d) or fits r0 exactly with a
         # square X_A, so that every c_j / lam' stays fixed (d < n)
         free[np.all(used, axis=1)] = False
+        b = barred[run]
+        hb = np.flatnonzero(b >= 0)
+        if halfwidth is not None:
+            # s_j c_j(lam') = lam' at p / (s_j - q); a crossing counts
+            # where s_j c_j - lam' falls as lam' falls
+            release = free & (held * q > 1.0)
+            release[hb, b[hb]] = False
+            free &= held == 0.0
         # c_j(lam') = lam' at p / (1 - q) and -lam' at p / (-1 - q); a
-        # crossing counts where |c_j| - lam' grows as lam' falls
-        lam_r = lam[run][:, None]
-        cross = np.divide(p, 1.0 - q, out=np.full_like(p, -np.inf),
-                          where=free & (q < 1.0))
-        np.fmax(cross, np.divide(p, -1.0 - q, out=np.full_like(p, -np.inf),
-                                 where=free & (q > -1.0)), out=cross)
-        np.minimum(cross, lam_r, out=cross)
-        j = np.argmax(cross, axis=1)
-        join_lam = cross[rows, j]
-        join_sign = np.sign(p[rows, j] + join_lam * q[rows, j])
-        drop = np.divide(v, w, out=np.full_like(v, -np.inf),
-                         where=used & (w * s < 0.0))
-        np.minimum(drop, lam_r, out=drop)
-        k = np.argmax(drop, axis=1)
-        drop_lam = drop[rows, k]
-        nxt = np.maximum(np.maximum(join_lam, drop_lam), eta)
+        # crossing counts where |c_j| - lam' grows as lam' falls. A dropped
+        # coordinate may rejoin at once only with the other sign.
+        up, down = free & (q < 1.0), free & (q > -1.0)
+        up[hb, b[hb]] &= barred_sign[run[hb]] < 0.0
+        down[hb, b[hb]] &= barred_sign[run[hb]] > 0.0
+        join = np.divide(p, 1.0 - q, out=np.full_like(p, -np.inf), where=up)
+        np.fmax(join, np.divide(p, -1.0 - q, out=np.full_like(p, -np.inf),
+                                where=down), out=join)
+        times = [np.divide(v, u, out=np.full_like(v, -np.inf),
+                           where=used & (u * s < 0.0)), join]
+        if halfwidth is not None:
+            # a_j(lam') = s_j * halfwidth at (v - s_j halfwidth) / u, where
+            # |a_j| grows as lam' falls
+            times.append(np.divide(
+                v - s * halfwidth, u, out=np.full_like(v, -np.inf),
+                where=used & (u * s > 0.0) & (S != b[:, None])))
+            times.append(np.divide(p, held - q, out=np.full_like(p, -np.inf),
+                                   where=release))
+        # per kind (drop, join, pin, release) the slot or coordinate that
+        # reaches its event first, and when; the first kind wins a tie
+        at = np.stack([np.argmax(np.minimum(t, lam[run][:, None], out=t),
+                                 axis=1) for t in times])
+        when = np.stack([t[rows, i] for t, i in zip(times, at)])
+        kind = np.argmax(when, axis=0)
+        nxt = np.maximum(np.max(when, axis=0), eta)
         stop = nxt <= eta  # the stop wins a tie
-        is_drop = ~stop & (drop_lam >= join_lam)
-        is_join = ~stop & ~is_drop
         done = stop | ~np.isfinite(nxt)  # NaN data ends here
         ri, ki = np.nonzero(stop[:, None] & used)
-        a[run[ri], S[ri, ki]] = v[ri, ki] - eta * w[ri, ki]
-        dr = np.flatnonzero(is_drop & ~done)
-        slots[run[dr], k[dr]] = -1
-        signs[run[dr], k[dr]] = 0.0
-        jn = np.flatnonzero(is_join & ~done)
-        vacant = np.argmin(used[jn], axis=1)  # the first free slot
-        slots[run[jn], vacant] = j[jn]
-        signs[run[jn], vacant] = join_sign[jn]
-        barred[run] = -1
-        barred[run[dr]] = S[dr, k[dr]]
+        a[run[ri], S[ri, ki]] = v[ri, ki] - eta * u[ri, ki]
+        barred[run], barred_sign[run] = -1, 0.0
+        # a drop or a pin empties its slot k
+        lv = np.flatnonzero(~done & (kind % 2 == 0))
+        k = at[kind[lv], lv]
+        slots[run[lv], k] = -1
+        signs[run[lv], k] = 0.0
+        barred[run[lv]] = S[lv, k]
+        barred_sign[run[lv]] = np.where(kind[lv] == 0, s[lv, k], 0.0)
+        # a join or a release takes the first free slot; a join takes the
+        # sign of c_j, a release keeps s_j
+        en = np.flatnonzero(~done & (kind % 2 == 1))
+        j = at[kind[en], en]
+        vacant = np.argmin(used[en], axis=1)
+        slots[run[en], vacant] = j
+        signs[run[en], vacant] = np.sign(p[en, j] + nxt[en] * q[en, j])
+        if halfwidth is not None:
+            a[run[stop]] += halfwidth * held[stop]
+            pins[run[lv], S[lv, k]] = np.where(kind[lv] == 2, s[lv, k], 0.0)
+            rl = kind[en] == 3
+            signs[run[en[rl]], vacant[rl]] = held[en[rl], j[rl]]
+            pins[run[en], j] = 0.0
+            barred[run[en]] = np.where(rl, j, -1)
         lam[run] = nxt
         run = run[~done]
-        del pq, p, q, cross  # before the next event allocates its own
+        del pq, p, q, times  # before the next event allocates its own
     return a
 
 
@@ -305,87 +306,46 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     """Per-step optima of ||y_t - X_t a||^2 + eta ||a||_1, all t at once.
 
     Optionally box-constrained to [-halfwidth, halfwidth] per coordinate
-    (clip after shrink is the exact composed prox). Two stages share one
-    acceptance test: a point is kept as its prox-gradient point p at step
-    1/L_t once the mapping norm ||p - a|| L_t is at most ``tol``.
-    First the exact lasso homotopy (``_lasso_path``, at most 4n events,
-    blind to the box) solves every problem at once; on the small default
-    designs it reaches eta in a few events and its points pass the test
-    up to rounding.
-    The problems it leaves (degenerate paths, a box that binds, paths out
-    of events) then run accelerated proximal gradient with gradient
-    restart from 0, one step size per problem (1/L_t). At every residual
-    check each running problem also tries an exact candidate guessed from
-    its prox-gradient point (``_support_candidate``) and keeps whichever of
-    the two has the smaller mapping norm. Problems that pass the test are
-    frozen so stragglers do not keep the whole batch busy.
-    Returns (optima, f_star, residuals); raises OptimumError at the first
-    nonfinite residual, or at ``max_iters`` with any problem above ``tol``.
+    (clip after shrink is the exact composed prox). A point is kept as its
+    prox-gradient point p at step 1/L_t once the mapping norm
+    ||p - a|| L_t is at most ``tol``. The exact lasso homotopy
+    (``_lasso_path``, at most 4n join, drop, pin and release events)
+    solves every problem at once; on the small default designs it
+    reaches eta in a few events and its points pass the test up to
+    rounding. Each problem it leaves (a degenerate design such as twin
+    columns, a path out of events) runs ``prox.prox_gradient`` alone,
+    from 0 with step 1/L_t for at most ``max_iters`` iterations.
+    Returns (optima, f_star, residuals); raises OptimumError for a problem
+    with nonfinite data, before any iteration, and for one that ends its
+    iterations above ``tol``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     T, d, n = X.shape
-    gram = np.einsum("tdn,ten->tde", X, X)
-    L = 2.0 * np.linalg.eigvalsh(gram)[:, -1]
-    step_all = 1.0 / np.where(L > 0.0, L, 1.0)  # as offline_optimum: X = 0
-
-    def prox(v, s):
-        w = np.sign(v) * np.maximum(np.abs(v) - s * eta, 0.0)
-        if halfwidth is not None:
-            w = np.clip(w, -halfwidth, halfwidth)
-        return w
-
-    def grad(a, Xa, Ya):
-        return 2.0 * np.einsum("tdn,td->tn", Xa,
-                               np.einsum("tdn,tn->td", Xa, a) - Ya)
-
-    s = step_all[:, None]
+    L = 2.0 * np.linalg.eigvalsh(np.einsum("tdn,ten->tde", X, X))[:, -1]
+    step = 1.0 / np.where(L > 0.0, L, 1.0)  # as offline_optimum: X = 0
+    dom = whole_space() if halfwidth is None else box(-halfwidth, halfwidth,
+                                                      dim=n)
+    s = step[:, None]
     with np.errstate(all="ignore"):  # a nonfinite path point fails the test
-        a = _lasso_path(X, Y, eta, max_events=4 * n)
-        out = prox(a - s * grad(a, X, Y), s)
-        out_res = np.linalg.norm(out - a, axis=1) / step_all
-    active = np.flatnonzero(~(out_res <= tol))  # NaN fails too
-    Xa, Ya = X[active], Y[active]
-    s = step_all[active][:, None]
-    a = np.zeros((active.size, n))
-    z = a.copy()
-    tmom = np.ones(active.size)
-    for it in range(1, max_iters + 1):
-        if active.size == 0:  # the exact stage solved every problem
-            break
-        a_new = prox(z - s * grad(z, Xa, Ya), s)
-        restart = np.einsum("tn,tn->t", z - a_new, a_new - a) > 0.0
-        tmom[restart] = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tmom ** 2))
-        z = a_new + ((tmom - 1.0) / t_next)[:, None] * (a_new - a)
-        a = a_new
-        tmom = t_next
-        if it % RESIDUAL_CHECK_EVERY == 0 or it == max_iters:
-            p = prox(a - s * grad(a, Xa, Ya), s)
-            res = np.linalg.norm(p - a, axis=1) / s[:, 0]
-            with np.errstate(all="ignore"):  # a nonfinite candidate loses
-                c = _support_candidate(p, grad(p, Xa, Ya), Xa, Ya, eta,
-                                       halfwidth)
-                pc = prox(c - s * grad(c, Xa, Ya), s)
-                res_c = np.linalg.norm(pc - c, axis=1) / s[:, 0]
-            better = res_c < res
-            p[better], res[better] = pc[better], res_c[better]
-            done = res <= tol
-            if np.any(done):
-                out[active[done]] = p[done]
-                out_res[active[done]] = res[done]
-                keep = ~done
-                if not np.any(keep):
-                    break
-                active = active[keep]
-                Xa, Ya = X[active], Y[active]
-                s = step_all[active][:, None]
-                a, z, tmom = a[keep], z[keep], tmom[keep]
-            if it == max_iters or not np.all(np.isfinite(res)):
-                raise OptimumError(float(np.max(res)), tol, it)
+        a = _lasso_path(X, Y, eta, 4 * n, halfwidth)
+        v = a - s * (2.0 * np.einsum("tdn,td->tn", X,
+                                     np.einsum("tdn,tn->td", X, a) - Y))
+        out = dom.project(np.sign(v) * np.maximum(np.abs(v) - s * eta, 0.0))
+        residuals = np.linalg.norm(out - a, axis=1) / step
+    left = np.flatnonzero(~(residuals <= tol))  # NaN fails too
+    if not (np.all(np.isfinite(X[left])) and np.all(np.isfinite(Y[left]))):
+        raise OptimumError(np.nan, tol, 0)
+    for t in left:
+        Xt, yt = X[t], Y[t]
+        out[t], residuals[t], converged, iters = prox_gradient(
+            lambda x: 2.0 * (Xt.T @ (Xt @ x - yt)), l1_rule(eta), dom,
+            np.zeros(n), step[t], tol, max_iters)
+        if not converged:
+            raise OptimumError(residuals[t], tol, iters)
     r = np.einsum("tdn,tn->td", X, out) - Y
     f_star = np.einsum("td,td->t", r, r) + eta * np.sum(np.abs(out), axis=1)
-    return out, f_star, out_res
+    return out, f_star, residuals
 
 
 @dataclass
@@ -470,8 +430,10 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
                  optimum_tol: float = OPTIMUM_TOL_DEFAULT):
     """Wire the regression stream through the solver, both variants.
 
-    Per-step optima are computed once (batched for the whole-space and box
-    cases, generic oracle otherwise) and shared across variants. Writes
+    Per-step optima are computed once and shared across variants: on the
+    whole space or a box by ``lasso_optima_batch`` (one batched lasso path,
+    pin and release events included), on a ball or simplex by the generic
+    oracle ``regret.stream_optima``. Writes
     trace.csv, bound.csv, bound_state.csv, and coefficients.csv per
     variant when ``out_dir`` is given. Returns a dict keyed by variant.
     """

@@ -29,7 +29,7 @@ from .losses import CompositeLossStep, Domain, ErrorModel
 
 INNER_TOL_DEFAULT = 1e-9
 INNER_MAX_ITERS = 10_000
-#: residual check cadence of prox_gradient and lasso_optima_batch
+#: residual check cadence of prox_gradient and separation_optima
 RESIDUAL_CHECK_EVERY = 10
 
 
@@ -216,15 +216,16 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
     """FISTA with gradient restart on g + h over the domain, fixed step.
 
     ``grad`` is grad g, ``rule`` the prox of h, ``x0`` feasible, ``step``
-    1/L for an L-smooth g. Returns (p, residual, converged): the
-    prox-gradient point of the last checked iterate and its mapping norm.
-    It stops unconverged when the budget runs out or the residual turns
-    nonfinite, as it does when the step exceeds 2/L; the overflow on the
-    way there is silenced, as the nonfinite residual already reports it.
+    1/L for an L-smooth g. Returns (p, residual, converged, iterations):
+    the prox-gradient point of the last checked iterate, its mapping norm,
+    and the number of iterations run. It stops unconverged when the budget
+    runs out or the residual turns nonfinite, as it does when the step
+    exceeds 2/L; the overflow on the way there is silenced, as the
+    nonfinite residual already reports it.
     """
     x = z = x0
     t = 1.0
-    p, residual = x0, np.inf
+    p, residual, it = x0, np.inf, 0
     for it in range(1, max_iters + 1):
         x_new = composed_prox(rule, domain, z - step * grad(z), step)
         if float(np.dot(z - x_new, x_new - x)) > 0.0:
@@ -236,10 +237,10 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
         if it % RESIDUAL_CHECK_EVERY == 0 or it == 1:
             p, residual = _prox_gradient_point(grad, rule, domain, x, step)
             if residual <= tol:
-                return p, residual, True
+                return p, residual, True, it
             if not np.isfinite(residual):
                 break
-    return p, residual, False
+    return p, residual, False, it
 
 
 def _inner_solve(rule, gen: DistanceGenerator, domain: Domain, lam: float,
@@ -257,11 +258,11 @@ def _inner_solve(rule, gen: DistanceGenerator, domain: Domain, lam: float,
         return c + (gen.gradient(x) - grad_anchor) / lam
 
     # 1/(G_omega/lam), not lam/G_omega: recorded traces rest on its last bit
-    y, residual, converged = prox_gradient(
+    y, residual, converged, iterations = prox_gradient(
         smooth_grad, rule, domain, domain.project(anchor),
         1.0 / (gen.g_omega / lam), tol, INNER_MAX_ITERS)
     if not converged:
-        raise InnerSolverError(residual, tol, INNER_MAX_ITERS)
+        raise InnerSolverError(residual, tol, iterations)
     return y, 2.0 * residual * lam / gen.sigma_omega
 
 

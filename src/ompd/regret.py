@@ -64,11 +64,11 @@ def offline_optimum(step: CompositeLossStep, domain: Domain,
     """
     x = np.zeros(step.dim) if x0 is None else np.array(x0, dtype=float)
     L = step.smoothness_constant
-    x_star, residual, converged = prox_gradient(
+    x_star, residual, converged, iterations = prox_gradient(
         step.smooth_gradient, step.prox_handle, domain, domain.project(x),
         1.0 / L if L > 0 else 1.0, tol, max_iters)
     if not converged:
-        raise OptimumError(residual, tol, max_iters)
+        raise OptimumError(residual, tol, iterations)
     return x_star, step.total_value(x_star)
 
 

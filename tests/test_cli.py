@@ -288,6 +288,19 @@ class TestRun:
         assert code == 2
         assert "diameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_bad_optimum_tol_names_key(self, tmp_path, capsys, command,
+                                       value):
+        """-1 or nan ran the oracle to its budget, then exited 1."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX1_SMALL + f"optimum_tol = {value}\n")
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'optimum_tol'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", ROUND_TRIPS.values(),
                              ids=ROUND_TRIPS.keys())
     def test_run_config_rebuilds_the_run(self, tmp_path, monkeypatch, text):

@@ -11,10 +11,10 @@ from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   euclidean_generator, fill_optima, l1_rule,
                   ledger_from_trace, offline_optimum, prox, recursion_bound,
                   run, theorem_rhs, whole_space, zero_error_model, zero_rule)
-from ompd import experiments
+from ompd import experiments, regret
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
-                              _support_candidate, generate_gauss_markov,
-                              generate_separation, lasso_optima_batch)
+                              generate_gauss_markov, generate_separation,
+                              lasso_optima_batch)
 from ompd.solver import RunTrace
 
 EUCLID = euclidean_generator()
@@ -126,6 +126,7 @@ class TestOfflineOptimum:
                 offline_optimum(_underdeclared_step(), whole_space(),
                                 tol=1e-10)
         assert not np.isfinite(err.value.residual)
+        assert err.value.iterations < regret.OPTIMUM_MAX_ITERS
         assert len(calls) < 2000
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -142,14 +143,29 @@ class TestOfflineOptimum:
         assert len(calls) < 1000
 
     def test_batch_out_of_budget_raises(self):
-        """A box that binds leaves its problems to the iterative stage."""
+        """Twin columns under a binding box leave step 4 to the fallback."""
         cfg = GaussMarkovConfig(horizon=20, seed=9)
         _, truth = generate_gauss_markov(cfg)
+        X = truth["X"].copy()
+        X[3, :, 1] = X[3, :, 0]
         with pytest.raises(OptimumError) as err:
-            lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+            lasso_optima_batch(X, truth["Y"], cfg.eta,
                                halfwidth=0.2, tol=1e-12, max_iters=5)
         assert err.value.residual > 1e-12
         assert err.value.iterations == 5
+
+
+def _spy_fallback(monkeypatch):
+    """Record grad g(0) of each problem that reaches prox_gradient."""
+    calls = []
+    kernel = experiments.prox_gradient
+
+    def spy(grad, *args):
+        calls.append(grad(np.zeros(args[2].size)))
+        return kernel(grad, *args)
+
+    monkeypatch.setattr(experiments, "prox_gradient", spy)
+    return calls
 
 
 class TestLassoOptimaBatch:
@@ -175,15 +191,17 @@ class TestLassoOptimaBatch:
         grad = 2.0 * X[0].T @ (X[0] @ optima[0] - Y[0])
         assert np.max(np.abs(grad)) <= cfg.eta * (1.0 + 1e-9)
 
-    def test_singular_system_spares_the_rest_of_the_stack(self):
-        """np.linalg.solve raises for a whole stack with one singular A."""
-        X = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],    # twin columns
+    def test_twin_columns_alone_reach_the_fallback(self, monkeypatch):
+        """A singular system must not spoil the path of the rest."""
+        X = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],    # twin columns
                       [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-        Y = np.array([[1.0, 1.0], [2.0, -3.0]])
-        p = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.0]])
-        g = 2.0 * np.einsum("tdn,td->tn", X, np.einsum("tdn,tn->td", X, p) - Y)
-        c = _support_candidate(p, g, X, Y, 1.0, None)
-        np.testing.assert_allclose(c[1], [1.5, -2.5, 0.0], rtol=1e-12)
+        Y = np.array([[1.0, 2.0], [2.0, -3.0]])
+        calls = _spy_fallback(monkeypatch)
+        optima, _, residuals = lasso_optima_batch(X, Y, 1.0)
+        assert np.all(residuals <= 1e-9)
+        np.testing.assert_allclose(optima[1], [1.5, -2.5, 0.0], rtol=1e-12)
+        assert len(calls) == 1  # the twin problem: grad g(0) = -2 X^T y
+        np.testing.assert_array_equal(calls[0], -2.0 * X[0].T @ Y[0])
 
     @pytest.mark.parametrize("halfwidth", [None, 0.5])
     def test_stream_optima_meet_tolerance_and_oracle(self, halfwidth):
@@ -210,16 +228,25 @@ class TestLassoOptimaBatch:
         assert optima.shape == (0, 30)
         assert f_star.shape == residuals.shape == (0,)
 
-    def test_exact_stage_solves_a_whole_space_stream(self, monkeypatch):
-        """The iterative stage, with its candidate, is never entered."""
-        def spy(*args):
-            raise AssertionError("_support_candidate was called")
-
-        monkeypatch.setattr(experiments, "_support_candidate", spy)
-        cfg = GaussMarkovConfig(horizon=2000, seed=7)
+    @pytest.mark.parametrize("halfwidth, seed, horizon, row", [
+        (None, 7, 2000, None), (0.5, 7, 2000, None), (0.2, 7, 2000, None),
+        # rows (0-based) where a coordinate dropped at one event rejoins
+        # with the other sign at the next: a bar on both signs left them to
+        # the fallback
+        (0.2, 7, 5000, 1257), (0.2, 8, 5000, 567)])
+    def test_path_solves_a_stream(self, monkeypatch, halfwidth, seed,
+                                  horizon, row):
+        """The fallback is never entered, on the whole space or a box."""
+        calls = _spy_fallback(monkeypatch)
+        cfg = GaussMarkovConfig(horizon=horizon, seed=seed)
         _, truth = generate_gauss_markov(cfg)
-        _, _, residuals = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta)
+        X, Y = truth["X"], truth["Y"]
+        if row is not None:
+            X, Y = X[row:row + 1], Y[row:row + 1]
+        _, _, residuals = lasso_optima_batch(X, Y, cfg.eta,
+                                             halfwidth=halfwidth)
         assert np.all(residuals <= 1e-9)
+        assert calls == []
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 4), n=st.integers(1, 12),
