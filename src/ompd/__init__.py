@@ -1,8 +1,7 @@
 """Inexact online proximal mirror descent with regret instrumentation."""
 
-from .bregman import (BregmanValue, DistanceGenerator, check_pythagorean,
-                      check_three_point, divergence, divergence_gradient,
-                      divergence_with_gradient, euclidean_generator,
+from .bregman import (DistanceGenerator, check_pythagorean, check_three_point,
+                      divergence, divergence_gradient, euclidean_generator,
                       negative_entropy_generator)
 from .errors import (CompositionError, DimensionMismatchError,
                      InnerSolverError, MissingOptimaError, OmpdError,
@@ -17,12 +16,11 @@ from .experiments import (ExperimentResult, GaussMarkovConfig,
                           separation_f1, separation_optima,
                           separation_smoothness)
 from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,
-                     ProblemStream, ball, box, noisy_gradient, simplex,
-                     validate_constants, whole_space, zero_error_model)
-from .prox import (BlockRule, ProxRule, SubproblemSpec, block_rule,
-                   composed_prox, exact_mirror_prox, inexact_mirror_prox,
-                   l1_rule, nuclear_rule, singular_value_threshold,
-                   soft_threshold, subproblem_solver, subproblem_value,
+                     ProblemStream, ball, box, simplex, validate_constants,
+                     whole_space, zero_error_model)
+from .prox import (BlockRule, ProxRule, block_rule, composed_prox,
+                   inexact_mirror_prox, l1_rule, nuclear_rule,
+                   singular_value_threshold, soft_threshold, subproblem_solver,
                    zero_rule)
 from .regret import (BoundLedger, certified_margin, dynamic_regret,
                      fill_optima, ledger_from_trace, offline_optimum,

@@ -53,14 +53,6 @@ class DistanceGenerator:
             raise ValueError("g_omega must be at least sigma_omega")
 
 
-@dataclass(frozen=True)
-class BregmanValue:
-    """Divergence value paired with its derivative in the first argument."""
-
-    divergence: float
-    first_gradient: np.ndarray
-
-
 def euclidean_generator() -> DistanceGenerator:
     """Half squared norm; divergence is half the squared distance."""
     return DistanceGenerator(
@@ -135,10 +127,6 @@ def divergence_gradient(gen: DistanceGenerator, x, y) -> np.ndarray:
     """Derivative of V(., y) at x, i.e. grad w(x) - grad w(y)."""
     x, y = _as_pair(x, y)
     return gen.gradient(x) - gen.gradient(y)
-
-
-def divergence_with_gradient(gen: DistanceGenerator, x, y) -> BregmanValue:
-    return BregmanValue(divergence(gen, x, y), divergence_gradient(gen, x, y))
 
 
 def check_three_point(gen: DistanceGenerator, x, y, z) -> float:

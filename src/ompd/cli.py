@@ -25,7 +25,8 @@ Exit codes:
     0  success
     1  certified bound violated, or a run failed mid-stream
     2  configuration parse or validation error
-    3  output directory nonempty and --overwrite not given
+    3  output directory refused: nonempty and --overwrite not given, or
+       not creatable (an existing file, or a path under one)
     4  run_config.cfg missing, or a bound_state.csv missing or unreadable
     5  sanity violation in bound_state.csv (some f_k(x_k) below
        f_k(x_k*), or a nonfinite gap)
@@ -271,7 +272,12 @@ def cmd_run(args) -> int:
         print(f"output directory {out_dir} is not empty; pass --overwrite",
               file=sys.stderr)
         return EXIT_OVERWRITE
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory {out_dir} cannot be created: "
+              f"{exc.strerror}", file=sys.stderr)
+        return EXIT_OVERWRITE
 
     try:
         results = exp.run(cfg, domain, out_dir=out_dir, variants=variants,

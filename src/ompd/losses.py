@@ -109,7 +109,10 @@ class CompositeLossStep:
 
     ``smoothness_constant`` bounds the curvature of the smooth part and
     ``regularizer_lipschitz`` the Lipschitz constant of the nonsmooth part;
-    both are declared metadata, checked by :func:`validate_constants`.
+    both are declared metadata. ``ompd verify`` checks the recorded values
+    of the built-in experiments against their closed forms
+    (``gauss_markov_constants``, ``separation_constants``);
+    :func:`validate_constants` is a sampled check that the tests use.
     ``prox_handle`` resolves to an exact prox rule (see the prox module).
     """
 
@@ -292,12 +295,6 @@ class ErrorModel:
 
 def zero_error_model(seed: int = 0) -> ErrorModel:
     return ErrorModel(gradient_std=0.0, prox_std=0.0, seed=seed)
-
-
-def noisy_gradient(step: CompositeLossStep, model: ErrorModel, k: int,
-                   x: np.ndarray) -> np.ndarray:
-    """Exact gradient plus the model's step-k error draw."""
-    return step.smooth_gradient(x) + model.gradient_error(k, step.dim)
 
 
 @dataclass(frozen=True)

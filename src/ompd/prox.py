@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DistanceGenerator, divergence
+from .bregman import DistanceGenerator
 from .errors import (CompositionError, InnerSolverError, StepSizeError,
                      SvdError)
-from .losses import CompositeLossStep, Domain, ErrorModel
+from .losses import Domain, ErrorModel
 
 INNER_TOL_DEFAULT = 1e-9
 INNER_MAX_ITERS = 10_000
@@ -160,54 +160,9 @@ def check_step_size(step_size: float, smoothness: float,
         raise StepSizeError(step_size, smoothness, sigma_omega)
 
 
-@dataclass(frozen=True)
-class SubproblemSpec:
-    """One mirror step: anchor, noisy gradient, geometry, and domain.
-
-    The step size is checked against this step's L (``check_step_size``)
-    unless ``allow_oversized_step`` is set, which skips the check.
-    ``solver.run`` builds no spec: it checks the step size once against
-    the largest L of the stream and calls ``subproblem_solver`` maps.
-    """
-
-    loss: CompositeLossStep
-    gen: DistanceGenerator
-    anchor: np.ndarray
-    noisy_grad: np.ndarray
-    step_size: float
-    domain: Domain
-    inner_tolerance: float = INNER_TOL_DEFAULT
-    allow_oversized_step: bool = False
-
-    def __post_init__(self):
-        if not self.allow_oversized_step:
-            check_step_size(self.step_size, self.loss.smoothness_constant,
-                            self.gen.sigma_omega)
-
-    def solver(self):
-        """``subproblem_solver`` for this step's rule, geometry and domain."""
-        return subproblem_solver(self.loss.prox_handle, self.gen, self.domain,
-                                 self.step_size, self.inner_tolerance)
-
-
-def subproblem_value(spec: SubproblemSpec, x) -> float:
-    """Phi(x) for the step; domain membership is the caller's concern."""
-    x = np.asarray(x, dtype=float)
-    return (float(spec.loss.nonsmooth_value(x))
-            + float(np.dot(spec.noisy_grad, x))
-            + divergence(spec.gen, x, spec.anchor) / spec.step_size)
-
-
 def _prox_gradient_point(grad, rule, domain: Domain, x, step: float):
     p = composed_prox(rule, domain, x - step * grad(x), step)
     return p, float(np.linalg.norm(x - p)) / step
-
-
-def gradient_mapping_norm(step: CompositeLossStep, domain: Domain,
-                          x: np.ndarray, scale: float) -> float:
-    """Prox-gradient mapping norm of one step at x; ``prox_gradient``'s."""
-    return _prox_gradient_point(step.smooth_gradient, step.prox_handle,
-                                domain, x, scale)[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -216,12 +171,13 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
     """FISTA with gradient restart on g + h over the domain, fixed step.
 
     ``grad`` is grad g, ``rule`` the prox of h, ``x0`` feasible, ``step``
-    1/L for an L-smooth g. Returns (p, residual, converged, iterations):
-    the prox-gradient point of the last checked iterate, its mapping norm,
-    and the number of iterations run. It stops unconverged when the budget
-    runs out or the residual turns nonfinite, as it does when the step
-    exceeds 2/L; the overflow on the way there is silenced, as the
-    nonfinite residual already reports it.
+    1/L for an L-smooth g. The residual is checked at iteration 1, every
+    ``RESIDUAL_CHECK_EVERY`` iterations and at the last one. Returns (p,
+    residual, converged, iterations): the prox-gradient point of the last
+    checked iterate, its mapping norm, and the number of iterations run.
+    It stops unconverged when the budget runs out or the residual turns
+    nonfinite, as it does when the step exceeds 2/L; the overflow on the
+    way there is silenced, as the nonfinite residual already reports it.
     """
     x = z = x0
     t = 1.0
@@ -234,7 +190,7 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x = x_new
         t = t_new
-        if it % RESIDUAL_CHECK_EVERY == 0 or it == 1:
+        if it % RESIDUAL_CHECK_EVERY == 0 or it in (1, max_iters):
             p, residual = _prox_gradient_point(grad, rule, domain, x, step)
             if residual <= tol:
                 return p, residual, True, it
@@ -296,12 +252,6 @@ def subproblem_solver(rule, gen: DistanceGenerator, domain: Domain,
             return solve
     return functools.partial(_inner_solve, rule, gen, domain, lam,
                              inner_tolerance)
-
-
-def exact_mirror_prox(spec: SubproblemSpec) -> np.ndarray:
-    """Minimize Phi over the domain; closed form when one exists."""
-    y, _ = spec.solver()(spec.anchor, spec.noisy_grad)
-    return y
 
 
 def inexact_mirror_prox(solve, domain: Domain, anchor, noisy_grad,

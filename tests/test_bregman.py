@@ -5,8 +5,7 @@ import pytest
 
 from ompd import (DimensionMismatchError, check_pythagorean,
                   check_three_point, divergence, divergence_gradient,
-                  divergence_with_gradient, euclidean_generator,
-                  negative_entropy_generator)
+                  euclidean_generator, negative_entropy_generator)
 from ompd.bregman import FD_STEP, DistanceGenerator
 
 EUCLID = euclidean_generator()
@@ -115,14 +114,6 @@ class TestDivergenceGradient:
             fd[j] = (divergence(ENTROPY, x + e, y)
                      - divergence(ENTROPY, x - e, y)) / (2.0 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-5)
-
-    def test_with_gradient_bundle(self):
-        x = np.array([0.4, 0.6])
-        y = np.array([0.2, 0.8])
-        bundle = divergence_with_gradient(ENTROPY, x, y)
-        assert bundle.divergence == divergence(ENTROPY, x, y)
-        np.testing.assert_array_equal(bundle.first_gradient,
-                                      divergence_gradient(ENTROPY, x, y))
 
 
 class TestIdentities:

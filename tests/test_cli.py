@@ -116,6 +116,20 @@ class TestRun:
         code3, _ = _run_example1(tmp_path, extra=("--overwrite",))
         assert code3 == 0
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_that_cannot_be_a_directory_refused(self, tmp_path, capsys,
+                                                    under_file):
+        """--out at an existing file, or below one, exits 3 naming it."""
+        (tmp_path / "results").write_text("not a directory\n")
+        out = tmp_path / "results"
+        if under_file:
+            out = out / "run"
+        code = main(["run", "--experiment", "example1", "--seed", "7",
+                     "--horizon", "40", "--out", str(out), "--overwrite"])
+        assert code == 3
+        assert str(out) in capsys.readouterr().err
+        assert (tmp_path / "results").read_text() == "not a directory\n"
+
     def test_malformed_config_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[example1]\nalpha = fast\n")

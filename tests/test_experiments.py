@@ -13,7 +13,6 @@ from ompd import (GaussMarkovConfig, OptimumError, SeparationConfig,
                   separation_f1, separation_optima, separation_smoothness,
                   stream_optima, validate_constants)
 from ompd import experiments
-from ompd.prox import gradient_mapping_norm
 
 
 class TestGaussMarkovGenerator:
@@ -452,9 +451,10 @@ class TestRunExample2:
         stream, _ = generate_separation(cfg)
         results, _ = run_example2(cfg, optimum_tol=1e-7)
         trace = results["exact"].trace
-        resid = gradient_mapping_norm(stream.step_at(cfg.horizon),
-                                      stream.domain, trace.iterates[-1],
-                                      cfg.alpha_L)
+        step = stream.step_at(cfg.horizon)
+        resid = prox._prox_gradient_point(
+            step.smooth_gradient, step.prox_handle, stream.domain,
+            trace.iterates[-1], cfg.alpha_L)[1]
         assert resid <= 1e-6
 
     def test_objective_nonincreasing_on_static_data(self):

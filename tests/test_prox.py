@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from ompd import (CompositeLossStep, CompositionError, ErrorModel,
-                  StepSizeError, SubproblemSpec, SvdError, ball, box,
-                  composed_prox, euclidean_generator, exact_mirror_prox,
-                  inexact_mirror_prox, l1_rule, negative_entropy_generator,
-                  nuclear_rule, simplex, singular_value_threshold,
-                  soft_threshold, subproblem_value, whole_space,
-                  zero_error_model, zero_rule)
-from ompd.prox import _inner_solve
+                  StepSizeError, SvdError, ball, box, composed_prox,
+                  divergence, euclidean_generator, inexact_mirror_prox,
+                  l1_rule, negative_entropy_generator, nuclear_rule, simplex,
+                  singular_value_threshold, soft_threshold, subproblem_solver,
+                  whole_space, zero_error_model, zero_rule)
+from ompd.prox import INNER_TOL_DEFAULT, _inner_solve, check_step_size
 
 EUCLID = euclidean_generator()
 
@@ -52,6 +51,13 @@ def _zero_step(dim):
         nonsmooth_value=lambda x: 0.0,
         smoothness_constant=1.0, regularizer_lipschitz=0.0,
         prox_handle=zero_rule(), dim=dim)
+
+
+def _phi(step, gen, anchor, grad, lam, x):
+    """Phi(x) = h(x) + <grad, x> + V(x, anchor) / lam of one mirror step."""
+    x = np.asarray(x, dtype=float)
+    return (float(step.nonsmooth_value(x)) + float(np.dot(grad, x))
+            + divergence(gen, x, anchor) / lam)
 
 
 class TestSoftThreshold:
@@ -171,21 +177,17 @@ class TestExactMirrorProx:
         rng = np.random.default_rng(8)
         anchor = rng.normal(size=5)
         grad = rng.normal(size=5)
-        spec = SubproblemSpec(loss=_zero_step(5), gen=EUCLID, anchor=anchor,
-                              noisy_grad=grad, step_size=0.5,
-                              domain=whole_space())
-        np.testing.assert_array_equal(exact_mirror_prox(spec),
+        solve = subproblem_solver(zero_rule(), EUCLID, whole_space(), 0.5)
+        np.testing.assert_array_equal(solve(anchor, grad)[0],
                                       anchor - 0.5 * grad)
 
     def test_l1_reduces_to_soft_threshold(self):
         rng = np.random.default_rng(9)
         anchor = rng.normal(size=5)
         grad = rng.normal(size=5)
-        spec = SubproblemSpec(loss=_l1_step(0.4, 5), gen=EUCLID, anchor=anchor,
-                              noisy_grad=grad, step_size=0.5,
-                              domain=whole_space())
+        solve = subproblem_solver(l1_rule(0.4), EUCLID, whole_space(), 0.5)
         np.testing.assert_array_equal(
-            exact_mirror_prox(spec),
+            solve(anchor, grad)[0],
             soft_threshold(anchor - 0.5 * grad, 0.5 * 0.4))
 
     def test_multiplicative_weights_matches_grid_oracle(self):
@@ -194,17 +196,17 @@ class TestExactMirrorProx:
         anchor = np.array([0.6, 0.4])
         grad = np.array([1.3, -0.7])
         lam = 0.2
-        spec = SubproblemSpec(loss=_zero_step(2), gen=gen, anchor=anchor,
-                              noisy_grad=grad, step_size=lam,
-                              domain=simplex(2), allow_oversized_step=True)
-        y = exact_mirror_prox(spec)
+        y = subproblem_solver(zero_rule(), gen, simplex(2), lam)(anchor,
+                                                                 grad)[0]
         expected = anchor * np.exp(-lam * grad)
         expected /= expected.sum()
         np.testing.assert_allclose(y, expected, rtol=1e-12)
+        step = _zero_step(2)
         lo, hi = 0.0, 1.0
         for _ in range(8):
             ps = np.linspace(lo, hi, 201)
-            vals = [subproblem_value(spec, np.array([p, 1.0 - p])) for p in ps]
+            vals = [_phi(step, gen, anchor, grad, lam, np.array([p, 1.0 - p]))
+                    for p in ps]
             j = int(np.argmin(vals))
             h = ps[1] - ps[0]
             lo, hi = max(0.0, ps[j] - 2 * h), min(1.0, ps[j] + 2 * h)
@@ -216,24 +218,25 @@ class TestExactMirrorProx:
         dom = box(-1.0, 1.0, dim=6)
         anchor = dom.project(rng.normal(size=6))
         grad = rng.normal(size=6)
-        spec = SubproblemSpec(loss=_l1_step(0.3, 6), gen=EUCLID, anchor=anchor,
-                              noisy_grad=grad, step_size=0.4, domain=dom)
-        y = exact_mirror_prox(spec)
-        fy = subproblem_value(spec, y)
+        step = _l1_step(0.3, 6)
+        y = subproblem_solver(step.prox_handle, EUCLID, dom, 0.4)(anchor,
+                                                                  grad)[0]
+        fy = _phi(step, EUCLID, anchor, grad, 0.4, y)
         for _ in range(10_000):
             u = dom.project(y + rng.normal(scale=0.1, size=6))
-            assert fy <= subproblem_value(spec, u) + 1e-10
+            assert fy <= _phi(step, EUCLID, anchor, grad, 0.4, u) + 1e-10
 
     def test_monotone_step(self):
         rng = np.random.default_rng(11)
+        step = _l1_step(0.2, 5)
+        solve = subproblem_solver(step.prox_handle, EUCLID, whole_space(),
+                                  0.7)
         for _ in range(50):
             anchor = rng.normal(size=5)
             grad = rng.normal(size=5)
-            spec = SubproblemSpec(loss=_l1_step(0.2, 5), gen=EUCLID,
-                                  anchor=anchor, noisy_grad=grad,
-                                  step_size=0.7, domain=whole_space())
-            y = exact_mirror_prox(spec)
-            assert subproblem_value(spec, y) <= subproblem_value(spec, anchor)
+            y = solve(anchor, grad)[0]
+            assert (_phi(step, EUCLID, anchor, grad, 0.7, y)
+                    <= _phi(step, EUCLID, anchor, grad, 0.7, anchor))
 
     def test_matches_independent_proximal_gradient_step(self):
         """Bitwise agreement with a directly coded classical step."""
@@ -241,23 +244,21 @@ class TestExactMirrorProx:
         anchor = rng.normal(size=8)
         grad = rng.normal(size=8)
         lam, eta = 0.3, 0.25
-        spec = SubproblemSpec(loss=_l1_step(eta, 8), gen=EUCLID, anchor=anchor,
-                              noisy_grad=grad, step_size=lam,
-                              domain=whole_space())
+        solve = subproblem_solver(l1_rule(eta), EUCLID, whole_space(), lam)
         v = anchor - lam * grad
         classical = np.sign(v) * np.maximum(np.abs(v) - lam * eta, 0.0)
-        np.testing.assert_array_equal(exact_mirror_prox(spec), classical)
+        np.testing.assert_array_equal(solve(anchor, grad)[0], classical)
 
     def test_step_size_rule_enforced(self):
-        step = _l1_step(0.1, 4)
+        """0 < step <= 2 sigma_omega / L, here 2 / 1: 5 is refused."""
+        L = _l1_step(0.1, 4).smoothness_constant
         with pytest.raises(StepSizeError) as err:
-            SubproblemSpec(loss=step, gen=EUCLID, anchor=np.zeros(4),
-                           noisy_grad=np.zeros(4), step_size=5.0,
-                           domain=whole_space())
+            check_step_size(5.0, L, EUCLID.sigma_omega)
         assert "sigma_omega" in str(err.value)
-        SubproblemSpec(loss=step, gen=EUCLID, anchor=np.zeros(4),
-                       noisy_grad=np.zeros(4), step_size=5.0,
-                       domain=whole_space(), allow_oversized_step=True)
+        check_step_size(2.0, L, EUCLID.sigma_omega)
+        for bad in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError):
+                check_step_size(bad, L, EUCLID.sigma_omega)
 
 
 class TestInnerSolver:
@@ -265,13 +266,10 @@ class TestInnerSolver:
         rng = np.random.default_rng(13)
         anchor = rng.normal(size=5)
         grad = rng.normal(size=5)
-        spec = SubproblemSpec(loss=_l1_step(0.3, 5), gen=EUCLID, anchor=anchor,
-                              noisy_grad=grad, step_size=0.5,
-                              domain=whole_space())
-        closed = exact_mirror_prox(spec)
-        iterative, bound = _inner_solve(
-            spec.loss.prox_handle, spec.gen, spec.domain, spec.step_size,
-            spec.inner_tolerance, spec.anchor, spec.noisy_grad)
+        rule, dom = l1_rule(0.3), whole_space()
+        closed = subproblem_solver(rule, EUCLID, dom, 0.5)(anchor, grad)[0]
+        iterative, bound = _inner_solve(rule, EUCLID, dom, 0.5,
+                                        INNER_TOL_DEFAULT, anchor, grad)
         assert bound <= 2e-9 * 0.5 / 1.0 * 2
         np.testing.assert_allclose(iterative, closed, atol=1e-8)
 
@@ -280,17 +278,16 @@ class TestInnerSolver:
         dom = box(0.2, 1.0, dim=2)
         anchor = np.array([0.5, 0.5])
         grad = np.array([0.8, -0.3])
-        spec = SubproblemSpec(loss=_zero_step(2), gen=gen, anchor=anchor,
-                              noisy_grad=grad, step_size=0.3, domain=dom,
-                              allow_oversized_step=True)
-        y, _ = _inner_solve(spec.loss.prox_handle, gen, dom, spec.step_size,
-                            spec.inner_tolerance, anchor, grad)
+        step = _zero_step(2)
+        y, _ = _inner_solve(step.prox_handle, gen, dom, 0.3,
+                            INNER_TOL_DEFAULT, anchor, grad)
         lo = np.array([0.2, 0.2])
         hi = np.array([1.0, 1.0])
         for _ in range(7):
             g1 = np.linspace(lo[0], hi[0], 61)
             g2 = np.linspace(lo[1], hi[1], 61)
-            vals = np.array([[subproblem_value(spec, np.array([a, b]))
+            vals = np.array([[_phi(step, gen, anchor, grad, 0.3,
+                                   np.array([a, b]))
                               for b in g2] for a in g1])
             i, j = np.unravel_index(np.argmin(vals), vals.shape)
             h1, h2 = g1[1] - g1[0], g2[1] - g2[0]
@@ -301,39 +298,34 @@ class TestInnerSolver:
 
 
 class TestInexactMirrorProx:
-    def _spec(self, dom, dim=6, seed=14):
+    @staticmethod
+    def _args(dom, dim=6, seed=14):
+        """``inexact_mirror_prox``'s solver, domain, anchor and gradient."""
         rng = np.random.default_rng(seed)
         anchor = dom.project(rng.normal(size=dim))
         grad = rng.normal(size=dim)
-        return SubproblemSpec(loss=_l1_step(0.2, dim), gen=EUCLID,
-                              anchor=anchor, noisy_grad=grad, step_size=0.5,
-                              domain=dom)
-
-    @staticmethod
-    def _args(spec):
-        """``inexact_mirror_prox``'s solver, domain, anchor and gradient."""
-        return spec.solver(), spec.domain, spec.anchor, spec.noisy_grad
+        return (subproblem_solver(l1_rule(0.2), EUCLID, dom, 0.5), dom,
+                anchor, grad)
 
     def test_zero_model_returns_exact_solution(self):
-        spec = self._spec(whole_space())
-        x, y, eps = inexact_mirror_prox(*self._args(spec), zero_error_model(),
-                                        1)
+        x, y, eps = inexact_mirror_prox(*self._args(whole_space()),
+                                        zero_error_model(), 1)
         np.testing.assert_array_equal(x, y)
         assert eps == 0.0
 
     def test_capped_offset_respected_over_1000_draws(self):
-        spec = self._spec(whole_space())
+        args = self._args(whole_space())
         model = ErrorModel(prox_std=1.0, eps_cap=0.05, seed=15)
         for k in range(1, 1001):
-            x, y, eps = inexact_mirror_prox(*self._args(spec), model, k)
+            x, y, eps = inexact_mirror_prox(*args, model, k)
             assert np.linalg.norm(x - y) <= 0.05 + 1e-14
             assert np.linalg.norm(x - y) <= eps + 1e-14
 
     def test_projection_keeps_contract_on_bounded_domain(self):
         dom = ball(1.0)
-        spec = self._spec(dom)
+        args = self._args(dom)
         model = ErrorModel(prox_std=0.5, seed=16)
         for k in range(1, 500):
-            x, y, eps = inexact_mirror_prox(*self._args(spec), model, k)
+            x, y, eps = inexact_mirror_prox(*args, model, k)
             assert np.linalg.norm(x) <= 0.5 + 1e-12
             assert np.linalg.norm(x - y) <= eps + 1e-14

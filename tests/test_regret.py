@@ -154,6 +154,26 @@ class TestOfflineOptimum:
         assert err.value.residual > 1e-12
         assert err.value.iterations == 5
 
+    @pytest.mark.parametrize("budget", [5, 9])
+    def test_batch_out_of_budget_reports_the_last_residual(self, budget,
+                                                           monkeypatch):
+        """A budget between residual checks reports its last iterate's
+        residual: the one a check at every iteration reports."""
+        cfg = GaussMarkovConfig(horizon=20, seed=9)
+        _, truth = generate_gauss_markov(cfg)
+        X = truth["X"].copy()
+        X[3, :, 1] = X[3, :, 0]
+
+        def residual():
+            with pytest.raises(OptimumError) as err:
+                lasso_optima_batch(X, truth["Y"], cfg.eta, halfwidth=0.2,
+                                   tol=1e-12, max_iters=budget)
+            return err.value.residual
+
+        reported = residual()
+        monkeypatch.setattr(prox, "RESIDUAL_CHECK_EVERY", 1)
+        assert reported == residual()
+
 
 def _spy_fallback(monkeypatch):
     """Record grad g(0) of each problem that reaches prox_gradient."""

@@ -15,7 +15,7 @@ from ompd import solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
                               generate_separation)
-from ompd.prox import SubproblemSpec, inexact_mirror_prox
+from ompd.prox import inexact_mirror_prox, subproblem_solver
 from ompd.runio import _PER_STEP_FIELDS, read_trace_csv
 
 EUCLID = euclidean_generator()
@@ -196,11 +196,10 @@ def _per_step_loop(stream, config, model):
             grad = step.smooth_gradient(x) + e
         else:
             grad = step.smooth_gradient(x) + 0.0
-        spec = SubproblemSpec(
-            loss=step, gen=gen, anchor=x, noisy_grad=grad, step_size=lam,
-            domain=stream.domain, inner_tolerance=config.inner_tolerance)
-        x_new, y, eps_k = inexact_mirror_prox(spec.solver(), spec.domain,
-                                              x, grad, model, k)
+        solve = subproblem_solver(step.prox_handle, gen, stream.domain, lam,
+                                  config.inner_tolerance)
+        x_new, y, eps_k = inexact_mirror_prox(solve, stream.domain, x, grad,
+                                              model, k)
         i = k - 1
         out["iterates"][i] = x_new
         if draws:
