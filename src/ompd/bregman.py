@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-#: default tolerance for the identity residual checks
-IDENTITY_TOL = 1e-10
 #: default step for finite-difference validation of divergence gradients
 FD_STEP = 1e-6
 
@@ -133,7 +131,7 @@ def check_three_point(gen: DistanceGenerator, x, y, z) -> float:
     """Residual of grad V(y,x) = grad V(y,z) + grad V(z,x).
 
     Exactly zero in exact arithmetic for every generator; the returned
-    norm should not exceed ``IDENTITY_TOL`` for well-scaled inputs.
+    norm is at rounding level for well-scaled inputs.
     """
     x, y = _as_pair(x, y)
     _, z = _as_pair(x, z)

@@ -23,8 +23,8 @@ from .bregman import euclidean_generator
 from .errors import OptimumError, SvdError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
                      box, whole_space, zero_error_model)
-from .prox import (RESIDUAL_CHECK_EVERY, _prox_gradient_point, block_rule,
-                   l1_rule, nuclear_rule, prox_gradient)
+from .prox import (_prox_gradient_point, block_rule, l1_rule, nuclear_rule,
+                   prox_gradient)
 from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
                      ledger_from_trace, stream_optima, theorem_rhs,
                      write_bound_csv)
@@ -365,8 +365,8 @@ def _error_model(error_std: float, variant: str, seed: int) -> ErrorModel:
 
 
 def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
-                   error_seed: Optional[int], optimum_tol: float, optima,
-                   f_star, out_dir: Optional[str], write_extra):
+                   error_seed: Optional[int], optima, f_star,
+                   out_dir: Optional[str], write_extra):
     """Play each variant on one stream against the shared optima.
 
     Variants differ only in their error model; the stream's steps are
@@ -383,8 +383,7 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
     for variant in variants:
         trace = run(stream, config, _error_model(cfg.error_std, variant, seed),
                     steps=steps)
-        fill_optima(trace, stream, tol=optimum_tol, optima=optima,
-                    f_star=f_star)
+        fill_optima(trace, stream, optima=optima, f_star=f_star)
         ledgers[variant] = ledger = ledger_from_trace(
             trace, config.generator, step_size, stream.domain)
         rhs = theorem_rhs(ledger, trace, stream.domain.kind)
@@ -431,19 +430,24 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
     """Wire the regression stream through the solver, both variants.
 
     Per-step optima are computed once and shared across variants: on the
-    whole space or a box by ``lasso_optima_batch`` (one batched lasso path,
-    pin and release events included), on a ball or simplex by the generic
-    oracle ``regret.stream_optima``. Writes
-    trace.csv, bound.csv, bound_state.csv, and coefficients.csv per
-    variant when ``out_dir`` is given. Returns a dict keyed by variant.
+    whole space or an origin-centred cube by ``lasso_optima_batch`` (one
+    batched lasso path, pin and release events included, with the box's
+    own half-width), on any other domain by the generic oracle
+    ``regret.stream_optima``. Writes trace.csv, bound.csv,
+    bound_state.csv, and coefficients.csv per variant when ``out_dir`` is
+    given. Returns a dict keyed by variant.
     """
     stream, truth = generate_gauss_markov(cfg, domain)
     dom = stream.domain
-    if dom.is_bounded and dom.name != "box":
+    halfwidth = None
+    if dom.name == "box":  # its bounds, read back through the projection
+        lo, hi = dom.project(np.multiply.outer([-np.inf, np.inf],
+                                               np.ones(cfg.n_coeffs)))
+        if np.all(hi == hi[0]) and np.all(lo == -hi):
+            halfwidth = float(hi[0])
+    if dom.is_bounded and halfwidth is None:
         optima, f_star = stream_optima(stream, tol=optimum_tol)
     else:
-        halfwidth = (dom.diameter / (2.0 * np.sqrt(cfg.n_coeffs))
-                     if dom.is_bounded else None)
         optima, f_star, _ = lasso_optima_batch(
             truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth,
             tol=optimum_tol)
@@ -454,8 +458,7 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
             *(os.path.join(vdir, "coefficients.csv") for vdir in vdirs))
 
     return _play_variants(stream, cfg, cfg.step_size, variants, error_seed,
-                          optimum_tol, optima, f_star, out_dir,
-                          write_coefficients)
+                          optima, f_star, out_dir, write_coefficients)
 
 
 @dataclass(frozen=True)
@@ -678,15 +681,16 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
     strongly convex (Tseng, JOTA 2001; Beck, SIAM J. Optim. 2015), so the
     prox-gradient residual is bounded by a constant times the sweep
     increment ||(L, S) - (L_0, S_0)||_F. Step k starts from step k-1's
-    blocks. At the first sweep whose increment is <= ``tol`` or
-    nonfinite, and at ``max_sweeps``, the blocks face the test
-    ``offline_optimum`` applies: their prox-gradient point p at step 1/L,
-    under the stream's exact SVD-based prox, must have mapping norm
-    <= ``tol``; p and F(p) are kept. Should that check fail (near the
-    rounding floor), the step goes on with the exact SVT and checks every
-    ``RESIDUAL_CHECK_EVERY`` sweeps. Returns (optima, f_star, residuals);
-    raises OptimumError at the first nonfinite residual (or SVD or
-    eigensolver failure), or when a step uses up ``max_sweeps``.
+    blocks and sweeps until the increment is <= ``tol`` or nonfinite, or
+    until ``max_sweeps``. The blocks then face ``offline_optimum``'s test:
+    their prox-gradient point p at step 1/L, under the stream's exact
+    SVD-based prox, must have mapping norm <= ``tol``; p and F(p) are
+    kept. A finite candidate that fails it (near the rounding floor) is
+    finished by ``prox.prox_gradient`` from there, at step 1/L within the
+    step's remaining budget. Returns (optima, f_star, residuals); raises
+    OptimumError at a nonfinite candidate residual (or an SVD or
+    eigensolver failure), or when sweeps and kernel iterations together
+    use up ``max_sweeps``.
     """
     T, rows, cols = M.shape
     optima = np.zeros((T, stream.dim))
@@ -699,25 +703,22 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
         (_, nuclear), (_, l1) = step.prox_handle.blocks
         tau_L = 0.5 / shrink_L * nuclear.weight  # rounded as nuclear.apply
         Mk = M[k - 1]
-        exact = False  # set once a Gram candidate fails the test
+        kernel = (step.smooth_gradient, step.prox_handle, stream.domain)
+        h = 1.0 / step.smoothness_constant
         try:
             for sweep in range(1, max_sweeps + 1):
                 L_prev, S_prev = L, S
-                Z = (Mk - S) / shrink_L
-                L = (nuclear.apply(Z, 0.5 / shrink_L) if exact
-                     else _gram_svt(Z, tau_L))
+                L = _gram_svt((Mk - S) / shrink_L, tau_L)
                 S = l1.apply((Mk - L) / shrink_S, 0.5 / shrink_S)
-                due = (sweep % RESIDUAL_CHECK_EVERY == 0 if exact else
-                       not np.hypot(np.linalg.norm(L - L_prev),
-                                    np.linalg.norm(S - S_prev)) > tol)
-                if due or sweep == max_sweeps:
-                    p, residual = _prox_gradient_point(
-                        step.smooth_gradient, step.prox_handle, stream.domain,
-                        np.concatenate((L.ravel(), S.ravel())),
-                        1.0 / step.smoothness_constant)
-                    if residual <= tol or not np.isfinite(residual):
-                        break
-                    exact = True
+                if not np.hypot(np.linalg.norm(L - L_prev),
+                                np.linalg.norm(S - S_prev)) > tol:
+                    break
+            x = np.concatenate((L.ravel(), S.ravel()))
+            p, residual = _prox_gradient_point(*kernel, x, h)
+            if tol < residual < np.inf and sweep < max_sweeps:
+                p, residual, _, iterations = prox_gradient(
+                    *kernel, x, h, tol, max_sweeps - sweep)
+                sweep += iterations
         except (SvdError, np.linalg.LinAlgError) as exc:
             # LAPACK's SVD and eigensolver refuse a nonfinite matrix
             raise OptimumError(np.nan, tol, sweep) from exc
@@ -790,6 +791,6 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
             _write_snapshots(trace, cfg, vdir, snapshot_every)
 
     results = _play_variants(
-        stream, cfg, cfg.alpha_L, variants, error_seed, optimum_tol, optima,
-        f_star, out_dir, write_snapshots)
+        stream, cfg, cfg.alpha_L, variants, error_seed, optima, f_star,
+        out_dir, write_snapshots)
     return results, truth

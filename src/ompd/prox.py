@@ -29,7 +29,7 @@ from .losses import Domain, ErrorModel
 
 INNER_TOL_DEFAULT = 1e-9
 INNER_MAX_ITERS = 10_000
-#: residual check cadence of prox_gradient and separation_optima
+#: residual check cadence of prox_gradient, the one iterative kernel
 RESIDUAL_CHECK_EVERY = 10
 
 

@@ -121,6 +121,27 @@ class TestRunExample1:
         header = (tmp_path / "exact" / "coefficients.csv").read_text()
         assert header.splitlines()[0] == "t,i,a_true,a_pred"
 
+    def test_cube_optima_lie_in_the_played_box(self):
+        """The half-width is read from the box: 2.1908902300206647 /
+        (2 sqrt 30) is 0.2, but rebuilt from the box's diameter it reads
+        0.20000000000000007, a box wider than the one played."""
+        cfg = GaussMarkovConfig(horizon=200, seed=5)
+        halfwidth = 2.1908902300206647 / (2.0 * np.sqrt(cfg.n_coeffs))
+        dom = box(-halfwidth, halfwidth, dim=cfg.n_coeffs)
+        optima = run_example1(cfg, variants=("exact",),
+                              domain=dom)["exact"].trace.optima
+        assert np.all(np.abs(optima) <= halfwidth)
+        assert np.any(np.abs(optima) == halfwidth)  # the box binds
+
+    def test_off_centre_box_goes_to_the_generic_oracle(self):
+        cfg = GaussMarkovConfig(horizon=20, seed=5)
+        dom = box(0.0, 1.0, dim=cfg.n_coeffs)
+        trace = run_example1(cfg, variants=("exact",),
+                             domain=dom)["exact"].trace
+        _, f_ref = stream_optima(generate_gauss_markov(cfg, dom)[0])
+        assert np.all((trace.optima >= 0.0) & (trace.optima <= 1.0))
+        np.testing.assert_array_equal(trace.f_star, f_ref)
+
 
 class TestSeparationGenerator:
     def test_zero_sparsity_gives_numerical_rank_r(self):
@@ -341,19 +362,36 @@ class TestSeparationOptima:
         assert len(exact) == cfg.horizon
         assert len(gram) >= cfg.horizon
 
-    def test_a_rejected_candidate_falls_back_to_the_exact_svt(
+    def test_a_rejected_candidate_is_finished_by_prox_gradient(
             self, monkeypatch):
         """Gram candidates pushed off the optimum never pass the exact
-        test; each step then finishes with the exact SVT and meets it."""
+        test; each step is then finished by the shared prox-gradient
+        kernel from its candidate and meets it."""
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=3, seed=3)
         stream, truth = generate_separation(cfg)
         _, f_ref, _ = separation_optima(stream, truth["M"], cfg)
         real = experiments._gram_svt
         monkeypatch.setattr(experiments, "_gram_svt",
                             lambda Z, tau: real(Z, tau) + 1.0)
+        finished = []
+        monkeypatch.setattr(experiments, "prox_gradient",
+                            _counting(experiments.prox_gradient, finished))
         _, f_star, residuals = separation_optima(stream, truth["M"], cfg)
         assert np.all(residuals <= experiments.SEPARATION_OPTIMUM_TOL)
         np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
+        assert len(finished) == cfg.horizon
+
+    def test_near_floor_tolerance_is_met(self):
+        """At tol 3e-9, inside the rounding floor of the 64x16 check,
+        the kernel finishes steps whose Gram candidates stall above it."""
+        cfg = SeparationConfig(horizon=5, seed=2304, lambda_L=1e5)
+        stream, truth = generate_separation(cfg)
+        _, f_ref, _ = separation_optima(stream, truth["M"], cfg, tol=1e-8)
+        optima, f_star, residuals = separation_optima(stream, truth["M"],
+                                                      cfg, tol=3e-9)
+        assert np.all(residuals <= 3e-9)
+        np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
+        assert f_star[-1] == stream.step_at(5).total_value(optima[-1])
 
 
 def _counting(fn, calls):
