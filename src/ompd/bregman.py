@@ -80,9 +80,8 @@ def negative_entropy_generator(lo: float = 0.1, hi: float = 1.0,
         xs = np.maximum(np.asarray(x, dtype=float), floor)
         return float(np.sum(xs * np.log(xs)))
 
-    def gradient(x):
-        xs = np.maximum(np.asarray(x, dtype=float), floor)
-        return np.log(xs) + 1.0
+    def gradient(x):  # np.maximum takes lists and (T, n) stacks alike
+        return np.log(np.maximum(x, floor)) + 1.0
 
     def pair_divergence(x, y):
         xs = np.maximum(np.asarray(x, dtype=float), floor)

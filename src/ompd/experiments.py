@@ -440,9 +440,8 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
     stream, truth = generate_gauss_markov(cfg, domain)
     dom = stream.domain
     halfwidth = None
-    if dom.name == "box":  # its bounds, read back through the projection
-        lo, hi = dom.project(np.multiply.outer([-np.inf, np.inf],
-                                               np.ones(cfg.n_coeffs)))
+    if dom.bounds is not None:
+        lo, hi = dom.bounds
         if np.all(hi == hi[0]) and np.all(lo == -hi):
             halfwidth = float(hi[0])
     if dom.is_bounded and halfwidth is None:

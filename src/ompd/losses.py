@@ -30,12 +30,17 @@ class Domain:
     ``diameter`` is the Euclidean diameter for bounded domains and None
     otherwise. ``name`` identifies the built-in family ("whole_space",
     "box", "ball", "simplex"); prox/projection composition rules key on it.
+    A box also records its read-only ``bounds`` (lo, hi), None for other
+    domains, and whether every lower bound is >= 0 (``nonnegative``: there
+    ||x||_1 = sum(x)); neither takes part in equality.
     """
 
     kind: str  # "whole_space" | "bounded"
     project: Callable[[np.ndarray], np.ndarray]
     diameter: Optional[float] = None
     name: str = "custom"
+    bounds: Optional[tuple] = field(default=None, compare=False)
+    nonnegative: bool = field(default=False, compare=False)
 
     @property
     def is_bounded(self) -> bool:
@@ -76,11 +81,15 @@ def box(lo, hi, dim: Optional[int] = None) -> Domain:
     if np.any(hi <= lo):
         raise ValueError("box bounds must satisfy lo < hi")
     diameter = float(np.linalg.norm(hi - lo))
+    lo, hi = lo.copy(), hi.copy()  # the box owns its bounds
+    lo.flags.writeable = hi.flags.writeable = False
 
-    def project(x):
-        return np.minimum(np.maximum(np.asarray(x, float), lo), hi)
+    def project(x):  # the ufuncs take lists and float arrays alike
+        return np.minimum(np.maximum(x, lo), hi)
 
-    return Domain(kind="bounded", project=project, diameter=diameter, name="box")
+    return Domain(kind="bounded", project=project, diameter=diameter,
+                  name="box", bounds=(lo, hi),
+                  nonnegative=bool(np.all(lo >= 0.0)))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

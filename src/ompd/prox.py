@@ -18,6 +18,7 @@ bound).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,12 @@ def composed_prox(rule, domain: Domain, v, scale: float):
     Only provably exact combinations are served: any rule on the whole
     space; pure projections; l1 with a box (clip after shrink), a ball
     (radial rescale after shrink), or the simplex (l1 is constant there).
-    Everything else raises CompositionError rather than silently
-    approximating.
+    On a box whose lower bounds are all >= 0 (``Domain.nonnegative``)
+    ||u||_1 = sum(u), so the l1 rule is the shifted clip
+    min(max(v - scale*eta, lo), hi): 3 ufuncs instead of clip after
+    shrink's 7, and equal to it bit for bit (numpy's maximum returns its
+    second operand on a tie of signed zeros). Everything else raises
+    CompositionError rather than silently approximating.
     """
     v = np.asarray(v, dtype=float)
     kind = getattr(rule, "kind", "block")
@@ -138,6 +143,12 @@ def composed_prox(rule, domain: Domain, v, scale: float):
     if kind == "zero":
         return domain.project(v)
     if kind == "l1":
+        if domain.nonnegative:
+            shift = scale * rule.weight
+            if shift < 0:
+                raise ValueError("lam must be nonnegative")
+            lo, hi = domain.bounds
+            return np.minimum(np.maximum(v - shift, lo), hi)
         if domain.name in ("box", "ball"):
             return domain.project(soft_threshold(v, scale * rule.weight))
         if domain.name == "simplex":
@@ -162,7 +173,8 @@ def check_step_size(step_size: float, smoothness: float,
 
 def _prox_gradient_point(grad, rule, domain: Domain, x, step: float):
     p = composed_prox(rule, domain, x - step * grad(x), step)
-    return p, float(np.linalg.norm(x - p)) / step
+    r = x - p
+    return p, math.sqrt(r.dot(r)) / step  # as np.linalg.norm of a vector
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -184,17 +196,18 @@ def prox_gradient(grad, rule, domain: Domain, x0, step: float, tol: float,
     p, residual, it = x0, np.inf, 0
     for it in range(1, max_iters + 1):
         x_new = composed_prox(rule, domain, z - step * grad(z), step)
-        if float(np.dot(z - x_new, x_new - x)) > 0.0:
+        dx = x_new - x
+        if (z - x_new).dot(dx) > 0.0:
             t = 1.0  # gradient restart
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * dx
         x = x_new
         t = t_new
         if it % RESIDUAL_CHECK_EVERY == 0 or it in (1, max_iters):
             p, residual = _prox_gradient_point(grad, rule, domain, x, step)
             if residual <= tol:
                 return p, residual, True, it
-            if not np.isfinite(residual):
+            if not math.isfinite(residual):
                 break
     return p, residual, False, it
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ompd import (CompositeLossStep, CompositionError, ErrorModel,
                   StepSizeError, SvdError, ball, box, composed_prox,
@@ -138,6 +140,29 @@ class TestSingularValueThreshold:
             assert lhs <= np.linalg.norm(X - Y) + 1e-10
 
 
+@st.composite
+def _nonnegative_box_case(draw):
+    """(lo, hi, v, scale, eta): a box with every lo >= 0 (0.0 and -0.0
+    included), and a v whose entries are +-t, inside (-t, t), below -t,
+    +-inf or any moderate float, for the threshold t = scale * eta."""
+    dim = draw(st.integers(1, 8))
+    lo = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)),
+        min_size=dim, max_size=dim)))
+    hi = lo + np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=dim,
+                                     max_size=dim)))
+    scale, eta = draw(st.floats(1e-3, 10.0)), draw(st.floats(0.0, 10.0))
+    t = scale * eta
+    entry = st.one_of(
+        st.sampled_from([t, -t, np.inf, -np.inf]),
+        st.floats(-1.0, 1.0, exclude_min=True,
+                  exclude_max=True).map(lambda f: f * t),
+        st.floats(0.0, 100.0).map(lambda f: -t - f),
+        st.floats(-1e3, 1e3))
+    v = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    return lo, hi, v, scale, eta
+
+
 class TestComposedProx:
     def test_box_plus_l1_beats_sampled_feasible_points(self):
         rng = np.random.default_rng(6)
@@ -170,6 +195,31 @@ class TestComposedProx:
         with pytest.raises(CompositionError):
             composed_prox(nuclear_rule(1.0), box(-1.0, 1.0, dim=4),
                           np.zeros(4), 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_nonnegative_box_case())
+    def test_nonnegative_box_shifted_clip_is_clip_after_shrink(self, case):
+        """On lo >= 0 the shifted clip equals clip after shrink bit for
+        bit, signed zeros and infinities included."""
+        lo, hi, v, scale, eta = case
+        dom = box(lo, hi)
+        assert dom.nonnegative
+        got = composed_prox(l1_rule(eta), dom, v, scale)
+        want = dom.project(soft_threshold(v, scale * eta))
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    def test_negative_lower_bound_clips_after_shrink(self):
+        """Below zero a shifted clip would send v = 0 to max(-t, lo) < 0;
+        clip after shrink keeps the zero that l1 favours."""
+        for lo in ([-0.5, -0.5, -0.5], [0.0, -0.5, 0.2]):
+            dom = box(lo, [1.0, 1.0, 1.0])
+            assert not dom.nonnegative
+            v = np.array([0.0, 0.05, 0.9])
+            p = composed_prox(l1_rule(0.2), dom, v, 0.5)
+            np.testing.assert_array_equal(
+                p, dom.project(soft_threshold(v, 0.1)))
+        np.testing.assert_array_equal(p, [0.0, 0.0, 0.8])
 
 
 class TestExactMirrorProx:

@@ -5,17 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
+from ompd import (CompositeLossStep, Domain, ErrorModel, MissingOptimaError,
                   ProblemStream, SolverConfig, SolverRunError, StepSizeError,
                   box, euclidean_generator, fill_optima, l1_rule,
                   negative_entropy_generator, nuclear_rule, run,
                   run_proximal_gradient, simplex, whole_space,
                   write_trace_csv, zero_error_model, zero_rule)
-from ompd import solver
+from ompd import prox, solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
                               generate_separation)
-from ompd.prox import inexact_mirror_prox, subproblem_solver
+from ompd.prox import (RESIDUAL_CHECK_EVERY, inexact_mirror_prox,
+                       subproblem_solver)
 from ompd.runio import _PER_STEP_FIELDS, read_trace_csv
 
 EUCLID = euclidean_generator()
@@ -399,3 +400,71 @@ def test_run_refuses_steps_of_another_horizon():
                           initial_point=np.zeros(stream.dim))
     with pytest.raises(ValueError, match="horizon"):
         run(stream, config, zero_error_model(), steps=stream.steps()[:-1])
+
+
+class TestShiftedClipRule:
+    """The l1 rule on a box with every lower bound >= 0 is a shifted clip
+    (``Domain.nonnegative``); the same projection on a Domain without
+    bounds takes the generic clip after shrink."""
+
+    @staticmethod
+    def _entropy_case():
+        stream = _entropy_box_stream(T=50)
+        config = SolverConfig(
+            step_size=0.3, generator=negative_entropy_generator(lo=0.2,
+                                                                hi=1.0),
+            initial_point=np.full(stream.dim, 0.6))
+        return stream, config
+
+    def test_runs_bit_for_bit_as_the_generic_rule(self, monkeypatch):
+        stream, config = self._entropy_case()
+        dom = stream.domain
+        generic = dataclasses.replace(stream, domain=Domain(
+            kind=dom.kind, project=dom.project, diameter=dom.diameter,
+            name=dom.name))
+        assert dom.nonnegative and generic.domain.bounds is None
+        shrinks = []
+        real = prox.soft_threshold
+        monkeypatch.setattr(prox, "soft_threshold",
+                            lambda *a: shrinks.append(1) or real(*a))
+        arrays = ("x0",) + tuple(name for name in _PER_STEP_FIELDS
+                                 if name != "step_seconds")
+        for model in (zero_error_model(seed=25),
+                      ErrorModel(gradient_std=0.05, prox_std=0.01,
+                                 eps_cap=0.02, seed=25)):
+            fast = run(stream, config, model)
+            assert not shrinks
+            slow = run(generic, config, model)
+            assert shrinks  # the generic run took clip after shrink
+            shrinks.clear()
+            for name in arrays:
+                a, b = getattr(fast, name), getattr(slow, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_one_prox_per_iteration_and_per_residual_check(self,
+                                                           monkeypatch):
+        """perfbench counts ``composed_prox`` calls through the module
+        global: every FISTA iteration and every residual check makes one."""
+        stream, config = self._entropy_case()
+        step = stream.step_at(1)
+        solve = subproblem_solver(step.prox_handle, config.generator,
+                                  stream.domain, config.step_size)
+        assert solve.func is prox._inner_solve
+        calls, runs = [], []
+        real_prox, real_kernel = prox.composed_prox, prox.prox_gradient
+
+        def kernel(*args):
+            runs.append(real_kernel(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(prox, "composed_prox",
+                            lambda *a: calls.append(1) or real_prox(*a))
+        monkeypatch.setattr(prox, "prox_gradient", kernel)
+        x = np.asarray(config.initial_point)
+        solve(x, step.smooth_gradient(x))
+        (_, _, converged, iterations), = runs
+        assert converged and iterations > RESIDUAL_CHECK_EVERY
+        checks = 1 + iterations // RESIDUAL_CHECK_EVERY
+        assert iterations % RESIDUAL_CHECK_EVERY == 0
+        assert len(calls) == iterations + checks
