@@ -31,8 +31,9 @@ class Domain:
     otherwise. ``name`` identifies the built-in family ("whole_space",
     "box", "ball", "simplex"); prox/projection composition rules key on it.
     A box also records its read-only ``bounds`` (lo, hi), None for other
-    domains, and whether every lower bound is >= 0 (``nonnegative``: there
-    ||x||_1 = sum(x)); neither takes part in equality.
+    domains. ``nonnegative`` follows from them: it is set once, here, to
+    whether every lower bound is >= 0 (there ||x||_1 = sum(x)). Neither
+    takes part in equality.
     """
 
     kind: str  # "whole_space" | "bounded"
@@ -40,7 +41,11 @@ class Domain:
     diameter: Optional[float] = None
     name: str = "custom"
     bounds: Optional[tuple] = field(default=None, compare=False)
-    nonnegative: bool = field(default=False, compare=False)
+    nonnegative: bool = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nonnegative", self.bounds is not None
+                           and bool(np.all(self.bounds[0] >= 0.0)))
 
     @property
     def is_bounded(self) -> bool:
@@ -81,15 +86,14 @@ def box(lo, hi, dim: Optional[int] = None) -> Domain:
     if np.any(hi <= lo):
         raise ValueError("box bounds must satisfy lo < hi")
     diameter = float(np.linalg.norm(hi - lo))
-    lo, hi = lo.copy(), hi.copy()  # the box owns its bounds
+    lo, hi = lo + 0.0, hi.copy()  # the box owns its bounds; -0.0 -> +0.0
     lo.flags.writeable = hi.flags.writeable = False
 
     def project(x):  # the ufuncs take lists and float arrays alike
         return np.minimum(np.maximum(x, lo), hi)
 
     return Domain(kind="bounded", project=project, diameter=diameter,
-                  name="box", bounds=(lo, hi),
-                  nonnegative=bool(np.all(lo >= 0.0)))
+                  name="box", bounds=(lo, hi))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

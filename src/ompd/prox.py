@@ -34,10 +34,15 @@ INNER_MAX_ITERS = 10_000
 RESIDUAL_CHECK_EVERY = 10
 
 
-def soft_threshold(y, lam: float):
-    """Entrywise sign(y) * max(|y| - lam, 0); any shape."""
+def _threshold(lam: float) -> float:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    return lam
+
+
+def soft_threshold(y, lam: float):
+    """Entrywise sign(y) * max(|y| - lam, 0); any shape."""
+    _threshold(lam)
     y = np.asarray(y, dtype=float)
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
 
@@ -47,8 +52,7 @@ def singular_value_threshold(Z, lam: float, svd=np.linalg.svd):
 
     ``svd`` is an injected thin-SVD routine; the default is numpy's.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _threshold(lam)
     Z = np.asarray(Z, dtype=float)
     try:
         U, s, Vt = svd(Z, full_matrices=False)
@@ -132,8 +136,10 @@ def composed_prox(rule, domain: Domain, v, scale: float):
     On a box whose lower bounds are all >= 0 (``Domain.nonnegative``)
     ||u||_1 = sum(u), so the l1 rule is the shifted clip
     min(max(v - scale*eta, lo), hi): 3 ufuncs instead of clip after
-    shrink's 7, and equal to it bit for bit (numpy's maximum returns its
-    second operand on a tie of signed zeros). Everything else raises
+    shrink's 7. box() stores a -0.0 bound as +0.0, so the shifted clip
+    meets no tie of signed zeros; clip after shrink meets
+    max(-0.0, +0.0), and the two agree bit for bit wherever numpy gives
+    +0.0 there (x86 and ARM's FMAX both do). Everything else raises
     CompositionError rather than silently approximating.
     """
     v = np.asarray(v, dtype=float)
@@ -144,9 +150,7 @@ def composed_prox(rule, domain: Domain, v, scale: float):
         return domain.project(v)
     if kind == "l1":
         if domain.nonnegative:
-            shift = scale * rule.weight
-            if shift < 0:
-                raise ValueError("lam must be nonnegative")
+            shift = _threshold(scale * rule.weight)
             lo, hi = domain.bounds
             return np.minimum(np.maximum(v - shift, lo), hi)
         if domain.name in ("box", "ball"):

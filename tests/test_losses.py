@@ -1,9 +1,11 @@
 """Domains, error models, and declared-constant validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ompd import (CompositeLossStep, ErrorModel, ball, box, l1_rule,
+from ompd import (CompositeLossStep, Domain, ErrorModel, ball, box, l1_rule,
                   simplex, validate_constants, whole_space, zero_error_model)
 from ompd.losses import GRAD_ERROR_TAG
 
@@ -88,6 +90,24 @@ class TestDomains:
     def test_box_requires_dim_for_scalars(self):
         with pytest.raises(ValueError):
             box(-1.0, 1.0)
+
+    def test_nonnegative_follows_the_bounds(self):
+        """``Domain.nonnegative`` is derived from ``bounds``: it cannot be
+        passed in, and a replaced ``bounds`` recomputes it."""
+        dom = box(0.2, 1.0, dim=3)
+        assert dom.nonnegative
+        assert not box(-0.2, 1.0, dim=3).nonnegative
+        assert not whole_space().nonnegative
+        moved = dataclasses.replace(dom, bounds=(np.full(3, -0.5),
+                                                 np.ones(3)))
+        assert not moved.nonnegative
+        with pytest.raises(TypeError):
+            Domain(kind="bounded", project=dom.project, nonnegative=True)
+
+    def test_box_stores_a_negative_zero_bound_as_positive_zero(self):
+        dom = box([-0.0, 0.5], [1.0, 1.0])
+        lo, _ = dom.bounds
+        assert dom.nonnegative and not np.signbit(lo).any()
 
 
 class TestErrorModel:
