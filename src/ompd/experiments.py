@@ -12,6 +12,7 @@ separate seed (derived by XOR with ``ERROR_SEED_XOR`` unless given).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -38,6 +39,8 @@ ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
 SEPARATION_OPTIMUM_TOL = 1e-6
 #: sweep budget of one step of ``separation_optima``
 SEPARATION_MAX_SWEEPS = 10_000
+#: problems per ``_lasso_path`` call in ``lasso_optima_batch``
+_LASSO_CHUNK_ROWS = 1024
 
 
 def _require_step_size(cfg, key: str) -> None:
@@ -128,27 +131,30 @@ def generate_gauss_markov(cfg: GaussMarkovConfig,
     prox = l1_rule(cfg.eta)
     dom = whole_space() if domain is None else domain
 
+    # one evaluator of each kind per stream; a step binds its own index
+    def g(i, a):
+        r = X[i] @ a - Y[i]
+        return float(np.dot(r, r))
+
+    def grad(i, a):
+        Xk = X[i]
+        return 2.0 * (Xk.T @ (Xk @ a - Y[i]))
+
+    def h(a):
+        return cfg.eta * float(np.sum(np.abs(a)))
+
     def step_at(k: int) -> CompositeLossStep:
-        Xk, yk = X[k - 1], Y[k - 1]
-
-        def g(a):
-            r = Xk @ a - yk
-            return float(np.dot(r, r))
-
-        def grad(a):
-            return 2.0 * (Xk.T @ (Xk @ a - yk))
-
-        def h(a):
-            return cfg.eta * float(np.sum(np.abs(a)))
-
+        i = k - 1
         return CompositeLossStep(
-            smooth_value=g, smooth_gradient=grad, nonsmooth_value=h,
-            smoothness_constant=float(L[k - 1]), regularizer_lipschitz=B,
+            smooth_value=functools.partial(g, i),
+            smooth_gradient=functools.partial(grad, i), nonsmooth_value=h,
+            smoothness_constant=float(L[i]), regularizer_lipschitz=B,
             prox_handle=prox, dim=n)
 
-    def values(A):
+    def values(A, start):
         # stacked matmuls: the same dot products as g's, bit for bit
-        r = (X[:len(A)] @ A[:, :, None])[:, :, 0] - Y[:len(A)]
+        rows = slice(start, start + len(A))
+        r = (X[rows] @ A[:, :, None])[:, :, 0] - Y[rows]
         return ((r[:, None, :] @ r[:, :, None])[:, 0, 0]
                 + cfg.eta * np.sum(np.abs(A), axis=1))
 
@@ -310,7 +316,8 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     prox-gradient point p at step 1/L_t once the mapping norm
     ||p - a|| L_t is at most ``tol``. The exact lasso homotopy
     (``_lasso_path``, at most 4n join, drop, pin and release events)
-    solves every problem at once; on the small default designs it
+    solves the problems ``_LASSO_CHUNK_ROWS`` at a time, which bounds its
+    scratch memory (they are independent); on the small default designs it
     reaches eta in a few events and its points pass the test up to
     rounding. Each problem it leaves (a degenerate design such as twin
     columns, a path out of events) runs ``prox.prox_gradient`` alone,
@@ -328,7 +335,10 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
                                                       dim=n)
     s = step[:, None]
     with np.errstate(all="ignore"):  # a nonfinite path point fails the test
-        a = _lasso_path(X, Y, eta, 4 * n, halfwidth)
+        a = np.empty((T, n))
+        for lo in range(0, T, _LASSO_CHUNK_ROWS):
+            rows = slice(lo, lo + _LASSO_CHUNK_ROWS)
+            a[rows] = _lasso_path(X[rows], Y[rows], eta, 4 * n, halfwidth)
         v = a - s * (2.0 * np.einsum("tdn,td->tn", X,
                                      np.einsum("tdn,tn->td", X, a) - Y))
         out = dom.project(np.sign(v) * np.maximum(np.abs(v) - s * eta, 0.0))
@@ -370,7 +380,8 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
     """Play each variant on one stream against the shared optima.
 
     Variants differ only in their error model; the stream's steps are
-    built once and shared. With ``out_dir``, the variants' trace.csv,
+    built once, shared by every variant's run and dropped before the
+    ledgers and tables. With ``out_dir``, the variants' trace.csv,
     bound.csv and bound_state.csv are written together, one directory per
     variant, then ``write_extra(traces, variant_dirs)`` is called.
     """
@@ -379,10 +390,13 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
                           initial_point=np.zeros(stream.dim))
     seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
     steps = stream.steps()
+    played = {variant: run(stream, config,
+                           _error_model(cfg.error_std, variant, seed),
+                           steps=steps)
+              for variant in variants}
+    del steps  # the ledgers and tables need no step
     results, ledgers = {}, {}
-    for variant in variants:
-        trace = run(stream, config, _error_model(cfg.error_std, variant, seed),
-                    steps=steps)
+    for variant, trace in played.items():
         fill_optima(trace, stream, optima=optima, f_star=f_star)
         ledgers[variant] = ledger = ledger_from_trace(
             trace, config.generator, step_size, stream.domain)
@@ -390,7 +404,6 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
         results[variant] = ExperimentResult(
             variant=variant, trace=trace, rhs=rhs,
             regret=dynamic_regret(trace))
-    del steps  # the closures are not needed to write the tables
     if out_dir is not None:
         vdirs = [os.path.join(out_dir, variant) for variant in results]
         for vdir in vdirs:
@@ -595,40 +608,40 @@ def generate_separation(cfg: SeparationConfig):
     prox = block_rule([((rows, cols), nuclear_rule(cfg.lambda_L)),
                        ((rows, cols), l1_rule(cfg.lambda_S))])
 
+    # one evaluator of each kind per stream; a step binds its own index
+    def g(i, z):
+        Lm = z[:m].reshape(rows, cols)
+        Sm = z[m:].reshape(rows, cols)
+        res = Lm + Sm - M[i]
+        return (float(np.sum(res * res))
+                + cfg.mu_L * float(np.sum(Lm * Lm))
+                + cfg.mu_S * float(np.sum(Sm * Sm)))
+
+    def grad(i, z):
+        Lm = z[:m].reshape(rows, cols)
+        Sm = z[m:].reshape(rows, cols)
+        res2 = 2.0 * (Lm + Sm - M[i])
+        return np.concatenate(((res2 + 2.0 * cfg.mu_L * Lm).ravel(),
+                               (res2 + 2.0 * cfg.mu_S * Sm).ravel()))
+
+    def h(z):
+        Lm = z[:m].reshape(rows, cols)
+        sv = np.linalg.svd(Lm, compute_uv=False)
+        return (cfg.lambda_L * float(np.sum(sv))
+                + cfg.lambda_S * float(np.sum(np.abs(z[m:]))))
+
     def step_at(k: int) -> CompositeLossStep:
-        Mk = M[k - 1]
-
-        def g(z):
-            Lm = z[:m].reshape(rows, cols)
-            Sm = z[m:].reshape(rows, cols)
-            res = Lm + Sm - Mk
-            return (float(np.sum(res * res))
-                    + cfg.mu_L * float(np.sum(Lm * Lm))
-                    + cfg.mu_S * float(np.sum(Sm * Sm)))
-
-        def grad(z):
-            Lm = z[:m].reshape(rows, cols)
-            Sm = z[m:].reshape(rows, cols)
-            res2 = 2.0 * (Lm + Sm - Mk)
-            return np.concatenate(((res2 + 2.0 * cfg.mu_L * Lm).ravel(),
-                                   (res2 + 2.0 * cfg.mu_S * Sm).ravel()))
-
-        def h(z):
-            Lm = z[:m].reshape(rows, cols)
-            sv = np.linalg.svd(Lm, compute_uv=False)
-            return (cfg.lambda_L * float(np.sum(sv))
-                    + cfg.lambda_S * float(np.sum(np.abs(z[m:]))))
-
         return CompositeLossStep(
-            smooth_value=g, smooth_gradient=grad, nonsmooth_value=h,
-            smoothness_constant=L_const, regularizer_lipschitz=B_const,
-            prox_handle=prox, dim=2 * m)
+            smooth_value=functools.partial(g, k - 1),
+            smooth_gradient=functools.partial(grad, k - 1),
+            nonsmooth_value=h, smoothness_constant=L_const,
+            regularizer_lipschitz=B_const, prox_handle=prox, dim=2 * m)
 
-    def values(Z):
+    def values(Z, start):
         t = len(Z)
         Lm = Z[:, :m].reshape(t, rows, cols)
         Sm = Z[:, m:].reshape(t, rows, cols)
-        res = Lm + Sm - M[:t]
+        res = Lm + Sm - M[start:start + t]
         sv = np.linalg.svd(Lm, compute_uv=False)
         return (np.sum(res * res, axis=(1, 2))
                 + cfg.mu_L * np.sum(Lm * Lm, axis=(1, 2))

@@ -116,7 +116,7 @@ def simplex(dim: int) -> Domain:
                   diameter=float(np.sqrt(2.0)), name="simplex")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositeLossStep:
     """One time slice of the stream: smooth part + regularizer.
 
@@ -127,6 +127,9 @@ class CompositeLossStep:
     (``gauss_markov_constants``, ``separation_constants``);
     :func:`validate_constants` is a sampled check that the tests use.
     ``prox_handle`` resolves to an exact prox rule (see the prox module).
+    A stream holds one step per time index, so steps are slotted, and the
+    built-in streams bind shared evaluators to the step's index instead of
+    building closures per step.
     """
 
     smooth_value: Callable[[np.ndarray], float]
@@ -145,9 +148,10 @@ class CompositeLossStep:
 class ProblemStream:
     """A horizon of composite steps over a common domain.
 
-    ``batch_values``, when given, maps a (t, dim) stack of points to the
-    (t,) values f_k(xs[k-1]) of steps 1..t in array code, equal bit for
-    bit to each step's ``total_value``; ``total_values`` uses it.
+    ``batch_values``, when given, maps a (t, dim) stack of points and a
+    step offset ``start`` to the (t,) values f_k(xs[k-1-start]) of steps
+    start+1..start+t in array code, equal bit for bit to each step's
+    ``total_value``; ``total_values`` uses it.
     """
 
     horizon: int
@@ -159,17 +163,19 @@ class ProblemStream:
     def steps(self):
         return [self.step_at(k) for k in range(1, self.horizon + 1)]
 
-    def total_values(self, xs, steps=None) -> np.ndarray:
-        """f_k(xs[k-1]) for k = 1..len(xs), one entry per row of ``xs``.
+    def total_values(self, xs, steps=None, start: int = 0) -> np.ndarray:
+        """f_k(xs[k-1-start]) for k = start+1..start+len(xs), one entry per
+        row of ``xs``.
 
         Without ``batch_values`` each step's ``total_value`` is called, on
-        ``steps`` when the caller has built them already.
+        ``steps`` (those of the rows) when the caller has built them
+        already.
         """
         xs = np.asarray(xs, dtype=float)
         if self.batch_values is not None:
-            return self.batch_values(xs)
+            return self.batch_values(xs, start)
         if steps is None:
-            steps = map(self.step_at, range(1, len(xs) + 1))
+            steps = map(self.step_at, range(start + 1, start + len(xs) + 1))
         return np.array([step.total_value(x) for step, x in zip(steps, xs)],
                         dtype=float)
 

@@ -47,15 +47,12 @@ def soft_threshold(y, lam: float):
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
 
 
-def singular_value_threshold(Z, lam: float, svd=np.linalg.svd):
-    """Shrink all singular values of Z by lam, flooring at zero.
-
-    ``svd`` is an injected thin-SVD routine; the default is numpy's.
-    """
+def singular_value_threshold(Z, lam: float):
+    """Shrink all singular values of Z by lam, flooring at zero."""
     _threshold(lam)
     Z = np.asarray(Z, dtype=float)
     try:
-        U, s, Vt = svd(Z, full_matrices=False)
+        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdError(Z.shape) from exc
     return (U * np.maximum(s - lam, 0.0)) @ Vt

@@ -9,12 +9,12 @@ and records everything the regret ledger needs: realized error norms,
 realized prox bounds eps_k, played loss values, and the per-step norm of
 grad g_k(x_{k-1}) + e_k + grad V(y_k, x_{k-1}) / lam (used by the
 bounded-domain constant). The loop itself runs only the recursion; the
-losses and norms are computed after it, over the whole horizon at once,
-so ``step_seconds`` times the recursion alone (perfbench's per-step
-quantiles such as ``step_p50_us`` read lower than when the loop also did
-the bookkeeping). The gradient is always evaluated at the played point
-x_{k-1}, never at y_{k-1}. Per-step optima are filled later by the
-regret module.
+losses and norms are computed after each block of steps, in array calls
+over the block, so ``step_seconds`` times the recursion alone
+(perfbench's per-step quantiles such as ``step_p50_us`` read lower than
+when the loop also did the bookkeeping). The gradient is always
+evaluated at the played point x_{k-1}, never at y_{k-1}. Per-step optima
+are filled later by the regret module.
 
 ``run_proximal_gradient`` is a deliberately self-contained Euclidean
 baseline, kept free of the generic mirror machinery so the two paths can
@@ -45,7 +45,7 @@ class SolverConfig:
     inner_tolerance: float = INNER_TOL_DEFAULT
 
 
-#: rows per block of the after-loop q norms
+#: steps per block of the loop's buffers and bookkeeping
 _BLOCK_ROWS = 512
 
 
@@ -62,15 +62,15 @@ def _empty_trace(stream: ProblemStream, config: SolverConfig) -> RunTrace:
         domain_diameter=stream.domain.diameter)
 
 
-def _record(trace: RunTrace, stream: ProblemStream, steps, config, upto: int,
-            grads: np.ndarray, ys: np.ndarray, errors) -> None:
-    """Fill the losses and norms of steps 1..upto from the loop's buffers.
+def _record(trace: RunTrace, stream: ProblemStream, steps, config, lo: int,
+            hi: int, grads: np.ndarray, ys: np.ndarray, errors) -> None:
+    """Fill the losses and norms of steps lo+1..hi from one block's buffers.
 
-    A row norm is the sqrt of a stacked ``matmul`` dot, which equals the
-    row's ``np.linalg.norm`` bit for bit (``norm(axis=1)`` and ``einsum``
-    do not).
+    Buffer row j holds step lo+1+j. A row norm is the sqrt of a stacked
+    ``matmul`` dot, which equals the row's ``np.linalg.norm`` bit for bit
+    (``norm(axis=1)`` and ``einsum`` do not).
     """
-    if upto == 0:
+    if hi == lo:
         return
 
     def row_norms(rows):
@@ -78,19 +78,17 @@ def _record(trace: RunTrace, stream: ProblemStream, steps, config, upto: int,
 
     gen = config.generator
     xs = trace.iterates
-    # grad + (grad w(y_k) - grad w(x_{k-1})) / lam, the loop's order, in
-    # blocks of rows that keep the temporaries small
-    for lo in range(0, upto, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, upto)
-        prev = (xs[lo - 1:hi - 1] if lo
-                else np.concatenate((trace.x0[None], xs[:hi - 1])))
-        q = gen.gradient(ys[lo:hi]) - gen.gradient(prev)
-        q /= config.step_size
-        q += grads[lo:hi]
-        trace.q_norms[lo:hi] = row_norms(q)
+    size = hi - lo
+    # grad + (grad w(y_k) - grad w(x_{k-1})) / lam, the loop's order
+    prev = (xs[lo - 1:hi - 1] if lo
+            else np.concatenate((trace.x0[None], xs[:hi - 1])))
+    q = gen.gradient(ys[:size]) - gen.gradient(prev)
+    q /= config.step_size
+    q += grads[:size]
+    trace.q_norms[lo:hi] = row_norms(q)
     if errors is not None:
-        trace.grad_error_norms[:upto] = row_norms(errors[:upto])
-    trace.f_played[:upto] = stream.total_values(xs[:upto], steps)
+        trace.grad_error_norms[lo:hi] = row_norms(errors[:size])
+    trace.f_played[lo:hi] = stream.total_values(xs[lo:hi], steps[lo:hi], lo)
 
 
 def _solvers(steps, config: SolverConfig, domain) -> list:
@@ -122,10 +120,11 @@ def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
     per step one gradient, the model's gradient draw (none at zero std),
     and one ``inexact_mirror_prox`` call with the solver of the step's
     rule, which also makes the prox draw. It keeps the noisy gradient,
-    the draw and the prox point y_k in (T, n) buffers; ``step_seconds``
-    times exactly that. The played losses (``stream.total_values``) and the
-    error and q norms are filled after the loop in array calls, bit for
-    bit the per-step values.
+    the draw and the prox point y_k in buffers of ``_BLOCK_ROWS`` steps;
+    ``step_seconds`` times exactly that. After each block its played
+    losses (``stream.total_values``) and error and q norms are filled in
+    array calls, bit for bit the per-step values, so the scratch memory
+    does not grow with the horizon.
 
     Raises ValueError or StepSizeError up front, once per run, unless
     0 < step_size <= 2 sigma_omega / max_k L_k. Raises SolverRunError if
@@ -139,41 +138,43 @@ def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
         steps = stream.steps()
     elif len(steps) != stream.horizon:
         raise ValueError("steps do not cover the stream's horizon")
-    smoothness = [s.smoothness_constant for s in steps]
-    gen = config.generator
-    lam = config.step_size
-    check_step_size(lam, max(smoothness), gen.sigma_omega)
+    check_step_size(config.step_size,
+                    max(s.smoothness_constant for s in steps),
+                    config.generator.sigma_omega)
     trace = _empty_trace(stream, config)
-    trace.smoothness[:] = smoothness
+    trace.smoothness[:] = [s.smoothness_constant for s in steps]
     trace.reg_lipschitz[:] = [s.regularizer_lipschitz for s in steps]
     T, n = stream.horizon, stream.dim
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (n,):
         raise ValueError("initial point dimension does not match the stream")
     model = model.for_horizon(T)
-    grads = np.empty((T, n))
-    errors = np.empty((T, n)) if model.gradient_std != 0.0 else None
-    # without prox draws y_k is x_k
-    ys = trace.iterates if model.prox_std == 0.0 else np.empty((T, n))
+    rows = min(T, _BLOCK_ROWS)
+    grads, ys = np.empty((rows, n)), np.empty((rows, n))
+    errors = np.empty((rows, n)) if model.gradient_std != 0.0 else None
     domain = stream.domain
-    for i, (step, solve) in enumerate(zip(steps,
-                                          _solvers(steps, config, domain))):
-        t0 = time.perf_counter()
-        if errors is not None:
-            e = errors[i] = model.gradient_error(i + 1, n)
-            grad = np.add(step.smooth_gradient(x), e, out=grads[i])
-        else:  # adding the zero draw turned -0.0 into +0.0; so does this
-            grad = np.add(step.smooth_gradient(x), 0.0, out=grads[i])
-        try:
-            x, ys[i], trace.eps[i] = inexact_mirror_prox(
-                solve, domain, x, grad, model, i + 1)
-        except OmpdError as exc:
-            _record(trace, stream, steps, config, i, grads, ys, errors)
-            raise SolverRunError(f"subproblem failed at step {i + 1}: {exc}",
-                                 trace.truncated(i)) from exc
-        trace.iterates[i] = x
-        trace.step_seconds[i] = time.perf_counter() - t0
-    _record(trace, stream, steps, config, T, grads, ys, errors)
+    solvers = _solvers(steps, config, domain)
+    for lo in range(0, T, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, T)
+        for i in range(lo, hi):
+            step, solve, j = steps[i], solvers[i], i - lo
+            t0 = time.perf_counter()
+            if errors is not None:
+                e = errors[j] = model.gradient_error(i + 1, n)
+                grad = np.add(step.smooth_gradient(x), e, out=grads[j])
+            else:  # adding the zero draw turned -0.0 into +0.0; so does this
+                grad = np.add(step.smooth_gradient(x), 0.0, out=grads[j])
+            try:
+                x, ys[j], trace.eps[i] = inexact_mirror_prox(
+                    solve, domain, x, grad, model, i + 1)
+            except OmpdError as exc:
+                _record(trace, stream, steps, config, lo, i, grads, ys, errors)
+                raise SolverRunError(
+                    f"subproblem failed at step {i + 1}: {exc}",
+                    trace.truncated(i)) from exc
+            trace.iterates[i] = x
+            trace.step_seconds[i] = time.perf_counter() - t0
+        _record(trace, stream, steps, config, lo, hi, grads, ys, errors)
     return trace
 
 

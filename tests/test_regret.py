@@ -241,6 +241,33 @@ class TestLassoOptimaBatch:
             np.testing.assert_allclose(optima[k - 1], x_ref, atol=1e-6)
             np.testing.assert_allclose(f_star[k - 1], f_ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("halfwidth", [None, 0.2])
+    def test_chunked_path_matches_one_problem_at_a_time(self, monkeypatch,
+                                                        halfwidth):
+        """The path runs in chunks of rows; the problems are independent,
+        so every optimum keeps its bits: against one call over the whole
+        stack for every row, and against one-row stacks for the rows at
+        the chunk edges and a sample of the rest."""
+        chunk = experiments._LASSO_CHUNK_ROWS
+        T = 2 * chunk + 37
+        cfg = GaussMarkovConfig(horizon=T, seed=5)
+        _, truth = generate_gauss_markov(cfg)
+        X, Y = truth["X"], truth["Y"]
+        chunked = lasso_optima_batch(X, Y, cfg.eta, halfwidth=halfwidth)
+        if halfwidth is not None:
+            assert np.any(np.abs(chunked[0]) == halfwidth)  # the box binds
+        monkeypatch.setattr(experiments, "_LASSO_CHUNK_ROWS", T)
+        whole = lasso_optima_batch(X, Y, cfg.eta, halfwidth=halfwidth)
+        for got, want in zip(chunked, whole):
+            np.testing.assert_array_equal(got, want)
+        rows = sorted({0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, T - 1,
+                       *range(11, T, 41)})
+        for t in rows:
+            alone = lasso_optima_batch(X[t:t + 1], Y[t:t + 1], cfg.eta,
+                                       halfwidth=halfwidth)
+            for got, want in zip(chunked, alone):
+                np.testing.assert_array_equal(got[t:t + 1], want)
+
     def test_empty_batch_returns_at_once(self):
         """T=0 used to spin the whole iteration budget, then raise."""
         optima, f_star, residuals = lasso_optima_batch(

@@ -1,6 +1,8 @@
 """Online loop behavior: convergence, determinism, equivalence, guards."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,7 +148,12 @@ class TestRun:
             run(_static_stream(step, 5), config, zero_error_model())
 
     def test_partial_trace_attached_on_mid_run_failure(self):
-        """A refused prox/domain composition aborts with the prefix trace."""
+        """A refused prox/domain composition aborts with the prefix trace.
+
+        Step 3 fails in the first block of the loop's bookkeeping, step
+        600 inside the second block of 512 steps, whose completed rows are
+        filled too.
+        """
         good = _quadratic_step(np.eye(2), np.zeros(2))
         bad = CompositeLossStep(
             smooth_value=good.smooth_value,
@@ -155,28 +162,32 @@ class TestRun:
             smoothness_constant=1.0, regularizer_lipschitz=1.0,
             prox_handle=nuclear_rule(0.1), dim=2)
         dom = box(-1.0, 1.0, dim=2)
-        stream = ProblemStream(
-            horizon=5, step_at=lambda k: bad if k == 3 else good,
-            domain=dom, dim=2)
         config = SolverConfig(step_size=0.5, generator=EUCLID,
                               initial_point=np.zeros(2))
         model = ErrorModel(gradient_std=0.3, prox_std=0.2, seed=4)
-        with pytest.raises(SolverRunError) as err:
-            run(stream, config, model)
-        partial = err.value.trace
-        assert partial.horizon == 2
-        assert partial.partial
-        assert partial.iterates.shape == (2, 2)
-        assert partial.optima is None
-        # the completed steps are filled as an unfailed run fills them
-        full = run(ProblemStream(horizon=5, step_at=lambda k: good,
-                                 domain=dom, dim=2), config, model)
-        for name in ("iterates", "f_played", "q_norms", "eps",
-                     "grad_error_norms"):
-            np.testing.assert_array_equal(getattr(partial, name),
-                                          getattr(full, name)[:2])
-        assert np.all(partial.grad_error_norms > 0.0)
-        assert np.all(partial.eps > 0.0)
+        assert solver._BLOCK_ROWS == 512
+        for failing, horizon in ((3, 5), (600, 700)):
+            stream = ProblemStream(
+                horizon=horizon,
+                step_at=lambda k: bad if k == failing else good,
+                domain=dom, dim=2)
+            with pytest.raises(SolverRunError) as err:
+                run(stream, config, model)
+            done = failing - 1
+            partial = err.value.trace
+            assert partial.horizon == done
+            assert partial.partial
+            assert partial.iterates.shape == (done, 2)
+            assert partial.optima is None
+            # the completed steps are filled as an unfailed run fills them
+            full = run(ProblemStream(horizon=horizon, step_at=lambda k: good,
+                                     domain=dom, dim=2), config, model)
+            for name in ("iterates", "f_played", "q_norms", "eps",
+                         "grad_error_norms"):
+                np.testing.assert_array_equal(getattr(partial, name),
+                                              getattr(full, name)[:done])
+            assert np.all(partial.grad_error_norms > 0.0)
+            assert np.all(partial.eps > 0.0)
 
 
 def _per_step_loop(stream, config, model):
@@ -320,9 +331,9 @@ def test_total_values_override_matches_the_fallback(case):
     xs = run(stream, config, model).iterates
     xs[-3:] = np.random.default_rng(5).normal(scale=1e3,
                                               size=(3, stream.dim))
-    for rows in (xs, xs[:5]):
-        np.testing.assert_array_equal(stream.total_values(rows),
-                                      fallback.total_values(rows))
+    for rows, start in ((xs, 0), (xs[:5], 0), (xs[5:9], 5)):
+        np.testing.assert_array_equal(stream.total_values(rows, start=start),
+                                      fallback.total_values(rows, start=start))
 
 
 class TestEuclideanEquivalence:
@@ -392,6 +403,43 @@ def test_one_subproblem_solver_per_distinct_rule():
     assert len(solvers) == stream.horizon
     assert len({id(solve) for solve in solvers}) == 3
     assert solvers[0] is solvers[3] and solvers[0] is not solvers[1]
+
+
+def _run_peak(T, model):
+    """tracemalloc peak of ``run`` on an example1 stream, above its start;
+    the stream and its steps are built before tracing starts."""
+    cfg = GaussMarkovConfig(horizon=T, seed=3)
+    stream, _ = generate_gauss_markov(cfg)
+    steps = stream.steps()
+    config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
+                          initial_point=np.zeros(stream.dim))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run(stream, config, model, steps=steps)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", [
+    zero_error_model(seed=9),
+    ErrorModel(gradient_std=0.05, prox_std=0.05, seed=9)],
+    ids=["exact", "inexact"])
+def test_run_scratch_does_not_grow_with_the_horizon(model):
+    """Beyond the trace's own arrays ((n + 7) floats a step), the step
+    solvers' list and the model's seed tables (2 x 4 uint64 a step with
+    both draws), ``run`` keeps block-sized scratch only."""
+    n = GaussMarkovConfig().n_coeffs
+    per_step = (n + 8) * 8
+    if model.gradient_std != 0.0:
+        per_step += 2 * 4 * 8
+    growth = _run_peak(4096, model) - _run_peak(1024, model)
+    assert growth <= 3072 * per_step + 64 * 1024
 
 
 def test_run_refuses_steps_of_another_horizon():
