@@ -7,29 +7,32 @@ Usage:
 Configuration files are flat INI-style key=value text; command-line flags
 override file values. [run] holds experiment, seed (>= 0), horizon (>= 1),
 variant and optimum_tol. example1 and custom read [example1] or its alias
-[custom] and accept a box [domain]; example2 reads [example2] and runs on
-the whole space. One resolver turns a file into a run for both commands,
-so ``verify --config FILE`` rebuilds the run that ``run --config FILE``
-played. Every run writes the resolved configuration to ``run_config.cfg``
-inside the output directory, which resolves to the run that wrote it and
-is what ``verify`` reads by default. ``verify`` certifies each variant
-from its ``bound_state.csv`` alone; ``trace.csv`` is a report for readers.
+[custom] and accept a box [domain] (a diameter needs kind = box); example2
+reads [example2] and runs on the whole space. One resolver turns a file
+into a run for both commands, so ``verify --config FILE`` rebuilds the run
+that ``run --config FILE`` played. Every run writes the resolved
+configuration to ``run_config.cfg`` inside the output directory, which
+resolves to the run that wrote it and is what ``verify`` reads by default.
+``verify`` certifies each variant from its ``bound_state.csv`` alone;
+``trace.csv`` is a report for readers.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
-``seed XOR 0x4E4F4953``; inside the error model, gradient and prox draws
-are further separated by their own XOR tags. Variants of one run thus
-share the problem stream and differ only in error draws.
+``seed XOR 0x4E4F4953`` (the library's rule too); inside the error model,
+gradient and prox draws are further separated by their own XOR tags.
+Variants of one run thus share the problem stream and differ only in
+error draws.
 
 Exit codes:
     0  success
-    1  certified bound violated, or a run failed mid-stream
+    1  certified bound violated, a run failed mid-stream, or a step size
+       above 2 sigma_omega / max_k L_k
     2  configuration parse or validation error
     3  output directory refused: nonempty and --overwrite not given, or
        not creatable (an existing file, or a path under one)
     4  run_config.cfg missing, or a bound_state.csv missing or unreadable
-    5  sanity violation in bound_state.csv (some f_k(x_k) below
-       f_k(x_k*), or a nonfinite gap)
+    5  sanity violation in bound_state.csv: an f_star off the stream's
+       value at its optimum, an f_k(x_k) below f_k(x_k*), a nonfinite gap
     6  a recorded L_k or B_k below its exact value at some step
 """
 
@@ -47,11 +50,10 @@ import numpy as np
 
 from . import experiments, regret, runio
 from .bregman import euclidean_generator
-from .errors import OmpdError, SolverRunError
+from .errors import OmpdError, SolverRunError, StepSizeError
+from .experiments import ERROR_SEED_XOR, STREAM_SEED_XOR  # noqa: F401
 from .losses import box, whole_space
-
-STREAM_SEED_XOR = 0x53545245  # "STRE"
-ERROR_SEED_XOR = experiments.ERROR_SEED_XOR
+from .prox import check_step_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -179,6 +181,8 @@ def _variants(label: str):
 def _build_domain(exp: _Experiment, dom, cfg):
     kind = dom.get("kind", "whole_space")
     if kind == "whole_space":
+        if "diameter" in dom:
+            raise ConfigError("key 'diameter' needs [domain] kind = box")
         return whole_space()
     if exp.domain_dim is None:
         raise ConfigError(f"{exp.section} runs on the whole space")
@@ -281,7 +285,6 @@ def cmd_run(args) -> int:
 
     try:
         results = exp.run(cfg, domain, out_dir=out_dir, variants=variants,
-                          error_seed=manifest["seed"] ^ ERROR_SEED_XOR,
                           optimum_tol=manifest["optimum_tol"])
     except SolverRunError as exc:
         path = os.path.join(out_dir, "partial_trace.csv")
@@ -317,6 +320,14 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol, exact):
             raise ValueError("the file does not cover the run")
     except (OSError, ValueError):
         return EXIT_MISSING, f"variant={variant} error=unreadable_trace"
+    # f_star is the stream's value at the optimum, within 4 ulp (README)
+    finite = np.all(np.isfinite(state["optima"]), axis=1)
+    with np.errstate(all="ignore"):  # a nonfinite optimum reaches no SVD
+        f = stream.total_values(np.where(finite[:, None], state["optima"], 0))
+        ok = finite & (abs(state["f_star"] - f) <= 4 * abs(np.spacing(f)))
+    if not np.all(ok):
+        return EXIT_SANITY, (f"variant={variant} error=f_star "
+                             f"step={np.argmin(ok) + 1}")
     # the bound is certified from this file's f_x and f_star
     gap = state["f_x"] - state["f_star"]
     worst_gap = np.min(gap) if np.all(np.isfinite(gap)) else np.nan
@@ -332,11 +343,15 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol, exact):
     if not np.all(ok):
         k = int(np.argmin(ok)) + 1
         return EXIT_CONSTANTS, f"variant={variant} error=constants step={k}"
+    generator = euclidean_generator()
+    try:  # the recorded L_k bound the exact ones
+        check_step_size(lam, np.max(state["L_k"]), generator.sigma_omega)
+    except StepSizeError:
+        return EXIT_FAIL, f"variant={variant} error=step_size"
 
     domain = stream.domain
     rebuilt = runio.trace_from_state(state, lam, domain.kind, domain.diameter)
-    ledger = regret.ledger_from_trace(rebuilt, euclidean_generator(), lam,
-                                      domain)
+    ledger = regret.ledger_from_trace(rebuilt, generator, lam, domain)
     worst = regret.certified_margin(rebuilt, ledger, domain.kind,
                                     _BOUND_TOL_PER_STEP)
     line = f"variant={variant} worst_margin={worst:.6g}"

@@ -6,8 +6,8 @@ synthetic low-rank backgrounds from sparse foregrounds with paired
 nuclear-norm and l1 prox updates on one block variable.
 
 All randomness flows from the config seed through a single generator in a
-fixed draw order, so streams are bit-reproducible. Error draws use a
-separate seed (derived by XOR with ``ERROR_SEED_XOR`` unless given).
+fixed draw order, so streams are bit-reproducible. Error draws use the
+seed ``ompd run`` derives, ``cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .bregman import euclidean_generator
 from .errors import OptimumError, SvdError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
-                     box, whole_space, zero_error_model)
+                     box, whole_space)
 from .prox import (_prox_gradient_point, block_rule, l1_rule, nuclear_rule,
                    prox_gradient)
 from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
@@ -32,7 +32,8 @@ from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
 from .runio import RunTrace, one_per_path, write_state_csv, write_tables
 from .solver import SolverConfig, run, write_trace_csv
 
-#: default derivation of the error-model seed from the stream seed
+#: the stream and error-model seeds are the manifest seed XOR these tags
+STREAM_SEED_XOR = 0x53545245  # "STRE"
 ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
 
 #: example2's optimum tolerance; 1e-9 may be out of reach at its 1e5 scale
@@ -321,10 +322,9 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     reaches eta in a few events and its points pass the test up to
     rounding. Each problem it leaves (a degenerate design such as twin
     columns, a path out of events) runs ``prox.prox_gradient`` alone,
-    from 0 with step 1/L_t for at most ``max_iters`` iterations.
-    Returns (optima, f_star, residuals); raises OptimumError for a problem
-    with nonfinite data, before any iteration, and for one that ends its
-    iterations above ``tol``.
+    from 0 with step 1/L_t for at most ``max_iters`` iterations. Returns
+    (optima, residuals); raises OptimumError for a problem with nonfinite
+    data, before any iteration, and for one that ends above ``tol``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -353,9 +353,7 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
             np.zeros(n), step[t], tol, max_iters)
         if not converged:
             raise OptimumError(residuals[t], tol, iters)
-    r = np.einsum("tdn,tn->td", X, out) - Y
-    f_star = np.einsum("td,td->t", r, r) + eta * np.sum(np.abs(out), axis=1)
-    return out, f_star, residuals
+    return out, residuals
 
 
 @dataclass
@@ -369,14 +367,12 @@ class ExperimentResult:
 def _error_model(error_std: float, variant: str, seed: int) -> ErrorModel:
     if variant not in ("exact", "inexact"):
         raise ValueError("variant must be 'exact' or 'inexact'")
-    if variant == "exact" or error_std == 0.0:
-        return zero_error_model(seed=seed)
-    return ErrorModel(gradient_std=error_std, prox_std=error_std, seed=seed)
+    std = error_std if variant == "inexact" else 0.0
+    return ErrorModel(gradient_std=std, prox_std=std, seed=seed)
 
 
 def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
-                   error_seed: Optional[int], optima, f_star,
-                   out_dir: Optional[str], write_extra):
+                   optima, out_dir: Optional[str], write_extra):
     """Play each variant on one stream against the shared optima.
 
     Variants differ only in their error model; the stream's steps are
@@ -388,7 +384,7 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
     config = SolverConfig(step_size=step_size,
                           generator=euclidean_generator(),
                           initial_point=np.zeros(stream.dim))
-    seed = cfg.seed ^ ERROR_SEED_XOR if error_seed is None else error_seed
+    seed = cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR
     steps = stream.steps()
     played = {variant: run(stream, config,
                            _error_model(cfg.error_std, variant, seed),
@@ -397,7 +393,7 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
     del steps  # the ledgers and tables need no step
     results, ledgers = {}, {}
     for variant, trace in played.items():
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        fill_optima(trace, stream, optima=optima)
         ledgers[variant] = ledger = ledger_from_trace(
             trace, config.generator, step_size, stream.domain)
         rhs = theorem_rhs(ledger, trace, stream.domain.kind)
@@ -438,7 +434,6 @@ def _write_coefficients_csv(a_true, a_pred, *paths) -> None:
 def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
                  variants=("exact", "inexact"),
                  domain: Optional[Domain] = None,
-                 error_seed: Optional[int] = None,
                  optimum_tol: float = OPTIMUM_TOL_DEFAULT):
     """Wire the regression stream through the solver, both variants.
 
@@ -458,9 +453,9 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
         if np.all(hi == hi[0]) and np.all(lo == -hi):
             halfwidth = float(hi[0])
     if dom.is_bounded and halfwidth is None:
-        optima, f_star = stream_optima(stream, tol=optimum_tol)
+        optima = stream_optima(stream, tol=optimum_tol)
     else:
-        optima, f_star, _ = lasso_optima_batch(
+        optima, _ = lasso_optima_batch(
             truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth,
             tol=optimum_tol)
 
@@ -469,8 +464,8 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
             truth["a_true"], [trace.iterates for trace in traces],
             *(os.path.join(vdir, "coefficients.csv") for vdir in vdirs))
 
-    return _play_variants(stream, cfg, cfg.step_size, variants, error_seed,
-                          optima, f_star, out_dir, write_coefficients)
+    return _play_variants(stream, cfg, cfg.step_size, variants, optima,
+                          out_dir, write_coefficients)
 
 
 @dataclass(frozen=True)
@@ -696,17 +691,15 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
     blocks and sweeps until the increment is <= ``tol`` or nonfinite, or
     until ``max_sweeps``. The blocks then face ``offline_optimum``'s test:
     their prox-gradient point p at step 1/L, under the stream's exact
-    SVD-based prox, must have mapping norm <= ``tol``; p and F(p) are
-    kept. A finite candidate that fails it (near the rounding floor) is
-    finished by ``prox.prox_gradient`` from there, at step 1/L within the
-    step's remaining budget. Returns (optima, f_star, residuals); raises
-    OptimumError at a nonfinite candidate residual (or an SVD or
-    eigensolver failure), or when sweeps and kernel iterations together
-    use up ``max_sweeps``.
+    SVD-based prox, must have mapping norm <= ``tol``; p is kept. A
+    finite candidate that fails it (near the rounding floor) is finished
+    by ``prox.prox_gradient`` from there, at step 1/L within the step's
+    remaining budget. Returns (optima, residuals); raises OptimumError at
+    a nonfinite candidate residual (or an SVD or eigensolver failure), or
+    when sweeps and kernel iterations together use up ``max_sweeps``.
     """
     T, rows, cols = M.shape
     optima = np.zeros((T, stream.dim))
-    f_star = np.zeros(T)
     residuals = np.zeros(T)
     L = S = np.zeros((rows, cols))
     shrink_L, shrink_S = 1.0 + cfg.mu_L, 1.0 + cfg.mu_S
@@ -736,9 +729,8 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
             raise OptimumError(np.nan, tol, sweep) from exc
         if not residual <= tol:
             raise OptimumError(residual, tol, sweep)
-        optima[k - 1], f_star[k - 1] = p, step.total_value(p)
-        residuals[k - 1] = residual
-    return optima, f_star, residuals
+        optima[k - 1], residuals[k - 1] = p, residual
+    return optima, residuals
 
 
 def separation_blocks(trace_row: np.ndarray, cfg: SeparationConfig):
@@ -783,7 +775,7 @@ def _write_snapshots(trace: RunTrace, cfg: SeparationConfig, out_dir: str,
 
 
 def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
-                 variants=("exact",), error_seed: Optional[int] = None,
+                 variants=("exact",),
                  optimum_tol: float = SEPARATION_OPTIMUM_TOL,
                  snapshot_every: int = 50):
     """Run the separation stream and assemble the regret artifacts.
@@ -795,14 +787,12 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
     Returns (results dict keyed by variant, truth dict).
     """
     stream, truth = generate_separation(cfg)
-    optima, f_star, _ = separation_optima(stream, truth["M"], cfg,
-                                          tol=optimum_tol)
+    optima, _ = separation_optima(stream, truth["M"], cfg, tol=optimum_tol)
 
     def write_snapshots(traces, vdirs):
         for trace, vdir in zip(traces, vdirs):
             _write_snapshots(trace, cfg, vdir, snapshot_every)
 
-    results = _play_variants(
-        stream, cfg, cfg.alpha_L, variants, error_seed, optima, f_star,
-        out_dir, write_snapshots)
+    results = _play_variants(stream, cfg, cfg.alpha_L, variants, optima,
+                             out_dir, write_snapshots)
     return results, truth

@@ -75,26 +75,20 @@ def offline_optimum(step: CompositeLossStep, domain: Domain,
 def stream_optima(stream: ProblemStream, tol: float = OPTIMUM_TOL_DEFAULT):
     """Per-step optima of a whole stream, each warm-started at the last."""
     xs = np.zeros((stream.horizon, stream.dim))
-    fs = np.zeros(stream.horizon)
-    guess = None
-    for k in range(1, stream.horizon + 1):
-        xs[k - 1], fs[k - 1] = offline_optimum(
-            stream.step_at(k), stream.domain, tol=tol, x0=guess)
-        guess = xs[k - 1]
-    return xs, fs
+    for k in range(1, stream.horizon + 1):  # xs[-1] is still 0 at k = 1
+        xs[k - 1], _ = offline_optimum(
+            stream.step_at(k), stream.domain, tol=tol, x0=xs[k - 2])
+    return xs
 
 
 def fill_optima(trace: RunTrace, stream: ProblemStream,
                 tol: float = OPTIMUM_TOL_DEFAULT,
-                optima: Optional[np.ndarray] = None,
-                f_star: Optional[np.ndarray] = None) -> RunTrace:
-    """Attach per-step optima to a trace, computing them unless provided."""
+                optima: Optional[np.ndarray] = None) -> RunTrace:
+    """Attach per-step optima, computed unless given, and f_k at them."""
     if optima is None:
-        optima, f_star = stream_optima(stream, tol=tol)
+        optima = stream_optima(stream, tol=tol)
     trace.optima = np.asarray(optima, dtype=float)
-    if f_star is None:
-        f_star = stream.total_values(trace.optima[:trace.horizon])
-    trace.f_star = np.asarray(f_star, dtype=float)
+    trace.f_star = stream.total_values(trace.optima[:trace.horizon])
     return trace
 
 

@@ -3,6 +3,7 @@
 import configparser
 import shutil
 
+import numpy as np
 import pytest
 
 from ompd import SolverRunError, cli, experiments, losses, whole_space
@@ -76,6 +77,11 @@ TRACE_EDITS = {
     "f_x_below_f_star": lambda lines: _with_cell(
         lines, 5, "f_x", repr(float(lines[5].split(",")[2]) - 1.0)),
 }
+
+
+def _cell(path, row, column):
+    lines = path.read_text().splitlines()
+    return float(lines[row].split(",")[lines[0].split(",").index(column)])
 
 
 def _recorded_optimum_tol(out):
@@ -400,6 +406,49 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert _recorded_optimum_tol(out) == 1e-6
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("text", [EX1_SMALL, EX2_SMALL],
+                             ids=["example1", "example2"])
+    @pytest.mark.parametrize("domain", ["", "kind = whole_space\n"],
+                             ids=["no_kind", "whole_space"])
+    def test_diameter_without_a_box_names_key(self, tmp_path, capsys,
+                                              command, text, domain):
+        """Such a run was played on the whole space, and its
+        run_config.cfg kept the diameter, which reads as a bounded run."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + f"[domain]\n{domain}diameter = 3.0\n")
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'diameter'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["example1", "example1_box",
+                                      "example2"])
+    def test_library_run_writes_the_cli_files(self, tmp_path, name):
+        """The library seeds the error draws by the CLI's rule, so a
+        resolved config played by the library writes ``ompd run``'s
+        files, byte for byte, noisy variant included."""
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(ROUND_TRIPS[name])
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(cli_out)]) == 0
+        _, cfg, domain, variants, _ = cli._resolve(cfg_path)
+        assert variants == ("exact", "inexact") and cfg.error_std > 0.0
+        if name == "example2":
+            experiments.run_example2(cfg, str(lib_out), variants=variants)
+        else:
+            experiments.run_example1(cfg, str(lib_out), domain=domain)
+        for variant in variants:
+            written = sorted(p.relative_to(cli_out / variant)
+                             for p in (cli_out / variant).rglob("*.csv"))
+            assert written == sorted(p.relative_to(lib_out / variant) for p
+                                     in (lib_out / variant).rglob("*.csv"))
+            for rel in written:
+                assert ((lib_out / variant / rel).read_bytes()
+                        == (cli_out / variant / rel).read_bytes()), rel
+
 
 class TestVerify:
     def test_verify_after_run_exits_zero(self, tmp_path, capsys):
@@ -596,6 +645,73 @@ class TestVerify:
                             + "\n")
         assert main(["verify", "--out", str(out)]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("raise_f_star, step", [
+        (lambda k, f_x, f_star: f_star + 0.9 * (f_x - f_star), 1),
+        (lambda k, f_x, f_star: f_star * (1.0 + 1e-9) if k == 17 else f_star,
+         17)], ids=["every_gap_by_90_percent", "one_by_1e-9_relative"])
+    def test_raised_f_star_exit_5(self, tmp_path, capsys, raise_f_star,
+                                  step):
+        """verify recomputes f_star from the stored optima. The first case
+        verified with worst_margin=5.35 while the file's f_star was
+        trusted."""
+        out = tmp_path / "res"
+        assert main(["run", "--experiment", "example1", "--seed", "3",
+                     "--horizon", "40", "--variant", "exact",
+                     "--out", str(out)]) == 0
+        path = out / "exact" / "bound_state.csv"
+        for k in range(1, 41):
+            _set_cell(path, k + 1, "f_star", repr(raise_f_star(
+                k, _cell(path, k + 1, "f_x"), _cell(path, k + 1, "f_star"))))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 5
+        assert (capsys.readouterr().out
+                == f"variant=exact error=f_star step={step}\n")
+
+    @pytest.mark.parametrize("ulps, code", [(1, 0), (5, 5)])
+    def test_f_star_may_differ_by_4_ulp(self, tmp_path, ex1_exact_run, ulps,
+                                        code):
+        """Files written before f_star came from the stream's evaluator
+        differ from it by 1 ulp at a few example1 steps."""
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "exact" / "bound_state.csv"
+        for row in (2, 21, 41):
+            f_star = _cell(path, row, "f_star")
+            for _ in range(ulps):
+                f_star = np.nextafter(f_star, np.inf)
+            _set_cell(path, row, "f_star", repr(float(f_star)))
+        assert main(["verify", "--out", str(out)]) == code
+
+    def test_nonfinite_example2_optimum_exit_5(self, tmp_path, capsys):
+        """The SVD of the nuclear term refuses a NaN matrix; a NaN optimum
+        is a named error, not a traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX2_SMALL)
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        _set_cell(out / "exact" / "bound_state.csv", 3, "xstar_5", "nan")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 5
+        assert capsys.readouterr().out == "variant=exact error=f_star step=2\n"
+
+    def test_step_size_above_the_rule_exit_1(self, tmp_path, capsys,
+                                             ex1_exact_run):
+        """verify applies run's rule lam <= 2 sigma_omega / max_k L_k to
+        the recorded L_k. A run_config.cfg edited past it used to verify,
+        while ``run --config`` of the same file exits 1."""
+        out = shutil.copytree(ex1_exact_run, tmp_path / "res")
+        path = out / "run_config.cfg"
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(path)
+        parser["example1"]["step_size"] = "0.2"
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "variant=exact error=step_size\n"
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        assert "exceeds 2*sigma_omega/L" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doctor", UNREADABLE.values(),
                              ids=UNREADABLE.keys())

@@ -138,7 +138,8 @@ class TestRunExample1:
         dom = box(0.0, 1.0, dim=cfg.n_coeffs)
         trace = run_example1(cfg, variants=("exact",),
                              domain=dom)["exact"].trace
-        _, f_ref = stream_optima(generate_gauss_markov(cfg, dom)[0])
+        stream = generate_gauss_markov(cfg, dom)[0]
+        f_ref = stream.total_values(stream_optima(stream))
         assert np.all((trace.optima >= 0.0) & (trace.optima <= 1.0))
         np.testing.assert_array_equal(trace.f_star, f_ref)
 
@@ -297,9 +298,10 @@ class TestSeparationOptima:
                                mu_L=mu_L)
         stream, truth = generate_separation(cfg)
         tol = 1e-6
-        _, f_ref = stream_optima(stream, tol=tol)
-        optima, f_star, residuals = separation_optima(stream, truth["M"],
-                                                      cfg, tol=tol)
+        f_ref = stream.total_values(stream_optima(stream, tol=tol))
+        optima, residuals = separation_optima(stream, truth["M"], cfg,
+                                              tol=tol)
+        f_star = stream.total_values(optima)
         assert np.all(residuals <= tol)
         np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
         for k in (1, 12):  # f_star is F at the returned point
@@ -356,8 +358,7 @@ class TestSeparationOptima:
                             _counting(prox.singular_value_threshold, exact))
         monkeypatch.setattr(experiments, "_gram_svt",
                             _counting(experiments._gram_svt, gram))
-        _, _, residuals = separation_optima(stream, truth["M"], cfg,
-                                            tol=1e-6)
+        _, residuals = separation_optima(stream, truth["M"], cfg, tol=1e-6)
         assert np.all(residuals <= 1e-6)
         assert len(exact) == cfg.horizon
         assert len(gram) >= cfg.horizon
@@ -369,14 +370,16 @@ class TestSeparationOptima:
         kernel from its candidate and meets it."""
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=3, seed=3)
         stream, truth = generate_separation(cfg)
-        _, f_ref, _ = separation_optima(stream, truth["M"], cfg)
+        f_ref = stream.total_values(
+            separation_optima(stream, truth["M"], cfg)[0])
         real = experiments._gram_svt
         monkeypatch.setattr(experiments, "_gram_svt",
                             lambda Z, tau: real(Z, tau) + 1.0)
         finished = []
         monkeypatch.setattr(experiments, "prox_gradient",
                             _counting(experiments.prox_gradient, finished))
-        _, f_star, residuals = separation_optima(stream, truth["M"], cfg)
+        optima, residuals = separation_optima(stream, truth["M"], cfg)
+        f_star = stream.total_values(optima)
         assert np.all(residuals <= experiments.SEPARATION_OPTIMUM_TOL)
         np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
         assert len(finished) == cfg.horizon
@@ -386,9 +389,11 @@ class TestSeparationOptima:
         the kernel finishes steps whose Gram candidates stall above it."""
         cfg = SeparationConfig(horizon=5, seed=2304, lambda_L=1e5)
         stream, truth = generate_separation(cfg)
-        _, f_ref, _ = separation_optima(stream, truth["M"], cfg, tol=1e-8)
-        optima, f_star, residuals = separation_optima(stream, truth["M"],
-                                                      cfg, tol=3e-9)
+        f_ref = stream.total_values(
+            separation_optima(stream, truth["M"], cfg, tol=1e-8)[0])
+        optima, residuals = separation_optima(stream, truth["M"], cfg,
+                                              tol=3e-9)
+        f_star = stream.total_values(optima)
         assert np.all(residuals <= 3e-9)
         np.testing.assert_allclose(f_star, f_ref, rtol=1e-12)
         assert f_star[-1] == stream.step_at(5).total_value(optima[-1])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   OptimumError, ProblemStream, RegimeMismatchError,
-                  SolverConfig, box, certified_margin, dynamic_regret,
+                  SolverConfig, ball, box, certified_margin, dynamic_regret,
                   euclidean_generator, fill_optima, l1_rule,
                   ledger_from_trace, offline_optimum, prox, recursion_bound,
                   run, theorem_rhs, whole_space, zero_error_model, zero_rule)
@@ -110,8 +110,9 @@ class TestOfflineOptimum:
     def test_batched_solver_agrees_with_scalar_oracle(self):
         cfg = GaussMarkovConfig(horizon=6, seed=9)
         stream, truth = generate_gauss_markov(cfg)
-        optima, f_star, _ = lasso_optima_batch(truth["X"], truth["Y"],
-                                               cfg.eta, tol=1e-11)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       tol=1e-11)
+        f_star = stream.total_values(optima)
         for k in (1, 3, 6):
             x_ref, f_ref = offline_optimum(stream.step_at(k), stream.domain,
                                            tol=1e-11)
@@ -205,8 +206,8 @@ class TestLassoOptimaBatch:
         cfg = GaussMarkovConfig(horizon=5000, seed=7)
         _, truth = generate_gauss_markov(cfg)
         X, Y = truth["X"][425:426], truth["Y"][425:426]
-        optima, _, residuals = lasso_optima_batch(X, Y, cfg.eta, tol=1e-9,
-                                                  max_iters=1000)
+        optima, residuals = lasso_optima_batch(X, Y, cfg.eta, tol=1e-9,
+                                               max_iters=1000)
         assert residuals[0] <= 1e-9
         grad = 2.0 * X[0].T @ (X[0] @ optima[0] - Y[0])
         assert np.max(np.abs(grad)) <= cfg.eta * (1.0 + 1e-9)
@@ -217,7 +218,7 @@ class TestLassoOptimaBatch:
                       [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
         Y = np.array([[1.0, 2.0], [2.0, -3.0]])
         calls = _spy_fallback(monkeypatch)
-        optima, _, residuals = lasso_optima_batch(X, Y, 1.0)
+        optima, residuals = lasso_optima_batch(X, Y, 1.0)
         assert np.all(residuals <= 1e-9)
         np.testing.assert_allclose(optima[1], [1.5, -2.5, 0.0], rtol=1e-12)
         assert len(calls) == 1  # the twin problem: grad g(0) = -2 X^T y
@@ -230,8 +231,9 @@ class TestLassoOptimaBatch:
                else box(-halfwidth, halfwidth, dim=cfg.n_coeffs))
         stream, truth = generate_gauss_markov(cfg, domain=dom)
         tol = 1e-9
-        optima, f_star, residuals = lasso_optima_batch(
+        optima, residuals = lasso_optima_batch(
             truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth, tol=tol)
+        f_star = stream.total_values(optima)
         assert np.all(residuals <= tol)
         if halfwidth is not None:
             assert np.all(np.abs(optima) <= halfwidth)
@@ -270,10 +272,10 @@ class TestLassoOptimaBatch:
 
     def test_empty_batch_returns_at_once(self):
         """T=0 used to spin the whole iteration budget, then raise."""
-        optima, f_star, residuals = lasso_optima_batch(
+        optima, residuals = lasso_optima_batch(
             np.zeros((0, 2, 30)), np.zeros((0, 2)), 0.05)
         assert optima.shape == (0, 30)
-        assert f_star.shape == residuals.shape == (0,)
+        assert residuals.shape == (0,)
 
     @pytest.mark.parametrize("halfwidth, seed, horizon, row", [
         (None, 7, 2000, None), (0.5, 7, 2000, None), (0.2, 7, 2000, None),
@@ -290,8 +292,7 @@ class TestLassoOptimaBatch:
         X, Y = truth["X"], truth["Y"]
         if row is not None:
             X, Y = X[row:row + 1], Y[row:row + 1]
-        _, _, residuals = lasso_optima_batch(X, Y, cfg.eta,
-                                             halfwidth=halfwidth)
+        _, residuals = lasso_optima_batch(X, Y, cfg.eta, halfwidth=halfwidth)
         assert np.all(residuals <= 1e-9)
         assert calls == []
 
@@ -319,8 +320,10 @@ class TestLassoOptimaBatch:
         eta = eta_frac * float(np.max(np.abs(
             2.0 * np.einsum("tdn,td->tn", X, Y))))
         tol = 1e-10
-        optima, f_star, residuals = lasso_optima_batch(
+        optima, residuals = lasso_optima_batch(
             X, Y, eta, halfwidth=halfwidth, tol=tol)
+        f_star = [_lasso_step(X[t], Y[t], eta).total_value(optima[t])
+                  for t in range(3)]
         assert np.all(residuals <= tol)
         # the test certifies that -grad g(p) lies within 2 * residual of the
         # subdifferential of eta ||.||_1 (plus the box) at the returned p
@@ -388,11 +391,55 @@ class TestDynamicRegret:
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
                               initial_point=np.zeros(cfg.n_coeffs))
         trace = run(stream, config, zero_error_model())
-        optima, f_star, _ = lasso_optima_batch(truth["X"], truth["Y"],
-                                               cfg.eta, tol=1e-10)
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       tol=1e-10)
+        fill_optima(trace, stream, optima=optima)
         R = dynamic_regret(trace)
         assert np.all(np.diff(R) >= -1e-6)
+
+
+#: example1 domains by oracle: the lasso path on the whole space and on an
+#: origin-centred cube, ``stream_optima`` on a ball
+EX1_DOMAINS = {"whole_space": None, "cube_0.2": box(-0.2, 0.2, dim=30),
+               "ball": ball(0.5)}
+
+
+class TestOneSourceOfFStar:
+    """f_k(x_k*) is the stream's own evaluator at the optima, bit for bit,
+    whichever oracle found them."""
+
+    @pytest.mark.parametrize("domain", EX1_DOMAINS.values(),
+                             ids=EX1_DOMAINS.keys())
+    def test_example1(self, domain):
+        # the lasso path's own formula was 1 ulp off at step 6 here
+        cfg = GaussMarkovConfig(horizon=30, seed=14)
+        stream, _ = generate_gauss_markov(cfg, domain)
+        for result in experiments.run_example1(cfg, domain=domain).values():
+            trace = result.trace
+            np.testing.assert_array_equal(
+                trace.f_star, stream.total_values(trace.optima))
+
+    def test_example2(self):
+        cfg = SeparationConfig(frame_dim=16, window=8, horizon=4, seed=2)
+        stream, _ = generate_separation(cfg)
+        results, _ = experiments.run_example2(cfg)
+        trace = results["exact"].trace
+        np.testing.assert_array_equal(trace.f_star,
+                                      stream.total_values(trace.optima))
+
+    def test_stream_without_batch_values(self):
+        stream, _ = TestNonEuclideanCertification._drifting_quadratic(
+            6, 3, 4, whole_space())
+        assert stream.batch_values is None
+        config = SolverConfig(step_size=0.3, generator=EUCLID,
+                              initial_point=np.zeros(3))
+        trace = fill_optima(run(stream, config, zero_error_model()), stream,
+                            tol=1e-12)
+        np.testing.assert_array_equal(trace.f_star,
+                                      stream.total_values(trace.optima))
+        np.testing.assert_array_equal(
+            trace.f_star, [stream.step_at(k).total_value(x)
+                           for k, x in enumerate(trace.optima, 1)])
 
 
 class TestLedger:
@@ -422,9 +469,9 @@ class TestLedger:
                               initial_point=np.zeros(cfg.n_coeffs))
         model = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=4)
         trace = run(stream, config, model)
-        optima, f_star, _ = lasso_optima_batch(truth["X"], truth["Y"],
-                                               cfg.eta, tol=1e-10)
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       tol=1e-10)
+        fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
 
         T = trace.horizon
@@ -466,9 +513,9 @@ class TestLedger:
                               initial_point=np.zeros(cfg.n_coeffs))
         trace = run(stream, config, zero_error_model())
         halfwidth = 2.0
-        optima, f_star, _ = lasso_optima_batch(
+        optima, _ = lasso_optima_batch(
             truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth, tol=1e-10)
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, dom)
         B = cfg.eta * np.sqrt(cfg.n_coeffs)
         assert ledger.D == 2.0 * B + float(np.max(trace.q_norms))
@@ -560,7 +607,7 @@ class TestNonEuclideanCertification:
                  else ErrorModel(gradient_std=0.05, prox_std=0.02, seed=1))
         trace = run(stream, config, model)
         # box-constrained quadratic optimum is its interior center
-        fill_optima(trace, stream, optima=c, f_star=np.zeros(T))
+        fill_optima(trace, stream, optima=c)
         ledger = ledger_from_trace(trace, gen, 0.3, dom)
         assert certified_margin(trace, ledger, "bounded") >= 0.0
         if variant == "exact":
@@ -579,7 +626,7 @@ class TestNonEuclideanCertification:
         model = (zero_error_model(seed=2) if variant == "exact"
                  else ErrorModel(gradient_std=0.03, prox_std=0.01, seed=2))
         trace = run(stream, config, model)
-        fill_optima(trace, stream, optima=c, f_star=np.zeros(T))
+        fill_optima(trace, stream, optima=c)
         # declared constants are only valid where the iterates live
         assert trace.iterates.min() >= 0.2 and trace.iterates.max() <= 1.0
         ledger = ledger_from_trace(trace, gen, 0.3, whole_space())
@@ -632,9 +679,9 @@ class TestTheoremRhs:
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
                               initial_point=np.zeros(cfg.n_coeffs))
         trace = run(stream, config, zero_error_model())
-        optima, f_star, _ = lasso_optima_batch(truth["X"], truth["Y"],
-                                               cfg.eta, tol=1e-9)
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       tol=1e-9)
+        fill_optima(trace, stream, optima=optima)
         R = dynamic_regret(trace)
         assert R[299] / 300.0 < R[29] / 30.0
 
@@ -644,9 +691,9 @@ class TestTheoremRhs:
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
                               initial_point=np.zeros(cfg.n_coeffs))
         trace = run(stream, config, zero_error_model())
-        optima, f_star, _ = lasso_optima_batch(truth["X"], truth["Y"],
-                                               cfg.eta, tol=1e-9)
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       tol=1e-9)
+        fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
         rhs = theorem_rhs(ledger, trace, "whole_space")
         path = tmp_path / "bound.csv"
@@ -668,9 +715,9 @@ class TestTheoremRhs:
                               initial_point=np.zeros(cfg.n_coeffs))
         model = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=8)
         trace = run(stream, config, model)
-        optima, f_star, _ = lasso_optima_batch(truth["X"], truth["Y"],
-                                               cfg.eta, tol=1e-10)
-        fill_optima(trace, stream, optima=optima, f_star=f_star)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       tol=1e-10)
+        fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
         assert certified_margin(trace, ledger, "whole_space") >= 0.0
         gaps = np.linalg.norm(trace.iterates - trace.optima, axis=1)
