@@ -12,9 +12,13 @@ reads [example2] and runs on the whole space. One resolver turns a file
 into a run for both commands, so ``verify --config FILE`` rebuilds the run
 that ``run --config FILE`` played. Every run writes the resolved
 configuration to ``run_config.cfg`` inside the output directory, which
-resolves to the run that wrote it and is what ``verify`` reads by default.
+resolves to the run that wrote it and is what ``verify`` reads by default
+(``run`` first removes an earlier one, so a failed run leaves none).
 ``verify`` certifies each variant from its ``bound_state.csv`` alone;
-``trace.csv`` is a report for readers.
+``trace.csv`` is a report for readers. Each experiment is one row of
+``experiments.EXPERIMENTS``: ``run`` plays it with ``experiments.play``,
+and ``verify`` takes the stream, the exact constants, the step size and
+the distance generator from the same row.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
@@ -44,14 +48,12 @@ import dataclasses
 import os
 import sys
 import typing
-from typing import Callable, Optional
 
 import numpy as np
 
 from . import experiments, regret, runio
-from .bregman import euclidean_generator
 from .errors import OmpdError, SolverRunError, StepSizeError
-from .experiments import ERROR_SEED_XOR, STREAM_SEED_XOR  # noqa: F401
+from .experiments import EXPERIMENTS, STREAM_SEED_XOR
 from .losses import box, whole_space
 from .prox import check_step_size
 
@@ -73,47 +75,11 @@ class ConfigError(Exception):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class _Experiment:
-    """Everything the CLI knows about one built-in experiment."""
-
-    section: str           # config-file section holding the config fields
-    config: type           # the config dataclass
-    step_size: str         # the config field holding lambda
-    optimum_tol: float     # default of [run] optimum_tol
-    domain_dim: Optional[str]  # field sizing a box [domain]; None: whole space
-    stream: Callable       # (cfg, domain) -> (ProblemStream, truth)
-    constants: Callable    # (cfg, truth) -> exact (L[T], B[T])
-    run: Callable          # (cfg, domain, **kwargs) -> {variant: result}
-
-
-# The lambdas look the experiments functions up at call time, so a caller
-# that replaces a module attribute (a test spy, a tracer) is honoured.
-_EXPERIMENTS = {
-    "example1": _Experiment(
-        section="example1", config=experiments.GaussMarkovConfig,
-        step_size="step_size", optimum_tol=regret.OPTIMUM_TOL_DEFAULT,
-        domain_dim="n_coeffs",
-        stream=lambda cfg, domain: experiments.generate_gauss_markov(
-            cfg, domain),
-        constants=lambda cfg, truth: experiments.gauss_markov_constants(
-            cfg, truth),
-        run=lambda cfg, domain, **kw: experiments.run_example1(
-            cfg, domain=domain, **kw)),
-    "example2": _Experiment(
-        section="example2", config=experiments.SeparationConfig,
-        step_size="alpha_L", optimum_tol=experiments.SEPARATION_OPTIMUM_TOL,
-        domain_dim=None,
-        stream=lambda cfg, domain: experiments.generate_separation(cfg),
-        constants=lambda cfg, truth: experiments.separation_constants(cfg),
-        run=lambda cfg, domain, **kw: experiments.run_example2(cfg, **kw)[0]),
-}
-# custom is example1 read from a [custom] section
-_EXPERIMENTS["custom"] = _EXPERIMENTS["example1"]
-
 _RUN_KEYS = {"experiment": str, "seed": int, "horizon": int, "variant": str,
              "optimum_tol": float}
 _DOMAIN_KEYS = {"kind": str, "diameter": float}
+_VARIANTS = {"exact": ("exact",), "inexact": ("inexact",),
+             "both": ("exact", "inexact")}
 
 
 def _parse_index_tuple(raw: str):
@@ -155,10 +121,10 @@ def _load_config(path):
                 raise ConfigError(f"config file not found: {path}")
             parser.read(path)
             for section in parser.sections():
-                if section not in ("run", "domain", *_EXPERIMENTS):
+                if section not in ("run", "domain", *EXPERIMENTS):
                     raise ConfigError(f"unknown section [{section}]")
         sections = {"run": _parse_section(parser, "run", _RUN_KEYS)}
-        for name, exp in _EXPERIMENTS.items():
+        for name, exp in EXPERIMENTS.items():
             sections.setdefault(exp.section, {}).update(
                 _parse_section(parser, name, _field_parsers(exp.config)))
         sections["domain"] = _parse_section(parser, "domain", _DOMAIN_KEYS)
@@ -170,15 +136,7 @@ def _load_config(path):
     return sections
 
 
-def _variants(label: str):
-    if label == "both":
-        return ("exact", "inexact")
-    if label in ("exact", "inexact"):
-        return (label,)
-    raise ConfigError(f"invalid value for key 'variant': {label}")
-
-
-def _build_domain(exp: _Experiment, dom, cfg):
+def _build_domain(exp: experiments.Experiment, dom, cfg):
     kind = dom.get("kind", "whole_space")
     if kind == "whole_space":
         if "diameter" in dom:
@@ -212,15 +170,17 @@ def _resolve(path, experiment=None, seed=None, horizon=None, variant=None):
     sections = _load_config(path)
     run_cfg = sections["run"]
     experiment = experiment or run_cfg.get("experiment")
-    if experiment not in _EXPERIMENTS:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(f"invalid or missing key 'experiment': {experiment}")
-    exp = _EXPERIMENTS[experiment]
+    exp = EXPERIMENTS[experiment]
     seed = run_cfg.get("seed", 0) if seed is None else seed
     if seed < 0:
         raise ConfigError(f"invalid value for key 'seed': {seed} "
                           f"(must be nonnegative)")
     variant = variant or run_cfg.get("variant", "both")
-    variants = _variants(variant)
+    if variant not in _VARIANTS:
+        raise ConfigError(f"invalid value for key 'variant': {variant}")
+    variants = _VARIANTS[variant]
     params = dict(sections[exp.section])
     horizon = run_cfg.get("horizon") if horizon is None else horizon
     if horizon is not None:
@@ -245,7 +205,7 @@ def _write_resolved_config(path, manifest, cfg) -> None:
                      "seed": str(manifest["seed"]),
                      "variant": manifest["variant"],
                      "optimum_tol": f"{manifest['optimum_tol']:.17g}"}
-    section = _EXPERIMENTS[manifest["experiment"]].section
+    section = EXPERIMENTS[manifest["experiment"]].section
     parser[section] = {}
     for field in dataclasses.fields(cfg):
         if field.name == "seed":
@@ -283,9 +243,13 @@ def cmd_run(args) -> int:
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_OVERWRITE
 
+    # a run that fails must not leave an earlier run's record to verify
+    config_path = os.path.join(out_dir, "run_config.cfg")
+    if os.path.exists(config_path):
+        os.remove(config_path)
     try:
-        results = exp.run(cfg, domain, out_dir=out_dir, variants=variants,
-                          optimum_tol=manifest["optimum_tol"])
+        results, _ = experiments.play(exp, cfg, domain, out_dir, variants,
+                                      manifest["optimum_tol"])
     except SolverRunError as exc:
         path = os.path.join(out_dir, "partial_trace.csv")
         runio.write_table(path, ("k", "f_x"), [
@@ -296,8 +260,7 @@ def cmd_run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
-    _write_resolved_config(os.path.join(out_dir, "run_config.cfg"),
-                           manifest, cfg)
+    _write_resolved_config(config_path, manifest, cfg)
     for variant in variants:
         res = results[variant]
         T = res.trace.horizon
@@ -307,9 +270,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_variant(out_dir, variant, stream, lam, optimum_tol, exact):
-    """Check one variant's state file against the regenerated stream and
-    its exact per-step constants ``exact`` = (L[T], B[T])."""
+def _verify_variant(out_dir, variant, stream, lam, generator, optimum_tol,
+                    exact):
+    """Check one variant's state file against the regenerated stream, the
+    run's distance generator and its exact per-step constants ``exact`` =
+    (L[T], B[T])."""
     state_path = os.path.join(out_dir, variant, "bound_state.csv")
     if not os.path.exists(state_path):
         return EXIT_MISSING, f"variant={variant} error=missing_trace"
@@ -343,7 +308,6 @@ def _verify_variant(out_dir, variant, stream, lam, optimum_tol, exact):
     if not np.all(ok):
         k = int(np.argmin(ok)) + 1
         return EXIT_CONSTANTS, f"variant={variant} error=constants step={k}"
-    generator = euclidean_generator()
     try:  # the recorded L_k bound the exact ones
         check_step_size(lam, np.max(state["L_k"]), generator.sigma_omega)
     except StepSizeError:
@@ -375,9 +339,10 @@ def cmd_verify(args) -> int:
     stream, truth = exp.stream(cfg, domain)
     exact = exp.constants(cfg, truth)
     lam = getattr(cfg, exp.step_size)
+    generator = exp.generator()
     status = EXIT_OK
     for variant in variants:
-        code, line = _verify_variant(out_dir, variant, stream, lam,
+        code, line = _verify_variant(out_dir, variant, stream, lam, generator,
                                      manifest["optimum_tol"], exact)
         print(line)
         if code != EXIT_OK and status == EXIT_OK:
@@ -393,12 +358,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment and write CSVs")
-    p_run.add_argument("--experiment", choices=tuple(_EXPERIMENTS))
+    p_run.add_argument("--experiment", choices=tuple(EXPERIMENTS))
     p_run.add_argument("--config", help="INI-style key=value config file")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--horizon", type=int)
-    p_run.add_argument("--variant", choices=("exact", "inexact", "both"))
+    p_run.add_argument("--variant", choices=tuple(_VARIANTS))
     p_run.add_argument("--overwrite", action="store_true",
                        help="allow writing into a nonempty directory")
     p_run.set_defaults(func=cmd_run)

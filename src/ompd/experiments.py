@@ -3,7 +3,8 @@
 Experiment 1 tracks a sparse autoregressive coefficient vector through a
 stream of tiny least-squares plus l1 problems. Experiment 2 separates
 synthetic low-rank backgrounds from sparse foregrounds with paired
-nuclear-norm and l1 prox updates on one block variable.
+nuclear-norm and l1 prox updates on one block variable. ``EXPERIMENTS``
+holds one row per experiment, and ``play`` plays a row.
 
 All randomness flows from the config seed through a single generator in a
 fixed draw order, so streams are bit-reproducible. Error draws use the
@@ -16,7 +17,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +43,7 @@ SEPARATION_OPTIMUM_TOL = 1e-6
 SEPARATION_MAX_SWEEPS = 10_000
 #: problems per ``_lasso_path`` call in ``lasso_optima_batch``
 _LASSO_CHUNK_ROWS = 1024
+_SNAPSHOT_EVERY = 50  # steps between example2's (L, S) snapshots
 
 
 def _require_step_size(cfg, key: str) -> None:
@@ -371,18 +373,42 @@ def _error_model(error_std: float, variant: str, seed: int) -> ErrorModel:
     return ErrorModel(gradient_std=std, prox_std=std, seed=seed)
 
 
-def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
-                   optima, out_dir: Optional[str], write_extra):
-    """Play each variant on one stream against the shared optima.
-
-    Variants differ only in their error model; the stream's steps are
-    built once, shared by every variant's run and dropped before the
-    ledgers and tables. With ``out_dir``, the variants' trace.csv,
-    bound.csv and bound_state.csv are written together, one directory per
-    variant, then ``write_extra(traces, variant_dirs)`` is called.
+@dataclass(frozen=True)
+class Experiment:
+    """One built-in experiment, as ``ompd run``, ``ompd verify`` and
+    ``play`` read it. Its callables look this module's functions up at
+    call time, so a replaced module attribute (a spy, a tracer) is used.
     """
-    config = SolverConfig(step_size=step_size,
-                          generator=euclidean_generator(),
+
+    section: str           # config-file section holding the config fields
+    config: type           # the config dataclass
+    step_size: str         # the config field holding lambda
+    optimum_tol: float     # default of [run] optimum_tol
+    domain_dim: Optional[str]  # field sizing a box [domain]; None: whole space
+    stream: Callable       # (cfg, domain) -> (ProblemStream, truth)
+    constants: Callable    # (cfg, truth) -> exact (L[T], B[T])
+    optima: Callable       # (stream, truth, cfg, tol) -> (T, dim) optima
+    tables: Callable       # (traces, vdirs, cfg, truth, **options): extras
+    generator: Callable = lambda: euclidean_generator()  # run's and verify's
+
+
+def play(row: Experiment, cfg, domain: Optional[Domain],
+         out_dir: Optional[str], variants, optimum_tol: float,
+         **table_options):
+    """Play each variant of experiment ``row`` on one stream built from
+    ``cfg`` (``domain`` None is the whole space), against optima at
+    ``optimum_tol`` that the variants share. Variants differ only in their
+    error model, seeded with ``cfg.seed ^ STREAM_SEED_XOR ^
+    ERROR_SEED_XOR``; the steps are built once and dropped before the
+    ledgers. With ``out_dir``, the variants' trace.csv, bound.csv and
+    bound_state.csv are written together, one directory per variant, then
+    the row's tables (given ``table_options``). Returns (results keyed by
+    variant, truth).
+    """
+    stream, truth = row.stream(cfg, domain)
+    optima = row.optima(stream, truth, cfg, optimum_tol)
+    step_size = getattr(cfg, row.step_size)
+    config = SolverConfig(step_size=step_size, generator=row.generator(),
                           initial_point=np.zeros(stream.dim))
     seed = cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR
     steps = stream.steps()
@@ -414,8 +440,25 @@ def _play_variants(stream: ProblemStream, cfg, step_size: float, variants,
                         [res.rhs for res in results.values()],
                         *paths("bound.csv"))
         write_state_csv(traces, *paths("bound_state.csv"))
-        write_extra(traces, vdirs)
-    return results
+        row.tables(traces, vdirs, cfg, truth, **table_options)
+    return results, truth
+
+
+def _gauss_markov_optima(stream: ProblemStream, truth, cfg, tol: float):
+    """example1's optima: one batched lasso path (``lasso_optima_batch``,
+    with the box's own half-width) on the whole space or an origin-centred
+    cube, the generic oracle ``regret.stream_optima`` on any other domain.
+    """
+    dom = stream.domain
+    halfwidth = None
+    if dom.bounds is not None:
+        lo, hi = dom.bounds
+        if np.all(hi == hi[0]) and np.all(lo == -hi):
+            halfwidth = float(hi[0])
+    if dom.is_bounded and halfwidth is None:
+        return stream_optima(stream, tol=tol)
+    return lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                              halfwidth=halfwidth, tol=tol)[0]
 
 
 def _write_coefficients_csv(a_true, a_pred, *paths) -> None:
@@ -435,37 +478,10 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
                  variants=("exact", "inexact"),
                  domain: Optional[Domain] = None,
                  optimum_tol: float = OPTIMUM_TOL_DEFAULT):
-    """Wire the regression stream through the solver, both variants.
-
-    Per-step optima are computed once and shared across variants: on the
-    whole space or an origin-centred cube by ``lasso_optima_batch`` (one
-    batched lasso path, pin and release events included, with the box's
-    own half-width), on any other domain by the generic oracle
-    ``regret.stream_optima``. Writes trace.csv, bound.csv,
-    bound_state.csv, and coefficients.csv per variant when ``out_dir`` is
-    given. Returns a dict keyed by variant.
-    """
-    stream, truth = generate_gauss_markov(cfg, domain)
-    dom = stream.domain
-    halfwidth = None
-    if dom.bounds is not None:
-        lo, hi = dom.bounds
-        if np.all(hi == hi[0]) and np.all(lo == -hi):
-            halfwidth = float(hi[0])
-    if dom.is_bounded and halfwidth is None:
-        optima = stream_optima(stream, tol=optimum_tol)
-    else:
-        optima, _ = lasso_optima_batch(
-            truth["X"], truth["Y"], cfg.eta, halfwidth=halfwidth,
-            tol=optimum_tol)
-
-    def write_coefficients(traces, vdirs):
-        _write_coefficients_csv(
-            truth["a_true"], [trace.iterates for trace in traces],
-            *(os.path.join(vdir, "coefficients.csv") for vdir in vdirs))
-
-    return _play_variants(stream, cfg, cfg.step_size, variants, optima,
-                          out_dir, write_coefficients)
+    """Play the regression stream (``play``), both variants by default,
+    with coefficients.csv per variant. Returns a dict keyed by variant."""
+    return play(EXPERIMENTS["example1"], cfg, domain, out_dir, variants,
+                optimum_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -762,37 +778,53 @@ def separation_f1(trace: RunTrace, truth, cfg: SeparationConfig,
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _write_snapshots(trace: RunTrace, cfg: SeparationConfig, out_dir: str,
-                     every: int) -> None:
-    sdir = os.path.join(out_dir, "snapshots")
-    os.makedirs(sdir, exist_ok=True)
-    for k in range(every, trace.horizon + 1, every):
-        Lm, Sm = separation_blocks(trace.iterates[k - 1], cfg)
-        np.savetxt(os.path.join(sdir, f"L_{k:04d}.csv"), Lm, delimiter=",",
-                   fmt="%.17g")
-        np.savetxt(os.path.join(sdir, f"S_{k:04d}.csv"), Sm, delimiter=",",
-                   fmt="%.17g")
+def _write_snapshots(traces, vdirs, cfg: SeparationConfig, truth,
+                     snapshot_every: int = _SNAPSHOT_EVERY) -> None:
+    """Each variant's (L, S) blocks every ``snapshot_every`` steps."""
+    for trace, vdir in zip(traces, vdirs):
+        sdir = os.path.join(vdir, "snapshots")
+        os.makedirs(sdir, exist_ok=True)
+        for k in range(snapshot_every, trace.horizon + 1, snapshot_every):
+            Lm, Sm = separation_blocks(trace.iterates[k - 1], cfg)
+            np.savetxt(os.path.join(sdir, f"L_{k:04d}.csv"), Lm,
+                       delimiter=",", fmt="%.17g")
+            np.savetxt(os.path.join(sdir, f"S_{k:04d}.csv"), Sm,
+                       delimiter=",", fmt="%.17g")
 
 
 def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
                  variants=("exact",),
                  optimum_tol: float = SEPARATION_OPTIMUM_TOL,
-                 snapshot_every: int = 50):
-    """Run the separation stream and assemble the regret artifacts.
-
-    The (L, S) pair is one flat block variable, so the generic solver,
-    ledger, and bound evaluators apply unchanged. Per-step optima come
-    from ``separation_optima`` (exact alternating block minimisation,
-    warm-started along k), computed once and shared by the variants.
-    Returns (results dict keyed by variant, truth dict).
+                 snapshot_every: int = _SNAPSHOT_EVERY):
+    """Play the separation stream (``play``), the exact variant by default:
+    the (L, S) pair is one flat block variable, and the optima come from
+    ``separation_optima``. Returns (results keyed by variant, truth).
     """
-    stream, truth = generate_separation(cfg)
-    optima, _ = separation_optima(stream, truth["M"], cfg, tol=optimum_tol)
+    return play(EXPERIMENTS["example2"], cfg, None, out_dir, variants,
+                optimum_tol, snapshot_every=snapshot_every)
 
-    def write_snapshots(traces, vdirs):
-        for trace, vdir in zip(traces, vdirs):
-            _write_snapshots(trace, cfg, vdir, snapshot_every)
 
-    results = _play_variants(stream, cfg, cfg.alpha_L, variants, optima,
-                             out_dir, write_snapshots)
-    return results, truth
+#: the built-in experiments, by the name ``ompd run --experiment`` takes
+EXPERIMENTS = {
+    "example1": Experiment(
+        section="example1", config=GaussMarkovConfig,
+        step_size="step_size", optimum_tol=OPTIMUM_TOL_DEFAULT,
+        domain_dim="n_coeffs",
+        stream=lambda cfg, domain: generate_gauss_markov(cfg, domain),
+        constants=lambda cfg, truth: gauss_markov_constants(cfg, truth),
+        optima=_gauss_markov_optima,
+        tables=lambda traces, vdirs, cfg, truth: _write_coefficients_csv(
+            truth["a_true"], [trace.iterates for trace in traces],
+            *(os.path.join(vdir, "coefficients.csv") for vdir in vdirs))),
+    "example2": Experiment(
+        section="example2", config=SeparationConfig,
+        step_size="alpha_L", optimum_tol=SEPARATION_OPTIMUM_TOL,
+        domain_dim=None,
+        stream=lambda cfg, domain: generate_separation(cfg),
+        constants=lambda cfg, truth: separation_constants(cfg),
+        optima=lambda stream, truth, cfg, tol: separation_optima(
+            stream, truth["M"], cfg, tol=tol)[0],
+        tables=lambda *args, **kw: _write_snapshots(*args, **kw)),
+}
+# custom is example1 read from a [custom] section
+EXPERIMENTS["custom"] = EXPERIMENTS["example1"]

@@ -158,7 +158,7 @@ class ProblemStream:
     step_at: Callable[[int], CompositeLossStep]
     domain: Domain
     dim: int
-    batch_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch_values: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
 
     def steps(self):
         return [self.step_at(k) for k in range(1, self.horizon + 1)]

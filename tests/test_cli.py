@@ -1,12 +1,13 @@
 """Exit codes, file contract, and verify round-trips of the CLI."""
 
 import configparser
+import dataclasses
 import shutil
 
 import numpy as np
 import pytest
 
-from ompd import SolverRunError, cli, experiments, losses, whole_space
+from ompd import SolverRunError, cli, experiments, losses
 from ompd.cli import main
 
 EX2_SMALL = ("[example2]\nframe_dim = 16\nwindow = 8\n"
@@ -166,13 +167,14 @@ class TestRun:
     def test_configured_optimum_tol_reaches_example2(self, tmp_path,
                                                       monkeypatch):
         seen = []
-        real = experiments.run_example2
+        real = experiments.play
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("optimum_tol"))
-            return real(*args, **kwargs)
+        def spy(row, cfg, domain, out_dir, variants, optimum_tol, **kw):
+            seen.append(optimum_tol)
+            return real(row, cfg, domain, out_dir, variants, optimum_tol,
+                        **kw)
 
-        monkeypatch.setattr(experiments, "run_example2", spy)
+        monkeypatch.setattr(experiments, "play", spy)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(EX2_SMALL + "optimum_tol = 1e-5\n")
         out = tmp_path / "res"
@@ -325,11 +327,11 @@ class TestRun:
                              ids=ROUND_TRIPS.keys())
     def test_run_config_rebuilds_the_run(self, tmp_path, monkeypatch, text):
         used = []
-        for name in ("run_example1", "run_example2"):
-            def spy(cfg, *args, _real=getattr(experiments, name), **kwargs):
-                used.append((cfg, kwargs.get("domain") or whole_space()))
-                return _real(cfg, *args, **kwargs)
-            monkeypatch.setattr(experiments, name, spy)
+
+        def spy(row, cfg, domain, *args, _real=experiments.play, **kwargs):
+            used.append((cfg, domain))
+            return _real(row, cfg, domain, *args, **kwargs)
+        monkeypatch.setattr(experiments, "play", spy)
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text)
         out = tmp_path / "res"
@@ -373,13 +375,77 @@ class TestRun:
             raise SolverRunError("subproblem failed at step 4",
                                  trace.truncated(3))
 
-        monkeypatch.setattr(experiments, "run_example1", spy)
+        monkeypatch.setattr(experiments, "play", spy)
         out = tmp_path / "res"
         assert main(["run", "--experiment", "example1",
                      "--out", str(out)]) == 1
         expected = "k,f_x\n" + "".join(
             f"{k},{f:.17g}\n" for k, f in enumerate(trace.f_played[:3], 1))
         assert (out / "partial_trace.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("failure", ["optimum", "solver"])
+    def test_failed_overwrite_leaves_nothing_to_verify(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      failure):
+        """A run that failed in the directory of an earlier run left that
+        run's run_config.cfg, and verify certified the earlier run."""
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text(EX1_SMALL)
+        # an oracle tolerance out of reach ends in OptimumError
+        second.write_text("[run]\nexperiment = example2\nhorizon = 3\n"
+                          "optimum_tol = 1e-14\n"
+                          "[example2]\nframe_dim = 8\nwindow = 4\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+        if failure == "solver":
+            trace = experiments.run_example1(
+                experiments.GaussMarkovConfig(horizon=6, seed=1),
+                variants=("exact",))["exact"].trace
+
+            def spy(*args, **kwargs):
+                raise SolverRunError("subproblem failed at step 4",
+                                     trace.truncated(3))
+
+            monkeypatch.setattr(experiments, "play", spy)
+            second = first
+        capsys.readouterr()
+        assert main(["run", "--config", str(second), "--out", str(out),
+                     "--overwrite"]) == 1
+        assert "run failed" in capsys.readouterr().err
+        assert not (out / "run_config.cfg").exists()
+        assert main(["verify", "--out", str(out)]) == 4
+
+    def test_run_and_verify_share_the_rows_generator(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """The row builds the distance generator; replacing its
+        construction once changes what run reports and verify certifies."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX1_SMALL)
+        plain, out = tmp_path / "plain", tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(plain)]) == 0
+        plain_run = capsys.readouterr().out
+        assert main(["verify", "--out", str(plain)]) == 0
+        plain_verify = capsys.readouterr().out
+
+        built = []
+
+        def generator(_real=experiments.euclidean_generator):
+            # a declared G_omega of 4 raises the bound's curvature terms
+            built.append(dataclasses.replace(_real(), g_omega=4.0))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "euclidean_generator", generator)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out != plain_run
+        assert main(["verify", "--out", str(out)]) == 0
+        assert len(built) == 2
+        assert capsys.readouterr().out != plain_verify
+        # the generator does not move the iterates: with the plain one,
+        # verify certifies these files as it certified the plain run's
+        monkeypatch.undo()
+        assert main(["verify", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == plain_verify
 
     def test_run_config_omits_the_stream_seed(self, tmp_path, capsys,
                                               ex1_exact_run):
