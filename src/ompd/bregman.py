@@ -7,15 +7,16 @@ The divergence of a generator ``w`` is
 nonnegative, and zero iff x == y for strictly convex generators. A
 generator carries its strong-convexity modulus ``sigma_omega`` and
 gradient Lipschitz constant ``g_omega`` as declared metadata, verified by
-sampling in the test suite rather than derived symbolically. Residual
-evaluators for the three-point and Pythagorean identities are exposed as
-operations because the regret accounting downstream leans on both.
+sampling in the test suite rather than derived symbolically, and the
+closed form of its divergence. Residual evaluators for the three-point
+and Pythagorean identities are exposed as operations because the regret
+accounting downstream leans on both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,16 +24,18 @@ from .errors import DimensionMismatchError
 
 #: default step for finite-difference validation of divergence gradients
 FD_STEP = 1e-6
+#: ``negative_entropy_generator`` clamps coordinates at this value
+ENTROPY_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class DistanceGenerator:
     """A strongly convex distance-measuring function with metadata.
 
-    ``pair_divergence`` is an optional closed form for V(x, y); when
-    present it is used instead of the three-term definition, which matters
-    for conditioning (e.g. the Euclidean divergence is exactly half the
-    squared distance instead of a difference of squares).
+    ``pair_divergence`` is the closed form of V(x, y) that ``divergence``
+    evaluates, better conditioned than the three-term definition (e.g.
+    the Euclidean divergence is exactly half the squared distance instead
+    of a difference of squares); ``value`` keeps the definition checkable.
     ``gradient`` must act row by row on a (T, n) stack: ``solver.run``
     applies it to all steps at once.
     """
@@ -42,7 +45,7 @@ class DistanceGenerator:
     sigma_omega: float
     g_omega: float
     name: str
-    pair_divergence: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    pair_divergence: Callable[[np.ndarray, np.ndarray], float]
 
     def __post_init__(self):
         if self.sigma_omega <= 0:
@@ -63,18 +66,19 @@ def euclidean_generator() -> DistanceGenerator:
     )
 
 
-def negative_entropy_generator(lo: float = 0.1, hi: float = 1.0,
-                               floor: float = 1e-9) -> DistanceGenerator:
+def negative_entropy_generator(lo: float = 0.1,
+                               hi: float = 1.0) -> DistanceGenerator:
     """Smoothed negative entropy on the strictly positive orthant.
 
     Plain negative entropy has unbounded gradient curvature near the
-    boundary, so coordinates are clamped at ``floor`` before evaluation and
-    the declared constants are the exact ones for the box [lo, hi]^n:
-    strong convexity 1/hi and gradient Lipschitz constant 1/lo. Sampling
-    based verification must draw points from that box.
+    boundary, so coordinates are clamped at ``ENTROPY_FLOOR`` before
+    evaluation and the declared constants are the exact ones for the box
+    [lo, hi]^n: strong convexity 1/hi and gradient Lipschitz constant 1/lo.
+    Sampling based verification must draw points from that box.
     """
-    if not (0.0 < floor < lo < hi):
-        raise ValueError("need 0 < floor < lo < hi")
+    floor = ENTROPY_FLOOR  # a local: the gradient runs once per step
+    if not (floor < lo < hi):
+        raise ValueError(f"need {floor} < lo < hi")
 
     def value(x):
         xs = np.maximum(np.asarray(x, dtype=float), floor)
@@ -107,16 +111,12 @@ def _as_pair(x, y):
 
 
 def divergence(gen: DistanceGenerator, x, y) -> float:
-    """V(x, y) for the given generator; nonnegative unless NaN.
+    """V(x, y) by ``gen.pair_divergence``; nonnegative unless NaN.
 
     Rounding below zero is clamped to 0; a NaN input stays NaN, so it
     cannot pass for a zero divergence.
     """
-    x, y = _as_pair(x, y)
-    if gen.pair_divergence is not None:
-        v = gen.pair_divergence(x, y)
-    else:
-        v = gen.value(x) - gen.value(y) - float(np.dot(gen.gradient(y), x - y))
+    v = gen.pair_divergence(*_as_pair(x, y))
     return 0.0 if v <= 0.0 else v
 
 

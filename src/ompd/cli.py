@@ -12,8 +12,10 @@ reads [example2] and runs on the whole space. One resolver turns a file
 into a run for both commands, so ``verify --config FILE`` rebuilds the run
 that ``run --config FILE`` played. Every run writes the resolved
 configuration to ``run_config.cfg`` inside the output directory, which
-resolves to the run that wrote it and is what ``verify`` reads by default
-(``run`` first removes an earlier one, so a failed run leaves none).
+resolves to the run that wrote it and is what ``verify`` reads by default.
+``run`` first removes an earlier run's ``run_config.cfg``,
+``partial_trace.csv``, ``exact/`` and ``inexact/``, and nothing else, so
+no file of the earlier run outlives it, failed or overwritten.
 ``verify`` certifies each variant from its ``bound_state.csv`` alone;
 ``trace.csv`` is a report for readers. Each experiment is one row of
 ``experiments.EXPERIMENTS``: ``run`` plays it with ``experiments.play``,
@@ -46,6 +48,7 @@ import argparse
 import configparser
 import dataclasses
 import os
+import shutil
 import sys
 import typing
 
@@ -66,7 +69,6 @@ EXIT_SANITY = 5
 EXIT_CONSTANTS = 6
 
 _SANITY_TOL = 1e-6
-_BOUND_TOL_PER_STEP = 1e-6
 #: relative slack of the constants check, for rounding in the closed forms
 _CONSTANTS_RTOL = 1e-12
 
@@ -243,10 +245,14 @@ def cmd_run(args) -> int:
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_OVERWRITE
 
-    # a run that fails must not leave an earlier run's record to verify
+    # no file of an earlier run may outlive this one, failed or not
     config_path = os.path.join(out_dir, "run_config.cfg")
-    if os.path.exists(config_path):
-        os.remove(config_path)
+    for name in ("run_config.cfg", "partial_trace.csv", *_VARIANTS["both"]):
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.exists(path):
+            os.remove(path)
     try:
         results, _ = experiments.play(exp, cfg, domain, out_dir, variants,
                                       manifest["optimum_tol"])
@@ -316,8 +322,7 @@ def _verify_variant(out_dir, variant, stream, lam, generator, optimum_tol,
     domain = stream.domain
     rebuilt = runio.trace_from_state(state, lam, domain.kind, domain.diameter)
     ledger = regret.ledger_from_trace(rebuilt, generator, lam, domain)
-    worst = regret.certified_margin(rebuilt, ledger, domain.kind,
-                                    _BOUND_TOL_PER_STEP)
+    worst = regret.certified_margin(rebuilt, ledger)
     line = f"variant={variant} worst_margin={worst:.6g}"
     if not 0.0 <= worst < np.inf:
         return EXIT_FAIL, line + " error=bound_violated"

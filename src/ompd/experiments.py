@@ -41,6 +41,8 @@ ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
 SEPARATION_OPTIMUM_TOL = 1e-6
 #: sweep budget of one step of ``separation_optima``
 SEPARATION_MAX_SWEEPS = 10_000
+#: iteration budget of each fallback problem of ``lasso_optima_batch``
+LASSO_MAX_ITERS = 200_000
 #: problems per ``_lasso_path`` call in ``lasso_optima_batch``
 _LASSO_CHUNK_ROWS = 1024
 _SNAPSHOT_EVERY = 50  # steps between example2's (L, S) snapshots
@@ -178,7 +180,7 @@ def gauss_markov_constants(cfg: GaussMarkovConfig, truth):
     return L, np.full(cfg.horizon, cfg.eta * np.sqrt(cfg.n_coeffs))
 
 
-def _lasso_path(X, Y, eta, max_events, halfwidth=None):
+def _lasso_path(X, Y, eta, halfwidth=None):
     """Exact lasso solutions at ``eta`` by a batched LARS-lasso homotopy.
 
     The lasso path in lambda is piecewise linear (Efron et al., Ann. Stat.
@@ -197,9 +199,9 @@ def _lasso_path(X, Y, eta, max_events, halfwidth=None):
     release keeps s_j. Without a box no pin or release is computed. A full
     set of slots takes no join or release. A coordinate dropped, pinned or
     released at one event may not reverse that at the next: rounding would
-    let it. Returns a; a problem whose path outlasts ``max_events`` or
-    meets nonfinite data keeps a = 0 (the caller's acceptance test judges
-    every row).
+    let it. Returns a; a problem whose path outlasts 4n events or meets
+    nonfinite data keeps a = 0 (the caller's acceptance test judges every
+    row).
     """
     T, d, n = X.shape
     K = min(d, n)
@@ -213,7 +215,7 @@ def _lasso_path(X, Y, eta, max_events, halfwidth=None):
     a = np.zeros((T, n))
     run = np.flatnonzero(lam > eta)  # else a = 0 is optimal
     diag = np.arange(K)
-    for _ in range(max_events):
+    for _ in range(4 * n):
         if run.size == 0:
             break
         S, s = slots[run], signs[run]
@@ -310,8 +312,7 @@ def _lasso_path(X, Y, eta, max_events, halfwidth=None):
     return a
 
 
-def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
-                       max_iters=200_000):
+def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9):
     """Per-step optima of ||y_t - X_t a||^2 + eta ||a||_1, all t at once.
 
     Optionally box-constrained to [-halfwidth, halfwidth] per coordinate
@@ -323,8 +324,8 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
     scratch memory (they are independent); on the small default designs it
     reaches eta in a few events and its points pass the test up to
     rounding. Each problem it leaves (a degenerate design such as twin
-    columns, a path out of events) runs ``prox.prox_gradient`` alone,
-    from 0 with step 1/L_t for at most ``max_iters`` iterations. Returns
+    columns, a path out of events) runs ``prox.prox_gradient`` alone, from
+    0 with step 1/L_t, for ``LASSO_MAX_ITERS`` iterations at most. Returns
     (optima, residuals); raises OptimumError for a problem with nonfinite
     data, before any iteration, and for one that ends above ``tol``.
     """
@@ -340,7 +341,7 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
         a = np.empty((T, n))
         for lo in range(0, T, _LASSO_CHUNK_ROWS):
             rows = slice(lo, lo + _LASSO_CHUNK_ROWS)
-            a[rows] = _lasso_path(X[rows], Y[rows], eta, 4 * n, halfwidth)
+            a[rows] = _lasso_path(X[rows], Y[rows], eta, halfwidth)
         v = a - s * (2.0 * np.einsum("tdn,td->tn", X,
                                      np.einsum("tdn,tn->td", X, a) - Y))
         out = dom.project(np.sign(v) * np.maximum(np.abs(v) - s * eta, 0.0))
@@ -352,7 +353,7 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
         Xt, yt = X[t], Y[t]
         out[t], residuals[t], converged, iters = prox_gradient(
             lambda x: 2.0 * (Xt.T @ (Xt @ x - yt)), l1_rule(eta), dom,
-            np.zeros(n), step[t], tol, max_iters)
+            np.zeros(n), step[t], tol, LASSO_MAX_ITERS)
         if not converged:
             raise OptimumError(residuals[t], tol, iters)
     return out, residuals
@@ -360,7 +361,6 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9,
 
 @dataclass
 class ExperimentResult:
-    variant: str
     trace: RunTrace
     rhs: np.ndarray
     regret: np.ndarray
@@ -388,13 +388,12 @@ class Experiment:
     stream: Callable       # (cfg, domain) -> (ProblemStream, truth)
     constants: Callable    # (cfg, truth) -> exact (L[T], B[T])
     optima: Callable       # (stream, truth, cfg, tol) -> (T, dim) optima
-    tables: Callable       # (traces, vdirs, cfg, truth, **options): extras
+    tables: Callable       # (traces, vdirs, cfg, truth): extra files
     generator: Callable = lambda: euclidean_generator()  # run's and verify's
 
 
 def play(row: Experiment, cfg, domain: Optional[Domain],
-         out_dir: Optional[str], variants, optimum_tol: float,
-         **table_options):
+         out_dir: Optional[str], variants, optimum_tol: float):
     """Play each variant of experiment ``row`` on one stream built from
     ``cfg`` (``domain`` None is the whole space), against optima at
     ``optimum_tol`` that the variants share. Variants differ only in their
@@ -402,8 +401,7 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
     ERROR_SEED_XOR``; the steps are built once and dropped before the
     ledgers. With ``out_dir``, the variants' trace.csv, bound.csv and
     bound_state.csv are written together, one directory per variant, then
-    the row's tables (given ``table_options``). Returns (results keyed by
-    variant, truth).
+    the row's tables. Returns (results keyed by variant, truth).
     """
     stream, truth = row.stream(cfg, domain)
     optima = row.optima(stream, truth, cfg, optimum_tol)
@@ -419,13 +417,12 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
     del steps  # the ledgers and tables need no step
     results, ledgers = {}, {}
     for variant, trace in played.items():
-        fill_optima(trace, stream, optima=optima)
+        fill_optima(trace, stream, optima)
         ledgers[variant] = ledger = ledger_from_trace(
             trace, config.generator, step_size, stream.domain)
         rhs = theorem_rhs(ledger, trace, stream.domain.kind)
         results[variant] = ExperimentResult(
-            variant=variant, trace=trace, rhs=rhs,
-            regret=dynamic_regret(trace))
+            trace=trace, rhs=rhs, regret=dynamic_regret(trace))
     if out_dir is not None:
         vdirs = [os.path.join(out_dir, variant) for variant in results]
         for vdir in vdirs:
@@ -440,7 +437,7 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
                         [res.rhs for res in results.values()],
                         *paths("bound.csv"))
         write_state_csv(traces, *paths("bound_state.csv"))
-        row.tables(traces, vdirs, cfg, truth, **table_options)
+        row.tables(traces, vdirs, cfg, truth)
     return results, truth
 
 
@@ -688,8 +685,7 @@ def _gram_svt(Z: np.ndarray, tau: float) -> np.ndarray:
 
 def separation_optima(stream: ProblemStream, M: np.ndarray,
                       cfg: SeparationConfig,
-                      tol: float = SEPARATION_OPTIMUM_TOL,
-                      max_sweeps: int = SEPARATION_MAX_SWEEPS):
+                      tol: float = SEPARATION_OPTIMUM_TOL):
     """Per-step optima of the separation stream by exact block minimisation.
 
     With the other block fixed, each block of step k's objective
@@ -705,14 +701,14 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
     prox-gradient residual is bounded by a constant times the sweep
     increment ||(L, S) - (L_0, S_0)||_F. Step k starts from step k-1's
     blocks and sweeps until the increment is <= ``tol`` or nonfinite, or
-    until ``max_sweeps``. The blocks then face ``offline_optimum``'s test:
-    their prox-gradient point p at step 1/L, under the stream's exact
-    SVD-based prox, must have mapping norm <= ``tol``; p is kept. A
-    finite candidate that fails it (near the rounding floor) is finished
-    by ``prox.prox_gradient`` from there, at step 1/L within the step's
-    remaining budget. Returns (optima, residuals); raises OptimumError at
-    a nonfinite candidate residual (or an SVD or eigensolver failure), or
-    when sweeps and kernel iterations together use up ``max_sweeps``.
+    for ``SEPARATION_MAX_SWEEPS`` sweeps. The blocks then face
+    ``offline_optimum``'s test: their prox-gradient point p at step 1/L,
+    under the stream's exact SVD-based prox, must have mapping norm <=
+    ``tol``; p is kept. A finite candidate that fails it (near the
+    rounding floor) is finished by ``prox.prox_gradient`` from there, at
+    step 1/L within the step's remaining budget. Returns (optima,
+    residuals); raises OptimumError at a nonfinite candidate residual (or
+    an SVD or eigensolver failure), or when sweeps and iterations run out.
     """
     T, rows, cols = M.shape
     optima = np.zeros((T, stream.dim))
@@ -727,7 +723,7 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
         kernel = (step.smooth_gradient, step.prox_handle, stream.domain)
         h = 1.0 / step.smoothness_constant
         try:
-            for sweep in range(1, max_sweeps + 1):
+            for sweep in range(1, SEPARATION_MAX_SWEEPS + 1):
                 L_prev, S_prev = L, S
                 L = _gram_svt((Mk - S) / shrink_L, tau_L)
                 S = l1.apply((Mk - L) / shrink_S, 0.5 / shrink_S)
@@ -736,9 +732,9 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
                     break
             x = np.concatenate((L.ravel(), S.ravel()))
             p, residual = _prox_gradient_point(*kernel, x, h)
-            if tol < residual < np.inf and sweep < max_sweeps:
+            if tol < residual < np.inf and sweep < SEPARATION_MAX_SWEEPS:
                 p, residual, _, iterations = prox_gradient(
-                    *kernel, x, h, tol, max_sweeps - sweep)
+                    *kernel, x, h, tol, SEPARATION_MAX_SWEEPS - sweep)
                 sweep += iterations
         except (SvdError, np.linalg.LinAlgError) as exc:
             # LAPACK's SVD and eigensolver refuse a nonfinite matrix
@@ -778,13 +774,12 @@ def separation_f1(trace: RunTrace, truth, cfg: SeparationConfig,
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _write_snapshots(traces, vdirs, cfg: SeparationConfig, truth,
-                     snapshot_every: int = _SNAPSHOT_EVERY) -> None:
-    """Each variant's (L, S) blocks every ``snapshot_every`` steps."""
+def _write_snapshots(traces, vdirs, cfg: SeparationConfig, truth) -> None:
+    """Each variant's (L, S) blocks every ``_SNAPSHOT_EVERY`` steps."""
     for trace, vdir in zip(traces, vdirs):
         sdir = os.path.join(vdir, "snapshots")
         os.makedirs(sdir, exist_ok=True)
-        for k in range(snapshot_every, trace.horizon + 1, snapshot_every):
+        for k in range(_SNAPSHOT_EVERY, trace.horizon + 1, _SNAPSHOT_EVERY):
             Lm, Sm = separation_blocks(trace.iterates[k - 1], cfg)
             np.savetxt(os.path.join(sdir, f"L_{k:04d}.csv"), Lm,
                        delimiter=",", fmt="%.17g")
@@ -794,14 +789,13 @@ def _write_snapshots(traces, vdirs, cfg: SeparationConfig, truth,
 
 def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
                  variants=("exact",),
-                 optimum_tol: float = SEPARATION_OPTIMUM_TOL,
-                 snapshot_every: int = _SNAPSHOT_EVERY):
+                 optimum_tol: float = SEPARATION_OPTIMUM_TOL):
     """Play the separation stream (``play``), the exact variant by default:
     the (L, S) pair is one flat block variable, and the optima come from
     ``separation_optima``. Returns (results keyed by variant, truth).
     """
     return play(EXPERIMENTS["example2"], cfg, None, out_dir, variants,
-                optimum_tol, snapshot_every=snapshot_every)
+                optimum_tol)
 
 
 #: the built-in experiments, by the name ``ompd run --experiment`` takes
@@ -824,7 +818,7 @@ EXPERIMENTS = {
         constants=lambda cfg, truth: separation_constants(cfg),
         optima=lambda stream, truth, cfg, tol: separation_optima(
             stream, truth["M"], cfg, tol=tol)[0],
-        tables=lambda *args, **kw: _write_snapshots(*args, **kw)),
+        tables=lambda *args: _write_snapshots(*args)),
 }
 # custom is example1 read from a [custom] section
 EXPERIMENTS["custom"] = EXPERIMENTS["example1"]

@@ -2,13 +2,13 @@
 
 A stream hands out one ``CompositeLossStep`` per time index: a smooth part
 with declared gradient Lipschitz constant, a Lipschitz regularizer, and a
-handle to its exact prox rule. ``ErrorModel`` produces the gradient and
-prox error sequences; draws are keyed on (seed XOR purpose tag, step
-index) so any single draw can be replayed bit-identically without
-consuming shared RNG state. A run seeds all draws of its horizon in one
-vectorised pass (``ErrorModel.for_horizon``); every draw still equals the
-one of ``np.random.default_rng((seed XOR tag, k))``, which stays the
-single-draw replay path.
+handle to its exact prox rule. A ``Domain``'s regime ``kind`` follows from
+its diameter. ``ErrorModel`` produces the gradient and prox error
+sequences; draws are keyed on (seed XOR purpose tag, step index) so any
+single draw can be replayed bit-identically without consuming shared RNG
+state. A run seeds all draws of its horizon in one vectorised pass
+(``ErrorModel.for_horizon``); every draw still equals the one of
+``np.random.default_rng((seed XOR tag, k))``, the single-draw replay path.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ PROX_ERROR_TAG = 0x70726F78  # "prox"
 class Domain:
     """Either the whole space or a bounded convex set with a projection.
 
-    ``diameter`` is the Euclidean diameter for bounded domains and None
-    otherwise. ``name`` identifies the built-in family ("whole_space",
+    ``diameter`` is the Euclidean diameter of a bounded domain, None for
+    the whole space; ``kind`` is set from it, here, so a bounded domain
+    always has one. ``name`` identifies the built-in family ("whole_space",
     "box", "ball", "simplex"); prox/projection composition rules key on it.
     A box also records its read-only ``bounds`` (lo, hi), None for other
     domains. ``nonnegative`` follows from them: it is set once, here, to
@@ -36,7 +37,7 @@ class Domain:
     takes part in equality.
     """
 
-    kind: str  # "whole_space" | "bounded"
+    kind: str = field(init=False)  # "whole_space" | "bounded"
     project: Callable[[np.ndarray], np.ndarray]
     diameter: Optional[float] = None
     name: str = "custom"
@@ -44,6 +45,9 @@ class Domain:
     nonnegative: bool = field(init=False, compare=False)
 
     def __post_init__(self):
+        # stored, not a property: composed_prox reads kind on every call
+        object.__setattr__(self, "kind", "bounded" if self.diameter
+                           is not None else "whole_space")
         object.__setattr__(self, "nonnegative", self.bounds is not None
                            and bool(np.all(self.bounds[0] >= 0.0)))
 
@@ -53,8 +57,7 @@ class Domain:
 
 
 def whole_space() -> Domain:
-    return Domain(kind="whole_space", project=lambda x: np.asarray(x, float),
-                  diameter=None, name="whole_space")
+    return Domain(project=lambda x: np.asarray(x, float), name="whole_space")
 
 
 def ball(diameter: float) -> Domain:
@@ -70,8 +73,7 @@ def ball(diameter: float) -> Domain:
             return x
         return x * (radius / nrm)
 
-    return Domain(kind="bounded", project=project, diameter=float(diameter),
-                  name="ball")
+    return Domain(project=project, diameter=float(diameter), name="ball")
 
 
 def box(lo, hi, dim: Optional[int] = None) -> Domain:
@@ -92,8 +94,8 @@ def box(lo, hi, dim: Optional[int] = None) -> Domain:
     def project(x):  # the ufuncs take lists and float arrays alike
         return np.minimum(np.maximum(x, lo), hi)
 
-    return Domain(kind="bounded", project=project, diameter=diameter,
-                  name="box", bounds=(lo, hi))
+    return Domain(project=project, diameter=diameter, name="box",
+                  bounds=(lo, hi))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -112,8 +114,8 @@ def simplex(dim: int) -> Domain:
     """Probability simplex; Euclidean diameter sqrt(2)."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    return Domain(kind="bounded", project=_project_simplex,
-                  diameter=float(np.sqrt(2.0)), name="simplex")
+    return Domain(project=_project_simplex, diameter=float(np.sqrt(2.0)),
+                  name="simplex")
 
 
 @dataclass(frozen=True, slots=True)

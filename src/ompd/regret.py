@@ -46,27 +46,30 @@ from .prox import composed_prox, prox_gradient  # noqa: F401
 from .runio import RunTrace, one_per_path, write_tables
 
 OPTIMUM_TOL_DEFAULT = 1e-9
+#: iteration budget of one ``offline_optimum`` call
 OPTIMUM_MAX_ITERS = 10 ** 6
+#: per-step slack of ``certified_margin``: R_{T'} <= RHS_{T'} + tol T'
+BOUND_TOL_PER_STEP = 1e-6
 
 REGIMES = ("bounded", "whole_space")
 
 
 def offline_optimum(step: CompositeLossStep, domain: Domain,
                     tol: float = OPTIMUM_TOL_DEFAULT,
-                    max_iters: int = OPTIMUM_MAX_ITERS,
                     x0: Optional[np.ndarray] = None):
     """Minimize one composite step over the domain.
 
     ``prox.prox_gradient`` at step 1/L of the declared smoothness (1 if
-    L <= 0) until the mapping norm is below ``tol``. Returns (x_star,
-    f_star); raises OptimumError with the achieved residual when the
-    budget runs out or the iteration diverges (an under-declared L).
+    L <= 0) until the mapping norm is below ``tol``, for at most
+    ``OPTIMUM_MAX_ITERS`` iterations. Returns (x_star, f_star); raises
+    OptimumError with the achieved residual when the budget runs out or
+    the iteration diverges (an under-declared L).
     """
     x = np.zeros(step.dim) if x0 is None else np.array(x0, dtype=float)
     L = step.smoothness_constant
     x_star, residual, converged, iterations = prox_gradient(
         step.smooth_gradient, step.prox_handle, domain, domain.project(x),
-        1.0 / L if L > 0 else 1.0, tol, max_iters)
+        1.0 / L if L > 0 else 1.0, tol, OPTIMUM_MAX_ITERS)
     if not converged:
         raise OptimumError(residual, tol, iterations)
     return x_star, step.total_value(x_star)
@@ -82,11 +85,8 @@ def stream_optima(stream: ProblemStream, tol: float = OPTIMUM_TOL_DEFAULT):
 
 
 def fill_optima(trace: RunTrace, stream: ProblemStream,
-                tol: float = OPTIMUM_TOL_DEFAULT,
-                optima: Optional[np.ndarray] = None) -> RunTrace:
-    """Attach per-step optima, computed unless given, and f_k at them."""
-    if optima is None:
-        optima = stream_optima(stream, tol=tol)
+                optima: np.ndarray) -> RunTrace:
+    """Attach per-step optima (e.g. ``stream_optima``'s) and f_k at them."""
     trace.optima = np.asarray(optima, dtype=float)
     trace.f_star = stream.total_values(trace.optima[:trace.horizon])
     return trace
@@ -141,11 +141,9 @@ def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
     e = trace.grad_error_norms
     eps = trace.eps
     Z0 = divergence(gen, opt[0], trace.x0) / lam
-    B = float(np.max(trace.reg_lipschitz)) if T else 0.0
+    D = 2.0 * float(np.max(trace.reg_lipschitz))
     if domain.is_bounded:
-        D = 2.0 * B + float(np.max(trace.q_norms)) if T else 2.0 * B
-    else:
-        D = 2.0 * B
+        D += float(np.max(trace.q_norms))
     S_seq = np.zeros(T + 1)
     S_seq[0] = (2.0 * lam / sigma) * Z0
     incr = (2.0 * lam * D / sigma) * eps + (2.0 * G / sigma - 1.0) * s[1:T + 1] ** 2
@@ -239,10 +237,10 @@ def write_bound_csv(traces, ledgers, rhs, *paths) -> None:
                                      one_per_path(rhs, paths))])
 
 
-def certified_margin(trace: RunTrace, ledger: BoundLedger,
-                     regime: str, tol_per_step: float = 1e-6) -> float:
-    """Worst slack of R_{T'} <= RHS_{T'} + tol*T'; nonnegative means pass."""
+def certified_margin(trace: RunTrace, ledger: BoundLedger) -> float:
+    """Worst slack of R_{T'} <= RHS_{T'} + BOUND_TOL_PER_STEP T' in the
+    regime of the ledger's domain; nonnegative means pass."""
     R = dynamic_regret(trace)
-    rhs = theorem_rhs(ledger, trace, regime)
+    rhs = theorem_rhs(ledger, trace, ledger.domain_kind)
     horizons = np.arange(1, trace.horizon + 1)
-    return float(np.min(rhs + tol_per_step * horizons - R))
+    return float(np.min(rhs + BOUND_TOL_PER_STEP * horizons - R))

@@ -48,7 +48,6 @@ class RunTrace:
     domain_diameter: Optional[float]
     optima: Optional[np.ndarray] = None      # (T, dim)
     f_star: Optional[np.ndarray] = None      # (T,)
-    partial: bool = False
 
     def has_optima(self) -> bool:
         return self.optima is not None and self.f_star is not None
@@ -58,7 +57,7 @@ class RunTrace:
         steps = {name: getattr(self, name)[:upto].copy()
                  for name in _PER_STEP_FIELDS}
         return replace(self, horizon=upto, optima=None, f_star=None,
-                       partial=True, **steps)
+                       **steps)
 
 
 def one_per_path(value, paths) -> list:

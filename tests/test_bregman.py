@@ -165,12 +165,19 @@ class TestGeneratorMetadata:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             DistanceGenerator(value=lambda x: 0.0, gradient=lambda x: x,
-                              sigma_omega=0.0, g_omega=1.0, name="bad")
+                              sigma_omega=0.0, g_omega=1.0, name="bad",
+                              pair_divergence=lambda x, y: 0.0)
 
     def test_rejects_g_below_sigma(self):
         with pytest.raises(ValueError):
             DistanceGenerator(value=lambda x: 0.0, gradient=lambda x: x,
-                              sigma_omega=2.0, g_omega=1.0, name="bad")
+                              sigma_omega=2.0, g_omega=1.0, name="bad",
+                              pair_divergence=lambda x, y: 0.0)
+
+    def test_requires_a_closed_form_divergence(self):
+        with pytest.raises(TypeError):
+            DistanceGenerator(value=lambda x: 0.0, gradient=lambda x: x,
+                              sigma_omega=1.0, g_omega=1.0, name="bad")
 
     def test_entropy_constants_ordering(self):
         assert ENTROPY.g_omega >= ENTROPY.sigma_omega > 0

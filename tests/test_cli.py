@@ -123,6 +123,41 @@ class TestRun:
         code3, _ = _run_example1(tmp_path, extra=("--overwrite",))
         assert code3 == 0
 
+    @pytest.mark.parametrize("shared, first, second, stale, kept", [
+        # a dropped variant
+        (["--experiment", "example1", "--horizon", "20"],
+         ["--variant", "both"], ["--variant", "exact"], ["inexact"],
+         ["exact/trace.csv"]),
+        # a snapshot past the shorter horizon
+        (["--config", "ex2.cfg"], ["--horizon", "100"], ["--horizon", "60"],
+         ["exact/snapshots/L_0100.csv", "exact/snapshots/S_0100.csv"],
+         ["exact/snapshots/L_0050.csv", "exact/snapshots/S_0050.csv"]),
+    ], ids=["example1-both-then-exact", "example2-T100-then-T60"])
+    def test_overwrite_leaves_no_file_of_the_earlier_run(
+            self, tmp_path, capsys, shared, first, second, stale, kept):
+        """A rerun with --overwrite left the earlier run's files beside its
+        own; it removes them, and nothing else in --out."""
+        (tmp_path / "ex2.cfg").write_text(
+            "[run]\nexperiment = example2\nvariant = exact\n"
+            "[example2]\nframe_dim = 8\nwindow = 4\n")
+        shared = [str(tmp_path / a) if a.endswith(".cfg") else a
+                  for a in shared]
+        out = tmp_path / "res"
+        assert main(["run", *shared, *first, "--out", str(out)]) == 0
+        for path in stale:
+            assert (out / path).exists()
+        (out / "partial_trace.csv").write_text("k,f_x\n1,0\n")
+        (out / "notes.txt").write_text("mine\n")
+        assert main(["run", *shared, *second, "--out", str(out),
+                     "--overwrite"]) == 0
+        for path in stale + ["partial_trace.csv"]:
+            assert not (out / path).exists()
+        for path in kept + ["notes.txt", "run_config.cfg"]:
+            assert (out / path).exists()
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     @pytest.mark.parametrize("under_file", [False, True])
     def test_out_that_cannot_be_a_directory_refused(self, tmp_path, capsys,
                                                     under_file):

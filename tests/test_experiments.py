@@ -308,12 +308,12 @@ class TestSeparationOptima:
             step = stream.step_at(k)
             assert f_star[k - 1] == step.total_value(optima[k - 1])
 
-    def test_out_of_budget_raises(self):
+    def test_out_of_budget_raises(self, monkeypatch):
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=3, seed=3)
         stream, truth = generate_separation(cfg)
+        monkeypatch.setattr(experiments, "SEPARATION_MAX_SWEEPS", 2)
         with pytest.raises(OptimumError) as err:
-            separation_optima(stream, truth["M"], cfg, tol=1e-12,
-                              max_sweeps=2)
+            separation_optima(stream, truth["M"], cfg, tol=1e-12)
         assert err.value.residual > 1e-12
         assert err.value.iterations == 2
 
@@ -520,10 +520,10 @@ class TestRunExample2:
         Ts = np.arange(1, res.trace.horizon + 1)
         assert np.all(res.regret <= res.rhs + 1e-6 * Ts)
 
-    def test_snapshots_written(self, tmp_path):
+    def test_snapshots_written(self, tmp_path, monkeypatch):
         cfg = SeparationConfig(frame_dim=12, window=6, horizon=20, seed=18)
-        run_example2(cfg, out_dir=str(tmp_path), optimum_tol=1e-5,
-                     snapshot_every=10)
+        monkeypatch.setattr(experiments, "_SNAPSHOT_EVERY", 10)
+        run_example2(cfg, out_dir=str(tmp_path), optimum_tol=1e-5)
         snaps = sorted((tmp_path / "exact" / "snapshots").iterdir())
         assert [p.name for p in snaps] == ["L_0010.csv", "L_0020.csv",
                                            "S_0010.csv", "S_0020.csv"]
@@ -564,8 +564,7 @@ def _example2_runner():
     cfg = SeparationConfig(frame_dim=8, window=4, horizon=6, seed=32,
                            error_std=0.5)
     return lambda variants, out: run_example2(
-        cfg, out_dir=str(out), variants=variants, optimum_tol=1e-6,
-        snapshot_every=3)
+        cfg, out_dir=str(out), variants=variants, optimum_tol=1e-6)
 
 
 @pytest.mark.parametrize("runner", [
@@ -573,10 +572,11 @@ def _example2_runner():
     _example1_runner(halfwidth=5.0 / (2.0 * np.sqrt(30))),
     _example2_runner(),
 ], ids=["example1-whole", "example1-binding-box", "example2-noisy"])
-def test_variants_written_together_match_variants_written_alone(runner,
-                                                                tmp_path):
+def test_variants_written_together_match_variants_written_alone(
+        runner, tmp_path, monkeypatch):
     """Shared cells are formatted once for both variants; every file must
     still hold the bytes of a run of its variant alone."""
+    monkeypatch.setattr(experiments, "_SNAPSHOT_EVERY", 3)  # example2: 3, 6
     runner(("exact", "inexact"), tmp_path / "both")
     for variant in ("exact", "inexact"):
         runner((variant,), tmp_path / variant)

@@ -102,7 +102,21 @@ class TestDomains:
                                                  np.ones(3)))
         assert not moved.nonnegative
         with pytest.raises(TypeError):
-            Domain(kind="bounded", project=dom.project, nonnegative=True)
+            Domain(project=dom.project, diameter=dom.diameter,
+                   nonnegative=True)
+
+    def test_kind_follows_the_diameter(self):
+        """``Domain.kind`` is derived from ``diameter``: it cannot be passed
+        in, so a bounded domain always has a diameter, and a replaced
+        ``diameter`` recomputes it."""
+        dom = box(0.2, 1.0, dim=3)
+        assert dom.kind == "bounded" and dom.is_bounded
+        assert whole_space().kind == "whole_space"
+        assert Domain(project=dom.project).kind == "whole_space"
+        assert dataclasses.replace(dom, diameter=None).kind == "whole_space"
+        assert dataclasses.replace(whole_space(), diameter=2.0).is_bounded
+        with pytest.raises(TypeError):
+            Domain(kind="bounded", project=dom.project)
 
     def test_box_stores_a_negative_zero_bound_as_positive_zero(self):
         dom = box([-0.0, 0.5], [1.0, 1.0])

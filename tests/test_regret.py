@@ -10,7 +10,8 @@ from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   SolverConfig, ball, box, certified_margin, dynamic_regret,
                   euclidean_generator, fill_optima, l1_rule,
                   ledger_from_trace, offline_optimum, prox, recursion_bound,
-                  run, theorem_rhs, whole_space, zero_error_model, zero_rule)
+                  run, stream_optima, theorem_rhs, whole_space,
+                  zero_error_model, zero_rule)
 from ompd import experiments, regret
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               generate_gauss_markov, generate_separation,
@@ -143,15 +144,16 @@ class TestOfflineOptimum:
         offline_optimum(stream.step_at(1), stream.domain, tol=1e-6)
         assert len(calls) < 1000
 
-    def test_batch_out_of_budget_raises(self):
+    def test_batch_out_of_budget_raises(self, monkeypatch):
         """Twin columns under a binding box leave step 4 to the fallback."""
         cfg = GaussMarkovConfig(horizon=20, seed=9)
         _, truth = generate_gauss_markov(cfg)
         X = truth["X"].copy()
         X[3, :, 1] = X[3, :, 0]
+        monkeypatch.setattr(experiments, "LASSO_MAX_ITERS", 5)
         with pytest.raises(OptimumError) as err:
             lasso_optima_batch(X, truth["Y"], cfg.eta,
-                               halfwidth=0.2, tol=1e-12, max_iters=5)
+                               halfwidth=0.2, tol=1e-12)
         assert err.value.residual > 1e-12
         assert err.value.iterations == 5
 
@@ -164,11 +166,12 @@ class TestOfflineOptimum:
         _, truth = generate_gauss_markov(cfg)
         X = truth["X"].copy()
         X[3, :, 1] = X[3, :, 0]
+        monkeypatch.setattr(experiments, "LASSO_MAX_ITERS", budget)
 
         def residual():
             with pytest.raises(OptimumError) as err:
                 lasso_optima_batch(X, truth["Y"], cfg.eta, halfwidth=0.2,
-                                   tol=1e-12, max_iters=budget)
+                                   tol=1e-12)
             return err.value.residual
 
         reported = residual()
@@ -201,13 +204,13 @@ class TestLassoOptimaBatch:
         assert err.value.iterations <= prox.RESIDUAL_CHECK_EVERY
         assert not np.isfinite(err.value.residual)
 
-    def test_near_active_straggler_solves_exactly(self):
+    def test_near_active_straggler_solves_exactly(self, monkeypatch):
         """Step 426: an inactive |grad_j| at 0.999994 eta stalls FISTA."""
         cfg = GaussMarkovConfig(horizon=5000, seed=7)
         _, truth = generate_gauss_markov(cfg)
         X, Y = truth["X"][425:426], truth["Y"][425:426]
-        optima, residuals = lasso_optima_batch(X, Y, cfg.eta, tol=1e-9,
-                                               max_iters=1000)
+        monkeypatch.setattr(experiments, "LASSO_MAX_ITERS", 1000)
+        optima, residuals = lasso_optima_batch(X, Y, cfg.eta, tol=1e-9)
         assert residuals[0] <= 1e-9
         grad = 2.0 * X[0].T @ (X[0] @ optima[0] - Y[0])
         assert np.max(np.abs(grad)) <= cfg.eta * (1.0 + 1e-9)
@@ -434,7 +437,7 @@ class TestOneSourceOfFStar:
         config = SolverConfig(step_size=0.3, generator=EUCLID,
                               initial_point=np.zeros(3))
         trace = fill_optima(run(stream, config, zero_error_model()), stream,
-                            tol=1e-12)
+                            stream_optima(stream, tol=1e-12))
         np.testing.assert_array_equal(trace.f_star,
                                       stream.total_values(trace.optima))
         np.testing.assert_array_equal(
@@ -609,7 +612,7 @@ class TestNonEuclideanCertification:
         # box-constrained quadratic optimum is its interior center
         fill_optima(trace, stream, optima=c)
         ledger = ledger_from_trace(trace, gen, 0.3, dom)
-        assert certified_margin(trace, ledger, "bounded") >= 0.0
+        assert certified_margin(trace, ledger) >= 0.0
         if variant == "exact":
             # the inner solver's residual bound is folded into eps
             assert np.all(trace.eps > 0.0)
@@ -630,7 +633,7 @@ class TestNonEuclideanCertification:
         # declared constants are only valid where the iterates live
         assert trace.iterates.min() >= 0.2 and trace.iterates.max() <= 1.0
         ledger = ledger_from_trace(trace, gen, 0.3, whole_space())
-        assert certified_margin(trace, ledger, "whole_space") >= 0.0
+        assert certified_margin(trace, ledger) >= 0.0
 
 
 class TestTheoremRhs:
@@ -653,7 +656,7 @@ class TestTheoremRhs:
         config = SolverConfig(step_size=0.5, generator=EUCLID,
                               initial_point=c)
         trace = run(stream, config, zero_error_model())
-        fill_optima(trace, stream, tol=1e-12)
+        fill_optima(trace, stream, stream_optima(stream, tol=1e-12))
         np.testing.assert_allclose(trace.optima, np.tile(c, (6, 1)),
                                    atol=1e-10)
         ledger = ledger_from_trace(trace, EUCLID, 0.5, dom)
@@ -665,7 +668,7 @@ class TestTheoremRhs:
         config = SolverConfig(step_size=0.5, generator=EUCLID,
                               initial_point=c)
         trace = run(stream, config, zero_error_model())
-        fill_optima(trace, stream, tol=1e-10)
+        fill_optima(trace, stream, stream_optima(stream, tol=1e-10))
         ledger = ledger_from_trace(trace, EUCLID, 0.5, dom)
         with pytest.raises(RegimeMismatchError):
             theorem_rhs(ledger, trace, "whole_space")
@@ -719,7 +722,7 @@ class TestTheoremRhs:
                                        tol=1e-10)
         fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
-        assert certified_margin(trace, ledger, "whole_space") >= 0.0
+        assert certified_margin(trace, ledger) >= 0.0
         gaps = np.linalg.norm(trace.iterates - trace.optima, axis=1)
         for i in range(1, trace.horizon + 1):
             assert gaps[i - 1] <= recursion_bound(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ompd import (GaussMarkovConfig, SolverConfig, euclidean_generator,
-                  fill_optima, generate_gauss_markov, run, zero_error_model)
+                  fill_optima, generate_gauss_markov, run, stream_optima,
+                  zero_error_model)
 from ompd.runio import (_BLOCK_CELLS, read_state_csv, read_table,
                         write_state_csv, write_table, write_tables)
 
@@ -93,7 +94,7 @@ class TestStateCsv:
                               generator=euclidean_generator(),
                               initial_point=x0)
         trace = run(stream, config, zero_error_model())
-        fill_optima(trace, stream, tol=1e-9)
+        fill_optima(trace, stream, stream_optima(stream, tol=1e-9))
         path = tmp_path / "bound_state.csv"
         write_state_csv(trace, path)
         lines = path.read_bytes().split(b"\n")

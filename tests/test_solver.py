@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ompd import (CompositeLossStep, Domain, ErrorModel, MissingOptimaError,
-                  ProblemStream, SolverConfig, SolverRunError, StepSizeError,
-                  box, euclidean_generator, fill_optima, l1_rule,
-                  negative_entropy_generator, nuclear_rule, run,
-                  run_proximal_gradient, simplex, whole_space,
-                  write_trace_csv, zero_error_model, zero_rule)
+from ompd import (CompositeLossStep, Domain, ErrorModel, InnerSolverError,
+                  MissingOptimaError, ProblemStream, SolverConfig,
+                  SolverRunError, StepSizeError, box, euclidean_generator,
+                  fill_optima, l1_rule, negative_entropy_generator,
+                  nuclear_rule, run, run_proximal_gradient, simplex,
+                  stream_optima, whole_space, write_trace_csv,
+                  zero_error_model, zero_rule)
 from ompd import prox, solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
@@ -152,7 +153,8 @@ class TestRun:
 
         Step 3 fails in the first block of the loop's bookkeeping, step
         600 inside the second block of 512 steps, whose completed rows are
-        filled too.
+        filled too. Steps 1 and 513 fail at the first step of a block,
+        which leaves that block no row to fill.
         """
         good = _quadratic_step(np.eye(2), np.zeros(2))
         bad = CompositeLossStep(
@@ -166,7 +168,7 @@ class TestRun:
                               initial_point=np.zeros(2))
         model = ErrorModel(gradient_std=0.3, prox_std=0.2, seed=4)
         assert solver._BLOCK_ROWS == 512
-        for failing, horizon in ((3, 5), (600, 700)):
+        for failing, horizon in ((3, 5), (600, 700), (1, 5), (513, 700)):
             stream = ProblemStream(
                 horizon=horizon,
                 step_at=lambda k: bad if k == failing else good,
@@ -175,8 +177,7 @@ class TestRun:
                 run(stream, config, model)
             done = failing - 1
             partial = err.value.trace
-            assert partial.horizon == done
-            assert partial.partial
+            assert partial.horizon == done < horizon
             assert partial.iterates.shape == (done, 2)
             assert partial.optima is None
             # the completed steps are filled as an unfailed run fills them
@@ -188,6 +189,23 @@ class TestRun:
                                               getattr(full, name)[:done])
             assert np.all(partial.grad_error_norms > 0.0)
             assert np.all(partial.eps > 0.0)
+
+
+def test_inner_solver_out_of_budget_aborts_the_run(monkeypatch):
+    """An inner solve out of iterations raises InnerSolverError, which the
+    run reports as a failure at its step, with the completed prefix."""
+    stream = _entropy_box_stream()
+    config = SolverConfig(
+        step_size=0.3, generator=negative_entropy_generator(lo=0.2, hi=1.0),
+        initial_point=np.full(stream.dim, 0.6))
+    monkeypatch.setattr(prox, "INNER_MAX_ITERS", 2)
+    with pytest.raises(SolverRunError) as err:
+        run(stream, config, zero_error_model())
+    assert str(err.value).startswith("subproblem failed at step 1: ")
+    cause = err.value.__cause__
+    assert isinstance(cause, InnerSolverError)
+    assert cause.iterations == 2 and cause.residual > cause.tolerance
+    assert err.value.trace.horizon == 0
 
 
 def _per_step_loop(stream, config, model):
@@ -350,6 +368,21 @@ class TestEuclideanEquivalence:
             gap = np.linalg.norm(mirror.iterates - baseline.iterates, axis=1)
             assert float(gap.max()) <= 1e-12
 
+    @pytest.mark.parametrize("model", [
+        zero_error_model(), ErrorModel(gradient_std=0.5, prox_std=0.5, seed=3),
+    ], ids=["exact", "noisy"])
+    def test_separation_paths_agree_bit_for_bit(self, model):
+        """The baseline's nuclear and block prox branches, on example2."""
+        cfg = SeparationConfig(frame_dim=8, window=4, horizon=12, seed=5,
+                               alpha_L=0.2, alpha_S=0.2)
+        stream, _ = generate_separation(cfg)
+        config = SolverConfig(step_size=cfg.alpha_L, generator=EUCLID,
+                              initial_point=np.zeros(stream.dim))
+        mirror = run(stream, config, model)
+        baseline = run_proximal_gradient(stream, config, model)
+        assert np.all(np.any(mirror.iterates != 0.0, axis=1))
+        np.testing.assert_array_equal(mirror.iterates, baseline.iterates)
+
     def test_zero_error_static_quadratic_matches_classical_trajectory(self):
         A = np.diag([1.0, 3.0])
         c = np.array([0.5, -0.5])
@@ -372,7 +405,7 @@ class TestTraceCsv:
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
                               initial_point=np.zeros(cfg.n_coeffs))
         trace = run(stream, config, zero_error_model())
-        fill_optima(trace, stream, tol=1e-9)
+        fill_optima(trace, stream, stream_optima(stream, tol=1e-9))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         lines = path.read_text().splitlines()
@@ -468,8 +501,7 @@ class TestShiftedClipRule:
         stream, config = self._entropy_case()
         dom = stream.domain
         generic = dataclasses.replace(stream, domain=Domain(
-            kind=dom.kind, project=dom.project, diameter=dom.diameter,
-            name=dom.name))
+            project=dom.project, diameter=dom.diameter, name=dom.name))
         assert dom.nonnegative and generic.domain.bounds is None
         shrinks = []
         real = prox.soft_threshold
