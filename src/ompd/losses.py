@@ -6,14 +6,15 @@ handle to its exact prox rule. A ``Domain``'s regime ``kind`` follows from
 its diameter. ``ErrorModel`` produces the gradient and prox error
 sequences; draws are keyed on (seed XOR purpose tag, step index) so any
 single draw can be replayed bit-identically without consuming shared RNG
-state. A run seeds all draws of its horizon in one vectorised pass
-(``ErrorModel.for_horizon``); every draw still equals the one of
-``np.random.default_rng((seed XOR tag, k))``, the single-draw replay path.
+state. ``ErrorModel.draws`` seeds a block of steps in one vectorised
+pass; every draw equals the one of ``np.random.default_rng((seed XOR
+tag, k))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,8 +63,9 @@ def whole_space() -> Domain:
 
 def ball(diameter: float) -> Domain:
     """Origin-centred Euclidean ball of the given diameter."""
-    if diameter <= 0:
-        raise ValueError("diameter must be positive")
+    if not 0 < diameter < math.inf:
+        raise ValueError(f"diameter must be positive and finite, got "
+                         f"{diameter}")
     radius = 0.5 * diameter
 
     def project(x):
@@ -85,9 +87,14 @@ def box(lo, hi, dim: Optional[int] = None) -> Domain:
             raise ValueError("dim required for scalar box bounds")
         lo = np.full(dim, float(lo))
         hi = np.full(dim, float(hi))
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not np.all(np.isfinite(bound)):
+            raise ValueError(f"box bound {name} must be finite")
     if np.any(hi <= lo):
         raise ValueError("box bounds must satisfy lo < hi")
     diameter = float(np.linalg.norm(hi - lo))
+    if not math.isfinite(diameter):
+        raise ValueError(f"box diameter must be finite, got {diameter}")
     lo, hi = lo + 0.0, hi.copy()  # the box owns its bounds; -0.0 -> +0.0
     lo.flags.writeable = hi.flags.writeable = False
 
@@ -213,20 +220,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _seed_states(key: int, horizon: int) -> np.ndarray:
-    """Row k-1 is ``SeedSequence((key, k)).generate_state(4, np.uint64)``.
+def _seed_states(key: int, lo: int, hi: int) -> np.ndarray:
+    """Row j is ``SeedSequence((key, lo+1+j)).generate_state(4, np.uint64)``.
 
     The entropy of (key, k) is the little-endian uint32 words of ``key``
-    followed by the one word of k, so all k = 1..horizon hash in one pass
+    followed by the one word of k, so all k = lo+1..hi hash in one pass
     of uint32 array arithmetic (which wraps, as numpy's C code does).
     """
     if key < 0:
         raise ValueError("expected non-negative integer")
-    entropy = [np.full(horizon, (key >> shift) & _MASK32, dtype=np.uint32)
+    rows = hi - lo
+    entropy = [np.full(rows, (key >> shift) & _MASK32, dtype=np.uint32)
                for shift in range(0, max(key.bit_length(), 1), 32)]
-    entropy.append(np.arange(1, horizon + 1, dtype=np.uint32))
+    entropy.append(np.arange(lo + 1, hi + 1, dtype=np.uint32))
     hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
-    zero = np.zeros(horizon, dtype=np.uint32)
+    zero = np.zeros(rows, dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero)
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -237,10 +245,34 @@ def _seed_states(key: int, horizon: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_HASH_INIT_B, _HASH_MULT_B)
-    state = np.empty((horizon, 2 * _POOL_SIZE), dtype=np.uint32)
+    state = np.empty((rows, 2 * _POOL_SIZE), dtype=np.uint32)
     for i in range(state.shape[1]):
         state[:, i] = hashmix(pool[i % _POOL_SIZE])
     return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as the sqrt of a stacked ``matmul`` dot:
+    equal to the row's ``np.linalg.norm`` bit for bit (``norm(axis=1)``
+    and ``einsum`` are not)."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _standard_normals(key: int, lo: int, hi: int, width: int) -> np.ndarray:
+    """Row j: the first ``width`` standard normals of
+    ``np.random.default_rng((key, lo+1+j))``, from one reseeded PCG64."""
+    z = np.empty((hi - lo, width))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, (s0, s1, i0, i1) in zip(z, _seed_states(key, lo, hi).tolist()):
+        # PCG64's srandom: inc = 2*seq + 1, then an LCG step from 0, the
+        # initial state added, and one more step
+        inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
+        state = ((((s0 << 64) | s1) + inc) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
+    return z
 
 
 @dataclass(frozen=True)
@@ -250,68 +282,56 @@ class ErrorModel:
     Gradient errors are coordinate-wise Gaussian with ``gradient_std``.
     Prox offsets point uniformly on the sphere with radius
     min(|N(0, prox_std^2)|, eps_cap); the radius is also the realized bound
-    reported to the ledger, so the offset norm never exceeds it. With a
-    fixed seed the full sequence is bit-reproducible draw by draw
-    (PCG64 + ziggurat Gaussians, keyed on (seed XOR tag, k)).
-
-    A plain model seeds each draw with ``np.random.default_rng((seed XOR
-    tag, k))``. The copy ``for_horizon(T)`` returns holds the seeds of
-    steps 1..T, computed in one pass, and reseeds one reused PCG64 from
-    them; its draws are bit-identical to the plain model's.
+    reported to the ledger, so the offset norm never exceeds it. Step k's
+    draws are those of ``np.random.default_rng((seed XOR tag, k))``
+    (PCG64 + ziggurat Gaussians), so each is bit-reproducible on its own,
+    whatever the window it is drawn in. ``draws`` makes them for a block
+    of steps; the stds must be finite and >= 0, and ``eps_cap`` >= 0.
     """
 
     gradient_std: float = 0.0
     prox_std: float = 0.0
     eps_cap: Optional[float] = None
     seed: int = 0
-    #: purpose tag -> (T, 4) SeedSequence states of steps 1..T
-    _seeds: dict = field(default_factory=dict, compare=False, repr=False)
-    _rng: Optional[np.random.Generator] = field(default=None, compare=False,
-                                                repr=False)
 
-    def for_horizon(self, horizon: int) -> "ErrorModel":
-        """A copy that seeds the draws of steps 1..horizon in one pass."""
-        seeds = {tag: _seed_states(self.seed ^ tag, horizon)
-                 for tag, std in ((GRAD_ERROR_TAG, self.gradient_std),
-                                  (PROX_ERROR_TAG, self.prox_std))
-                 if std != 0.0}
-        return replace(self, _seeds=seeds,
-                       _rng=np.random.Generator(np.random.PCG64(0)))
+    def __post_init__(self):
+        for name in ("gradient_std", "prox_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{getattr(self, name)}")
+        if self.eps_cap is not None and not self.eps_cap >= 0.0:
+            raise ValueError(f"eps_cap must be >= 0, got {self.eps_cap}")
 
-    def _generator(self, tag: int, k: int) -> np.random.Generator:
-        seeds = self._seeds.get(tag)
-        if seeds is None or not 1 <= k <= len(seeds):
-            return np.random.default_rng((self.seed ^ tag, k))
-        s0, s1, i0, i1 = seeds[k - 1].tolist()
-        # PCG64's srandom: inc = 2*seq + 1, then an LCG step from 0, the
-        # initial state added, and one more step
-        inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
-        state = ((((s0 << 64) | s1) + inc) * _PCG64_MULT + inc) & _MASK128
-        self._rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return self._rng
+    def draws(self, lo: int, hi: int, dim: int):
+        """(errors, offsets, radii) of steps lo+1..hi, one row per step:
+        gradient errors, prox offsets and the offsets' bounds eps_k, all
+        zero at zero std. Scaled as ``normal(0, std)`` rounds (0 +
+        std * z), every row is its step's own draw bit for bit."""
+        errors, offsets = np.zeros((hi - lo, dim)), np.zeros((hi - lo, dim))
+        radii = np.zeros(hi - lo)
+        if self.gradient_std != 0.0:
+            z = _standard_normals(self.seed ^ GRAD_ERROR_TAG, lo, hi, dim)
+            errors = self.gradient_std * z + 0.0
+        if self.prox_std != 0.0:
+            z = _standard_normals(self.seed ^ PROX_ERROR_TAG, lo, hi, dim + 1)
+            radii = np.abs(self.prox_std * z[:, 0] + 0.0)
+            if self.eps_cap is not None:
+                radii = np.minimum(radii, self.eps_cap)
+            offsets = z[:, 1:] + 0.0
+            norms = row_norms(offsets)
+            zero = (norms == 0.0) | (radii == 0.0)
+            offsets *= (radii / np.where(zero, 1.0, norms))[:, None]
+            offsets[zero] = radii[zero] = 0.0
+        return errors, offsets, radii
 
     def gradient_error(self, k: int, dim: int) -> np.ndarray:
-        if self.gradient_std == 0.0:
-            return np.zeros(dim)
-        rng = self._generator(GRAD_ERROR_TAG, k)
-        return rng.normal(0.0, self.gradient_std, size=dim)
+        """Step k's gradient error, a row of ``draws``."""
+        return self.draws(k - 1, k, dim)[0][0]
 
     def prox_error(self, k: int, dim: int):
-        """Return (offset vector, realized bound eps_k)."""
-        if self.prox_std == 0.0:
-            return np.zeros(dim), 0.0
-        rng = self._generator(PROX_ERROR_TAG, k)
-        radius = abs(rng.normal(0.0, self.prox_std))
-        if self.eps_cap is not None:
-            radius = min(radius, self.eps_cap)
-        direction = rng.normal(size=dim)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0 or radius == 0.0:
-            return np.zeros(dim), 0.0
-        return direction * (radius / nrm), float(radius)
+        """Return step k's (offset vector, realized bound eps_k)."""
+        _, offsets, radii = self.draws(k - 1, k, dim)
+        return offsets[0], float(radii[0])
 
 
 def zero_error_model(seed: int = 0) -> ErrorModel:

@@ -26,7 +26,7 @@ import numpy as np
 from .bregman import DistanceGenerator
 from .errors import (CompositionError, InnerSolverError, StepSizeError,
                      SvdError)
-from .losses import Domain, ErrorModel
+from .losses import Domain
 
 INNER_TOL_DEFAULT = 1e-9
 INNER_MAX_ITERS = 10_000
@@ -268,11 +268,13 @@ def subproblem_solver(rule, gen: DistanceGenerator, domain: Domain,
                              inner_tolerance)
 
 
-def inexact_mirror_prox(solve, domain: Domain, anchor, noisy_grad,
-                        model: ErrorModel, k: int):
-    """Solve one step with ``solve``, then perturb within the eps_k ball.
+def inexact_mirror_prox(solve, domain: Domain, anchor, noisy_grad, offset,
+                        radius: float):
+    """Solve one step with ``solve``, then perturb by the step's draw.
 
-    ``solve`` is a ``subproblem_solver`` map for the step's prox rule.
+    ``solve`` is a ``subproblem_solver`` map for the step's prox rule;
+    ``offset`` and ``radius`` are the step's prox offset and its bound
+    (``ErrorModel.draws``; the offset is not read when the radius is 0).
     Returns (x_k, y_k, eps_k) with ||x_k - y_k|| <= eps_k guaranteed: the
     offset radius caps the perturbation and projecting back onto the
     domain is nonexpansive around the feasible y_k. eps_k also covers the
@@ -280,11 +282,6 @@ def inexact_mirror_prox(solve, domain: Domain, anchor, noisy_grad,
     the true argmin.
     """
     y, inner_bound = solve(anchor, noisy_grad)
-    if model.prox_std == 0.0:  # the draw would be (0, 0.0)
-        return y, y, inner_bound
-    offset, radius = model.prox_error(k, y.size)
     if radius == 0.0:
-        x = y
-    else:
-        x = domain.project(y + offset)
-    return x, y, radius + inner_bound
+        return y, y, inner_bound
+    return domain.project(y + offset), y, radius + inner_bound

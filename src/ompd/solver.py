@@ -31,7 +31,7 @@ import numpy as np
 from .bregman import DistanceGenerator
 from .errors import (MissingOptimaError, OmpdError, SolverRunError,
                      StepSizeError)
-from .losses import ErrorModel, ProblemStream
+from .losses import ErrorModel, ProblemStream, row_norms
 from .prox import (INNER_TOL_DEFAULT, check_step_size, inexact_mirror_prox,
                    subproblem_solver)
 from .runio import TRACE_CSV_HEADER, RunTrace, one_per_path, write_tables
@@ -63,19 +63,15 @@ def _empty_trace(stream: ProblemStream, config: SolverConfig) -> RunTrace:
 
 
 def _record(trace: RunTrace, stream: ProblemStream, steps, config, lo: int,
-            hi: int, grads: np.ndarray, ys: np.ndarray, errors) -> None:
+            hi: int, grads: np.ndarray, ys: np.ndarray,
+            errors: np.ndarray) -> None:
     """Fill the losses and norms of steps lo+1..hi from one block's buffers.
 
-    Buffer row j holds step lo+1+j. A row norm is the sqrt of a stacked
-    ``matmul`` dot, which equals the row's ``np.linalg.norm`` bit for bit
-    (``norm(axis=1)`` and ``einsum`` do not).
+    Buffer row j holds step lo+1+j; the norms are ``losses.row_norms``,
+    the rows' ``np.linalg.norm`` bit for bit.
     """
     if hi == lo:
         return
-
-    def row_norms(rows):
-        return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-
     gen = config.generator
     xs = trace.iterates
     size = hi - lo
@@ -86,8 +82,7 @@ def _record(trace: RunTrace, stream: ProblemStream, steps, config, lo: int,
     q /= config.step_size
     q += grads[:size]
     trace.q_norms[lo:hi] = row_norms(q)
-    if errors is not None:
-        trace.grad_error_norms[lo:hi] = row_norms(errors[:size])
+    trace.grad_error_norms[lo:hi] = row_norms(errors[:size])
     trace.f_played[lo:hi] = stream.total_values(xs[lo:hi], steps[lo:hi], lo)
 
 
@@ -116,23 +111,21 @@ def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
     ``steps`` is ``stream.steps()``, built here unless the caller passes
     the list it built for several runs on one stream. The form of the
     subproblem solve is chosen before the loop, once for each distinct
-    prox rule (``subproblem_solver``). The loop runs the recursion only:
-    per step one gradient, the model's gradient draw (none at zero std),
-    and one ``inexact_mirror_prox`` call with the solver of the step's
-    rule, which also makes the prox draw. It keeps the noisy gradient,
-    the draw and the prox point y_k in buffers of ``_BLOCK_ROWS`` steps;
-    ``step_seconds`` times exactly that. After each block its played
-    losses (``stream.total_values``) and error and q norms are filled in
-    array calls, bit for bit the per-step values, so the scratch memory
-    does not grow with the horizon.
+    prox rule (``subproblem_solver``). Each block of ``_BLOCK_ROWS`` steps
+    first takes its error draws from ``model.draws``, bit for bit the
+    per-step draws; the loop then runs the recursion only: per step one
+    gradient plus its error, and one ``inexact_mirror_prox`` call with the
+    solver of the step's rule and the step's prox offset. It keeps the
+    noisy gradient and the prox point y_k in block buffers;
+    ``step_seconds`` times exactly that, not the draws. After each block
+    its played losses (``stream.total_values``) and error and q norms are
+    filled in array calls, bit for bit the per-step values, so the
+    scratch memory does not grow with the horizon.
 
     Raises ValueError or StepSizeError up front, once per run, unless
     0 < step_size <= 2 sigma_omega / max_k L_k. Raises SolverRunError if
     a subproblem fails mid-run, with the fully filled trace of the
-    completed steps attached. The model's draws are seeded for the whole
-    horizon once (``ErrorModel.for_horizon``) and equal its per-step
-    draws bit for bit; a draw of zero std, which would add nothing, is
-    skipped.
+    completed steps attached.
     """
     if steps is None:
         steps = stream.steps()
@@ -148,25 +141,20 @@ def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (n,):
         raise ValueError("initial point dimension does not match the stream")
-    model = model.for_horizon(T)
     rows = min(T, _BLOCK_ROWS)
     grads, ys = np.empty((rows, n)), np.empty((rows, n))
-    errors = np.empty((rows, n)) if model.gradient_std != 0.0 else None
     domain = stream.domain
     solvers = _solvers(steps, config, domain)
     for lo in range(0, T, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, T)
+        errors, offsets, radii = model.draws(lo, hi, n)
         for i in range(lo, hi):
             step, solve, j = steps[i], solvers[i], i - lo
             t0 = time.perf_counter()
-            if errors is not None:
-                e = errors[j] = model.gradient_error(i + 1, n)
-                grad = np.add(step.smooth_gradient(x), e, out=grads[j])
-            else:  # adding the zero draw turned -0.0 into +0.0; so does this
-                grad = np.add(step.smooth_gradient(x), 0.0, out=grads[j])
+            grad = np.add(step.smooth_gradient(x), errors[j], out=grads[j])
             try:
                 x, ys[j], trace.eps[i] = inexact_mirror_prox(
-                    solve, domain, x, grad, model, i + 1)
+                    solve, domain, x, grad, offsets[j], radii[j])
             except OmpdError as exc:
                 _record(trace, stream, steps, config, lo, i, grads, ys, errors)
                 raise SolverRunError(
@@ -206,7 +194,8 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     """Independently coded online proximal gradient baseline.
 
     Euclidean geometry is forced regardless of config.generator; error
-    draws come from the same model keys as ``run``, so with the Euclidean
+    draws come from the same model keys as ``run``, one ``model.draws``
+    block of ``_BLOCK_ROWS`` steps at a time, so with the Euclidean
     generator the two trajectories should agree to machine precision.
     """
     steps = stream.steps()
@@ -218,8 +207,12 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     domain = stream.domain
     x = np.array(config.initial_point, dtype=float)
     for k, step in enumerate(steps, start=1):
+        j = (k - 1) % _BLOCK_ROWS
+        if j == 0:
+            errors, offsets, radii = model.draws(
+                k - 1, min(k - 1 + _BLOCK_ROWS, stream.horizon), stream.dim)
         t0 = time.perf_counter()
-        e = model.gradient_error(k, stream.dim)
+        e = errors[j]
         grad = step.smooth_gradient(x) + e
         v = x - lam * grad
         if (domain.name == "simplex"
@@ -229,8 +222,8 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
             y = _baseline_prox(step.prox_handle, v, lam)
             if domain.kind != "whole_space":
                 y = domain.project(y)
-        offset, radius = model.prox_error(k, stream.dim)
-        x_new = domain.project(y + offset) if radius > 0.0 else y
+        radius = radii[j]
+        x_new = domain.project(y + offsets[j]) if radius > 0.0 else y
         i = k - 1
         trace.iterates[i] = x_new
         trace.grad_error_norms[i] = np.linalg.norm(e)

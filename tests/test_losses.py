@@ -7,7 +7,7 @@ import pytest
 
 from ompd import (CompositeLossStep, Domain, ErrorModel, ball, box, l1_rule,
                   simplex, validate_constants, whole_space, zero_error_model)
-from ompd.losses import GRAD_ERROR_TAG
+from ompd.losses import GRAD_ERROR_TAG, PROX_ERROR_TAG
 
 
 def _least_squares_step(A, b, eta=0.0, L=None, B=None):
@@ -91,6 +91,24 @@ class TestDomains:
         with pytest.raises(ValueError):
             box(-1.0, 1.0)
 
+    @pytest.mark.parametrize("diameter", [np.nan, np.inf])
+    def test_ball_refuses_a_nonfinite_diameter(self, diameter):
+        """A NaN ball projects to NaN; an infinite one has an infinite
+        bounded-regime RHS."""
+        with pytest.raises(ValueError, match="diameter"):
+            ball(diameter)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("lo, hi, message", [
+        (0.0, np.nan, "bound hi "), (0.0, np.inf, "bound hi "),
+        (-np.inf, 0.0, "bound lo "), ([0.0, np.nan], [1.0, 1.0], "bound lo "),
+        (-1e308, 1e308, "diameter")])
+    def test_box_refuses_nonfinite_bounds(self, lo, hi, message):
+        """Finite bounds can still span an infinite diameter, and so an
+        infinite bounded-regime RHS."""
+        with pytest.raises(ValueError, match=message):
+            box(lo, hi, dim=2)
+
     def test_nonnegative_follows_the_bounds(self):
         """``Domain.nonnegative`` is derived from ``bounds``: it cannot be
         passed in, and a replaced ``bounds`` recomputes it."""
@@ -138,40 +156,105 @@ class TestErrorModel:
 
     def test_draws_independent_of_call_order(self):
         plain = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=7)
-        for m in (plain, plain.for_horizon(5)):
-            forward = [m.gradient_error(k, 10) for k in range(1, 6)]
-            backward = [m.gradient_error(k, 10) for k in range(5, 0, -1)]
-            for k in range(1, 6):
-                np.testing.assert_array_equal(forward[k - 1], backward[5 - k])
+        forward = [plain.gradient_error(k, 10) for k in range(1, 6)]
+        backward = [plain.gradient_error(k, 10) for k in range(5, 0, -1)]
+        for k in range(1, 6):
+            np.testing.assert_array_equal(forward[k - 1], backward[5 - k])
 
     #: seed ^ tag spans one, two, three and four uint32 words
     @pytest.mark.parametrize("seed", [0, 42, 2**40 + 3, 2**64 + 1, 2**96 + 5])
     @pytest.mark.parametrize("eps_cap", [None, 0.02])
-    def test_horizon_copy_draws_equal_the_per_step_draws(self, seed,
-                                                         eps_cap):
-        """``for_horizon`` reseeds one generator from vectorised seeds;
-        every draw must still be ``default_rng((seed ^ tag, k))``'s."""
-        fresh = ErrorModel(gradient_std=0.05, prox_std=0.05, eps_cap=eps_cap,
+    def test_block_draws_equal_the_per_step_draws(self, seed, eps_cap):
+        """A horizon drawn in one block is ``default_rng((seed ^ tag,
+        k))``'s draw at every step, and equals the same steps drawn in
+        windows of other sizes, one step at a time included."""
+        model = ErrorModel(gradient_std=0.05, prox_std=0.05, eps_cap=eps_cap,
                            seed=seed)
-        copy = fresh.for_horizon(3000)
-        assert copy == fresh
-        for k in (*range(1, 3001), 3001, 4000):
-            np.testing.assert_array_equal(copy.gradient_error(k, 3),
-                                          fresh.gradient_error(k, 3))
-            o1, e1 = copy.prox_error(k, 3)
-            o2, e2 = fresh.prox_error(k, 3)
-            np.testing.assert_array_equal(o1, o2)
-            assert e1 == e2
-        rng = np.random.default_rng((seed ^ GRAD_ERROR_TAG, 3000))
-        np.testing.assert_array_equal(copy.gradient_error(3000, 3),
-                                      rng.normal(0.0, 0.05, size=3))
+        block = model.draws(0, 3000, 3)
+        for got, want in zip(block, self._reference_draws(model, 0, 3000, 3)):
+            assert got.tobytes() == want.tobytes()
+        errors, offsets, radii = block
+        cuts = (0, 1, 2, 9, 511, 512, 513, 1024, 1500, 2999, 3000)
+        for lo, hi in zip(cuts, cuts[1:]):
+            e, o, r = model.draws(lo, hi, 3)
+            np.testing.assert_array_equal(errors[lo:hi], e)
+            np.testing.assert_array_equal(offsets[lo:hi], o)
+            np.testing.assert_array_equal(radii[lo:hi], r)
+        for k in (1, 512, 513, 3000):
+            np.testing.assert_array_equal(errors[k - 1],
+                                          model.gradient_error(k, 3))
+            o, e = model.prox_error(k, 3)
+            np.testing.assert_array_equal(offsets[k - 1], o)
+            assert radii[k - 1] == e
 
-    def test_horizon_copy_of_zero_model_draws_zeros(self):
-        m = zero_error_model(seed=9).for_horizon(10)
+    def test_zero_model_draws_zeros(self):
+        m = zero_error_model(seed=9)
+        for rows in m.draws(0, 10, 4):
+            assert rows.shape[0] == 10 and not rows.any()
         np.testing.assert_array_equal(m.gradient_error(3, 4), np.zeros(4))
         offset, eps = m.prox_error(3, 4)
         np.testing.assert_array_equal(offset, np.zeros(4))
         assert eps == 0.0
+
+    @staticmethod
+    def _reference_draws(model, lo, hi, dim):
+        """Steps lo+1..hi drawn one at a time from ``default_rng``."""
+        errors, offsets, radii = [], [], []
+        for k in range(lo + 1, hi + 1):
+            rng = np.random.default_rng((model.seed ^ GRAD_ERROR_TAG, k))
+            errors.append(rng.normal(0.0, model.gradient_std, size=dim))
+            rng = np.random.default_rng((model.seed ^ PROX_ERROR_TAG, k))
+            radius = abs(rng.normal(0.0, model.prox_std))
+            if model.eps_cap is not None:
+                radius = min(radius, model.eps_cap)
+            direction = rng.normal(size=dim)
+            nrm = float(np.linalg.norm(direction))
+            if nrm == 0.0 or radius == 0.0:
+                offsets.append(np.zeros(dim))
+                radii.append(0.0)
+            else:
+                offsets.append(direction * (radius / nrm))
+                radii.append(float(radius))
+        return np.array(errors), np.array(offsets), np.array(radii)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**40 + 3, 2**64 + 1, 2**96 + 5])
+    @pytest.mark.parametrize("stds", [(0.05, 0.3), (0.0, 0.3), (0.05, 0.0),
+                                      (0.0, 0.0)])
+    @pytest.mark.parametrize("eps_cap", [None, 0, 0.04])
+    def test_draws_equal_default_rng_bit_for_bit(self, seed, stds,
+                                                 eps_cap):
+        """Windows that cross a 512-step edge or hold only step 1, at dims
+        1, 3 and 30, equal the per-step reference bit for bit, signs of
+        zero included; a zero std draws +0.0 rows."""
+        model = ErrorModel(gradient_std=stds[0], prox_std=stds[1],
+                           eps_cap=eps_cap, seed=seed)
+        for (lo, hi), dim in (((0, 1), 3), ((500, 530), 3), ((1020, 1030), 1),
+                              ((0, 40), 1), ((505, 545), 30)):
+            got = model.draws(lo, hi, dim)
+            want = self._reference_draws(model, lo, hi, dim)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("field", ["gradient_std", "prox_std"])
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_refuses_a_std_that_is_negative_or_not_finite(self, field,
+                                                          value):
+        with pytest.raises(ValueError, match=field):
+            ErrorModel(**{field: value})
+
+    @pytest.mark.parametrize("eps_cap", [-1.0, np.nan])
+    def test_refuses_an_eps_cap_that_is_negative_or_nan(self, eps_cap):
+        """A negative cap would report a negative eps_k beside an offset
+        of positive norm, and lower the ledger's P."""
+        with pytest.raises(ValueError, match="eps_cap"):
+            ErrorModel(prox_std=0.1, eps_cap=eps_cap, seed=1)
+
+    def test_an_infinite_eps_cap_caps_nothing(self):
+        capped = ErrorModel(prox_std=0.1, eps_cap=np.inf, seed=1)
+        free = ErrorModel(prox_std=0.1, seed=1)
+        for got, want in zip(capped.draws(0, 20, 3), free.draws(0, 20, 3)):
+            np.testing.assert_array_equal(got, want)
 
     def test_offset_norm_matches_reported_bound(self):
         m = ErrorModel(prox_std=0.05, seed=3)

@@ -372,15 +372,16 @@ class TestInexactMirrorProx:
 
     def test_zero_model_returns_exact_solution(self):
         x, y, eps = inexact_mirror_prox(*self._args(whole_space()),
-                                        zero_error_model(), 1)
+                                        *zero_error_model().prox_error(1, 6))
         np.testing.assert_array_equal(x, y)
         assert eps == 0.0
 
     def test_capped_offset_respected_over_1000_draws(self):
         args = self._args(whole_space())
         model = ErrorModel(prox_std=1.0, eps_cap=0.05, seed=15)
-        for k in range(1, 1001):
-            x, y, eps = inexact_mirror_prox(*args, model, k)
+        _, offsets, radii = model.draws(0, 1000, 6)
+        for offset, radius in zip(offsets, radii):
+            x, y, eps = inexact_mirror_prox(*args, offset, radius)
             assert np.linalg.norm(x - y) <= 0.05 + 1e-14
             assert np.linalg.norm(x - y) <= eps + 1e-14
 
@@ -388,7 +389,8 @@ class TestInexactMirrorProx:
         dom = ball(1.0)
         args = self._args(dom)
         model = ErrorModel(prox_std=0.5, seed=16)
-        for k in range(1, 500):
-            x, y, eps = inexact_mirror_prox(*args, model, k)
+        _, offsets, radii = model.draws(0, 499, 6)
+        for offset, radius in zip(offsets, radii):
+            x, y, eps = inexact_mirror_prox(*args, offset, radius)
             assert np.linalg.norm(x) <= 0.5 + 1e-12
             assert np.linalg.norm(x - y) <= eps + 1e-14

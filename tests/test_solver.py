@@ -18,6 +18,7 @@ from ompd import prox, solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
                               generate_separation)
+from ompd.losses import GRAD_ERROR_TAG, PROX_ERROR_TAG
 from ompd.prox import (RESIDUAL_CHECK_EVERY, inexact_mirror_prox,
                        subproblem_solver)
 from ompd.runio import _PER_STEP_FIELDS, read_trace_csv
@@ -101,26 +102,31 @@ class TestRun:
             assert np.linalg.norm(dom.project(x) - x) <= 1e-12
 
     def test_recorded_error_sequences_match_model_draws(self):
-        """``run`` seeds its horizon in one pass; what it records must
-        equal a plain model's per-step draws with no gap at all."""
-        cfg = GaussMarkovConfig(horizon=300, seed=7)
+        """``run`` draws its errors a block at a time; what it records must
+        equal each step's own ``default_rng((seed ^ tag, k))`` draw, with
+        no gap at all."""
+        cfg = GaussMarkovConfig(horizon=600, seed=7)
         n = cfg.n_coeffs
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
                               initial_point=np.zeros(n))
-        for domain, fresh in (
+        for domain, model in (
                 (None, ErrorModel(gradient_std=0.05, prox_std=0.05,
                                   seed=11)),
                 (box(-0.5, 0.5, dim=n),
                  ErrorModel(gradient_std=0.05, prox_std=0.05, eps_cap=0.03,
                             seed=12))):
             stream, _ = generate_gauss_markov(cfg, domain=domain)
-            trace = run(stream, config, fresh)
-            ks = range(1, cfg.horizon + 1)
-            np.testing.assert_array_equal(
-                trace.grad_error_norms,
-                [np.linalg.norm(fresh.gradient_error(k, n)) for k in ks])
-            np.testing.assert_array_equal(
-                trace.eps, [fresh.prox_error(k, n)[1] for k in ks])
+            trace = run(stream, config, model)
+            norms, eps = [], []
+            for k in range(1, cfg.horizon + 1):
+                rng = np.random.default_rng((model.seed ^ GRAD_ERROR_TAG, k))
+                norms.append(np.linalg.norm(rng.normal(0.0, 0.05, size=n)))
+                rng = np.random.default_rng((model.seed ^ PROX_ERROR_TAG, k))
+                radius = abs(rng.normal(0.0, 0.05))
+                eps.append(radius if model.eps_cap is None
+                           else min(radius, model.eps_cap))
+            np.testing.assert_array_equal(trace.grad_error_norms, norms)
+            np.testing.assert_array_equal(trace.eps, eps)
 
     def test_wall_time_recorded(self):
         step = _quadratic_step(np.eye(2), np.zeros(2))
@@ -218,22 +224,16 @@ def _per_step_loop(stream, config, model):
         "reg_lipschitz")}
     out["iterates"] = np.zeros((T, n))
     x = np.array(config.initial_point, dtype=float)
-    model = model.for_horizon(T)
-    draws = model.gradient_std != 0.0
+    errors, offsets, radii = model.draws(0, T, n)
     for k, step in enumerate(steps, start=1):
-        if draws:
-            e = model.gradient_error(k, n)
-            grad = step.smooth_gradient(x) + e
-        else:
-            grad = step.smooth_gradient(x) + 0.0
+        i = k - 1
+        grad = step.smooth_gradient(x) + errors[i]
         solve = subproblem_solver(step.prox_handle, gen, stream.domain, lam,
                                   config.inner_tolerance)
         x_new, y, eps_k = inexact_mirror_prox(solve, stream.domain, x, grad,
-                                              model, k)
-        i = k - 1
+                                              offsets[i], radii[i])
         out["iterates"][i] = x_new
-        if draws:
-            out["grad_error_norms"][i] = np.linalg.norm(e)
+        out["grad_error_norms"][i] = np.linalg.norm(errors[i])
         out["eps"][i] = eps_k
         out["f_played"][i] = step.total_value(x_new)
         out["q_norms"][i] = np.linalg.norm(
@@ -464,13 +464,11 @@ def _run_peak(T, model):
     ErrorModel(gradient_std=0.05, prox_std=0.05, seed=9)],
     ids=["exact", "inexact"])
 def test_run_scratch_does_not_grow_with_the_horizon(model):
-    """Beyond the trace's own arrays ((n + 7) floats a step), the step
-    solvers' list and the model's seed tables (2 x 4 uint64 a step with
-    both draws), ``run`` keeps block-sized scratch only."""
+    """Beyond the trace's own arrays ((n + 7) floats a step) and the step
+    solvers' list, ``run`` keeps block-sized scratch only: the error
+    draws too are made one block at a time."""
     n = GaussMarkovConfig().n_coeffs
     per_step = (n + 8) * 8
-    if model.gradient_std != 0.0:
-        per_step += 2 * 4 * 8
     growth = _run_peak(4096, model) - _run_peak(1024, model)
     assert growth <= 3072 * per_step + 64 * 1024
 
