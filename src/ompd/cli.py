@@ -38,7 +38,10 @@ Exit codes:
        not creatable (an existing file, or a path under one)
     4  run_config.cfg missing, or a bound_state.csv missing or unreadable
     5  sanity violation in bound_state.csv: an f_star off the stream's
-       value at its optimum, an f_k(x_k) below f_k(x_k*), a nonfinite gap
+       value at its optimum, an f_k(x_k) below f_k(x_k*), a nonfinite gap,
+       an e_norm, eps or q_norm that is negative or nonfinite, or a row
+       k = 0 that is not the experiments' start point
+       (``experiments.initial_point``)
     6  a recorded L_k or B_k below its exact value at some step
 """
 
@@ -305,6 +308,15 @@ def _verify_variant(out_dir, variant, stream, lam, generator, optimum_tol,
     if not worst_gap >= -(_SANITY_TOL + optimum_tol):
         return EXIT_SANITY, (f"variant={variant} error=sanity "
                              f"worst={worst_gap:.6g}")
+    # a negative or nonfinite norm would inflate the bound it enters
+    norms = np.stack([state[name] for name in ("e_norm", "eps", "q_norm")])
+    ok = np.all(np.isfinite(norms) & (norms >= 0.0), axis=0)
+    if not np.all(ok):
+        return EXIT_SANITY, (f"variant={variant} error=norms "
+                             f"step={np.argmin(ok) + 1}")
+    # x0 sets the start cost Z0 = V(x_1*, x0) / lam
+    if not np.array_equal(state["x0"], experiments.initial_point(stream.dim)):
+        return EXIT_SANITY, f"variant={variant} error=x0"
 
     # every recorded constant must bound its exact value; NaN and inf fail
     recorded = np.stack((state["L_k"], state["B_k"]))

@@ -392,6 +392,12 @@ class Experiment:
     generator: Callable = lambda: euclidean_generator()  # run's and verify's
 
 
+def initial_point(dim: int) -> np.ndarray:
+    """x0 of every experiment's run, the origin; ``verify`` requires row
+    k = 0 of bound_state.csv to hold it."""
+    return np.zeros(dim)
+
+
 def play(row: Experiment, cfg, domain: Optional[Domain],
          out_dir: Optional[str], variants, optimum_tol: float):
     """Play each variant of experiment ``row`` on one stream built from
@@ -407,7 +413,7 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
     optima = row.optima(stream, truth, cfg, optimum_tol)
     step_size = getattr(cfg, row.step_size)
     config = SolverConfig(step_size=step_size, generator=row.generator(),
-                          initial_point=np.zeros(stream.dim))
+                          initial_point=initial_point(stream.dim))
     seed = cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR
     steps = stream.steps()
     played = {variant: run(stream, config,
@@ -452,7 +458,7 @@ def _gauss_markov_optima(stream: ProblemStream, truth, cfg, tol: float):
         lo, hi = dom.bounds
         if np.all(hi == hi[0]) and np.all(lo == -hi):
             halfwidth = float(hi[0])
-    if dom.is_bounded and halfwidth is None:
+    if dom.kind == "bounded" and halfwidth is None:
         return stream_optima(stream, tol=tol)
     return lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
                               halfwidth=halfwidth, tol=tol)[0]

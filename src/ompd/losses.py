@@ -52,10 +52,6 @@ class Domain:
         object.__setattr__(self, "nonnegative", self.bounds is not None
                            and bool(np.all(self.bounds[0] >= 0.0)))
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.kind == "bounded"
-
 
 def whole_space() -> Domain:
     return Domain(project=lambda x: np.asarray(x, float), name="whole_space")

@@ -1,22 +1,17 @@
 """Dynamic regret, per-step offline optima, and regret bound evaluation.
 
-The central objects are the accumulators of the run:
+The bound is built from sums over the run, each formed at every prefix
+horizon T' by ``_prefix_sums``:
 
     s_k       = ||x_k* - x_{k-1}*||  (optimum drift; s_1 = 0 under the
-                convention x_0* := x_1*, and s_{T+1} = 0)
+                convention x_0* := x_1*, and s_{T'+1} = 0)
     Sigma     = sum s_k              SigmaBar = sum s_k^2
-    E         = sum ||e_k||          EBar     = sum ||e_k||^2
-    P         = sum eps_k            PBar     = sum eps_k^2
+    E         = sum ||e_k||          P        = sum eps_k
 
 plus the regime constant D (2B on the whole space; on bounded domains
-2B + max_k ||grad g_k(x_{k-1}) + e_k + grad V(y_k, x_{k-1})/lam||), the
-start cost Z0 = V(x_0*, x_0) / lam (its drift term G s_1 ||x_0* - x_0||
-vanishes with s_1), and the recursion sequences
-
-    S_i   = (2 lam / sigma) Z0 + (2 lam D / sigma) sum_{k<=i} eps_k
-            + (2 G / sigma - 1) sum_{k<=i} s_k^2
-    tau_i = (2 lam / sigma) ||e_i|| + (2 G / sigma) s_{i+1}
-            + (2 G / sigma) eps_i.
+2B + max_k ||grad g_k(x_{k-1}) + e_k + grad V(y_k, x_{k-1})/lam||) and
+the start cost Z0 = V(x_0*, x_0) / lam (its drift term G s_1 ||x_0* -
+x_0|| vanishes with s_1), which ``BoundLedger`` holds with the drift.
 
 ``theorem_rhs`` evaluates, at every prefix horizon T', the certified
 upper bound on R_{T'}:
@@ -28,7 +23,15 @@ upper bound on R_{T'}:
         + (sum tau + sqrt(S)) * C
 
 where C = E + (G/lam) (sum_{t=2..T'} s_t + P) is the error-coefficient
-sum after reindexing (the prefix application sets s_{T'+1} = 0).
+sum after reindexing (the prefix application sets s_{T'+1} = 0), and S
+and sum tau are the prefix-T' values of the recursion sequences
+
+    S_i   = (2 lam / sigma) Z0 + (2 lam D / sigma) sum_{k<=i} eps_k
+            + (2 G / sigma - 1) sum_{k<=i} s_k^2
+    tau_i = (2 lam / sigma) ||e_i|| + (2 G / sigma) s_{i+1}
+            + (2 G / sigma) eps_i,
+
+so that sum_{i<=T'} tau_i = (2 lam / sigma) C.
 """
 
 from __future__ import annotations
@@ -101,24 +104,16 @@ def dynamic_regret(trace: RunTrace) -> np.ndarray:
 
 @dataclass
 class BoundLedger:
-    """Accumulators for the regret bound, full horizon.
+    """The regret bound's constants and the optimum drift of one run.
 
     ``s`` is 1-based with s[0] unused: s[k] for k = 1..T is the optimum
-    drift and s[T+1] = 0. ``S_seq[i]`` holds S_i for i = 0..T, and
-    ``tau_seq`` is 1-based like ``s``.
+    drift and s[T+1] = 0. The sums over the run are formed per prefix by
+    ``_prefix_sums``.
     """
 
     s: np.ndarray
-    Sigma: float
-    SigmaBar: float
-    E: float
-    EBar: float
-    P: float
-    PBar: float
     D: float
     Z0: float
-    S_seq: np.ndarray
-    tau_seq: np.ndarray
     lam: float
     sigma_omega: float
     g_omega: float
@@ -128,7 +123,7 @@ class BoundLedger:
 
 def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
                       domain: Domain) -> BoundLedger:
-    """Fold one completed trace into the bound accumulators."""
+    """Fold one completed trace into the bound's constants and drift."""
     if not trace.has_optima():
         raise MissingOptimaError("fill_optima before building the ledger")
     T = trace.horizon
@@ -137,47 +132,31 @@ def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
     if T >= 2:
         s[2:T + 1] = np.linalg.norm(np.diff(opt, axis=0), axis=1)
     # x_0* := x_1* convention: s[1] = 0, s[T+1] = 0 by definition.
-    sigma, G = gen.sigma_omega, gen.g_omega
-    e = trace.grad_error_norms
-    eps = trace.eps
-    Z0 = divergence(gen, opt[0], trace.x0) / lam
     D = 2.0 * float(np.max(trace.reg_lipschitz))
-    if domain.is_bounded:
+    if domain.kind == "bounded":
         D += float(np.max(trace.q_norms))
-    S_seq = np.zeros(T + 1)
-    S_seq[0] = (2.0 * lam / sigma) * Z0
-    incr = (2.0 * lam * D / sigma) * eps + (2.0 * G / sigma - 1.0) * s[1:T + 1] ** 2
-    S_seq[1:] = S_seq[0] + np.cumsum(incr)
-    tau_seq = np.zeros(T + 1)
-    tau_seq[1:] = ((2.0 * lam / sigma) * e
-                   + (2.0 * G / sigma) * s[2:T + 2]
-                   + (2.0 * G / sigma) * eps)
     return BoundLedger(
-        s=s[:T + 2], Sigma=float(np.sum(s[1:T + 1])),
-        SigmaBar=float(np.sum(s[1:T + 1] ** 2)),
-        E=float(np.sum(e)), EBar=float(np.sum(e ** 2)),
-        P=float(np.sum(eps)), PBar=float(np.sum(eps ** 2)),
-        D=D, Z0=Z0, S_seq=S_seq, tau_seq=tau_seq, lam=lam,
-        sigma_omega=sigma, g_omega=G, domain_kind=domain.kind,
-        diameter=domain.diameter)
+        s=s, D=D, Z0=divergence(gen, opt[0], trace.x0) / lam, lam=lam,
+        sigma_omega=gen.sigma_omega, g_omega=gen.g_omega,
+        domain_kind=domain.kind, diameter=domain.diameter)
 
 
-def recursion_bound(S_seq, tau_seq, i: int) -> float:
+def recursion_bound(S, tau, i: int) -> float:
     """Upper bound on u_i for u_i^2 <= S_i + sum_{k<=i} tau_k u_k.
 
-    S_seq is indexed 0..T (S_0 included) and tau_seq 1-based with index 0
-    unused, matching the ledger layout.
+    S is indexed 0..T (S_0 included) and tau 1-based with index 0 unused,
+    like the ledger's ``s``.
     """
-    S_seq = np.asarray(S_seq, dtype=float)
-    tau_seq = np.asarray(tau_seq, dtype=float)
-    if np.any(np.diff(S_seq) < -1e-12):
-        raise ValueError("S_seq must be nondecreasing")
-    if np.any(tau_seq < -1e-12):
-        raise ValueError("tau_seq must be nonnegative")
-    if not 1 <= i < len(S_seq):
-        raise ValueError(f"index {i} outside 1..{len(S_seq) - 1}")
-    half_tau = 0.5 * float(np.sum(tau_seq[1:i + 1]))
-    return half_tau + float(np.sqrt(S_seq[i] + half_tau ** 2))
+    S = np.asarray(S, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if np.any(np.diff(S) < -1e-12):
+        raise ValueError("S must be nondecreasing")
+    if np.any(tau < -1e-12):
+        raise ValueError("tau must be nonnegative")
+    if not 1 <= i < len(S):
+        raise ValueError(f"index {i} outside 1..{len(S) - 1}")
+    half_tau = 0.5 * float(np.sum(tau[1:i + 1]))
+    return half_tau + float(np.sqrt(S[i] + half_tau ** 2))
 
 
 def _prefix_sums(trace: RunTrace, ledger: BoundLedger):
@@ -199,10 +178,9 @@ def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-    if regime == "bounded" and ledger.domain_kind != "bounded":
-        raise RegimeMismatchError("bounded regime on an unbounded domain")
-    if regime == "whole_space" and ledger.domain_kind != "whole_space":
-        raise RegimeMismatchError("whole-space regime on a bounded domain")
+    if regime != ledger.domain_kind:
+        raise RegimeMismatchError(f"{regime} regime on a "
+                                  f"{ledger.domain_kind} domain")
     lam, sigma, G = ledger.lam, ledger.sigma_omega, ledger.g_omega
     _, SigmaBar, E, P, drift = _prefix_sums(trace, ledger)
     C = E + (G / lam) * (drift + P)

@@ -85,6 +85,16 @@ def _cell(path, row, column):
     return float(lines[row].split(",")[lines[0].split(",").index(column)])
 
 
+def _raised_played_losses(tmp_path, run):
+    """A copy of the exact variant of ``run`` (T=40) whose f_x are raised
+    by 1000 at every step, which breaks the bound; (out, state path)."""
+    out = shutil.copytree(run, tmp_path / "res")
+    path = out / "exact" / "bound_state.csv"
+    for row in range(2, 42):
+        _set_cell(path, row, "f_x", repr(_cell(path, row, "f_x") + 1000))
+    return out, path
+
+
 def _recorded_optimum_tol(out):
     parser = configparser.ConfigParser()
     parser.read(out / "run_config.cfg")
@@ -723,12 +733,68 @@ class TestVerify:
 
     def test_nan_start_point_is_not_certified(self, tmp_path, capsys,
                                               ex1_exact_run):
-        """A NaN x0 (row k = 0) leaves the start cost, and the bound, NaN."""
+        """A NaN x0 (row k = 0) would leave the start cost, and the bound,
+        NaN; it is not the start point the run played from."""
         out = shutil.copytree(ex1_exact_run, tmp_path / "res")
         _set_cell(out / "exact" / "bound_state.csv", 1, "xstar_0", "nan")
+        assert main(["verify", "--out", str(out)]) == 5
+        assert capsys.readouterr().out == "variant=exact error=x0\n"
+
+    @pytest.mark.parametrize("column, step, text", [
+        ("e_norm", 1, "-1000000.0"),
+        ("eps", 40, "-1e-300"),
+        ("eps", 7, "nan"),
+        ("q_norm", 12, "-1.0"),
+        ("q_norm", 3, "inf"),
+        ("e_norm", 25, "-inf"),
+    ], ids=["negative_e_norm", "negative_eps", "nan_eps", "negative_q_norm",
+            "inf_q_norm", "minus_inf_e_norm"])
+    def test_negative_or_nonfinite_norm_exit_5(self, tmp_path, capsys,
+                                               ex1_exact_run, column, step,
+                                               text):
+        """Played losses raised by 1000 break the bound; a negative e_norm
+        at step 1 used to mend it (the whole-space error term grows like
+        C^2), and a NaN eps was reported as bound_violated."""
+        out, path = _raised_played_losses(tmp_path, ex1_exact_run)
+        capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 1
-        assert ("worst_margin=nan error=bound_violated"
-                in capsys.readouterr().out)
+        assert "error=bound_violated" in capsys.readouterr().out
+        _set_cell(path, step + 1, column, text)
+        assert main(["verify", "--out", str(out)]) == 5
+        assert (capsys.readouterr().out
+                == f"variant=exact error=norms step={step}\n")
+
+    @pytest.mark.parametrize("text", ["10000", "1e-300"])
+    def test_start_point_must_be_the_played_one(self, tmp_path, capsys,
+                                                ex1_exact_run, text):
+        """Row k = 0 sets Z0 = V(x_1*, x0) / lam; an x0 of 1e4 used to
+        certify losses raised by 1000 with worst_margin=5e+09."""
+        out, path = _raised_played_losses(tmp_path, ex1_exact_run)
+        _set_cell(path, 1, "xstar_0", text)
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 5
+        assert capsys.readouterr().out == "variant=exact error=x0\n"
+
+    def test_run_and_verify_share_the_initial_point(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    ex1_exact_run):
+        """``experiments.initial_point`` is the one definition of x0: a
+        run that starts elsewhere verifies only against the same point."""
+        out = tmp_path / "res"
+        monkeypatch.setattr(experiments, "initial_point",
+                            lambda dim: np.full(dim, 0.5))
+        assert main(["run", "--experiment", "example1", "--seed", "7",
+                     "--horizon", "40", "--variant", "exact",
+                     "--out", str(out)]) == 0
+        assert _cell(out / "exact" / "bound_state.csv", 1, "xstar_0") == 0.5
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "worst_margin=" in capsys.readouterr().out
+        assert main(["verify", "--out", str(ex1_exact_run)]) == 5
+        assert capsys.readouterr().out == "variant=exact error=x0\n"
+        monkeypatch.undo()
+        assert main(["verify", "--out", str(out)]) == 5
+        assert capsys.readouterr().out == "variant=exact error=x0\n"
 
     @pytest.mark.parametrize("doctor", [None, *TRACE_EDITS.values()],
                              ids=["deleted", *TRACE_EDITS])

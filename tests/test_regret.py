@@ -451,9 +451,9 @@ class TestLedger:
         trace = _manual_trace(np.ones(5), np.ones(5), optima,
                               x0=np.array([1.0, 2.0]))
         ledger = ledger_from_trace(trace, EUCLID, 0.1, whole_space())
-        assert ledger.P == ledger.E == ledger.Sigma == ledger.SigmaBar == 0.0
+        for sums in regret._prefix_sums(trace, ledger):
+            np.testing.assert_array_equal(sums, np.zeros(5))
         np.testing.assert_array_equal(ledger.s[1:], np.zeros(6))
-        np.testing.assert_array_equal(ledger.tau_seq[1:], np.zeros(5))
         assert ledger.Z0 == 0.0
 
     def test_two_step_drift_arithmetic(self):
@@ -461,11 +461,13 @@ class TestLedger:
         trace = _manual_trace([1.0, 1.0], [1.0, 1.0], optima)
         ledger = ledger_from_trace(trace, EUCLID, 0.1, whole_space())
         assert ledger.s[2] == 5.0
-        assert ledger.SigmaBar == 25.0
+        _, SigmaBar, _, _, _ = regret._prefix_sums(trace, ledger)
+        np.testing.assert_array_equal(SigmaBar, [0.0, 25.0])
         assert ledger.s[1] == 0.0 and ledger.s[3] == 0.0
 
     def test_ledger_matches_independent_second_pass(self):
-        """Brute-force recomputation from raw arrays, field by field."""
+        """Brute-force recomputation from raw arrays, field by field, and
+        the prefix sums of the bound from the same sequences."""
         cfg = GaussMarkovConfig(horizon=60, seed=3)
         stream, truth = generate_gauss_markov(cfg)
         config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
@@ -480,33 +482,24 @@ class TestLedger:
         T = trace.horizon
         s = [0.0]  # s_1 under the x_0* := x_1* convention
         for k in range(2, T + 1):
-            s.append(float(np.linalg.norm(optima[k - 1] - optima[k - 2])))
+            # sqrt of a sum of squares, not the BLAS dot of a vector norm,
+            # whose last bit differs at some steps
+            d = optima[k - 1] - optima[k - 2]
+            s.append(float(np.sqrt(np.sum(d * d))))
         s = np.asarray(s)
         e2 = np.array([float(np.linalg.norm(
             ErrorModel(gradient_std=0.05, prox_std=0.05,
                        seed=4).gradient_error(k, cfg.n_coeffs)))
             for k in range(1, T + 1)])
-        assert ledger.Sigma == float(np.sum(s))
-        assert ledger.SigmaBar == float(np.sum(s ** 2))
-        assert ledger.E == float(np.sum(e2))
-        assert ledger.EBar == float(np.sum(e2 ** 2))
-        assert ledger.P == float(np.sum(trace.eps))
-        assert ledger.PBar == float(np.sum(trace.eps ** 2))
+        np.testing.assert_array_equal(ledger.s[1:T + 1], s)
+        Sigma, SigmaBar, E, P, drift = regret._prefix_sums(trace, ledger)
+        np.testing.assert_array_equal(Sigma, np.cumsum(s))
+        np.testing.assert_array_equal(SigmaBar, np.cumsum(s ** 2))
+        np.testing.assert_array_equal(E, np.cumsum(e2))
+        np.testing.assert_array_equal(P, np.cumsum(trace.eps))
+        np.testing.assert_array_equal(drift, np.cumsum(s))
         assert ledger.D == 2.0 * cfg.eta * np.sqrt(cfg.n_coeffs)
         assert ledger.s[T + 1] == 0.0
-        # recursion sequences, recomputed step by step
-        lam, sig, G = cfg.step_size, 1.0, 1.0
-        S0 = (2 * lam / sig) * ledger.Z0
-        Si = S0
-        for i in range(1, T + 1):
-            Si = Si + (2 * lam * ledger.D / sig) * trace.eps[i - 1] \
-                 + (2 * G / sig - 1.0) * s[i - 1] ** 2
-            np.testing.assert_allclose(ledger.S_seq[i], Si, rtol=1e-12)
-            s_next = s[i] if i < T else 0.0
-            tau = (2 * lam / sig) * trace.grad_error_norms[i - 1] \
-                + (2 * G / sig) * s_next + (2 * G / sig) * trace.eps[i - 1]
-            np.testing.assert_allclose(ledger.tau_seq[i], tau, rtol=1e-12)
-        assert np.all(np.diff(ledger.S_seq) >= 0.0)
 
     def test_bounded_domain_constant_uses_recorded_step_norms(self):
         cfg = GaussMarkovConfig(horizon=30, seed=5)
@@ -669,11 +662,13 @@ class TestTheoremRhs:
                               initial_point=c)
         trace = run(stream, config, zero_error_model())
         fill_optima(trace, stream, stream_optima(stream, tol=1e-10))
-        ledger = ledger_from_trace(trace, EUCLID, 0.5, dom)
-        with pytest.raises(RegimeMismatchError):
-            theorem_rhs(ledger, trace, "whole_space")
-        with pytest.raises(ValueError):
-            theorem_rhs(ledger, trace, "euclidean")
+        bounded = ledger_from_trace(trace, EUCLID, 0.5, dom)
+        whole = ledger_from_trace(trace, EUCLID, 0.5, whole_space())
+        for ledger, other in ((bounded, "whole_space"), (whole, "bounded")):
+            with pytest.raises(RegimeMismatchError):
+                theorem_rhs(ledger, trace, other)
+            with pytest.raises(ValueError):
+                theorem_rhs(ledger, trace, "euclidean")
 
     def test_average_regret_decreases_with_horizon(self):
         """Burn-in dominates early, so R_T/T shrinks as T grows."""
@@ -708,7 +703,7 @@ class TestTheoremRhs:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == 20
         np.testing.assert_allclose(last[7], last[2] - last[1], rtol=1e-12)
-        np.testing.assert_allclose(last[3], ledger.Sigma, rtol=1e-12)
+        np.testing.assert_allclose(last[3], np.sum(ledger.s), rtol=1e-12)
 
     def test_certified_inequality_and_lemma_dominance_on_a_run(self):
         """R <= RHS at every prefix, and iterate gaps obey the recursion."""
@@ -723,7 +718,17 @@ class TestTheoremRhs:
         fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
         assert certified_margin(trace, ledger) >= 0.0
+        # S_i and tau_i of the module docstring, from the ledger and trace
+        T, lam, sig, G = trace.horizon, cfg.step_size, 1.0, 1.0
+        s = ledger.s
+        S, tau = np.empty(T + 1), np.zeros(T + 1)
+        S[0] = (2 * lam / sig) * ledger.Z0
+        for i in range(1, T + 1):
+            S[i] = (S[i - 1] + (2 * lam * ledger.D / sig) * trace.eps[i - 1]
+                    + (2 * G / sig - 1.0) * s[i] ** 2)
+            tau[i] = ((2 * lam / sig) * trace.grad_error_norms[i - 1]
+                      + (2 * G / sig) * s[i + 1]
+                      + (2 * G / sig) * trace.eps[i - 1])
         gaps = np.linalg.norm(trace.iterates - trace.optima, axis=1)
         for i in range(1, trace.horizon + 1):
-            assert gaps[i - 1] <= recursion_bound(
-                ledger.S_seq, ledger.tau_seq, i) + 1e-6
+            assert gaps[i - 1] <= recursion_bound(S, tau, i) + 1e-6
