@@ -1,7 +1,7 @@
 """Dynamic regret, per-step offline optima, and regret bound evaluation.
 
 The bound is built from sums over the run, each formed at every prefix
-horizon T' by ``_prefix_sums``:
+horizon T' by ``bound_terms``, and nowhere else:
 
     s_k       = ||x_k* - x_{k-1}*||  (optimum drift; s_1 = 0 under the
                 convention x_0* := x_1*, and s_{T'+1} = 0)
@@ -13,25 +13,25 @@ plus the regime constant D (2B on the whole space; on bounded domains
 the start cost Z0 = V(x_0*, x_0) / lam (its drift term G s_1 ||x_0* -
 x_0|| vanishes with s_1), which ``BoundLedger`` holds with the drift.
 
-``theorem_rhs`` evaluates, at every prefix horizon T', the certified
-upper bound on R_{T'}:
+``bound_terms`` also returns the four terms of the certified bound on
+R_{T'}, which ``theorem_rhs`` adds left to right (``RHS_TERMS``):
 
-    bounded domain (its start term R G s_1 / lam vanishes with s_1):
-        Z0 + D P + (G - sigma/2) SigmaBar / lam + R * C
-    whole space:
-        Z0 + D P + (G - sigma/2) SigmaBar / lam
-        + (sum tau + sqrt(S)) * C
+    Z0 + D P + (G - sigma/2) SigmaBar / lam + error,
 
-where C = E + (G/lam) (sum_{t=2..T'} s_t + P) is the error-coefficient
-sum after reindexing (the prefix application sets s_{T'+1} = 0), and S
-and sum tau are the prefix-T' values of the recursion sequences
+where error = R * C on a bounded domain of diameter R (its start term
+R G s_1 / lam vanishes with s_1) and (sum tau + sqrt(S)) * C on the
+whole space. C = E + (G/lam) (Sigma + P) is the error-coefficient sum
+after reindexing (the prefix application sets s_{T'+1} = 0, and s_1 = 0
+makes sum_{t=2..T'} s_t = Sigma), and S and sum tau are the prefix-T'
+values of the recursion sequences
 
     S_i   = (2 lam / sigma) Z0 + (2 lam D / sigma) sum_{k<=i} eps_k
             + (2 G / sigma - 1) sum_{k<=i} s_k^2
     tau_i = (2 lam / sigma) ||e_i|| + (2 G / sigma) s_{i+1}
             + (2 G / sigma) eps_i,
 
-so that sum_{i<=T'} tau_i = (2 lam / sigma) C.
+so that sum_{i<=T'} tau_i = (2 lam / sigma) C. bound.csv holds the four
+sums, not the terms: T, R_T, RHS_T, Sigma_T, SigmaBar_T, E_T, P_T, margin.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ OPTIMUM_MAX_ITERS = 10 ** 6
 BOUND_TOL_PER_STEP = 1e-6
 
 REGIMES = ("bounded", "whole_space")
+RHS_TERMS = ("Z0", "DP", "curvature", "error")
 
 
 def offline_optimum(step: CompositeLossStep, domain: Domain,
@@ -107,8 +108,7 @@ class BoundLedger:
     """The regret bound's constants and the optimum drift of one run.
 
     ``s`` is 1-based with s[0] unused: s[k] for k = 1..T is the optimum
-    drift and s[T+1] = 0. The sums over the run are formed per prefix by
-    ``_prefix_sums``.
+    drift and s[T+1] = 0; ``bound_terms`` forms the sums over it.
     """
 
     s: np.ndarray
@@ -159,39 +159,40 @@ def recursion_bound(S, tau, i: int) -> float:
     return half_tau + float(np.sqrt(S[i] + half_tau ** 2))
 
 
-def _prefix_sums(trace: RunTrace, ledger: BoundLedger):
-    """Sigma, SigmaBar, E, P and drift = sum_{t=2..T'} s_t at every T'."""
+def bound_terms(trace: RunTrace, ledger: BoundLedger) -> dict:
+    """Named prefix arrays, T' = 1..T: ``Sigma``, ``SigmaBar``, ``E``, ``P``
+    and the ``RHS_TERMS`` in the ledger's regime (module docstring), with
+    the horizon-T' convention s_{T'+1} = 0 and the full-horizon D, which
+    only enlarges earlier prefixes (D is a running maximum)."""
     T = trace.horizon
-    s = ledger.s
-    return (np.cumsum(s[1:T + 1]), np.cumsum(s[1:T + 1] ** 2),
-            np.cumsum(trace.grad_error_norms), np.cumsum(trace.eps),
-            np.concatenate(([0.0], np.cumsum(s[2:T + 1]))))
+    lam, sigma, G = ledger.lam, ledger.sigma_omega, ledger.g_omega
+    s = ledger.s[1:T + 1]
+    Sigma, SigmaBar = np.cumsum(s), np.cumsum(s ** 2)
+    E, P = np.cumsum(trace.grad_error_norms), np.cumsum(trace.eps)
+    C = E + (G / lam) * (Sigma + P)
+    if ledger.domain_kind == "bounded":
+        error = ledger.diameter * C
+    else:
+        S = ((2.0 * lam / sigma) * ledger.Z0
+             + (2.0 * lam * ledger.D / sigma) * P
+             + (2.0 * G / sigma - 1.0) * SigmaBar)
+        error = ((2.0 * lam / sigma) * C + np.sqrt(S)) * C
+    return {"Sigma": Sigma, "SigmaBar": SigmaBar, "E": E, "P": P,
+            "Z0": np.full(T, ledger.Z0), "DP": ledger.D * P,
+            "curvature": (G - 0.5 * sigma) / lam * SigmaBar, "error": error}
 
 
 def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
                 regime: str) -> np.ndarray:
-    """Certified regret upper bound at every prefix horizon T' = 1..T.
-
-    Prefix values use cumulative sums of the realized sequences with the
-    horizon-T' convention s_{T'+1} = 0; the constant D is the full-horizon
-    one, which only enlarges earlier prefixes (D is a running maximum).
-    """
+    """Certified regret upper bound at every prefix horizon T' = 1..T: the
+    ``RHS_TERMS`` of ``bound_terms``, added left to right."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     if regime != ledger.domain_kind:
         raise RegimeMismatchError(f"{regime} regime on a "
                                   f"{ledger.domain_kind} domain")
-    lam, sigma, G = ledger.lam, ledger.sigma_omega, ledger.g_omega
-    _, SigmaBar, E, P, drift = _prefix_sums(trace, ledger)
-    C = E + (G / lam) * (drift + P)
-    curvature = (G - 0.5 * sigma) / lam * SigmaBar
-    if regime == "bounded":
-        return ledger.Z0 + ledger.D * P + curvature + ledger.diameter * C
-    tau_sum = (2.0 * lam / sigma) * C
-    S_pref = ((2.0 * lam / sigma) * ledger.Z0
-              + (2.0 * lam * ledger.D / sigma) * P
-              + (2.0 * G / sigma - 1.0) * SigmaBar)
-    return ledger.Z0 + ledger.D * P + curvature + (tau_sum + np.sqrt(S_pref)) * C
+    terms = bound_terms(trace, ledger)
+    return sum((terms[name] for name in RHS_TERMS[1:]), terms[RHS_TERMS[0]])
 
 
 BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin".split(",")
@@ -204,10 +205,9 @@ def write_bound_csv(traces, ledgers, rhs, *paths) -> None:
     one per path; the files are written together (``runio.write_tables``).
     """
     def columns(trace, ledger, bound):
-        R = dynamic_regret(trace)
-        Sigma, SigmaBar, E, P, _ = _prefix_sums(trace, ledger)
-        return [np.arange(1, trace.horizon + 1), R, bound, Sigma, SigmaBar, E,
-                P, bound - R]
+        R, terms = dynamic_regret(trace), bound_terms(trace, ledger)
+        return [np.arange(1, trace.horizon + 1), R, bound, terms["Sigma"],
+                terms["SigmaBar"], terms["E"], terms["P"], bound - R]
 
     write_tables(paths, BOUND_CSV_HEADER, [
         columns(*run) for run in zip(one_per_path(traces, paths),

@@ -451,8 +451,9 @@ class TestLedger:
         trace = _manual_trace(np.ones(5), np.ones(5), optima,
                               x0=np.array([1.0, 2.0]))
         ledger = ledger_from_trace(trace, EUCLID, 0.1, whole_space())
-        for sums in regret._prefix_sums(trace, ledger):
-            np.testing.assert_array_equal(sums, np.zeros(5))
+        terms = regret.bound_terms(trace, ledger)
+        for name in ("Sigma", "SigmaBar", "E", "P"):
+            np.testing.assert_array_equal(terms[name], np.zeros(5))
         np.testing.assert_array_equal(ledger.s[1:], np.zeros(6))
         assert ledger.Z0 == 0.0
 
@@ -461,8 +462,8 @@ class TestLedger:
         trace = _manual_trace([1.0, 1.0], [1.0, 1.0], optima)
         ledger = ledger_from_trace(trace, EUCLID, 0.1, whole_space())
         assert ledger.s[2] == 5.0
-        _, SigmaBar, _, _, _ = regret._prefix_sums(trace, ledger)
-        np.testing.assert_array_equal(SigmaBar, [0.0, 25.0])
+        np.testing.assert_array_equal(
+            regret.bound_terms(trace, ledger)["SigmaBar"], [0.0, 25.0])
         assert ledger.s[1] == 0.0 and ledger.s[3] == 0.0
 
     def test_ledger_matches_independent_second_pass(self):
@@ -492,12 +493,15 @@ class TestLedger:
                        seed=4).gradient_error(k, cfg.n_coeffs)))
             for k in range(1, T + 1)])
         np.testing.assert_array_equal(ledger.s[1:T + 1], s)
-        Sigma, SigmaBar, E, P, drift = regret._prefix_sums(trace, ledger)
-        np.testing.assert_array_equal(Sigma, np.cumsum(s))
-        np.testing.assert_array_equal(SigmaBar, np.cumsum(s ** 2))
-        np.testing.assert_array_equal(E, np.cumsum(e2))
-        np.testing.assert_array_equal(P, np.cumsum(trace.eps))
-        np.testing.assert_array_equal(drift, np.cumsum(s))
+        terms = regret.bound_terms(trace, ledger)
+        np.testing.assert_array_equal(terms["Sigma"], np.cumsum(s))
+        np.testing.assert_array_equal(terms["SigmaBar"], np.cumsum(s ** 2))
+        np.testing.assert_array_equal(terms["E"], np.cumsum(e2))
+        np.testing.assert_array_equal(terms["P"], np.cumsum(trace.eps))
+        # the drift sum_{t=2..T'} s_t of the error coefficient C is Sigma,
+        # since s_1 = 0
+        np.testing.assert_array_equal(
+            np.concatenate(([0.0], np.cumsum(s[1:]))), terms["Sigma"])
         assert ledger.D == 2.0 * cfg.eta * np.sqrt(cfg.n_coeffs)
         assert ledger.s[T + 1] == 0.0
 
@@ -705,6 +709,37 @@ class TestTheoremRhs:
         np.testing.assert_allclose(last[7], last[2] - last[1], rtol=1e-12)
         np.testing.assert_allclose(last[3], np.sum(ledger.s), rtol=1e-12)
 
+    @pytest.mark.parametrize("halfwidth", [None, 2.0])
+    def test_terms_sum_to_rhs_and_fill_bound_csv(self, tmp_path, halfwidth):
+        """theorem_rhs is the RHS_TERMS added left to right, bit for bit,
+        and bound.csv's sums are the table's, in both regimes."""
+        cfg = GaussMarkovConfig(horizon=40, seed=15)
+        dom = (whole_space() if halfwidth is None
+               else box(-halfwidth, halfwidth, dim=cfg.n_coeffs))
+        stream, truth = generate_gauss_markov(cfg, domain=dom)
+        config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
+                              initial_point=np.zeros(cfg.n_coeffs))
+        model = ErrorModel(gradient_std=0.05, prox_std=0.05, seed=16)
+        trace = run(stream, config, model)
+        optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
+                                       halfwidth=halfwidth, tol=1e-10)
+        fill_optima(trace, stream, optima=optima)
+        ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, dom)
+        terms = regret.bound_terms(trace, ledger)
+        assert regret.RHS_TERMS == ("Z0", "DP", "curvature", "error")
+        rhs = theorem_rhs(ledger, trace, dom.kind)
+        np.testing.assert_array_equal(
+            terms["Z0"] + terms["DP"] + terms["curvature"] + terms["error"],
+            rhs)
+        assert np.all(terms["E"] > 0.0) and terms["Sigma"][-1] > 0.0
+        path = tmp_path / "bound.csv"
+        from ompd import write_bound_csv
+        write_bound_csv(trace, ledger, rhs, path)
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 2], rhs)
+        for j, name in enumerate(("Sigma", "SigmaBar", "E", "P"), start=3):
+            np.testing.assert_array_equal(table[:, j], terms[name])
+
     def test_certified_inequality_and_lemma_dominance_on_a_run(self):
         """R <= RHS at every prefix, and iterate gaps obey the recursion."""
         cfg = GaussMarkovConfig(horizon=120, seed=7)
@@ -732,3 +767,31 @@ class TestTheoremRhs:
         gaps = np.linalg.norm(trace.iterates - trace.optima, axis=1)
         for i in range(1, trace.horizon + 1):
             assert gaps[i - 1] <= recursion_bound(S, tau, i) + 1e-6
+
+
+class TestStepSizeAboveOneOverL:
+    """ROADMAP item 1: the bound at r = lam L / sigma in (1, 2], which
+    ``run`` accepts. On f_k(x) = x^2 from x0 = 1 with optima 0, no drift
+    and no error, the RHS is Z0 and R_T tends to Z0 (1 - r)^2 / (2 - r),
+    which exceeds Z0 exactly when r > (1 + sqrt 5) / 2."""
+
+    @pytest.mark.parametrize("r", [1.6, pytest.param(
+        1.7, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                     reason="ROADMAP item 1"))])
+    def test_static_quadratic_certifies(self, r):
+        step = CompositeLossStep(
+            smooth_value=lambda x: float(x @ x),
+            smooth_gradient=lambda x: 2.0 * x,
+            nonsmooth_value=lambda x: 0.0,
+            smoothness_constant=2.0, regularizer_lipschitz=0.0,
+            prox_handle=zero_rule(), dim=1)
+        T, lam = 200, r * EUCLID.sigma_omega / 2.0
+        stream = ProblemStream(horizon=T, step_at=lambda k: step,
+                               domain=whole_space(), dim=1)
+        config = SolverConfig(step_size=lam, generator=EUCLID,
+                              initial_point=np.ones(1))
+        model = ErrorModel(gradient_std=0.0, prox_std=0.0, seed=0)
+        trace = fill_optima(run(stream, config, model), stream,
+                            np.zeros((T, 1)))
+        ledger = ledger_from_trace(trace, EUCLID, lam, whole_space())
+        assert certified_margin(trace, ledger) >= 0.0
