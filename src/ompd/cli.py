@@ -13,36 +13,28 @@ into a run for both commands, so ``verify --config FILE`` rebuilds the run
 that ``run --config FILE`` played. Every run writes the resolved
 configuration to ``run_config.cfg`` inside the output directory, which
 resolves to the run that wrote it and is what ``verify`` reads by default.
-``run`` first removes an earlier run's ``run_config.cfg``,
-``partial_trace.csv``, ``exact/`` and ``inexact/``, and nothing else, so
-no file of the earlier run outlives it, failed or overwritten.
-``verify`` certifies each variant from its ``bound_state.csv`` alone;
-``trace.csv`` is a report for readers. Each experiment is one row of
-``experiments.EXPERIMENTS``: ``run`` plays it with ``experiments.play``,
-and ``verify`` takes the stream, the exact constants, the step size and
-the distance generator from the same row.
+Each experiment is one row of ``experiments.EXPERIMENTS``. ``run`` removes
+an earlier ``run_config.cfg`` and plays the row with ``experiments.play``,
+which owns the rest of the run directory (it first removes the earlier
+``partial_trace.csv``, ``exact/`` and ``inexact/``). ``verify`` certifies
+it with ``experiments.verify`` and maps the errors named to exit codes.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
-``seed XOR 0x4E4F4953`` (the library's rule too); inside the error model,
-gradient and prox draws are further separated by their own XOR tags.
-Variants of one run thus share the problem stream and differ only in
-error draws.
+``seed XOR 0x4E4F4953`` (the library's rule too), so the variants of one
+run share the problem stream and differ only in error draws.
 
-Exit codes:
+Exit codes, with the errors of ``experiments.verify`` that map to them:
     0  success
-    1  certified bound violated, a run failed mid-stream, or a step size
-       above 2 sigma_omega / max_k L_k
+    1  a run failed mid-stream; bound_violated, or step_size (a step size
+       above 2 sigma_omega / max_k L_k)
     2  configuration parse or validation error
     3  output directory refused: nonempty and --overwrite not given, or
        not creatable (an existing file, or a path under one)
-    4  run_config.cfg missing, or a bound_state.csv missing or unreadable
-    5  sanity violation in bound_state.csv: an f_star off the stream's
-       value at its optimum, an f_k(x_k) below f_k(x_k*), a nonfinite gap,
-       an e_norm, eps or q_norm that is negative or nonfinite, or a row
-       k = 0 that is not the experiments' start point
-       (``experiments.initial_point``)
-    6  a recorded L_k or B_k below its exact value at some step
+    4  run_config.cfg missing; missing_trace or unreadable_trace
+    5  a sanity check of bound_state.csv: f_star, sanity (f_x - f_star),
+       norms (e_norm, eps, q_norm) or x0 (row k = 0)
+    6  constants: a recorded L_k or B_k below its exact value
 """
 
 from __future__ import annotations
@@ -51,17 +43,15 @@ import argparse
 import configparser
 import dataclasses
 import os
-import shutil
 import sys
 import typing
 
 import numpy as np
 
-from . import experiments, regret, runio
-from .errors import OmpdError, SolverRunError, StepSizeError
-from .experiments import EXPERIMENTS, STREAM_SEED_XOR
+from . import experiments
+from .errors import OmpdError, SolverRunError
+from .experiments import EXPERIMENTS, STREAM_SEED_XOR, VARIANTS
 from .losses import box, whole_space
-from .prox import check_step_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -70,10 +60,12 @@ EXIT_OVERWRITE = 3
 EXIT_MISSING = 4
 EXIT_SANITY = 5
 EXIT_CONSTANTS = 6
-
-_SANITY_TOL = 1e-6
-#: relative slack of the constants check, for rounding in the closed forms
-_CONSTANTS_RTOL = 1e-12
+#: exit code of each error ``experiments.verify`` names
+_VERIFY_EXITS = {"missing_trace": EXIT_MISSING,
+                 "unreadable_trace": EXIT_MISSING, "f_star": EXIT_SANITY,
+                 "sanity": EXIT_SANITY, "norms": EXIT_SANITY,
+                 "x0": EXIT_SANITY, "constants": EXIT_CONSTANTS,
+                 "step_size": EXIT_FAIL, "bound_violated": EXIT_FAIL}
 
 
 class ConfigError(Exception):
@@ -83,8 +75,7 @@ class ConfigError(Exception):
 _RUN_KEYS = {"experiment": str, "seed": int, "horizon": int, "variant": str,
              "optimum_tol": float}
 _DOMAIN_KEYS = {"kind": str, "diameter": float}
-_VARIANTS = {"exact": ("exact",), "inexact": ("inexact",),
-             "both": ("exact", "inexact")}
+_VARIANTS = {**{name: (name,) for name in VARIANTS}, "both": VARIANTS}
 
 
 def _parse_index_tuple(raw: str):
@@ -248,21 +239,15 @@ def cmd_run(args) -> int:
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_OVERWRITE
 
-    # no file of an earlier run may outlive this one, failed or not
+    # a failed run leaves no config to verify; play clears the earlier run
     config_path = os.path.join(out_dir, "run_config.cfg")
-    for name in ("run_config.cfg", "partial_trace.csv", *_VARIANTS["both"]):
-        path = os.path.join(out_dir, name)
-        if os.path.isdir(path):
-            shutil.rmtree(path)
-        elif os.path.exists(path):
-            os.remove(path)
+    if os.path.exists(config_path):
+        os.remove(config_path)
     try:
         results, _ = experiments.play(exp, cfg, domain, out_dir, variants,
                                       manifest["optimum_tol"])
     except SolverRunError as exc:
-        path = os.path.join(out_dir, "partial_trace.csv")
-        runio.write_table(path, ("k", "f_x"), [
-            np.arange(1, exc.trace.horizon + 1), exc.trace.f_played])
+        path = os.path.join(out_dir, experiments.PARTIAL_TRACE)
         print(f"run failed: {exc} (partial trace in {path})", file=sys.stderr)
         return EXIT_FAIL
     except OmpdError as exc:
@@ -270,75 +255,12 @@ def cmd_run(args) -> int:
         return EXIT_FAIL
 
     _write_resolved_config(config_path, manifest, cfg)
-    for variant in variants:
-        res = results[variant]
-        T = res.trace.horizon
-        print(f"variant={variant} R_T={res.regret[-1]:.6g} "
-              f"R_T_over_T={res.regret[-1] / T:.6g} "
-              f"bound_margin={res.rhs[-1] - res.regret[-1]:.6g}")
+    for variant, res in results.items():
+        R_T = res.regret[-1]
+        print(f"variant={variant} R_T={R_T:.6g} "
+              f"R_T_over_T={R_T / res.trace.horizon:.6g} "
+              f"bound_margin={res.rhs[-1] - R_T:.6g}")
     return EXIT_OK
-
-
-def _verify_variant(out_dir, variant, stream, lam, generator, optimum_tol,
-                    exact):
-    """Check one variant's state file against the regenerated stream, the
-    run's distance generator and its exact per-step constants ``exact`` =
-    (L[T], B[T])."""
-    state_path = os.path.join(out_dir, variant, "bound_state.csv")
-    if not os.path.exists(state_path):
-        return EXIT_MISSING, f"variant={variant} error=missing_trace"
-    try:
-        state = runio.read_state_csv(state_path)
-        if not (state["eps"].size == stream.horizon
-                and state["dim"] == stream.dim):
-            raise ValueError("the file does not cover the run")
-    except (OSError, ValueError):
-        return EXIT_MISSING, f"variant={variant} error=unreadable_trace"
-    # f_star is the stream's value at the optimum, within 4 ulp (README)
-    finite = np.all(np.isfinite(state["optima"]), axis=1)
-    with np.errstate(all="ignore"):  # a nonfinite optimum reaches no SVD
-        f = stream.total_values(np.where(finite[:, None], state["optima"], 0))
-        ok = finite & (abs(state["f_star"] - f) <= 4 * abs(np.spacing(f)))
-    if not np.all(ok):
-        return EXIT_SANITY, (f"variant={variant} error=f_star "
-                             f"step={np.argmin(ok) + 1}")
-    # the bound is certified from this file's f_x and f_star
-    gap = state["f_x"] - state["f_star"]
-    worst_gap = np.min(gap) if np.all(np.isfinite(gap)) else np.nan
-    if not worst_gap >= -(_SANITY_TOL + optimum_tol):
-        return EXIT_SANITY, (f"variant={variant} error=sanity "
-                             f"worst={worst_gap:.6g}")
-    # a negative or nonfinite norm would inflate the bound it enters
-    norms = np.stack([state[name] for name in ("e_norm", "eps", "q_norm")])
-    ok = np.all(np.isfinite(norms) & (norms >= 0.0), axis=0)
-    if not np.all(ok):
-        return EXIT_SANITY, (f"variant={variant} error=norms "
-                             f"step={np.argmin(ok) + 1}")
-    # x0 sets the start cost Z0 = V(x_1*, x0) / lam
-    if not np.array_equal(state["x0"], experiments.initial_point(stream.dim)):
-        return EXIT_SANITY, f"variant={variant} error=x0"
-
-    # every recorded constant must bound its exact value; NaN and inf fail
-    recorded = np.stack((state["L_k"], state["B_k"]))
-    ok = np.all(np.isfinite(recorded)
-                & (recorded >= np.stack(exact) * (1.0 - _CONSTANTS_RTOL)),
-                axis=0)
-    if not np.all(ok):
-        k = int(np.argmin(ok)) + 1
-        return EXIT_CONSTANTS, f"variant={variant} error=constants step={k}"
-    try:  # the recorded L_k bound the exact ones
-        check_step_size(lam, np.max(state["L_k"]), generator.sigma_omega)
-    except StepSizeError:
-        return EXIT_FAIL, f"variant={variant} error=step_size"
-
-    domain = stream.domain
-    rebuilt = runio.trace_from_state(state, lam, domain.kind, domain.diameter)
-    ledger = regret.ledger_from_trace(rebuilt, generator, lam, domain)
-    worst = regret.certified_margin(rebuilt, ledger)
-    line = f"variant={variant} worst_margin={worst:.6g}"
-    if not 0.0 <= worst < np.inf:
-        return EXIT_FAIL, line + " error=bound_violated"
-    return EXIT_OK, line
 
 
 def cmd_verify(args) -> int:
@@ -353,18 +275,12 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    stream, truth = exp.stream(cfg, domain)
-    exact = exp.constants(cfg, truth)
-    lam = getattr(cfg, exp.step_size)
-    generator = exp.generator()
-    status = EXIT_OK
-    for variant in variants:
-        code, line = _verify_variant(out_dir, variant, stream, lam, generator,
-                                     manifest["optimum_tol"], exact)
+    checked = experiments.verify(exp, cfg, domain, out_dir, variants,
+                                 manifest["optimum_tol"])
+    for _, line in checked:
         print(line)
-        if code != EXIT_OK and status == EXIT_OK:
-            status = code
-    return status
+    return next((_VERIFY_EXITS[error] for error, _ in checked if error),
+                EXIT_OK)
 
 
 def main(argv=None) -> int:

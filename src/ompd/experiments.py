@@ -4,7 +4,8 @@ Experiment 1 tracks a sparse autoregressive coefficient vector through a
 stream of tiny least-squares plus l1 problems. Experiment 2 separates
 synthetic low-rank backgrounds from sparse foregrounds with paired
 nuclear-norm and l1 prox updates on one block variable. ``EXPERIMENTS``
-holds one row per experiment, and ``play`` plays a row.
+holds one row per experiment. ``play`` plays a row into a run directory,
+and ``verify`` certifies that directory from the same row.
 
 All randomness flows from the config seed through a single generator in a
 fixed draw order, so streams are bit-reproducible. Error draws use the
@@ -16,23 +17,27 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bregman import euclidean_generator
-from .errors import OptimumError, SvdError
+from .errors import OptimumError, SolverRunError, StepSizeError, SvdError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
                      box, whole_space)
-from .prox import (_prox_gradient_point, block_rule, l1_rule, nuclear_rule,
-                   prox_gradient)
-from .regret import (OPTIMUM_TOL_DEFAULT, dynamic_regret, fill_optima,
-                     ledger_from_trace, stream_optima, theorem_rhs,
-                     write_bound_csv)
-from .runio import RunTrace, one_per_path, write_state_csv, write_tables
+from .prox import (_prox_gradient_point, block_rule, check_step_size,
+                   l1_rule, nuclear_rule, prox_gradient)
+from .regret import (OPTIMUM_TOL_DEFAULT, bound_terms, certified_margin,
+                     dynamic_regret, fill_optima, ledger_from_trace,
+                     stream_optima, write_bound_csv)
+from .runio import (RunTrace, one_per_path, read_state_csv, trace_from_state,
+                    write_state_csv, write_table, write_tables)
 from .solver import SolverConfig, run, write_trace_csv
 
+VARIANTS = ("exact", "inexact")  # one folder each in a run directory
+PARTIAL_TRACE = "partial_trace.csv"  # (k, f_x) of a run that failed
 #: the stream and error-model seeds are the manifest seed XOR these tags
 STREAM_SEED_XOR = 0x53545245  # "STRE"
 ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
@@ -46,6 +51,8 @@ LASSO_MAX_ITERS = 200_000
 #: problems per ``_lasso_path`` call in ``lasso_optima_batch``
 _LASSO_CHUNK_ROWS = 1024
 _SNAPSHOT_EVERY = 50  # steps between example2's (L, S) snapshots
+_SANITY_TOL = 1e-6  # verify's f_x - f_star allowance, beside optimum_tol
+_CONSTANTS_RTOL = 1e-12  # verify's slack for rounding in the closed forms
 
 
 def _require_step_size(cfg, key: str) -> None:
@@ -367,18 +374,17 @@ class ExperimentResult:
 
 
 def _error_model(error_std: float, variant: str, seed: int) -> ErrorModel:
-    if variant not in ("exact", "inexact"):
-        raise ValueError("variant must be 'exact' or 'inexact'")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     std = error_std if variant == "inexact" else 0.0
     return ErrorModel(gradient_std=std, prox_std=std, seed=seed)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One built-in experiment, as ``ompd run``, ``ompd verify`` and
-    ``play`` read it. Its callables look this module's functions up at
-    call time, so a replaced module attribute (a spy, a tracer) is used.
-    """
+    """One built-in experiment, as ``play`` and ``verify`` read it. Its
+    callables look this module's functions up at call time, so a replaced
+    module attribute (a spy, a tracer) is used."""
 
     section: str           # config-file section holding the config fields
     config: type           # the config dataclass
@@ -404,33 +410,48 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
     ``cfg`` (``domain`` None is the whole space), against optima at
     ``optimum_tol`` that the variants share. Variants differ only in their
     error model, seeded with ``cfg.seed ^ STREAM_SEED_XOR ^
-    ERROR_SEED_XOR``; the steps are built once and dropped before the
-    ledgers. With ``out_dir``, the variants' trace.csv, bound.csv and
-    bound_state.csv are written together, one directory per variant, then
-    the row's tables. Returns (results keyed by variant, truth).
+    ERROR_SEED_XOR``, and each distinct model is played once. With
+    ``out_dir``, an earlier ``PARTIAL_TRACE`` and ``VARIANTS`` are removed
+    first, a ``SolverRunError`` writes ``PARTIAL_TRACE``, and then each
+    variant's trace.csv, bound.csv, bound_state.csv and row tables are
+    written together. Returns (results keyed by variant, truth).
     """
+    seed = cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR
+    models = {variant: _error_model(cfg.error_std, variant, seed)
+              for variant in variants}
+    if out_dir is not None:  # no file of an earlier run may outlive this one
+        os.makedirs(out_dir, exist_ok=True)
+        for name in (PARTIAL_TRACE, *VARIANTS):
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.exists(path):
+                os.remove(path)
     stream, truth = row.stream(cfg, domain)
     optima = row.optima(stream, truth, cfg, optimum_tol)
     step_size = getattr(cfg, row.step_size)
     config = SolverConfig(step_size=step_size, generator=row.generator(),
                           initial_point=initial_point(stream.dim))
-    seed = cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR
-    steps = stream.steps()
-    played = {variant: run(stream, config,
-                           _error_model(cfg.error_std, variant, seed),
-                           steps=steps)
-              for variant in variants}
-    del steps  # the ledgers and tables need no step
-    results, ledgers = {}, {}
-    for variant, trace in played.items():
+    steps = stream.steps()  # built once, dropped before the ledgers
+    try:
+        played = {model: run(stream, config, model, steps=steps)
+                  for model in dict.fromkeys(models.values())}
+    except SolverRunError as exc:
+        if out_dir is not None:
+            write_table(os.path.join(out_dir, PARTIAL_TRACE), ("k", "f_x"), [
+                np.arange(1, exc.trace.horizon + 1), exc.trace.f_played])
+        raise
+    del steps
+    terms, evaluated = {}, {}
+    for model, trace in played.items():
         fill_optima(trace, stream, optima)
-        ledgers[variant] = ledger = ledger_from_trace(
-            trace, config.generator, step_size, stream.domain)
-        rhs = theorem_rhs(ledger, trace, stream.domain.kind)
-        results[variant] = ExperimentResult(
-            trace=trace, rhs=rhs, regret=dynamic_regret(trace))
+        terms[model] = bound_terms(trace, ledger_from_trace(
+            trace, config.generator, step_size, stream.domain))
+        evaluated[model] = ExperimentResult(
+            trace=trace, rhs=terms[model]["RHS"], regret=dynamic_regret(trace))
+    results = {variant: evaluated[model] for variant, model in models.items()}
     if out_dir is not None:
-        vdirs = [os.path.join(out_dir, variant) for variant in results]
+        vdirs = [os.path.join(out_dir, variant) for variant in models]
         for vdir in vdirs:
             os.makedirs(vdir, exist_ok=True)
 
@@ -439,12 +460,78 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
 
         traces = [res.trace for res in results.values()]
         write_trace_csv(traces, *paths("trace.csv"))
-        write_bound_csv(traces, list(ledgers.values()),
-                        [res.rhs for res in results.values()],
+        write_bound_csv([res.regret for res in results.values()],
+                        [terms[model] for model in models.values()],
                         *paths("bound.csv"))
         write_state_csv(traces, *paths("bound_state.csv"))
         row.tables(traces, vdirs, cfg, truth)
     return results, truth
+
+
+def verify(row: Experiment, cfg, domain: Optional[Domain], out_dir: str,
+           variants, optimum_tol: float):
+    """Certify each variant of the run directory ``out_dir`` that ``play``
+    wrote for ``row`` and ``cfg``, from its bound_state.csv alone, against
+    the row's stream, exact constants, step size and distance generator.
+    Returns one (error, line) per variant, error None or the line's name."""
+    stream, truth = row.stream(cfg, domain)
+    exact = np.stack(row.constants(cfg, truth))  # (L[T], B[T])
+    lam, generator = getattr(cfg, row.step_size), row.generator()
+
+    def check(variant):
+        def fail(error, detail=""):
+            return error, f"variant={variant} error={error}{detail}"
+        path = os.path.join(out_dir, variant, "bound_state.csv")
+        if not os.path.exists(path):
+            return fail("missing_trace")
+        try:
+            state = read_state_csv(path)
+            if not (state["eps"].size == stream.horizon
+                    and state["dim"] == stream.dim):
+                raise ValueError("the file does not cover the run")
+        except (OSError, ValueError):
+            return fail("unreadable_trace")
+        # f_star is the stream's value at the optimum, within 4 ulp (README)
+        optima = state["optima"]
+        finite = np.all(np.isfinite(optima), axis=1)
+        with np.errstate(all="ignore"):  # a nonfinite optimum reaches no SVD
+            f = stream.total_values(np.where(finite[:, None], optima, 0))
+            ok = finite & (abs(state["f_star"] - f) <= 4 * abs(np.spacing(f)))
+        if not np.all(ok):
+            return fail("f_star", f" step={np.argmin(ok) + 1}")
+        # the bound is certified from this file's f_x and f_star
+        gap = state["f_x"] - state["f_star"]
+        worst_gap = np.min(gap) if np.all(np.isfinite(gap)) else np.nan
+        if not worst_gap >= -(_SANITY_TOL + optimum_tol):
+            return fail("sanity", f" worst={worst_gap:.6g}")
+        # a negative or nonfinite norm would inflate the bound it enters
+        norms = np.stack([state[key] for key in ("e_norm", "eps", "q_norm")])
+        ok = np.all(np.isfinite(norms) & (norms >= 0.0), axis=0)
+        if not np.all(ok):
+            return fail("norms", f" step={np.argmin(ok) + 1}")
+        # x0 sets the start cost Z0 = V(x_1*, x0) / lam
+        if not np.array_equal(state["x0"], initial_point(stream.dim)):
+            return fail("x0")
+        # every recorded constant must bound its exact value; NaN, inf fail
+        recorded = np.stack((state["L_k"], state["B_k"]))
+        ok = np.all(np.isfinite(recorded)
+                    & (recorded >= exact * (1.0 - _CONSTANTS_RTOL)), axis=0)
+        if not np.all(ok):
+            return fail("constants", f" step={int(np.argmin(ok)) + 1}")
+        try:  # the recorded L_k bound the exact ones
+            check_step_size(lam, np.max(state["L_k"]), generator.sigma_omega)
+        except StepSizeError:
+            return fail("step_size")
+        rebuilt = trace_from_state(state, lam, stream.domain.kind,
+                                   stream.domain.diameter)
+        worst = certified_margin(rebuilt, ledger_from_trace(
+            rebuilt, generator, lam, stream.domain))
+        line = f"variant={variant} worst_margin={worst:.6g}"
+        if not 0.0 <= worst < np.inf:
+            return "bound_violated", line + " error=bound_violated"
+        return None, line
+
+    return [check(variant) for variant in variants]
 
 
 def _gauss_markov_optima(stream: ProblemStream, truth, cfg, tol: float):

@@ -14,7 +14,7 @@ the start cost Z0 = V(x_0*, x_0) / lam (its drift term G s_1 ||x_0* -
 x_0|| vanishes with s_1), which ``BoundLedger`` holds with the drift.
 
 ``bound_terms`` also returns the four terms of the certified bound on
-R_{T'}, which ``theorem_rhs`` adds left to right (``RHS_TERMS``):
+R_{T'} and, under ``RHS``, their left-to-right sum (``RHS_TERMS``):
 
     Z0 + D P + (G - sigma/2) SigmaBar / lam + error,
 
@@ -160,10 +160,10 @@ def recursion_bound(S, tau, i: int) -> float:
 
 
 def bound_terms(trace: RunTrace, ledger: BoundLedger) -> dict:
-    """Named prefix arrays, T' = 1..T: ``Sigma``, ``SigmaBar``, ``E``, ``P``
-    and the ``RHS_TERMS`` in the ledger's regime (module docstring), with
-    the horizon-T' convention s_{T'+1} = 0 and the full-horizon D, which
-    only enlarges earlier prefixes (D is a running maximum)."""
+    """Named prefix arrays, T' = 1..T: ``Sigma``, ``SigmaBar``, ``E``, ``P``,
+    the ``RHS_TERMS`` in the ledger's regime (module docstring) and their
+    sum ``RHS``, with the horizon-T' convention s_{T'+1} = 0 and the
+    full-horizon D, which only enlarges earlier prefixes (a running max)."""
     T = trace.horizon
     lam, sigma, G = ledger.lam, ledger.sigma_omega, ledger.g_omega
     s = ledger.s[1:T + 1]
@@ -177,42 +177,39 @@ def bound_terms(trace: RunTrace, ledger: BoundLedger) -> dict:
              + (2.0 * lam * ledger.D / sigma) * P
              + (2.0 * G / sigma - 1.0) * SigmaBar)
         error = ((2.0 * lam / sigma) * C + np.sqrt(S)) * C
-    return {"Sigma": Sigma, "SigmaBar": SigmaBar, "E": E, "P": P,
-            "Z0": np.full(T, ledger.Z0), "DP": ledger.D * P,
-            "curvature": (G - 0.5 * sigma) / lam * SigmaBar, "error": error}
+    terms = {"Sigma": Sigma, "SigmaBar": SigmaBar, "E": E, "P": P,
+             "Z0": np.full(T, ledger.Z0), "DP": ledger.D * P,
+             "curvature": (G - 0.5 * sigma) / lam * SigmaBar, "error": error}
+    terms["RHS"] = sum(map(terms.get, RHS_TERMS[1:]), terms[RHS_TERMS[0]])
+    return terms
 
 
 def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
                 regime: str) -> np.ndarray:
-    """Certified regret upper bound at every prefix horizon T' = 1..T: the
-    ``RHS_TERMS`` of ``bound_terms``, added left to right."""
+    """Certified regret bound at every prefix T' = 1..T (``bound_terms``)."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     if regime != ledger.domain_kind:
         raise RegimeMismatchError(f"{regime} regime on a "
                                   f"{ledger.domain_kind} domain")
-    terms = bound_terms(trace, ledger)
-    return sum((terms[name] for name in RHS_TERMS[1:]), terms[RHS_TERMS[0]])
+    return bound_terms(trace, ledger)["RHS"]
 
 
 BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin".split(",")
 
 
-def write_bound_csv(traces, ledgers, rhs, *paths) -> None:
-    """Prefix ledger and bound values, one row per horizon.
-
-    ``traces``, ``ledgers`` and ``rhs`` are one value each, or lists of
-    one per path; the files are written together (``runio.write_tables``).
-    """
-    def columns(trace, ledger, bound):
-        R, terms = dynamic_regret(trace), bound_terms(trace, ledger)
-        return [np.arange(1, trace.horizon + 1), R, bound, terms["Sigma"],
-                terms["SigmaBar"], terms["E"], terms["P"], bound - R]
+def write_bound_csv(regrets, tables, *paths) -> None:
+    """Prefix regret and bound values, one row per horizon. ``regrets``
+    (``dynamic_regret``'s) and ``tables`` (``bound_terms``'s) are one value
+    each, or lists of one per path; the files are written together
+    (``runio.write_tables``)."""
+    def columns(R, terms):
+        return [np.arange(1, len(R) + 1), R, terms["RHS"], terms["Sigma"],
+                terms["SigmaBar"], terms["E"], terms["P"], terms["RHS"] - R]
 
     write_tables(paths, BOUND_CSV_HEADER, [
-        columns(*run) for run in zip(one_per_path(traces, paths),
-                                     one_per_path(ledgers, paths),
-                                     one_per_path(rhs, paths))])
+        columns(*run) for run in zip(one_per_path(regrets, paths),
+                                     one_per_path(tables, paths))])
 
 
 def certified_margin(trace: RunTrace, ledger: BoundLedger) -> float:

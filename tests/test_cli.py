@@ -420,7 +420,7 @@ class TestRun:
             raise SolverRunError("subproblem failed at step 4",
                                  trace.truncated(3))
 
-        monkeypatch.setattr(experiments, "play", spy)
+        monkeypatch.setattr(experiments, "run", spy)
         out = tmp_path / "res"
         assert main(["run", "--experiment", "example1",
                      "--out", str(out)]) == 1
@@ -451,7 +451,7 @@ class TestRun:
                 raise SolverRunError("subproblem failed at step 4",
                                      trace.truncated(3))
 
-            monkeypatch.setattr(experiments, "play", spy)
+            monkeypatch.setattr(experiments, "run", spy)
             second = first
         capsys.readouterr()
         assert main(["run", "--config", str(second), "--out", str(out),
@@ -534,6 +534,31 @@ class TestRun:
         assert "'diameter'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("error_std, runs", [(0.0, 1), (0.5, 2)])
+    def test_equal_error_models_are_played_once(self, tmp_path, monkeypatch,
+                                                error_std, runs):
+        """At error_std 0 both variants have one error model: one run, two
+        directories with the same bytes, and both verify."""
+        models = []
+
+        def spy(stream, config, model, *args, _real=experiments.run, **kw):
+            models.append(model)
+            return _real(stream, config, model, *args, **kw)
+
+        monkeypatch.setattr(experiments, "run", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nexperiment = example2\nseed = 2\n"
+                       "variant = both\nhorizon = 20\n[example2]\n"
+                       f"frame_dim = 8\nwindow = 4\nerror_std = {error_std}\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(models) == len(set(models)) == runs
+        exact, inexact = (sorted((p.relative_to(out / v), p.read_bytes())
+                                 for p in (out / v).rglob("*.csv"))
+                          for v in ("exact", "inexact"))
+        assert (exact == inexact) == (runs == 1)
+        assert main(["verify", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("name", ["example1", "example1_box",
                                       "example2"])
     def test_library_run_writes_the_cli_files(self, tmp_path, name):
@@ -562,6 +587,27 @@ class TestRun:
 
 
 class TestVerify:
+    def test_library_verify_prints_what_verify_prints(self, tmp_path,
+                                                      capsys):
+        """``experiments.verify`` certifies an untouched run directory,
+        written by ``ompd run`` or by the library, with no error and the
+        lines ``ompd verify`` prints."""
+        code, out = _run_example1(tmp_path)
+        assert code == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        exp, cfg, domain, variants, manifest = cli._resolve(
+            out / "run_config.cfg")
+        tol = manifest["optimum_tol"]
+        lib = tmp_path / "lib"
+        experiments.play(exp, cfg, domain, str(lib), variants, tol)
+        for run_dir in (out, lib):
+            assert (experiments.verify(exp, cfg, domain, str(run_dir),
+                                       variants, tol)
+                    == [(None, line) for line in printed])
+
     def test_verify_after_run_exits_zero(self, tmp_path, capsys):
         code, out = _run_example1(tmp_path)
         assert code == 0

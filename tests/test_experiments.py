@@ -583,3 +583,37 @@ def test_variants_written_together_match_variants_written_alone(
         alone = _tree_bytes(tmp_path / variant / variant)
         assert alone  # tables, and coefficients or snapshots
         assert _tree_bytes(tmp_path / "both" / variant) == alone
+
+
+class TestRunDirectory:
+    """``play`` owns what it writes into ``out_dir``: an earlier run's
+    variant folders and partial trace go before the new run is played."""
+
+    def test_rerun_leaves_no_snapshot_past_its_horizon(self, tmp_path):
+        cfg = SeparationConfig(frame_dim=8, window=4, horizon=100, seed=1)
+        run_example2(cfg, out_dir=str(tmp_path))
+        snaps = tmp_path / "exact" / "snapshots"
+        assert (snaps / "L_0100.csv").exists()
+        (tmp_path / "partial_trace.csv").write_text("k,f_x\n1,0\n")
+        (tmp_path / "notes.txt").write_text("mine\n")
+        run_example2(dataclasses.replace(cfg, horizon=60),
+                     out_dir=str(tmp_path))
+        assert sorted(p.name for p in snaps.iterdir()) == ["L_0050.csv",
+                                                           "S_0050.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exact",
+                                                              "notes.txt"]
+
+    def test_rerun_leaves_no_dropped_variant(self, tmp_path):
+        cfg = GaussMarkovConfig(horizon=20, seed=5)
+        run_example1(cfg, out_dir=str(tmp_path))
+        assert (tmp_path / "inexact").is_dir()
+        run_example1(cfg, out_dir=str(tmp_path), variants=("exact",))
+        assert [p.name for p in tmp_path.iterdir()] == ["exact"]
+
+    def test_unknown_variant_refused_before_clearing(self, tmp_path):
+        cfg = GaussMarkovConfig(horizon=20, seed=5)
+        run_example1(cfg, out_dir=str(tmp_path), variants=("exact",))
+        with pytest.raises(ValueError, match="variant"):
+            run_example1(cfg, out_dir=str(tmp_path),
+                         variants=("exact", "noisy"))
+        assert (tmp_path / "exact" / "bound_state.csv").exists()

@@ -700,7 +700,9 @@ class TestTheoremRhs:
         rhs = theorem_rhs(ledger, trace, "whole_space")
         path = tmp_path / "bound.csv"
         from ompd import write_bound_csv
-        write_bound_csv(trace, ledger, rhs, path)
+        terms = regret.bound_terms(trace, ledger)
+        np.testing.assert_array_equal(terms["RHS"], rhs)
+        write_bound_csv(dynamic_regret(trace), terms, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin"
         assert len(lines) == 21
@@ -711,8 +713,9 @@ class TestTheoremRhs:
 
     @pytest.mark.parametrize("halfwidth", [None, 2.0])
     def test_terms_sum_to_rhs_and_fill_bound_csv(self, tmp_path, halfwidth):
-        """theorem_rhs is the RHS_TERMS added left to right, bit for bit,
-        and bound.csv's sums are the table's, in both regimes."""
+        """The table's RHS and theorem_rhs are the RHS_TERMS added left to
+        right, bit for bit, and bound.csv's sums are the table's, in both
+        regimes."""
         cfg = GaussMarkovConfig(horizon=40, seed=15)
         dom = (whole_space() if halfwidth is None
                else box(-halfwidth, halfwidth, dim=cfg.n_coeffs))
@@ -728,13 +731,14 @@ class TestTheoremRhs:
         terms = regret.bound_terms(trace, ledger)
         assert regret.RHS_TERMS == ("Z0", "DP", "curvature", "error")
         rhs = theorem_rhs(ledger, trace, dom.kind)
-        np.testing.assert_array_equal(
-            terms["Z0"] + terms["DP"] + terms["curvature"] + terms["error"],
-            rhs)
+        for total in (rhs, terms["RHS"]):
+            np.testing.assert_array_equal(
+                terms["Z0"] + terms["DP"] + terms["curvature"]
+                + terms["error"], total)
         assert np.all(terms["E"] > 0.0) and terms["Sigma"][-1] > 0.0
         path = tmp_path / "bound.csv"
         from ompd import write_bound_csv
-        write_bound_csv(trace, ledger, rhs, path)
+        write_bound_csv(dynamic_regret(trace), terms, path)
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(table[:, 2], rhs)
         for j, name in enumerate(("Sigma", "SigmaBar", "E", "P"), start=3):
