@@ -14,7 +14,7 @@ from .experiments import (ExperimentResult, GaussMarkovConfig,
                           lasso_optima_batch, run_example1, run_example2,
                           separation_blocks, separation_constants,
                           separation_f1, separation_optima,
-                          separation_smoothness)
+                          separation_smoothness, tracking_stream)
 from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,
                      ProblemStream, ball, box, simplex, validate_constants,
                      whole_space, zero_error_model)

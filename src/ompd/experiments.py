@@ -6,6 +6,8 @@ synthetic low-rank backgrounds from sparse foregrounds with paired
 nuclear-norm and l1 prox updates on one block variable. ``EXPERIMENTS``
 holds one row per experiment. ``play`` plays a row into a run directory,
 and ``verify`` certifies that directory from the same row.
+``tracking_stream`` builds f_k = a ||x - c_k||^2 + eta ||x||_1 from given
+centres, with its exact optima, for tests and custom runs.
 
 All randomness flows from the config seed through a single generator in a
 fixed draw order, so streams are bit-reproducible. Error draws use the
@@ -28,7 +30,8 @@ from .errors import OptimumError, SolverRunError, StepSizeError, SvdError
 from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
                      box, whole_space)
 from .prox import (_prox_gradient_point, block_rule, check_step_size,
-                   l1_rule, nuclear_rule, prox_gradient)
+                   composed_prox, l1_rule, nuclear_rule, prox_gradient,
+                   zero_rule)
 from .regret import (OPTIMUM_TOL_DEFAULT, bound_terms, certified_margin,
                      dynamic_regret, fill_optima, ledger_from_trace,
                      stream_optima, write_bound_csv)
@@ -185,6 +188,49 @@ def gauss_markov_constants(cfg: GaussMarkovConfig, truth):
     """
     L = 2.0 * np.linalg.norm(truth["X"], 2, axis=(1, 2)) ** 2
     return L, np.full(cfg.horizon, cfg.eta * np.sqrt(cfg.n_coeffs))
+
+
+def tracking_stream(centers, domain: Domain, a: float = 1.0,
+                    eta: float = 0.0):
+    """(stream, optima) of f_k(x) = a ||x - c_k||^2 + eta ||x||_1 over
+    ``domain``, c_k row k of the (T, n) array ``centers``. Steps declare
+    the exact L = 2a and B = eta sqrt(n) and share one rule (``zero_rule``
+    at eta = 0). Step k's optimum is ``composed_prox`` of c_k at scale
+    1/(2a), exact for l1 on a box or ball (Yu, NeurIPS 2013)."""
+    centers = np.array(centers, dtype=float)
+    if not (0.0 < a < np.inf and 0.0 <= eta < np.inf and centers.ndim == 2
+            and centers.size and np.all(np.isfinite(centers))):
+        raise ValueError(f"need finite a > 0, eta >= 0 and (T >= 1, n >= 1) "
+                         f"centers; got a={a}, eta={eta}, {centers.shape}")
+    (T, n), L = centers.shape, 2.0 * a
+    B, rule = eta * np.sqrt(n), l1_rule(eta) if eta else zero_rule()
+
+    def g(i, x):  # shared evaluators; a step binds its own index
+        d = x - centers[i]
+        return a * float(np.dot(d, d))
+
+    def grad(i, x):
+        return L * (x - centers[i])
+
+    def h(x):
+        return eta * float(np.sum(np.abs(x)))
+
+    def step_at(k: int) -> CompositeLossStep:
+        return CompositeLossStep(
+            smooth_value=functools.partial(g, k - 1),
+            smooth_gradient=functools.partial(grad, k - 1), nonsmooth_value=h,
+            smoothness_constant=L, regularizer_lipschitz=B, prox_handle=rule,
+            dim=n)
+
+    def values(xs, start):  # stacked matmuls: g's dot products, bit for bit
+        d = xs - centers[start:start + len(xs)]
+        return (a * (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+                + eta * np.sum(np.abs(xs), axis=1))
+
+    optima = np.array([composed_prox(rule, domain, c, 1.0 / L)
+                       for c in centers])  # CompositionError: no exact form
+    return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=n,
+                         batch_values=values), optima
 
 
 def _lasso_path(X, Y, eta, halfwidth=None):
@@ -885,10 +931,11 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
                  optimum_tol: float = SEPARATION_OPTIMUM_TOL):
     """Play the separation stream (``play``), the exact variant by default:
     the (L, S) pair is one flat block variable, and the optima come from
-    ``separation_optima``. Returns (results keyed by variant, truth).
+    ``separation_optima``. Returns a dict keyed by variant, as
+    ``run_example1`` does; ``generate_separation(cfg)[1]`` is the truth.
     """
     return play(EXPERIMENTS["example2"], cfg, None, out_dir, variants,
-                optimum_tol)
+                optimum_tol)[0]
 
 
 #: the built-in experiments, by the name ``ompd run --experiment`` takes

@@ -161,14 +161,19 @@ def composed_prox(rule, domain: Domain, v, scale: float):
 
 def check_step_size(step_size: float, smoothness: float,
                     sigma_omega: float) -> None:
-    """Require 0 < step_size <= 2 sigma_omega / L; a NaN step fails.
+    """Require 0 < step_size <= 2 sigma_omega / L for the largest L >= 0;
+    at L = 0 (a zero or linear smooth part) the limit is +inf.
 
-    A step that is not positive raises ValueError, one above the limit
+    A step that is not positive and finite, or an L that is negative,
+    raises ValueError, as does NaN in either; a step above the limit
     StepSizeError.
     """
-    if not step_size > 0.0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
-    if step_size > 2.0 * sigma_omega / smoothness:
+    if not 0.0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got "
+                         f"{step_size}")
+    if not smoothness >= 0.0:
+        raise ValueError(f"L must be nonnegative, got {smoothness}")
+    if smoothness > 0.0 and step_size > 2.0 * sigma_omega / smoothness:
         raise StepSizeError(step_size, smoothness, sigma_omega)
 
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import DistanceGenerator
-from .errors import (MissingOptimaError, OmpdError, SolverRunError,
-                     StepSizeError)
+from .errors import MissingOptimaError, OmpdError, SolverRunError
 from .losses import ErrorModel, ProblemStream, row_norms
 from .prox import (INNER_TOL_DEFAULT, check_step_size, inexact_mirror_prox,
                    subproblem_solver)
@@ -123,9 +122,9 @@ def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
     scratch memory does not grow with the horizon.
 
     Raises ValueError or StepSizeError up front, once per run, unless
-    0 < step_size <= 2 sigma_omega / max_k L_k. Raises SolverRunError if
-    a subproblem fails mid-run, with the fully filled trace of the
-    completed steps attached.
+    0 < step_size <= 2 sigma_omega / max_k L_k (``check_step_size``; any
+    step at max_k L_k = 0). Raises SolverRunError if a subproblem fails
+    mid-run, with the fully filled trace of the completed steps attached.
     """
     if steps is None:
         steps = stream.steps()
@@ -197,12 +196,11 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     draws come from the same model keys as ``run``, one ``model.draws``
     block of ``_BLOCK_ROWS`` steps at a time, so with the Euclidean
     generator the two trajectories should agree to machine precision.
+    Its step-size rule is ``check_step_size`` at sigma_omega = 1.
     """
     steps = stream.steps()
     lam = config.step_size
-    L = max(s.smoothness_constant for s in steps)
-    if lam > 2.0 / L:
-        raise StepSizeError(lam, L, 1.0)
+    check_step_size(lam, max(s.smoothness_constant for s in steps), 1.0)
     trace = _empty_trace(stream, config)
     domain = stream.domain
     x = np.array(config.initial_point, dtype=float)

@@ -14,7 +14,7 @@ from ompd import (ErrorModel, GaussMarkovConfig, SeparationConfig,
                   run_example1, run_example2, run_proximal_gradient,
                   separation_f1, singular_value_threshold, soft_threshold)
 from ompd.bregman import FD_STEP
-from ompd.experiments import generate_gauss_markov
+from ompd.experiments import generate_gauss_markov, generate_separation
 
 BOUND_TOL_PER_STEP = 1e-6
 
@@ -239,7 +239,8 @@ def test_criterion_8_example2_decay_and_support():
     t0 = time.perf_counter()
     cfg = SeparationConfig(frame_dim=64, window=16, synth_rank=2,
                            synth_sparsity=0.05, horizon=200, seed=1)
-    results, truth = run_example2(cfg, optimum_tol=1e-5)
+    results = run_example2(cfg, optimum_tol=1e-5)
+    truth = generate_separation(cfg)[1]
     res = results["exact"]
     avg_20 = res.regret[19] / 20.0
     avg_200 = res.regret[199] / 200.0

@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ompd import (GaussMarkovConfig, OptimumError, SeparationConfig,
-                  background_spectrum, box, coefficient_paths,
-                  gauss_markov_constants, generate_gauss_markov,
-                  generate_separation, offline_optimum, prox, run_example1,
-                  run_example2, separation_blocks, separation_constants,
-                  separation_f1, separation_optima, separation_smoothness,
-                  stream_optima, validate_constants)
+from ompd import (CompositionError, Domain, GaussMarkovConfig, OptimumError,
+                  SeparationConfig, background_spectrum, ball, box,
+                  coefficient_paths, gauss_markov_constants,
+                  generate_gauss_markov, generate_separation, offline_optimum,
+                  prox, run_example1, run_example2, separation_blocks,
+                  separation_constants, separation_f1, separation_optima,
+                  separation_smoothness, soft_threshold, stream_optima,
+                  tracking_stream, validate_constants, whole_space)
 from ompd import experiments
+from ompd.regret import OPTIMUM_TOL_DEFAULT
 
 
 class TestGaussMarkovGenerator:
@@ -142,6 +144,60 @@ class TestRunExample1:
         f_ref = stream.total_values(stream_optima(stream))
         assert np.all((trace.optima >= 0.0) & (trace.optima <= 1.0))
         np.testing.assert_array_equal(trace.f_star, f_ref)
+
+
+class TestTrackingStream:
+    """a ||x - c_k||^2 + eta ||x||_1 over a domain, and its optima."""
+
+    @pytest.mark.parametrize("domain, a, eta", [
+        (whole_space(), 3.0, 0.4), (whole_space(), 1.0, 0.0),
+        (box(-0.5, 0.8, dim=5), 0.5, 0.3), (box(0.2, 1.0, dim=5), 2.0, 0.7),
+        (ball(1.5), 1.5, 0.2),
+    ], ids=["whole", "whole-zero-rule", "box", "nonnegative-box", "ball"])
+    def test_values_constants_and_optima(self, domain, a, eta):
+        T, n = 12, 5
+        centers = np.random.default_rng(8).normal(0.4, 0.6, (T, n))
+        stream, optima = tracking_stream(centers, domain, a, eta)
+        steps = stream.steps()
+        assert len({id(step.prox_handle) for step in steps}) == 1
+        assert steps[0].prox_handle.kind == ("l1" if eta else "zero")
+        assert all(step.smoothness_constant == 2.0 * a
+                   and step.regularizer_lipschitz == eta * np.sqrt(n)
+                   for step in steps)
+        # batch values are each step's total_value, bit for bit
+        xs = np.random.default_rng(9).normal(scale=2.0, size=(T, n))
+        for rows, start in ((xs, 0), (optima, 0), (xs[4:9], 4)):
+            np.testing.assert_array_equal(
+                stream.total_values(rows, start=start),
+                [steps[start + j].total_value(x) for j, x in enumerate(rows)])
+        for k in (1, T // 2, T):
+            x_star, _ = offline_optimum(steps[k - 1], domain)
+            np.testing.assert_allclose(optima[k - 1], x_star, rtol=0.0,
+                                       atol=OPTIMUM_TOL_DEFAULT)
+        if domain.bounds is not None:
+            # a is a power of two here, so the composed prox's threshold
+            # (1 / (2a)) eta is eta / (2a) exactly
+            lo, hi = domain.bounds
+            np.testing.assert_array_equal(optima, np.clip(
+                soft_threshold(centers, eta / (2.0 * a)), lo, hi))
+
+    @pytest.mark.parametrize("centers, a, eta", [
+        (np.zeros((3, 2)), 0.0, 0.1), (np.zeros((3, 2)), -1.0, 0.1),
+        (np.zeros((3, 2)), np.inf, 0.1), (np.zeros((3, 2)), np.nan, 0.1),
+        (np.zeros((3, 2)), 1.0, -0.1), (np.zeros((3, 2)), 1.0, np.inf),
+        (np.zeros((3, 2)), 1.0, np.nan), (np.zeros(3), 1.0, 0.1),
+        (np.zeros((0, 2)), 1.0, 0.1), (np.zeros((3, 0)), 1.0, 0.1),
+        (np.zeros((3, 2, 1)), 1.0, 0.1), ([[0.0, np.nan]], 1.0, 0.1),
+        ([[np.inf, 0.0]], 1.0, 0.1),
+    ])
+    def test_refuses_bad_inputs(self, centers, a, eta):
+        with pytest.raises(ValueError):
+            tracking_stream(centers, whole_space(), a, eta)
+
+    def test_refuses_a_domain_without_exact_composition(self):
+        custom = Domain(project=lambda x: x, diameter=2.0)
+        with pytest.raises(CompositionError):
+            tracking_stream(np.zeros((2, 2)), custom, eta=0.1)
 
 
 class TestSeparationGenerator:
@@ -492,7 +548,7 @@ class TestRunExample2:
                                rotation=0.0, noise_std=0.0,
                                background_scale=1e5, foreground_scale=3e4)
         stream, _ = generate_separation(cfg)
-        results, _ = run_example2(cfg, optimum_tol=1e-7)
+        results = run_example2(cfg, optimum_tol=1e-7)
         trace = results["exact"].trace
         step = stream.step_at(cfg.horizon)
         resid = prox._prox_gradient_point(
@@ -503,19 +559,20 @@ class TestRunExample2:
     def test_objective_nonincreasing_on_static_data(self):
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=60, seed=15,
                                rotation=0.0, noise_std=0.0)
-        results, _ = run_example2(cfg, optimum_tol=1e-6)
+        results = run_example2(cfg, optimum_tol=1e-6)
         f = results["exact"].trace.f_played
         assert np.all(np.diff(f) <= 1e-6 * np.maximum(1.0, np.abs(f[:-1])))
 
     def test_small_run_recovers_foreground_support(self):
         cfg = SeparationConfig(frame_dim=32, window=12, horizon=80, seed=16)
-        results, truth = run_example2(cfg, optimum_tol=1e-5)
+        results = run_example2(cfg, optimum_tol=1e-5)
+        truth = generate_separation(cfg)[1]
         f1 = separation_f1(results["exact"].trace, truth, cfg)
         assert f1 >= 0.8
 
     def test_certified_bound_holds(self):
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=40, seed=17)
-        results, _ = run_example2(cfg, optimum_tol=1e-6)
+        results = run_example2(cfg, optimum_tol=1e-6)
         res = results["exact"]
         Ts = np.arange(1, res.trace.horizon + 1)
         assert np.all(res.regret <= res.rhs + 1e-6 * Ts)

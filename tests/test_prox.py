@@ -313,15 +313,23 @@ class TestExactMirrorProx:
         np.testing.assert_array_equal(solve(anchor, grad)[0], classical)
 
     def test_step_size_rule_enforced(self):
-        """0 < step <= 2 sigma_omega / L, here 2 / 1: 5 is refused."""
+        """0 < step <= 2 sigma_omega / L, here 2 / 1: 5 is refused. L = 0
+        is the limit +inf, but an infinite step is refused at any L, as is
+        a negative or NaN L."""
         L = _l1_step(0.1, 4).smoothness_constant
         with pytest.raises(StepSizeError) as err:
             check_step_size(5.0, L, EUCLID.sigma_omega)
         assert "sigma_omega" in str(err.value)
         check_step_size(2.0, L, EUCLID.sigma_omega)
-        for bad in (0.0, -0.5, float("nan")):
-            with pytest.raises(ValueError):
-                check_step_size(bad, L, EUCLID.sigma_omega)
+        for bad in (0.0, -0.5, float("nan"), float("inf")):
+            for smoothness in (L, 0.0):
+                with pytest.raises(ValueError):
+                    check_step_size(bad, smoothness, EUCLID.sigma_omega)
+        for step in (0.5, 2.0, 1e300):
+            check_step_size(step, 0.0, EUCLID.sigma_omega)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="L must be nonnegative"):
+                check_step_size(0.5, bad, EUCLID.sigma_omega)
 
 
 class TestInnerSolver:

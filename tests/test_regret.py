@@ -1,21 +1,22 @@
 """Offline optima, ledger accounting, and the certified bound machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
-                  OptimumError, ProblemStream, RegimeMismatchError,
-                  SolverConfig, ball, box, certified_margin, dynamic_regret,
-                  euclidean_generator, fill_optima, l1_rule,
-                  ledger_from_trace, offline_optimum, prox, recursion_bound,
-                  run, stream_optima, theorem_rhs, whole_space,
-                  zero_error_model, zero_rule)
+                  OptimumError, RegimeMismatchError, SolverConfig, ball, box,
+                  certified_margin, dynamic_regret, euclidean_generator,
+                  fill_optima, l1_rule, ledger_from_trace, offline_optimum,
+                  prox, recursion_bound, run, stream_optima, theorem_rhs,
+                  whole_space, zero_error_model, zero_rule)
 from ompd import experiments, regret
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               generate_gauss_markov, generate_separation,
-                              lasso_optima_batch)
+                              lasso_optima_batch, tracking_stream)
 from ompd.solver import RunTrace
 
 EUCLID = euclidean_generator()
@@ -70,12 +71,7 @@ def _manual_trace(f_played, f_star, optima, x0=None, eps=None, e_norms=None,
 class TestOfflineOptimum:
     def test_quadratic_whole_space(self):
         c = np.array([2.0, -1.0, 0.5])
-        step = CompositeLossStep(
-            smooth_value=lambda x: 0.5 * float(np.dot(x - c, x - c)),
-            smooth_gradient=lambda x: x - c,
-            nonsmooth_value=lambda x: 0.0,
-            smoothness_constant=1.0, regularizer_lipschitz=0.0,
-            prox_handle=zero_rule(), dim=3)
+        step = tracking_stream(c[None], whole_space(), a=0.5)[0].step_at(1)
         x_star, f_star = offline_optimum(step, whole_space(), tol=1e-10)
         np.testing.assert_allclose(x_star, c, atol=1e-9)
         assert f_star <= 1e-18
@@ -425,7 +421,7 @@ class TestOneSourceOfFStar:
     def test_example2(self):
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=4, seed=2)
         stream, _ = generate_separation(cfg)
-        results, _ = experiments.run_example2(cfg)
+        results = experiments.run_example2(cfg)
         trace = results["exact"].trace
         np.testing.assert_array_equal(trace.f_star,
                                       stream.total_values(trace.optima))
@@ -433,6 +429,7 @@ class TestOneSourceOfFStar:
     def test_stream_without_batch_values(self):
         stream, _ = TestNonEuclideanCertification._drifting_quadratic(
             6, 3, 4, whole_space())
+        stream = dataclasses.replace(stream, batch_values=None)
         assert stream.batch_values is None
         config = SolverConfig(step_size=0.3, generator=EUCLID,
                               initial_point=np.zeros(3))
@@ -574,25 +571,14 @@ class TestNonEuclideanCertification:
 
     @staticmethod
     def _drifting_quadratic(T, n, seed, domain):
+        """||x - c_k||^2, c_k a walk clipped to [0.3, 0.9]^n, and optima."""
         rng = np.random.default_rng(seed)
         c = np.empty((T, n))
         c[0] = rng.uniform(0.4, 0.8, size=n)
         for t in range(1, T):
             c[t] = np.clip(c[t - 1] + rng.normal(scale=0.01, size=n),
                            0.3, 0.9)
-
-        def step_at(k):
-            ck = c[k - 1]
-            return CompositeLossStep(
-                smooth_value=lambda x, ck=ck: float(np.dot(x - ck, x - ck)),
-                smooth_gradient=lambda x, ck=ck: 2.0 * (x - ck),
-                nonsmooth_value=lambda x: 0.0,
-                smoothness_constant=2.0, regularizer_lipschitz=0.0,
-                prox_handle=zero_rule(), dim=n)
-
-        stream = ProblemStream(horizon=T, step_at=step_at, domain=domain,
-                               dim=n)
-        return stream, c
+        return tracking_stream(c, domain)
 
     @pytest.mark.parametrize("variant", ["exact", "inexact"])
     def test_bounded_regime_certifies(self, variant):
@@ -600,14 +586,13 @@ class TestNonEuclideanCertification:
         gen = negative_entropy_generator(lo=0.2, hi=1.0)
         T, n = 80, 4
         dom = box(0.2, 1.0, dim=n)
-        stream, c = self._drifting_quadratic(T, n, 1, dom)
+        stream, optima = self._drifting_quadratic(T, n, 1, dom)
         config = SolverConfig(step_size=0.3, generator=gen,
                               initial_point=np.full(n, 0.5))
         model = (zero_error_model(seed=1) if variant == "exact"
                  else ErrorModel(gradient_std=0.05, prox_std=0.02, seed=1))
         trace = run(stream, config, model)
-        # box-constrained quadratic optimum is its interior center
-        fill_optima(trace, stream, optima=c)
+        fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, gen, 0.3, dom)
         assert certified_margin(trace, ledger) >= 0.0
         if variant == "exact":
@@ -620,13 +605,13 @@ class TestNonEuclideanCertification:
         from ompd import negative_entropy_generator
         gen = negative_entropy_generator(lo=0.2, hi=1.0)
         T, n = 80, 4
-        stream, c = self._drifting_quadratic(T, n, 2, whole_space())
+        stream, optima = self._drifting_quadratic(T, n, 2, whole_space())
         config = SolverConfig(step_size=0.3, generator=gen,
                               initial_point=np.full(n, 0.6))
         model = (zero_error_model(seed=2) if variant == "exact"
                  else ErrorModel(gradient_std=0.03, prox_std=0.01, seed=2))
         trace = run(stream, config, model)
-        fill_optima(trace, stream, optima=c)
+        fill_optima(trace, stream, optima=optima)
         # declared constants are only valid where the iterates live
         assert trace.iterates.min() >= 0.2 and trace.iterates.max() <= 1.0
         ledger = ledger_from_trace(trace, gen, 0.3, whole_space())
@@ -635,17 +620,8 @@ class TestNonEuclideanCertification:
 
 class TestTheoremRhs:
     def _static_bounded_setup(self):
-        c = np.array([0.25, -0.25])
-        step = CompositeLossStep(
-            smooth_value=lambda x: float(np.dot(x - c, x - c)),
-            smooth_gradient=lambda x: 2.0 * (x - c),
-            nonsmooth_value=lambda x: 0.0,
-            smoothness_constant=2.0, regularizer_lipschitz=0.0,
-            prox_handle=zero_rule(), dim=2)
-        dom = box(-1.0, 1.0, dim=2)
-        stream = ProblemStream(horizon=6, step_at=lambda k: step,
-                               domain=dom, dim=2)
-        return stream, c, dom
+        c, dom = np.array([0.25, -0.25]), box(-1.0, 1.0, dim=2)
+        return tracking_stream(np.tile(c, (6, 1)), dom)[0], c, dom
 
     def test_zero_error_static_run_from_optimum_has_zero_rhs(self):
         """Starting at the static optimum, every bound term vanishes."""
@@ -783,19 +759,11 @@ class TestStepSizeAboveOneOverL:
         1.7, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
                                      reason="ROADMAP item 1"))])
     def test_static_quadratic_certifies(self, r):
-        step = CompositeLossStep(
-            smooth_value=lambda x: float(x @ x),
-            smooth_gradient=lambda x: 2.0 * x,
-            nonsmooth_value=lambda x: 0.0,
-            smoothness_constant=2.0, regularizer_lipschitz=0.0,
-            prox_handle=zero_rule(), dim=1)
         T, lam = 200, r * EUCLID.sigma_omega / 2.0
-        stream = ProblemStream(horizon=T, step_at=lambda k: step,
-                               domain=whole_space(), dim=1)
+        stream, optima = tracking_stream(np.zeros((T, 1)), whole_space())
         config = SolverConfig(step_size=lam, generator=EUCLID,
                               initial_point=np.ones(1))
         model = ErrorModel(gradient_std=0.0, prox_std=0.0, seed=0)
-        trace = fill_optima(run(stream, config, model), stream,
-                            np.zeros((T, 1)))
+        trace = fill_optima(run(stream, config, model), stream, optima)
         ledger = ledger_from_trace(trace, EUCLID, lam, whole_space())
         assert certified_margin(trace, ledger) >= 0.0

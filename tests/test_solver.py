@@ -17,7 +17,7 @@ from ompd import (CompositeLossStep, Domain, ErrorModel, InnerSolverError,
 from ompd import prox, solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
-                              generate_separation)
+                              generate_separation, tracking_stream)
 from ompd.losses import GRAD_ERROR_TAG, PROX_ERROR_TAG
 from ompd.prox import (RESIDUAL_CHECK_EVERY, inexact_mirror_prox,
                        subproblem_solver)
@@ -246,22 +246,9 @@ def _per_step_loop(stream, config, model):
 
 def _entropy_box_stream(T=40, dim=8, seed=3):
     """||x - c_k||^2 + 0.1 ||x||_1 on [0.2, 1]^dim, c_k a clipped walk."""
-    rng = np.random.default_rng(seed)
-    centers = np.clip(0.6 + np.cumsum(rng.normal(0.0, 0.05, (T, dim)),
-                                      axis=0), 0.3, 0.9)
-    rule = l1_rule(0.1)
-
-    def step_at(k):
-        ck = centers[k - 1]
-        return CompositeLossStep(
-            smooth_value=lambda x: float(np.dot(x - ck, x - ck)),
-            smooth_gradient=lambda x: 2.0 * (x - ck),
-            nonsmooth_value=lambda x: 0.1 * float(np.sum(np.abs(x))),
-            smoothness_constant=2.0, regularizer_lipschitz=0.1 * np.sqrt(dim),
-            prox_handle=rule, dim=dim)
-
-    return ProblemStream(horizon=T, step_at=step_at,
-                         domain=box(0.2, 1.0, dim=dim), dim=dim)
+    walk = np.random.default_rng(seed).normal(0.0, 0.05, (T, dim))
+    centers = np.clip(0.6 + np.cumsum(walk, axis=0), 0.3, 0.9)
+    return tracking_stream(centers, box(0.2, 1.0, dim=dim), eta=0.1)[0]
 
 
 def _alternating_rule_stream(domain, T=30, dim=6, seed=4):
@@ -382,6 +369,26 @@ class TestEuclideanEquivalence:
         baseline = run_proximal_gradient(stream, config, model)
         assert np.all(np.any(mirror.iterates != 0.0, axis=1))
         np.testing.assert_array_equal(mirror.iterates, baseline.iterates)
+
+    @pytest.mark.parametrize("model", [
+        zero_error_model(), ErrorModel(gradient_std=0.1, prox_std=0.1, seed=6),
+    ], ids=["exact", "noisy"])
+    def test_zero_smooth_part_runs_in_both_loops(self, model):
+        """h = 0.5 ||x||_1 alone declares L = 0, which bounds no step."""
+        step = CompositeLossStep(
+            smooth_value=lambda x: 0.0, smooth_gradient=np.zeros_like,
+            nonsmooth_value=lambda x: 0.5 * float(np.sum(np.abs(x))),
+            smoothness_constant=0.0, regularizer_lipschitz=0.5 * np.sqrt(3),
+            prox_handle=l1_rule(0.5), dim=3)
+        config = SolverConfig(step_size=0.5, generator=EUCLID,
+                              initial_point=np.array([1.0, -2.0, 0.1]))
+        mirror = run(_static_stream(step, 3), config, model)
+        baseline = run_proximal_gradient(_static_stream(step, 3), config,
+                                         model)
+        np.testing.assert_array_equal(mirror.iterates, baseline.iterates)
+        if model == zero_error_model():  # soft thresholds at 0.25
+            np.testing.assert_array_equal(mirror.iterates[-1],
+                                          [0.25, -1.25, 0.0])
 
     def test_zero_error_static_quadratic_matches_classical_trajectory(self):
         A = np.diag([1.0, 3.0])
