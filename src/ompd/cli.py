@@ -253,6 +253,9 @@ def cmd_run(args) -> int:
     except OmpdError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except ValueError as exc:  # data the config draws that a stream refuses
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     _write_resolved_config(config_path, manifest, cfg)
     for variant, res in results.items():
@@ -275,8 +278,12 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    checked = experiments.verify(exp, cfg, domain, out_dir, variants,
-                                 manifest["optimum_tol"])
+    try:
+        checked = experiments.verify(exp, cfg, domain, out_dir, variants,
+                                     manifest["optimum_tol"])
+    except ValueError as exc:  # as in run: the stream refuses its data
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for _, line in checked:
         print(line)
     return next((_VERIFY_EXITS[error] for error, _ in checked if error),

@@ -7,7 +7,9 @@ nuclear-norm and l1 prox updates on one block variable. ``EXPERIMENTS``
 holds one row per experiment. ``play`` plays a row into a run directory,
 and ``verify`` certifies that directory from the same row.
 ``tracking_stream`` builds f_k = a ||x - c_k||^2 + eta ||x||_1 from given
-centres, with its exact optima, for tests and custom runs.
+centres, with its exact optima, for tests and custom runs. ``lasso_stream``
+builds example1's f_k = ||y_k - X_k a||^2 + eta ||a||_1 from given data;
+``lasso_optima_batch`` computes its optima.
 
 All randomness flows from the config seed through a single generator in a
 fixed draw order, so streams are bit-reproducible. Error draws use the
@@ -95,6 +97,8 @@ class GaussMarkovConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if any(not 1 <= i <= self.n_coeffs for i in self.active_set):
             raise ValueError("active_set indices must lie in 1..n_coeffs")
+        if len(set(self.active_set)) < len(self.active_set):
+            raise ValueError("active_set indices must be distinct")
         _require_step_size(self, "step_size")
         for key in ("eta", "obs_noise_std", "error_std"):
             _require_scale(self, key)
@@ -128,10 +132,9 @@ def generate_gauss_markov(cfg: GaussMarkovConfig,
                           domain: Optional[Domain] = None):
     """Build the regression stream plus its ground truth.
 
-    Each step k carries g_k(a) = ||y_k - X_k a||^2 with the exact
-    smoothness constant 2 * lambda_max(X_k^T X_k), and h(a) = eta ||a||_1
-    with Lipschitz constant eta * sqrt(n). Returns (stream, truth) where
-    truth holds the coefficient paths and the raw (X, y) arrays.
+    Synthesizes coefficient paths and (X, y) data for ``lasso_stream`` on
+    ``domain`` (None: the whole space). Returns (stream, truth) where truth
+    holds the coefficient paths and the raw (X, y) arrays.
     """
     rng = np.random.default_rng(cfg.seed)
     T, n, d = cfg.horizon, cfg.n_coeffs, cfg.input_dim
@@ -139,44 +142,9 @@ def generate_gauss_markov(cfg: GaussMarkovConfig,
     X = rng.normal(size=(T, d, n))
     w = rng.normal(scale=cfg.obs_noise_std, size=(T, d))
     Y = np.einsum("tdn,tn->td", X, a_true) + w
-    # lambda_max(X^T X) = lambda_max(X X^T), a d x d problem
-    gram = np.einsum("tdn,ten->tde", X, X)
-    L = 2.0 * np.linalg.eigvalsh(gram)[:, -1]
-    B = cfg.eta * np.sqrt(n)
-    prox = l1_rule(cfg.eta)
-    dom = whole_space() if domain is None else domain
-
-    # one evaluator of each kind per stream; a step binds its own index
-    def g(i, a):
-        r = X[i] @ a - Y[i]
-        return float(np.dot(r, r))
-
-    def grad(i, a):
-        Xk = X[i]
-        return 2.0 * (Xk.T @ (Xk @ a - Y[i]))
-
-    def h(a):
-        return cfg.eta * float(np.sum(np.abs(a)))
-
-    def step_at(k: int) -> CompositeLossStep:
-        i = k - 1
-        return CompositeLossStep(
-            smooth_value=functools.partial(g, i),
-            smooth_gradient=functools.partial(grad, i), nonsmooth_value=h,
-            smoothness_constant=float(L[i]), regularizer_lipschitz=B,
-            prox_handle=prox, dim=n)
-
-    def values(A, start):
-        # stacked matmuls: the same dot products as g's, bit for bit
-        rows = slice(start, start + len(A))
-        r = (X[rows] @ A[:, :, None])[:, :, 0] - Y[rows]
-        return ((r[:, None, :] @ r[:, :, None])[:, 0, 0]
-                + cfg.eta * np.sum(np.abs(A), axis=1))
-
-    stream = ProblemStream(horizon=T, step_at=step_at, domain=dom, dim=n,
-                           batch_values=values)
-    truth = {"a_true": a_true, "X": X, "Y": Y, "smoothness": L}
-    return stream, truth
+    stream = lasso_stream(X, Y, cfg.eta,
+                          whole_space() if domain is None else domain)
+    return stream, {"a_true": a_true, "X": X, "Y": Y}
 
 
 def gauss_markov_constants(cfg: GaussMarkovConfig, truth):
@@ -231,6 +199,53 @@ def tracking_stream(centers, domain: Domain, a: float = 1.0,
                        for c in centers])  # CompositionError: no exact form
     return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=n,
                          batch_values=values), optima
+
+
+def _lasso_smoothness(X: np.ndarray) -> np.ndarray:
+    """2 lambda_max(X_t^T X_t) per t, from the d x d Gram X_t X_t^T."""
+    return 2.0 * np.linalg.eigvalsh(np.einsum("tdn,ten->tde", X, X))[:, -1]
+
+
+def lasso_stream(X, Y, eta: float, domain: Domain) -> ProblemStream:
+    """The stream f_k(a) = ||y_k - X_k a||^2 + eta ||a||_1 over ``domain``,
+    X_k and y_k row k of the (T, d, n) array ``X`` and the (T, d) array
+    ``Y``. Step k declares the exact L_k = 2 lambda_max(X_k^T X_k) and
+    B = eta sqrt(n), and all steps share one ``l1_rule(eta)``. Its optima
+    come from ``lasso_optima_batch``."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if not (X.ndim == 3 and X.size and Y.shape == X.shape[:2]
+            and 0.0 <= eta < np.inf and np.all(np.isfinite(X))
+            and np.all(np.isfinite(Y))):
+        raise ValueError(f"need finite (T >= 1, d >= 1, n >= 1) X, (T, d) Y "
+                         f"and eta >= 0; got {X.shape}, {Y.shape}, eta={eta}")
+    (T, _, n), L = X.shape, _lasso_smoothness(X)
+    B, rule = eta * np.sqrt(n), l1_rule(eta)
+
+    def g(i, a):  # shared evaluators; a step binds its own index
+        r = X[i] @ a - Y[i]
+        return float(np.dot(r, r))
+
+    def grad(i, a):
+        return 2.0 * (X[i].T @ (X[i] @ a - Y[i]))
+
+    def h(a):
+        return eta * float(np.sum(np.abs(a)))
+
+    def step_at(k: int) -> CompositeLossStep:
+        return CompositeLossStep(
+            smooth_value=functools.partial(g, k - 1),
+            smooth_gradient=functools.partial(grad, k - 1), nonsmooth_value=h,
+            smoothness_constant=float(L[k - 1]), regularizer_lipschitz=B,
+            prox_handle=rule, dim=n)
+
+    def values(A, start):  # stacked matmuls: g's dot products, bit for bit
+        rows = slice(start, start + len(A))
+        r = (X[rows] @ A[:, :, None])[:, :, 0] - Y[rows]
+        return ((r[:, None, :] @ r[:, :, None])[:, 0, 0]
+                + eta * np.sum(np.abs(A), axis=1))
+
+    return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=n,
+                         batch_values=values)
 
 
 def _lasso_path(X, Y, eta, halfwidth=None):
@@ -365,7 +380,7 @@ def _lasso_path(X, Y, eta, halfwidth=None):
     return a
 
 
-def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9):
+def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=OPTIMUM_TOL_DEFAULT):
     """Per-step optima of ||y_t - X_t a||^2 + eta ||a||_1, all t at once.
 
     Optionally box-constrained to [-halfwidth, halfwidth] per coordinate
@@ -385,7 +400,7 @@ def lasso_optima_batch(X, Y, eta, halfwidth=None, tol=1e-9):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     T, d, n = X.shape
-    L = 2.0 * np.linalg.eigvalsh(np.einsum("tdn,ten->tde", X, X))[:, -1]
+    L = _lasso_smoothness(X)
     step = 1.0 / np.where(L > 0.0, L, 1.0)  # as offline_optimum: X = 0
     dom = whole_space() if halfwidth is None else box(-halfwidth, halfwidth,
                                                       dim=n)
@@ -649,8 +664,11 @@ class SeparationConfig:
     error_std: float = 0.0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        # the drift rotates a plane on each side: frame_dim, window >= 2
+        for key, least in (("horizon", 1), ("synth_rank", 0),
+                           ("frame_dim", 2), ("window", 2)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}")
         for key in ("mu_L", "mu_S", "lambda_L", "lambda_S", "noise_std",
                     "error_std", "background_scale", "foreground_scale"):
             _require_scale(self, key)
@@ -914,16 +932,19 @@ def separation_f1(trace: RunTrace, truth, cfg: SeparationConfig,
 
 
 def _write_snapshots(traces, vdirs, cfg: SeparationConfig, truth) -> None:
-    """Each variant's (L, S) blocks every ``_SNAPSHOT_EVERY`` steps."""
-    for trace, vdir in zip(traces, vdirs):
-        sdir = os.path.join(vdir, "snapshots")
+    """Each variant's (L, S) blocks every ``_SNAPSHOT_EVERY`` steps, one
+    column per frame coordinate; the variants' snapshots of one step are
+    written together (``runio.write_tables``)."""
+    sdirs = [os.path.join(vdir, "snapshots") for vdir in vdirs]
+    for sdir in sdirs:
         os.makedirs(sdir, exist_ok=True)
-        for k in range(_SNAPSHOT_EVERY, trace.horizon + 1, _SNAPSHOT_EVERY):
-            Lm, Sm = separation_blocks(trace.iterates[k - 1], cfg)
-            np.savetxt(os.path.join(sdir, f"L_{k:04d}.csv"), Lm,
-                       delimiter=",", fmt="%.17g")
-            np.savetxt(os.path.join(sdir, f"S_{k:04d}.csv"), Sm,
-                       delimiter=",", fmt="%.17g")
+    header = [f"pixel_{j}" for j in range(cfg.frame_dim)]
+    for k in range(_SNAPSHOT_EVERY, traces[0].horizon + 1, _SNAPSHOT_EVERY):
+        blocks = zip(*(separation_blocks(trace.iterates[k - 1], cfg)
+                       for trace in traces))  # (L of each, S of each)
+        for name, mats in zip("LS", blocks):
+            write_tables([os.path.join(sdir, f"{name}_{k:04d}.csv")
+                          for sdir in sdirs], header, [[m] for m in mats])
 
 
 def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,

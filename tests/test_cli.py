@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import shutil
+import typing
 
 import numpy as np
 import pytest
@@ -288,6 +289,7 @@ class TestRun:
         ("example1", "eta", "-0.05", "must be nonnegative and finite"),
         ("example1", "eta", "nan", "must be nonnegative and finite"),
         ("example1", "input_dim", "0", "must be at least 1"),
+        ("example1", "active_set", "1, 1", "indices must be distinct"),
         ("example2", "error_std", "-0.1", "must be nonnegative and finite"),
         ("example2", "error_std", "nan", "must be nonnegative and finite"),
         ("example2", "noise_std", "-1", "must be nonnegative and finite"),
@@ -301,6 +303,9 @@ class TestRun:
          "must be nonnegative and finite"),
         ("example2", "rotation", "inf", "must be finite"),
         ("example2", "rotation", "nan", "must be finite"),
+        ("example2", "synth_rank", "-1", "must be at least 0"),
+        ("example2", "window", "1\nsynth_rank = 0", "must be at least 2"),
+        ("example2", "frame_dim", "1\nsynth_rank = 0", "must be at least 2"),
     ])
     def test_bad_noise_weight_or_size_names_key(self, tmp_path, capsys,
                                                 command, experiment, key,
@@ -308,18 +313,60 @@ class TestRun:
         """NaN or inf error_std ran to a NaN regret; a negative std, eta or
         input_dim ended in a traceback, or ran the oracle to its budget. An
         infinite mu_L or rotation stopped the oracle at a NaN residual, a NaN
-        foreground_scale overflowed, and a negative background_scale ran."""
+        foreground_scale overflowed, and a negative background_scale ran.
+        A repeated active_set index was collapsed; a negative synth_rank, or
+        one window row or frame coordinate at synth_rank 0, ended in a
+        traceback. A value may carry a second key's line."""
         cfg = tmp_path / "run.cfg"
-        line = f"{key} = {value}\n"
-        cfg.write_text(EX1_SMALL + "[example1]\n" + line
-                       if experiment == "example1"
-                       else EX2_SMALL.replace("window = 8\n",
-                                              "window = 8\n" + line))
+        text = (EX1_SMALL + "[example1]\n" if experiment == "example1"
+                else EX2_SMALL)
+        text = "".join(line for line in text.splitlines(True)
+                       if not line.startswith(f"{key} = "))
+        cfg.write_text(text.replace(f"[{experiment}]\n",
+                                    f"[{experiment}]\n{key} = {value}\n"))
         code = main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{key} {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment", ["example1", "example2"])
+    def test_every_numeric_key_exits_without_a_traceback(self, tmp_path,
+                                                         experiment):
+        """Each numeric field alone at -1, 0, 1, nan and inf (an int field
+        at -1, 0 and 1) runs, fails or is refused: exit 0, 1 or 2."""
+        small = {"horizon": "3"}
+        cases = []
+        if experiment == "example2":
+            small.update(frame_dim="8", window="4")
+            cases.append({"synth_rank": "0", "window": "1"})
+        fields = typing.get_type_hints(experiments.EXPERIMENTS[experiment]
+                                       .config)
+        for key, hint in fields.items():
+            values = {int: ("-1", "0", "1"),
+                      float: ("-1", "0", "1", "nan", "inf")}.get(hint, ())
+            cases += [{key: value} for value in values]
+        for i, case in enumerate(cases):
+            lines = "".join(f"{key} = {value}\n"
+                            for key, value in {**small, **case}.items())
+            cfg = tmp_path / f"{i}.cfg"
+            cfg.write_text(f"[run]\nexperiment = {experiment}\n"
+                           f"variant = both\n[{experiment}]\n{lines}")
+            code = main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / f"o{i}")])
+            assert code in (0, 1, 2), case
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_data_a_stream_refuses_is_a_config_error(self, tmp_path, capsys,
+                                                     command):
+        """obs_noise_std = 1e308 draws infinite observations, which
+        lasso_stream refuses before the oracle meets them."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EX1_SMALL + "[example1]\nobs_noise_std = 1e308\n")
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: need finite")
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("text, named", [

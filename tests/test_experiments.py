@@ -8,13 +8,15 @@ import pytest
 from ompd import (CompositionError, Domain, GaussMarkovConfig, OptimumError,
                   SeparationConfig, background_spectrum, ball, box,
                   coefficient_paths, gauss_markov_constants,
-                  generate_gauss_markov, generate_separation, offline_optimum,
-                  prox, run_example1, run_example2, separation_blocks,
+                  generate_gauss_markov, generate_separation,
+                  lasso_optima_batch, lasso_stream, offline_optimum, prox,
+                  run_example1, run_example2, separation_blocks,
                   separation_constants, separation_f1, separation_optima,
                   separation_smoothness, soft_threshold, stream_optima,
                   tracking_stream, validate_constants, whole_space)
 from ompd import experiments
 from ompd.regret import OPTIMUM_TOL_DEFAULT
+from ompd.runio import read_table
 
 
 class TestGaussMarkovGenerator:
@@ -81,8 +83,9 @@ class TestGaussMarkovGenerator:
             GaussMarkovConfig(alpha=1.0)
 
     def test_rejects_bad_active_set(self):
-        with pytest.raises(ValueError):
-            GaussMarkovConfig(active_set=(0, 2))
+        for active_set in ((0, 2), (1, 1), (2, 5, 2)):  # range, repeats
+            with pytest.raises(ValueError):
+                GaussMarkovConfig(active_set=active_set)
 
 
 class TestRunExample1:
@@ -200,6 +203,57 @@ class TestTrackingStream:
             tracking_stream(np.zeros((2, 2)), custom, eta=0.1)
 
 
+class TestLassoStream:
+    """||y_k - X_k a||^2 + eta ||a||_1 from given data, over a domain."""
+
+    @pytest.mark.parametrize("domain, eta", [
+        (whole_space(), 0.3), (whole_space(), 0.0),
+        (box(-0.4, 0.4, dim=6), 0.5)], ids=["whole", "eta-zero", "box"])
+    def test_values_constants_and_optima(self, domain, eta):
+        rng = np.random.default_rng(12)
+        T, d, n = 10, 3, 6
+        X, Y = rng.normal(size=(T, d, n)), rng.normal(size=(T, d))
+        stream = lasso_stream(X, Y, eta, domain)
+        steps = stream.steps()
+        assert (stream.horizon, stream.dim, stream.domain) == (T, n, domain)
+        assert len({id(step.prox_handle) for step in steps}) == 1
+        assert steps[0].prox_handle.kind == "l1"  # at eta = 0 too
+        for step, Xk in zip(steps, X):
+            assert step.regularizer_lipschitz == eta * np.sqrt(n)
+            np.testing.assert_allclose(step.smoothness_constant,
+                                       2.0 * np.linalg.norm(Xk, 2) ** 2,
+                                       rtol=1e-12)
+        # batch values are each step's total_value, bit for bit
+        xs = rng.normal(size=(T, n))
+        for rows, start in ((xs, 0), (xs[3:8], 3)):
+            np.testing.assert_array_equal(
+                stream.total_values(rows, start=start),
+                [steps[start + j].total_value(x) for j, x in enumerate(rows)])
+        halfwidth = None if domain.bounds is None else 0.4
+        optima, _ = lasso_optima_batch(X, Y, eta, halfwidth=halfwidth)
+        for k in (1, T):
+            _, f_ref = offline_optimum(steps[k - 1], domain)
+            np.testing.assert_allclose(stream.total_values(optima)[k - 1],
+                                       f_ref, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("X, Y, eta", [
+        (np.zeros((2, 3)), np.zeros((2, 3)), 0.1),
+        (np.zeros((0, 3, 2)), np.zeros((0, 3)), 0.1),
+        (np.zeros((2, 0, 2)), np.zeros((2, 0)), 0.1),
+        (np.zeros((2, 3, 0)), np.zeros((2, 3)), 0.1),
+        (np.zeros((2, 3, 2)), np.zeros((2, 2)), 0.1),
+        (np.zeros((2, 3, 2)), np.zeros(2), 0.1),
+        (np.full((2, 3, 2), np.nan), np.zeros((2, 3)), 0.1),
+        (np.zeros((2, 3, 2)), np.full((2, 3), np.inf), 0.1),
+        (np.zeros((2, 3, 2)), np.zeros((2, 3)), -0.1),
+        (np.zeros((2, 3, 2)), np.zeros((2, 3)), np.inf),
+        (np.zeros((2, 3, 2)), np.zeros((2, 3)), np.nan),
+    ])
+    def test_refuses_bad_inputs(self, X, Y, eta):
+        with pytest.raises(ValueError):
+            lasso_stream(X, Y, eta, whole_space())
+
+
 class TestSeparationGenerator:
     def test_zero_sparsity_gives_numerical_rank_r(self):
         cfg = SeparationConfig(frame_dim=24, window=10, synth_rank=3,
@@ -238,8 +292,12 @@ class TestSeparationGenerator:
         np.testing.assert_array_equal(t1["M"], t2["M"])
 
     def test_config_guards(self):
-        with pytest.raises(ValueError):
-            SeparationConfig(synth_rank=8, window=8, frame_dim=8)
+        # the drift rotates a plane on each side, so a side needs 2
+        for sizes in (dict(synth_rank=8, window=8, frame_dim=8),
+                      dict(synth_rank=-1), dict(synth_rank=0, window=1),
+                      dict(synth_rank=0, frame_dim=1)):
+            with pytest.raises(ValueError):
+                SeparationConfig(**sizes)
         with pytest.raises(ValueError):
             SeparationConfig(synth_sparsity=1.0)
         with pytest.raises(ValueError):
@@ -580,12 +638,17 @@ class TestRunExample2:
     def test_snapshots_written(self, tmp_path, monkeypatch):
         cfg = SeparationConfig(frame_dim=12, window=6, horizon=20, seed=18)
         monkeypatch.setattr(experiments, "_SNAPSHOT_EVERY", 10)
-        run_example2(cfg, out_dir=str(tmp_path), optimum_tol=1e-5)
-        snaps = sorted((tmp_path / "exact" / "snapshots").iterdir())
-        assert [p.name for p in snaps] == ["L_0010.csv", "L_0020.csv",
-                                           "S_0010.csv", "S_0020.csv"]
-        grid = np.loadtxt(snaps[0], delimiter=",")
-        assert grid.shape == (6, 12)
+        trace = run_example2(cfg, out_dir=str(tmp_path),
+                             optimum_tol=1e-5)["exact"].trace
+        snaps = tmp_path / "exact" / "snapshots"
+        assert sorted(p.name for p in snaps.iterdir()) == [
+            "L_0010.csv", "L_0020.csv", "S_0010.csv", "S_0020.csv"]
+        for k in (10, 20):
+            blocks = separation_blocks(trace.iterates[k - 1], cfg)
+            for name, block in zip("LS", blocks):
+                header, grid = read_table(snaps / f"{name}_{k:04d}.csv")
+                assert header == [f"pixel_{j}" for j in range(12)]
+                assert grid.tobytes() == block.tobytes()  # -0.0 too
 
     def test_blocks_roundtrip(self):
         cfg = SeparationConfig(frame_dim=8, window=4, horizon=2, seed=19)

@@ -5,23 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ompd import (CompositeLossStep, Domain, ErrorModel, ball, box, l1_rule,
-                  simplex, validate_constants, whole_space, zero_error_model)
+from ompd import (Domain, ErrorModel, ball, box, lasso_stream, simplex,
+                  validate_constants, whole_space, zero_error_model)
 from ompd.losses import GRAD_ERROR_TAG, PROX_ERROR_TAG
-
-
-def _least_squares_step(A, b, eta=0.0, L=None, B=None):
-    n = A.shape[1]
-    if L is None:
-        L = 2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])
-    if B is None:
-        B = eta * np.sqrt(n)
-    return CompositeLossStep(
-        smooth_value=lambda x: float(np.dot(A @ x - b, A @ x - b)),
-        smooth_gradient=lambda x: 2.0 * (A.T @ (A @ x - b)),
-        nonsmooth_value=lambda x: eta * float(np.sum(np.abs(x))),
-        smoothness_constant=L, regularizer_lipschitz=B,
-        prox_handle=l1_rule(eta), dim=n)
 
 
 def _power_iteration_lambda_max(matvec, dim, iters=5000, seed=0):
@@ -283,7 +269,8 @@ class TestNoisyGradient:
         rng = np.random.default_rng(5)
         self.A = rng.normal(size=(4, 6))
         self.b = rng.normal(size=4)
-        self.step = _least_squares_step(self.A, self.b, eta=0.1)
+        self.step = lasso_stream(self.A[None], self.b[None], 0.1,
+                                 whole_space()).step_at(1)
 
     def _noisy_gradient(self, model, k, x):
         """The exact gradient plus the model's step-k draw, as a run adds."""
@@ -320,7 +307,9 @@ class TestValidateConstants:
         b = rng.normal(size=5)
         lam_max = _power_iteration_lambda_max(
             lambda v: A.T @ (A @ v), dim=7, seed=6)
-        step = _least_squares_step(A, b, eta=0.05, L=2.0 * lam_max * (1 + 1e-9))
+        step = dataclasses.replace(
+            lasso_stream(A[None], b[None], 0.05, whole_space()).step_at(1),
+            smoothness_constant=2.0 * lam_max * (1 + 1e-9))
         report = validate_constants(step, samples=400, seed=0)
         assert report.passed()
 
@@ -328,8 +317,9 @@ class TestValidateConstants:
         rng = np.random.default_rng(7)
         A = rng.normal(size=(5, 7))
         b = rng.normal(size=5)
-        true_L = 2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])
-        step = _least_squares_step(A, b, eta=0.05, L=0.5 * true_L)
+        step = lasso_stream(A[None], b[None], 0.05, whole_space()).step_at(1)
+        step = dataclasses.replace(
+            step, smoothness_constant=0.5 * step.smoothness_constant)
         report = validate_constants(step, samples=400, seed=0)
         assert report.descent_margin > 0.0
         assert not report.passed()
@@ -338,7 +328,8 @@ class TestValidateConstants:
         rng = np.random.default_rng(8)
         A = rng.normal(size=(4, 9))
         b = rng.normal(size=4)
-        step = _least_squares_step(A, b, eta=0.3)  # B = 0.3 * sqrt(9)
+        step = lasso_stream(A[None], b[None], 0.3,  # B = 0.3 * sqrt(9)
+                            whole_space()).step_at(1)
         report = validate_constants(step, samples=400, seed=1)
         assert report.regularizer_lipschitz_margin <= 1e-10
 
@@ -346,12 +337,16 @@ class TestValidateConstants:
         rng = np.random.default_rng(9)
         A = rng.normal(size=(4, 9))
         b = rng.normal(size=4)
-        step = _least_squares_step(A, b, eta=0.3, B=0.3)  # needs 0.3*sqrt(9)
+        step = dataclasses.replace(  # needs 0.3 * sqrt(9)
+            lasso_stream(A[None], b[None], 0.3, whole_space()).step_at(1),
+            regularizer_lipschitz=0.3)
         report = validate_constants(step, samples=400, seed=1)
         assert report.regularizer_lipschitz_margin > 0.0
 
     def test_rejects_zero_samples(self):
         rng = np.random.default_rng(10)
-        step = _least_squares_step(rng.normal(size=(3, 3)), rng.normal(size=3))
+        step = lasso_stream(rng.normal(size=(1, 3, 3)),
+                            rng.normal(size=(1, 3)), 0.0,
+                            whole_space()).step_at(1)
         with pytest.raises(ValueError):
             validate_constants(step, samples=0)

@@ -10,27 +10,17 @@ from hypothesis import strategies as st
 from ompd import (CompositeLossStep, ErrorModel, MissingOptimaError,
                   OptimumError, RegimeMismatchError, SolverConfig, ball, box,
                   certified_margin, dynamic_regret, euclidean_generator,
-                  fill_optima, l1_rule, ledger_from_trace, offline_optimum,
-                  prox, recursion_bound, run, stream_optima, theorem_rhs,
+                  fill_optima, ledger_from_trace, offline_optimum, prox,
+                  recursion_bound, run, stream_optima, theorem_rhs,
                   whole_space, zero_error_model, zero_rule)
 from ompd import experiments, regret
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               generate_gauss_markov, generate_separation,
-                              lasso_optima_batch, tracking_stream)
+                              lasso_optima_batch, lasso_stream,
+                              tracking_stream)
 from ompd.solver import RunTrace
 
 EUCLID = euclidean_generator()
-
-
-def _lasso_step(A, b, eta):
-    n = A.shape[1]
-    return CompositeLossStep(
-        smooth_value=lambda x: float(np.dot(A @ x - b, A @ x - b)),
-        smooth_gradient=lambda x: 2.0 * (A.T @ (A @ x - b)),
-        nonsmooth_value=lambda x: eta * float(np.sum(np.abs(x))),
-        smoothness_constant=2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1]),
-        regularizer_lipschitz=eta * np.sqrt(n),
-        prox_handle=l1_rule(eta), dim=n)
 
 
 def _lasso_coordinate_descent(A, b, eta, iters=20000):
@@ -81,7 +71,7 @@ class TestOfflineOptimum:
         A = rng.normal(size=(5, 3))
         b = rng.normal(size=5)
         eta = 0.4
-        step = _lasso_step(A, b, eta)
+        step = lasso_stream(A[None], b[None], eta, whole_space()).step_at(1)
         x_star, _ = offline_optimum(step, whole_space(), tol=1e-11)
         oracle = _lasso_coordinate_descent(A, b, eta)
         np.testing.assert_allclose(x_star, oracle, atol=1e-7)
@@ -321,8 +311,10 @@ class TestLassoOptimaBatch:
         tol = 1e-10
         optima, residuals = lasso_optima_batch(
             X, Y, eta, halfwidth=halfwidth, tol=tol)
-        f_star = [_lasso_step(X[t], Y[t], eta).total_value(optima[t])
-                  for t in range(3)]
+        domain = (whole_space() if halfwidth is None
+                  else box(-halfwidth, halfwidth, dim=n))
+        stream = lasso_stream(X, Y, eta, domain)
+        f_star = stream.total_values(optima)
         assert np.all(residuals <= tol)
         # the test certifies that -grad g(p) lies within 2 * residual of the
         # subdifferential of eta ||.||_1 (plus the box) at the returned p
@@ -336,11 +328,8 @@ class TestLassoOptimaBatch:
         assert np.all(np.abs(c[on] - eta * np.sign(optima[on])) <= slack)
         assert np.all(c[optima == w] >= eta - slack)
         assert np.all(c[optima == -w] <= -eta + slack)
-        domain = (whole_space() if halfwidth is None
-                  else box(-halfwidth, halfwidth, dim=n))
         for t in range(3):
-            _, f_ref = offline_optimum(_lasso_step(X[t], Y[t], eta), domain,
-                                       tol=tol)
+            _, f_ref = offline_optimum(stream.step_at(t + 1), domain, tol=tol)
             np.testing.assert_allclose(f_star[t], f_ref, rtol=1e-10,
                                        atol=1e-12)
 
