@@ -211,14 +211,21 @@ def lasso_stream(X, Y, eta: float, domain: Domain) -> ProblemStream:
     X_k and y_k row k of the (T, d, n) array ``X`` and the (T, d) array
     ``Y``. Step k declares the exact L_k = 2 lambda_max(X_k^T X_k) and
     B = eta sqrt(n), and all steps share one ``l1_rule(eta)``. Its optima
-    come from ``lasso_optima_batch``."""
+    come from ``lasso_optima_batch``. Data whose ||y_k||^2 (the loss at
+    the origin) or L_k overflows are refused."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if not (X.ndim == 3 and X.size and Y.shape == X.shape[:2]
             and 0.0 <= eta < np.inf and np.all(np.isfinite(X))
             and np.all(np.isfinite(Y))):
         raise ValueError(f"need finite (T >= 1, d >= 1, n >= 1) X, (T, d) Y "
                          f"and eta >= 0; got {X.shape}, {Y.shape}, eta={eta}")
-    (T, _, n), L = X.shape, _lasso_smoothness(X)
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        L = _lasso_smoothness(X)
+        ok = np.isfinite(L) & np.isfinite(np.einsum("td,td->t", Y, Y))
+    if not np.all(ok):
+        raise ValueError(f"need finite ||y_k||^2 and L_k; step "
+                         f"{np.argmin(ok) + 1} overflows")
+    T, _, n = X.shape
     B, rule = eta * np.sqrt(n), l1_rule(eta)
 
     def g(i, a):  # shared evaluators; a step binds its own index
@@ -742,7 +749,8 @@ def generate_separation(cfg: SeparationConfig):
     spectrum whose singular subspaces rotate slowly; foregrounds are a
     fixed sparse pattern. Returns (stream, truth) with truth holding the
     per-step background, the static foreground, its support mask, and the
-    observed matrices.
+    observed matrices. Frames M_k whose ||M_k||^2 (the loss at the origin)
+    overflows are refused.
     """
     rng = np.random.default_rng(cfg.seed)
     T, rows, cols, r = cfg.horizon, cfg.window, cfg.frame_dim, cfg.synth_rank
@@ -766,6 +774,11 @@ def generate_separation(cfg: SeparationConfig):
                                                     size=(rows, cols))
         U = _orthonormalize(RU @ U)
         V = _orthonormalize(RV @ V)
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        ok = np.isfinite(np.einsum("tij,tij->t", M, M))
+    if not np.all(ok):
+        raise ValueError(f"need finite ||M_k||^2; frame {np.argmin(ok) + 1} "
+                         f"overflows")
     m = rows * cols
     L_const = separation_smoothness(cfg)
     B_const = float(np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
@@ -909,15 +922,14 @@ def separation_blocks(trace_row: np.ndarray, cfg: SeparationConfig):
             trace_row[m:].reshape(cfg.window, cfg.frame_dim))
 
 
-def separation_f1(trace: RunTrace, truth, cfg: SeparationConfig,
-                  at: int = -1) -> float:
-    """Foreground support F1 of the recovered sparse block.
+def separation_f1(trace: RunTrace, truth, cfg: SeparationConfig) -> float:
+    """Foreground support F1 of the last iterate's sparse block.
 
     The ridge term shrinks on-support entries by roughly 1 + mu_S, so the
     detection threshold is half the smallest planted magnitude after that
     shrinkage.
     """
-    _, S_pred = separation_blocks(trace.iterates[at], cfg)
+    _, S_pred = separation_blocks(trace.iterates[-1], cfg)
     threshold = cfg.foreground_scale / (2.0 * (1.0 + cfg.mu_S))
     pred = np.abs(S_pred) > threshold
     true = truth["support"]

@@ -14,7 +14,8 @@ over the block, so ``step_seconds`` times the recursion alone
 (perfbench's per-step quantiles such as ``step_p50_us`` read lower than
 when the loop also did the bookkeeping). The gradient is always
 evaluated at the played point x_{k-1}, never at y_{k-1}. Per-step optima
-are filled later by the regret module.
+are filled later by the regret module. Both loops read the steps' declared
+L_k and B_k in ``_empty_trace`` alone, which checks them before a step.
 
 ``run_proximal_gradient`` is a deliberately self-contained Euclidean
 baseline, kept free of the generic mirror machinery so the two paths can
@@ -48,14 +49,28 @@ class SolverConfig:
 _BLOCK_ROWS = 512
 
 
-def _empty_trace(stream: ProblemStream, config: SolverConfig) -> RunTrace:
+def _empty_trace(stream: ProblemStream, config: SolverConfig, steps,
+                 sigma: float) -> RunTrace:
+    """The unplayed trace holding each step's declared L_k and B_k.
+
+    Raises ValueError naming the first step whose L_k is NaN or negative or
+    whose B_k is NaN, infinite or negative, then applies
+    ``check_step_size`` at max_k L_k and ``sigma``."""
     T, n = stream.horizon, stream.dim
+    L = np.fromiter((s.smoothness_constant for s in steps), float, T)
+    B = np.fromiter((s.regularizer_lipschitz for s in steps), float, T)
+    ok = (L >= 0.0) & (B >= 0.0) & (B < np.inf)
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise ValueError(f"step {k + 1} declares L_k = {L[k]} and B_k = "
+                         f"{B[k]}; need L_k >= 0 and finite B_k >= 0")
+    check_step_size(config.step_size, np.max(L), sigma)
     return RunTrace(
         horizon=T, dim=n,
         x0=np.array(config.initial_point, dtype=float),
         iterates=np.zeros((T, n)), grad_error_norms=np.zeros(T),
         eps=np.zeros(T), f_played=np.zeros(T), q_norms=np.zeros(T),
-        smoothness=np.zeros(T), reg_lipschitz=np.zeros(T),
+        smoothness=L, reg_lipschitz=B,
         step_seconds=np.zeros(T), step_size=config.step_size,
         domain_kind=stream.domain.kind,
         domain_diameter=stream.domain.diameter)
@@ -85,70 +100,52 @@ def _record(trace: RunTrace, stream: ProblemStream, steps, config, lo: int,
     trace.f_played[lo:hi] = stream.total_values(xs[lo:hi], steps[lo:hi], lo)
 
 
-def _solvers(steps, config: SolverConfig, domain) -> list:
-    """Each step's ``subproblem_solver``, made once per distinct rule.
-
-    Rules are told apart by identity, which ``steps`` keeps alive.
-    """
-    made = {}
-    solvers = []
-    for step in steps:
-        rule = step.prox_handle
-        solve = made.get(id(rule))
-        if solve is None:
-            solve = made[id(rule)] = subproblem_solver(
-                rule, config.generator, domain, config.step_size,
-                config.inner_tolerance)
-        solvers.append(solve)
-    return solvers
-
-
 def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
         steps=None) -> RunTrace:
     """Drive the inexact mirror step over the full stream.
 
     ``steps`` is ``stream.steps()``, built here unless the caller passes
-    the list it built for several runs on one stream. The form of the
-    subproblem solve is chosen before the loop, once for each distinct
-    prox rule (``subproblem_solver``). Each block of ``_BLOCK_ROWS`` steps
-    first takes its error draws from ``model.draws``, bit for bit the
-    per-step draws; the loop then runs the recursion only: per step one
-    gradient plus its error, and one ``inexact_mirror_prox`` call with the
-    solver of the step's rule and the step's prox offset. It keeps the
+    the list it built for several runs on one stream. A step's subproblem
+    solver (``subproblem_solver``) is built only when its prox rule is not
+    the previous step's. Each block of ``_BLOCK_ROWS`` steps first takes
+    its error draws from ``model.draws``, bit for bit the per-step draws;
+    the loop then runs the recursion only: per step one gradient plus its
+    error, and one ``inexact_mirror_prox`` call with the solver of the
+    step's rule and the step's prox offset. It keeps the
     noisy gradient and the prox point y_k in block buffers;
     ``step_seconds`` times exactly that, not the draws. After each block
     its played losses (``stream.total_values``) and error and q norms are
     filled in array calls, bit for bit the per-step values, so the
     scratch memory does not grow with the horizon.
 
-    Raises ValueError or StepSizeError up front, once per run, unless
-    0 < step_size <= 2 sigma_omega / max_k L_k (``check_step_size``; any
-    step at max_k L_k = 0). Raises SolverRunError if a subproblem fails
+    Raises ValueError or StepSizeError before any step (``_empty_trace``)
+    on a bad declared L_k or B_k at any step, or unless 0 < step_size <=
+    2 sigma_omega / max_k L_k. Raises SolverRunError if a subproblem fails
     mid-run, with the fully filled trace of the completed steps attached.
     """
     if steps is None:
         steps = stream.steps()
     elif len(steps) != stream.horizon:
         raise ValueError("steps do not cover the stream's horizon")
-    check_step_size(config.step_size,
-                    max(s.smoothness_constant for s in steps),
-                    config.generator.sigma_omega)
-    trace = _empty_trace(stream, config)
-    trace.smoothness[:] = [s.smoothness_constant for s in steps]
-    trace.reg_lipschitz[:] = [s.regularizer_lipschitz for s in steps]
+    trace = _empty_trace(stream, config, steps,
+                         config.generator.sigma_omega)
     T, n = stream.horizon, stream.dim
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (n,):
         raise ValueError("initial point dimension does not match the stream")
     rows = min(T, _BLOCK_ROWS)
     grads, ys = np.empty((rows, n)), np.empty((rows, n))
-    domain = stream.domain
-    solvers = _solvers(steps, config, domain)
+    domain, rule = stream.domain, None
     for lo in range(0, T, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, T)
         errors, offsets, radii = model.draws(lo, hi, n)
         for i in range(lo, hi):
-            step, solve, j = steps[i], solvers[i], i - lo
+            step, j = steps[i], i - lo
+            if step.prox_handle is not rule:
+                rule = step.prox_handle
+                solve = subproblem_solver(rule, config.generator, domain,
+                                          config.step_size,
+                                          config.inner_tolerance)
             t0 = time.perf_counter()
             grad = np.add(step.smooth_gradient(x), errors[j], out=grads[j])
             try:
@@ -200,8 +197,7 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     """
     steps = stream.steps()
     lam = config.step_size
-    check_step_size(lam, max(s.smoothness_constant for s in steps), 1.0)
-    trace = _empty_trace(stream, config)
+    trace = _empty_trace(stream, config, steps, 1.0)
     domain = stream.domain
     x = np.array(config.initial_point, dtype=float)
     for k, step in enumerate(steps, start=1):
@@ -228,8 +224,6 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
         trace.eps[i] = radius
         trace.f_played[i] = step.total_value(x_new)
         trace.q_norms[i] = np.linalg.norm(grad + (y - x) / lam)
-        trace.smoothness[i] = step.smoothness_constant
-        trace.reg_lipschitz[i] = step.regularizer_lipschitz
         trace.step_seconds[i] = time.perf_counter() - t0
         x = x_new
     return trace

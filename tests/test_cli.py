@@ -356,17 +356,58 @@ class TestRun:
                          "--out", str(tmp_path / f"o{i}")])
             assert code in (0, 1, 2), case
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("text, named", [
+        (EX1_SMALL + "[example1]\nobs_noise_std = 1e308\n", "need finite ("),
+        ("[run]\nexperiment = example1\nhorizon = 3\n"
+         "[example1]\nobs_noise_std = 1e308\n", "need finite ||y_k||^2"),
+        ("[run]\nexperiment = example2\nhorizon = 3\n[example2]\n"
+         "frame_dim = 8\nwindow = 4\nbackground_scale = 1e300\n",
+         "need finite ||M_k||^2"),
+    ], ids=["infinite-draws", "huge-noise", "huge-background"])
     def test_data_a_stream_refuses_is_a_config_error(self, tmp_path, capsys,
-                                                     command):
-        """obs_noise_std = 1e308 draws infinite observations, which
-        lasso_stream refuses before the oracle meets them."""
+                                                     command, text, named):
+        """obs_noise_std = 1e308 draws infinite observations at T = 30, which
+        lasso_stream refuses before the oracle meets them; at T = 3 the
+        draws are finite but ||y_k||^2 overflows, and a background of scale
+        1e300 overflows ||M_k||^2. No overflow warning is printed."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(EX1_SMALL + "[example1]\nobs_noise_std = 1e308\n")
+        cfg.write_text(text)
         code = main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: need finite")
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("text, named", [
+        (None, "config file not found"),
+        (EX1_SMALL + "[example3]\nhorizon = 3\n", "section [example3]"),
+        (EX2_SMALL + "[domain]\nkind = box\ndiameter = 1\n",
+         "example2 runs on the whole space"),
+        (EX1_SMALL + "[domain]\nkind = box\n", "key 'diameter'"),
+        (EX1_SMALL + "[domain]\nkind = ball\ndiameter = 1\n", "key 'kind'"),
+        ("[run]\nexperiment = example9\n", "key 'experiment'"),
+        (EX1_SMALL + "variant = all\n", "key 'variant'"),
+    ], ids=["missing-file", "unknown-section", "example2-box",
+            "box-without-diameter", "ball", "unknown-experiment",
+            "variant-all"])
+    def test_config_error_names_key_or_section(self, tmp_path, capsys,
+                                               command, text, named):
+        """``verify`` checks that its config exists before it resolves it,
+        so a missing file is its exit 4, a missing run configuration."""
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if command == "verify" and text is None:
+            assert code == 4 and err.startswith("verify: no run config")
+        else:
+            assert code == 2
+            assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("text, named", [

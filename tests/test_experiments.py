@@ -245,6 +245,8 @@ class TestLassoStream:
         (np.zeros((2, 3, 2)), np.zeros(2), 0.1),
         (np.full((2, 3, 2), np.nan), np.zeros((2, 3)), 0.1),
         (np.zeros((2, 3, 2)), np.full((2, 3), np.inf), 0.1),
+        (np.full((2, 3, 2), 1e200), np.zeros((2, 3)), 0.1),
+        (np.zeros((2, 3, 2)), np.array([[0, 0, 0], [0, 1e200, 0]]), 0.1),
         (np.zeros((2, 3, 2)), np.zeros((2, 3)), -0.1),
         (np.zeros((2, 3, 2)), np.zeros((2, 3)), np.inf),
         (np.zeros((2, 3, 2)), np.zeros((2, 3)), np.nan),

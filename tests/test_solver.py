@@ -9,11 +9,11 @@ import pytest
 
 from ompd import (CompositeLossStep, Domain, ErrorModel, InnerSolverError,
                   MissingOptimaError, ProblemStream, SolverConfig,
-                  SolverRunError, StepSizeError, box, euclidean_generator,
-                  fill_optima, l1_rule, negative_entropy_generator,
-                  nuclear_rule, run, run_proximal_gradient, simplex,
-                  stream_optima, whole_space, write_trace_csv,
-                  zero_error_model, zero_rule)
+                  SolverRunError, StepSizeError, ball, box,
+                  euclidean_generator, fill_optima, l1_rule,
+                  negative_entropy_generator, nuclear_rule, run,
+                  run_proximal_gradient, simplex, stream_optima, whole_space,
+                  write_trace_csv, zero_error_model, zero_rule)
 from ompd import prox, solver
 from ompd.experiments import (GaussMarkovConfig, SeparationConfig,
                               _error_model, generate_gauss_markov,
@@ -153,6 +153,39 @@ class TestRun:
                               initial_point=np.zeros(2))
         with pytest.raises(ValueError, match="step_size must be positive"):
             run(_static_stream(step, 5), config, zero_error_model())
+
+    @pytest.mark.parametrize("loop", [run, run_proximal_gradient],
+                             ids=["run", "baseline"])
+    @pytest.mark.parametrize("at", [1, 3])
+    @pytest.mark.parametrize("field, value", [
+        ("smoothness_constant", np.nan), ("smoothness_constant", -1.0),
+        ("regularizer_lipschitz", np.nan), ("regularizer_lipschitz", np.inf),
+        ("regularizer_lipschitz", -1.0)],
+        ids=["L-nan", "L-neg", "B-nan", "B-inf", "B-neg"])
+    def test_bad_declared_constant_refused_before_any_step(self, loop, at,
+                                                           field, value):
+        """A NaN or negative L_k, or a NaN, infinite or negative B_k, at the
+        first or a middle step of a 6-step stream is a ValueError naming
+        that step, raised before any gradient is taken."""
+        stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
+                                    whole_space(), eta=0.1)
+        gradients = []
+
+        def step_at(k):
+            step = stream.step_at(k)
+            grad = step.smooth_gradient
+            step = dataclasses.replace(
+                step, smooth_gradient=lambda x: gradients.append(k) or grad(x))
+            if k == at:
+                step = dataclasses.replace(step, **{field: value})
+            return step
+
+        config = SolverConfig(step_size=0.25, generator=EUCLID,
+                              initial_point=np.zeros(2))
+        model = ErrorModel(gradient_std=0.1, prox_std=0.1, seed=3)
+        with pytest.raises(ValueError, match=f"^step {at} declares"):
+            loop(dataclasses.replace(stream, step_at=step_at), config, model)
+        assert not gradients
 
     def test_partial_trace_attached_on_mid_run_failure(self):
         """A refused prox/domain composition aborts with the prefix trace.
@@ -390,6 +423,24 @@ class TestEuclideanEquivalence:
             np.testing.assert_array_equal(mirror.iterates[-1],
                                           [0.25, -1.25, 0.0])
 
+    @pytest.mark.parametrize("model", [
+        zero_error_model(), ErrorModel(gradient_std=0.1, prox_std=0.1, seed=8),
+    ], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("eta", [0.0, 0.2])
+    @pytest.mark.parametrize("domain", [
+        box(-0.3, 0.3, dim=4), box(0.0, 0.5, dim=4), ball(1.0), simplex(4)],
+        ids=["box", "nonnegative-box", "ball", "simplex"])
+    def test_bounded_paths_agree_bit_for_bit(self, domain, eta, model):
+        """The baseline's projections, its simplex l1 branch and its zero
+        rule, against the composed prox of ``run``."""
+        centers = np.random.default_rng(9).normal(0.2, 0.5, (30, 4))
+        stream, _ = tracking_stream(centers, domain, eta=eta)
+        config = SolverConfig(step_size=0.3, generator=EUCLID,
+                              initial_point=np.full(4, 0.25))
+        mirror = run(stream, config, model)
+        baseline = run_proximal_gradient(stream, config, model)
+        np.testing.assert_array_equal(mirror.iterates, baseline.iterates)
+
     def test_zero_error_static_quadratic_matches_classical_trajectory(self):
         A = np.diag([1.0, 3.0])
         c = np.array([0.5, -0.5])
@@ -435,14 +486,19 @@ class TestTraceCsv:
             write_trace_csv(trace, tmp_path / "trace.csv")
 
 
-def test_one_subproblem_solver_per_distinct_rule():
-    stream = _alternating_rule_stream(box(-1.0, 1.0, dim=6))
-    config = SolverConfig(step_size=0.3, generator=EUCLID,
-                          initial_point=np.zeros(stream.dim))
-    solvers = solver._solvers(stream.steps(), config, stream.domain)
-    assert len(solvers) == stream.horizon
-    assert len({id(solve) for solve in solvers}) == 3
-    assert solvers[0] is solvers[3] and solvers[0] is not solvers[1]
+def test_one_subproblem_solver_for_a_stream_of_one_rule(monkeypatch):
+    """example1's steps share one l1 rule, so ``run`` builds one solver
+    across all its blocks."""
+    cfg = GaussMarkovConfig(horizon=40, seed=3)
+    stream, _ = generate_gauss_markov(cfg)
+    config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
+                          initial_point=np.zeros(cfg.n_coeffs))
+    built, real = [], solver.subproblem_solver
+    monkeypatch.setattr(solver, "subproblem_solver",
+                        lambda *a: built.append(a) or real(*a))
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 7)
+    run(stream, config, ErrorModel(gradient_std=0.05, prox_std=0.05, seed=4))
+    assert len(built) == 1
 
 
 def _run_peak(T, model):
@@ -471,11 +527,11 @@ def _run_peak(T, model):
     ErrorModel(gradient_std=0.05, prox_std=0.05, seed=9)],
     ids=["exact", "inexact"])
 def test_run_scratch_does_not_grow_with_the_horizon(model):
-    """Beyond the trace's own arrays ((n + 7) floats a step) and the step
-    solvers' list, ``run`` keeps block-sized scratch only: the error
-    draws too are made one block at a time."""
+    """Beyond the trace's own arrays ((n + 7) floats a step), ``run`` keeps
+    block-sized scratch only: the error draws too are made one block at a
+    time."""
     n = GaussMarkovConfig().n_coeffs
-    per_step = (n + 8) * 8
+    per_step = (n + 7) * 8
     growth = _run_peak(4096, model) - _run_peak(1024, model)
     assert growth <= 3072 * per_step + 64 * 1024
 
