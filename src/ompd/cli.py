@@ -28,10 +28,10 @@ Exit codes, with the errors of ``experiments.verify`` that map to them:
     0  success
     1  a run failed mid-stream; bound_violated, or step_size (a step size
        above 2 sigma_omega / max_k L_k)
-    2  configuration parse or validation error
+    2  configuration parse or validation error, a missing --config included
     3  output directory refused: nonempty and --overwrite not given, or
        not creatable (an existing file, or a path under one)
-    4  run_config.cfg missing; missing_trace or unreadable_trace
+    4  OUT/run_config.cfg missing; missing_trace or unreadable_trace
     5  a sanity check of bound_state.csv: f_star, sanity (f_x - f_star),
        norms (e_norm, eps, q_norm) or x0 (row k = 0)
     6  constants: a recorded L_k or B_k below its exact value
@@ -262,14 +262,14 @@ def cmd_run(args) -> int:
         R_T = res.regret[-1]
         print(f"variant={variant} R_T={R_T:.6g} "
               f"R_T_over_T={R_T / res.trace.horizon:.6g} "
-              f"bound_margin={res.rhs[-1] - R_T:.6g}")
+              f"worst_margin={res.margin:.6g}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     out_dir = args.out
     cfg_path = args.config or os.path.join(out_dir, "run_config.cfg")
-    if not os.path.exists(cfg_path):
+    if not (args.config or os.path.exists(cfg_path)):  # a --config: exit 2
         print(f"verify: no run configuration at {cfg_path}", file=sys.stderr)
         return EXIT_MISSING
     try:

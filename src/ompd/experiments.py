@@ -440,6 +440,10 @@ class ExperimentResult:
     rhs: np.ndarray
     regret: np.ndarray
 
+    @property
+    def margin(self) -> float:  # the number ``verify`` prints
+        return certified_margin(self.regret, self.rhs)
+
 
 def _error_model(error_std: float, variant: str, seed: int) -> ErrorModel:
     if variant not in VARIANTS:
@@ -592,8 +596,9 @@ def verify(row: Experiment, cfg, domain: Optional[Domain], out_dir: str,
             return fail("step_size")
         rebuilt = trace_from_state(state, lam, stream.domain.kind,
                                    stream.domain.diameter)
-        worst = certified_margin(rebuilt, ledger_from_trace(
-            rebuilt, generator, lam, stream.domain))
+        ledger = ledger_from_trace(rebuilt, generator, lam, stream.domain)
+        worst = certified_margin(dynamic_regret(rebuilt),
+                                 bound_terms(rebuilt, ledger)["RHS"])
         line = f"variant={variant} worst_margin={worst:.6g}"
         if not 0.0 <= worst < np.inf:
             return "bound_violated", line + " error=bound_violated"

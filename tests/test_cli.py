@@ -115,7 +115,7 @@ class TestRun:
         assert len(lines) == 2
         for line in lines:
             keys = [tok.split("=")[0] for tok in line.split()]
-            assert keys == ["variant", "R_T", "R_T_over_T", "bound_margin"]
+            assert keys == ["variant", "R_T", "R_T_over_T", "worst_margin"]
 
     def test_single_variant_flag(self, tmp_path):
         out = tmp_path / "res"
@@ -394,19 +394,17 @@ class TestRun:
             "variant-all"])
     def test_config_error_names_key_or_section(self, tmp_path, capsys,
                                                command, text, named):
-        """``verify`` checks that its config exists before it resolves it,
-        so a missing file is its exit 4, a missing run configuration."""
+        """An explicit ``--config`` that does not exist is a config error
+        for both commands; only a missing default OUT/run_config.cfg is
+        ``verify``'s exit 4 (``test_missing_config_exit_4``)."""
         cfg = tmp_path / "run.cfg"
         if text is not None:
             cfg.write_text(text)
         code = main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        if command == "verify" and text is None:
-            assert code == 4 and err.startswith("verify: no run config")
-        else:
-            assert code == 2
-            assert err.startswith("config error:") and named in err
+        assert code == 2
+        assert err.startswith("config error:") and named in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
@@ -851,12 +849,37 @@ class TestVerify:
     def test_verify_reports_worst_margin_value(self, tmp_path, capsys):
         code, out = _run_example1(tmp_path)
         assert code == 0
+        capsys.readouterr()  # run prints worst_margin too
         main(["verify", "--out", str(out)])
         report = capsys.readouterr().out
         margins = [float(tok.split("=")[1]) for line in report.splitlines()
                    for tok in line.split() if tok.startswith("worst_margin=")]
         assert len(margins) == 2
         assert all(m >= 0.0 for m in margins)
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nexperiment = example1\nseed = 3\nhorizon = 40\n",
+        "[run]\nexperiment = example2\nhorizon = 10\n"
+        "[example2]\nframe_dim = 8\nwindow = 4\n"],
+        ids=["example1", "example2"])
+    def test_run_and_verify_print_the_same_margin(self, tmp_path, capsys,
+                                                  text):
+        """Both commands print ``regret.certified_margin`` of the same
+        prefix curves; ``run`` used to print the final-T RHS_T - R_T and
+        ``verify`` the prefix minimum plus 1e-6 T'."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "res"
+        cfg.write_text(text)
+
+        def margins(argv):
+            assert main(argv) == 0
+            return [" ".join(tok for tok in line.split()
+                             if tok.startswith(("variant=", "worst_margin=")))
+                    for line in capsys.readouterr().out.splitlines()]
+
+        played = margins(["run", "--config", str(cfg), "--variant", "both",
+                          "--out", str(out)])
+        assert len(played) == 2
+        assert margins(["verify", "--out", str(out)]) == played
 
     def test_nan_played_loss_is_not_certified(self, tmp_path, capsys,
                                               ex1_exact_run):

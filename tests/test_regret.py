@@ -582,8 +582,9 @@ class TestNonEuclideanCertification:
                  else ErrorModel(gradient_std=0.05, prox_std=0.02, seed=1))
         trace = run(stream, config, model)
         fill_optima(trace, stream, optima=optima)
-        ledger = ledger_from_trace(trace, gen, 0.3, dom)
-        assert certified_margin(trace, ledger) >= 0.0
+        rhs = regret.bound_terms(trace, ledger_from_trace(trace, gen, 0.3,
+                                                          dom))["RHS"]
+        assert certified_margin(dynamic_regret(trace), rhs) >= 0.0
         if variant == "exact":
             # the inner solver's residual bound is folded into eps
             assert np.all(trace.eps > 0.0)
@@ -603,8 +604,9 @@ class TestNonEuclideanCertification:
         fill_optima(trace, stream, optima=optima)
         # declared constants are only valid where the iterates live
         assert trace.iterates.min() >= 0.2 and trace.iterates.max() <= 1.0
-        ledger = ledger_from_trace(trace, gen, 0.3, whole_space())
-        assert certified_margin(trace, ledger) >= 0.0
+        rhs = regret.bound_terms(trace, ledger_from_trace(
+            trace, gen, 0.3, whole_space()))["RHS"]
+        assert certified_margin(dynamic_regret(trace), rhs) >= 0.0
 
 
 class TestTheoremRhs:
@@ -721,7 +723,8 @@ class TestTheoremRhs:
                                        tol=1e-10)
         fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
-        assert certified_margin(trace, ledger) >= 0.0
+        rhs = regret.bound_terms(trace, ledger)["RHS"]
+        assert certified_margin(dynamic_regret(trace), rhs) >= 0.0
         # S_i and tau_i of the module docstring, from the ledger and trace
         T, lam, sig, G = trace.horizon, cfg.step_size, 1.0, 1.0
         s = ledger.s
@@ -738,6 +741,19 @@ class TestTheoremRhs:
             assert gaps[i - 1] <= recursion_bound(S, tau, i) + 1e-6
 
 
+def _static_quadratic_margin(r, a, domain):
+    """``certified_margin`` of T = 200 exact steps on f_k(x) = a x^2 from
+    x0 = 1 at r = lam L / sigma = 2 a lam, over ``domain``."""
+    lam = r / (2.0 * a)
+    stream, optima = tracking_stream(np.zeros((200, 1)), domain, a=a)
+    config = SolverConfig(step_size=lam, generator=EUCLID,
+                          initial_point=np.ones(1))
+    trace = fill_optima(run(stream, config, ErrorModel()), stream, optima)
+    rhs = regret.bound_terms(trace, ledger_from_trace(trace, EUCLID, lam,
+                                                      domain))["RHS"]
+    return certified_margin(dynamic_regret(trace), rhs)
+
+
 class TestStepSizeAboveOneOverL:
     """ROADMAP item 1: the bound at r = lam L / sigma in (1, 2], which
     ``run`` accepts. On f_k(x) = x^2 from x0 = 1 with optima 0, no drift
@@ -748,11 +764,24 @@ class TestStepSizeAboveOneOverL:
         1.7, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
                                      reason="ROADMAP item 1"))])
     def test_static_quadratic_certifies(self, r):
-        T, lam = 200, r * EUCLID.sigma_omega / 2.0
-        stream, optima = tracking_stream(np.zeros((T, 1)), whole_space())
-        config = SolverConfig(step_size=lam, generator=EUCLID,
-                              initial_point=np.ones(1))
-        model = ErrorModel(gradient_std=0.0, prox_std=0.0, seed=0)
-        trace = fill_optima(run(stream, config, model), stream, optima)
-        ledger = ledger_from_trace(trace, EUCLID, lam, whole_space())
-        assert certified_margin(trace, ledger) >= 0.0
+        assert _static_quadratic_margin(r, 1.0, whole_space()) >= 0.0
+
+
+class TestScaleFreeMargin:
+    """ROADMAP item 16: the margin has no absolute allowance. Scaling item
+    1's x^2 stream by a power of two (a -> s a, lam -> lam / s) leaves the
+    iterates bit-identical and scales R, RHS and the margin exactly, so a
+    small enough stream cannot certify a false bound. With 1e-6 T' of
+    slack, r = 1.7 at s = 2^-20 certified with a margin of +1.09e-6."""
+
+    @pytest.mark.parametrize("domain", [whole_space(), box(-2.0, 2.0, dim=1)],
+                             ids=["whole_space", "box"])
+    @pytest.mark.parametrize("r, sign", [(1.6, 1.0), (1.7, -1.0)])
+    def test_power_of_two_rescaling_keeps_the_sign(self, domain, r, sign):
+        s = 2.0 ** -20
+        unit = _static_quadratic_margin(r, 1.0, domain)
+        scaled = _static_quadratic_margin(r, s, domain)
+        assert np.sign(unit) == np.sign(scaled) == sign
+        assert scaled == unit * s
+        if r == 1.7:
+            assert unit == pytest.approx(-0.372549, abs=5e-7)
