@@ -23,10 +23,9 @@ from .prox import (BlockRule, ProxRule, block_rule, composed_prox,
                    inexact_mirror_prox, l1_rule, nuclear_rule,
                    singular_value_threshold, soft_threshold, subproblem_solver,
                    zero_rule)
-from .regret import (BoundLedger, certified_margin, dynamic_regret,
-                     fill_optima, ledger_from_trace, offline_optimum,
-                     recursion_bound, stream_optima, theorem_rhs,
-                     write_bound_csv)
+from .regret import (certified_margin, dynamic_regret, fill_optima,
+                     ledger_from_trace, offline_optimum, recursion_bound,
+                     stream_optima, theorem_rhs, write_bound_csv)
 from .solver import (RunTrace, SolverConfig, run, run_proximal_gradient,
                      write_trace_csv)
 

@@ -26,8 +26,9 @@ run share the problem stream and differ only in error draws.
 
 Exit codes, with the errors of ``experiments.verify`` that map to them:
     0  success
-    1  a run failed mid-stream; bound_violated, or step_size (a step size
-       above 2 sigma_omega / max_k L_k)
+    1  a run failed mid-stream; bound_violated (``run`` too, once its files
+       are written, when a margin is negative or nonfinite), or step_size
+       (a step size above 2 sigma_omega / max_k L_k)
     2  configuration parse or validation error, a missing --config included
     3  output directory refused: nonempty and --overwrite not given, or
        not creatable (an existing file, or a path under one)
@@ -258,12 +259,16 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     _write_resolved_config(config_path, manifest, cfg)
+    code = EXIT_OK
     for variant, res in results.items():
-        R_T = res.regret[-1]
-        print(f"variant={variant} R_T={R_T:.6g} "
-              f"R_T_over_T={R_T / res.trace.horizon:.6g} "
-              f"worst_margin={res.margin:.6g}")
-    return EXIT_OK
+        R_T, margin = res.regret[-1], res.margin
+        line = (f"variant={variant} R_T={R_T:.6g} "
+                f"R_T_over_T={R_T / res.trace.horizon:.6g} "
+                f"worst_margin={margin:.6g}")
+        if not 0.0 <= margin < np.inf:  # as verify judges the directory
+            line, code = line + " error=bound_violated", EXIT_FAIL
+        print(line)
+    return code
 
 
 def cmd_verify(args) -> int:

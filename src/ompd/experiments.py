@@ -34,9 +34,8 @@ from .losses import (CompositeLossStep, Domain, ErrorModel, ProblemStream,
 from .prox import (_prox_gradient_point, block_rule, check_step_size,
                    composed_prox, l1_rule, nuclear_rule, prox_gradient,
                    zero_rule)
-from .regret import (OPTIMUM_TOL_DEFAULT, bound_terms, certified_margin,
-                     dynamic_regret, fill_optima, ledger_from_trace,
-                     stream_optima, write_bound_csv)
+from .regret import (OPTIMUM_TOL_DEFAULT, certified_margin, fill_optima,
+                     ledger_from_trace, stream_optima, write_bound_csv)
 from .runio import (RunTrace, one_per_path, read_state_csv, trace_from_state,
                     write_state_csv, write_table, write_tables)
 from .solver import SolverConfig, run, write_trace_csv
@@ -514,14 +513,14 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
                 np.arange(1, exc.trace.horizon + 1), exc.trace.f_played])
         raise
     del steps
-    terms, evaluated = {}, {}
-    for model, trace in played.items():
-        fill_optima(trace, stream, optima)
-        terms[model] = bound_terms(trace, ledger_from_trace(
-            trace, config.generator, step_size, stream.domain))
-        evaluated[model] = ExperimentResult(
-            trace=trace, rhs=terms[model]["RHS"], regret=dynamic_regret(trace))
-    results = {variant: evaluated[model] for variant, model in models.items()}
+    tables = {model: ledger_from_trace(fill_optima(trace, stream, optima),
+                                       config.generator, step_size,
+                                       stream.domain)
+              for model, trace in played.items()}
+    results = {variant: ExperimentResult(trace=played[model],
+                                         rhs=tables[model]["RHS"],
+                                         regret=tables[model]["R"])
+               for variant, model in models.items()}
     if out_dir is not None:
         vdirs = [os.path.join(out_dir, variant) for variant in models]
         for vdir in vdirs:
@@ -532,8 +531,7 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
 
         traces = [res.trace for res in results.values()]
         write_trace_csv(traces, *paths("trace.csv"))
-        write_bound_csv([res.regret for res in results.values()],
-                        [terms[model] for model in models.values()],
+        write_bound_csv([tables[model] for model in models.values()],
                         *paths("bound.csv"))
         write_state_csv(traces, *paths("bound_state.csv"))
         row.tables(traces, vdirs, cfg, truth)
@@ -596,9 +594,8 @@ def verify(row: Experiment, cfg, domain: Optional[Domain], out_dir: str,
             return fail("step_size")
         rebuilt = trace_from_state(state, lam, stream.domain.kind,
                                    stream.domain.diameter)
-        ledger = ledger_from_trace(rebuilt, generator, lam, stream.domain)
-        worst = certified_margin(dynamic_regret(rebuilt),
-                                 bound_terms(rebuilt, ledger)["RHS"])
+        table = ledger_from_trace(rebuilt, generator, lam, stream.domain)
+        worst = certified_margin(table["R"], table["RHS"])
         line = f"variant={variant} worst_margin={worst:.6g}"
         if not 0.0 <= worst < np.inf:
             return "bound_violated", line + " error=bound_violated"

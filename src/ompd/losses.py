@@ -88,7 +88,8 @@ def box(lo, hi, dim: Optional[int] = None) -> Domain:
             raise ValueError(f"box bound {name} must be finite")
     if np.any(hi <= lo):
         raise ValueError("box bounds must satisfy lo < hi")
-    diameter = float(np.linalg.norm(hi - lo))
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        diameter = float(np.linalg.norm(hi - lo))
     if not math.isfinite(diameter):
         raise ValueError(f"box diameter must be finite, got {diameter}")
     lo, hi = lo + 0.0, hi.copy()  # the box owns its bounds; -0.0 -> +0.0

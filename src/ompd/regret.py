@@ -1,7 +1,7 @@
 """Dynamic regret, per-step offline optima, and regret bound evaluation.
 
 The bound is built from sums over the run, each formed at every prefix
-horizon T' by ``bound_terms``, and nowhere else:
+horizon T' by ``ledger_from_trace``, and nowhere else:
 
     s_k       = ||x_k* - x_{k-1}*||  (optimum drift; s_1 = 0 under the
                 convention x_0* := x_1*, and s_{T'+1} = 0)
@@ -11,10 +11,11 @@ horizon T' by ``bound_terms``, and nowhere else:
 plus the regime constant D (2B on the whole space; on bounded domains
 2B + max_k ||grad g_k(x_{k-1}) + e_k + grad V(y_k, x_{k-1})/lam||) and
 the start cost Z0 = V(x_0*, x_0) / lam (its drift term G s_1 ||x_0* -
-x_0|| vanishes with s_1), which ``BoundLedger`` holds with the drift.
+x_0|| vanishes with s_1).
 
-``bound_terms`` also returns the four terms of the certified bound on
-R_{T'} and, under ``RHS``, their left-to-right sum (``RHS_TERMS``):
+``ledger_from_trace`` returns these with the prefix regret, under ``R``,
+and the four terms of the certified bound on R_{T'} and, under ``RHS``,
+their left-to-right sum (``RHS_TERMS``):
 
     Z0 + D P + (G - sigma/2) SigmaBar / lam + error,
 
@@ -36,7 +37,6 @@ sums, not the terms: T, R_T, RHS_T, Sigma_T, SigmaBar_T, E_T, P_T, margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -101,49 +101,50 @@ def dynamic_regret(trace: RunTrace) -> np.ndarray:
     return np.cumsum(trace.f_played - trace.f_star)
 
 
-@dataclass
-class BoundLedger:
-    """The regret bound's constants and the optimum drift of one run.
-
-    ``s`` is 1-based with s[0] unused: s[k] for k = 1..T is the optimum
-    drift and s[T+1] = 0; ``bound_terms`` forms the sums over it.
-    """
-
-    s: np.ndarray
-    D: float
-    Z0: float
-    lam: float
-    sigma_omega: float
-    g_omega: float
-    domain_kind: str
-    diameter: Optional[float]
-
-
 def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
-                      domain: Domain) -> BoundLedger:
-    """Fold one completed trace into the bound's constants and drift."""
+                      domain: Domain) -> dict:
+    """The certified bound of one completed trace (module docstring).
+
+    Returns named arrays with one entry per prefix T' = 1..T: the regret
+    ``R`` (``dynamic_regret``), ``Sigma``, ``SigmaBar``, ``E``, ``P``, the
+    ``RHS_TERMS`` in the domain's regime and their sum ``RHS``, with the
+    horizon-T' convention s_{T'+1} = 0 and the full-horizon D, which only
+    enlarges earlier prefixes (a running max). Also the drift ``s`` (s_k
+    at index k - 1), the scalar ``D`` and the domain's ``kind``.
+    """
     if not trace.has_optima():
         raise MissingOptimaError("fill_optima before building the ledger")
     T = trace.horizon
     opt = trace.optima
-    s = np.zeros(T + 2)
+    s = np.zeros(T)  # s_1 = 0 under the x_0* := x_1* convention
     if T >= 2:
-        s[2:T + 1] = np.linalg.norm(np.diff(opt, axis=0), axis=1)
-    # x_0* := x_1* convention: s[1] = 0, s[T+1] = 0 by definition.
+        s[1:] = np.linalg.norm(np.diff(opt, axis=0), axis=1)
     D = 2.0 * float(np.max(trace.reg_lipschitz))
     if domain.kind == "bounded":
         D += float(np.max(trace.q_norms))
-    return BoundLedger(
-        s=s, D=D, Z0=divergence(gen, opt[0], trace.x0) / lam, lam=lam,
-        sigma_omega=gen.sigma_omega, g_omega=gen.g_omega,
-        domain_kind=domain.kind, diameter=domain.diameter)
+    Z0 = divergence(gen, opt[0], trace.x0) / lam
+    sigma, G = gen.sigma_omega, gen.g_omega
+    Sigma, SigmaBar = np.cumsum(s), np.cumsum(s ** 2)
+    E, P = np.cumsum(trace.grad_error_norms), np.cumsum(trace.eps)
+    C = E + (G / lam) * (Sigma + P)
+    if domain.kind == "bounded":
+        error = domain.diameter * C
+    else:
+        S = ((2.0 * lam / sigma) * Z0 + (2.0 * lam * D / sigma) * P
+             + (2.0 * G / sigma - 1.0) * SigmaBar)
+        error = ((2.0 * lam / sigma) * C + np.sqrt(S)) * C
+    table = {"R": dynamic_regret(trace), "s": s, "D": D, "kind": domain.kind,
+             "Sigma": Sigma, "SigmaBar": SigmaBar, "E": E, "P": P,
+             "Z0": np.full(T, Z0), "DP": D * P,
+             "curvature": (G - 0.5 * sigma) / lam * SigmaBar, "error": error}
+    table["RHS"] = sum(map(table.get, RHS_TERMS[1:]), table[RHS_TERMS[0]])
+    return table
 
 
 def recursion_bound(S, tau, i: int) -> float:
     """Upper bound on u_i for u_i^2 <= S_i + sum_{k<=i} tau_k u_k.
 
-    S is indexed 0..T (S_0 included) and tau 1-based with index 0 unused,
-    like the ledger's ``s``.
+    S is indexed 0..T (S_0 included) and tau 1-based with index 0 unused.
     """
     S = np.asarray(S, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -157,57 +158,33 @@ def recursion_bound(S, tau, i: int) -> float:
     return half_tau + float(np.sqrt(S[i] + half_tau ** 2))
 
 
-def bound_terms(trace: RunTrace, ledger: BoundLedger) -> dict:
-    """Named prefix arrays, T' = 1..T: ``Sigma``, ``SigmaBar``, ``E``, ``P``,
-    the ``RHS_TERMS`` in the ledger's regime (module docstring) and their
-    sum ``RHS``, with the horizon-T' convention s_{T'+1} = 0 and the
-    full-horizon D, which only enlarges earlier prefixes (a running max)."""
-    T = trace.horizon
-    lam, sigma, G = ledger.lam, ledger.sigma_omega, ledger.g_omega
-    s = ledger.s[1:T + 1]
-    Sigma, SigmaBar = np.cumsum(s), np.cumsum(s ** 2)
-    E, P = np.cumsum(trace.grad_error_norms), np.cumsum(trace.eps)
-    C = E + (G / lam) * (Sigma + P)
-    if ledger.domain_kind == "bounded":
-        error = ledger.diameter * C
-    else:
-        S = ((2.0 * lam / sigma) * ledger.Z0
-             + (2.0 * lam * ledger.D / sigma) * P
-             + (2.0 * G / sigma - 1.0) * SigmaBar)
-        error = ((2.0 * lam / sigma) * C + np.sqrt(S)) * C
-    terms = {"Sigma": Sigma, "SigmaBar": SigmaBar, "E": E, "P": P,
-             "Z0": np.full(T, ledger.Z0), "DP": ledger.D * P,
-             "curvature": (G - 0.5 * sigma) / lam * SigmaBar, "error": error}
-    terms["RHS"] = sum(map(terms.get, RHS_TERMS[1:]), terms[RHS_TERMS[0]])
-    return terms
-
-
-def theorem_rhs(ledger: BoundLedger, trace: RunTrace,
-                regime: str) -> np.ndarray:
-    """Certified regret bound at every prefix T' = 1..T (``bound_terms``)."""
+def theorem_rhs(ledger: dict, trace: RunTrace, regime: str) -> np.ndarray:
+    """``ledger["RHS"]`` of a ``ledger_from_trace`` table, once ``regime``
+    is checked against its domain. ``trace`` is unread: the signature stays
+    for perfbench's mirror_box, its last caller, and ROADMAP item 14
+    deletes this function after item 11."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-    if regime != ledger.domain_kind:
+    if regime != ledger["kind"]:
         raise RegimeMismatchError(f"{regime} regime on a "
-                                  f"{ledger.domain_kind} domain")
-    return bound_terms(trace, ledger)["RHS"]
+                                  f"{ledger['kind']} domain")
+    return ledger["RHS"]
 
 
 BOUND_CSV_HEADER = "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin".split(",")
 
 
-def write_bound_csv(regrets, tables, *paths) -> None:
-    """Prefix regret and bound values, one row per horizon. ``regrets``
-    (``dynamic_regret``'s) and ``tables`` (``bound_terms``'s) are one value
-    each, or lists of one per path; the files are written together
-    (``runio.write_tables``)."""
-    def columns(R, terms):
-        return [np.arange(1, len(R) + 1), R, terms["RHS"], terms["Sigma"],
-                terms["SigmaBar"], terms["E"], terms["P"], terms["RHS"] - R]
+def write_bound_csv(tables, *paths) -> None:
+    """Prefix regret and bound values, one row per horizon. ``tables``
+    (``ledger_from_trace``'s) is one table, or a list of one per path; the
+    files are written together (``runio.write_tables``)."""
+    def columns(t):
+        R, rhs = t["R"], t["RHS"]
+        return [np.arange(1, len(R) + 1), R, rhs, t["Sigma"], t["SigmaBar"],
+                t["E"], t["P"], rhs - R]
 
-    write_tables(paths, BOUND_CSV_HEADER, [
-        columns(*run) for run in zip(one_per_path(regrets, paths),
-                                     one_per_path(tables, paths))])
+    write_tables(paths, BOUND_CSV_HEADER,
+                 [columns(t) for t in one_per_path(tables, paths)])
 
 
 def certified_margin(regret, rhs) -> float:

@@ -365,13 +365,18 @@ class TestRun:
         ("[run]\nexperiment = example2\nhorizon = 3\n[example2]\n"
          "frame_dim = 8\nwindow = 4\nbackground_scale = 1e300\n",
          "need finite ||M_k||^2"),
-    ], ids=["infinite-draws", "huge-noise", "huge-background"])
+        (EX1_SMALL.replace("horizon = 30", "horizon = 5")
+         + "[domain]\nkind = box\ndiameter = 1e308\n",
+         "box diameter must be finite, got inf"),
+    ], ids=["infinite-draws", "huge-noise", "huge-background",
+            "huge-diameter"])
     def test_data_a_stream_refuses_is_a_config_error(self, tmp_path, capsys,
                                                      command, text, named):
         """obs_noise_std = 1e308 draws infinite observations at T = 30, which
         lasso_stream refuses before the oracle meets them; at T = 3 the
-        draws are finite but ||y_k||^2 overflows, and a background of scale
-        1e300 overflows ||M_k||^2. No overflow warning is printed."""
+        draws are finite but ||y_k||^2 overflows, a background of scale
+        1e300 overflows ||M_k||^2, and a box of diameter 1e308 has corners
+        whose distance overflows. No overflow warning is printed."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code = main([command, "--config", str(cfg),
@@ -513,6 +518,31 @@ class TestRun:
         expected = "k,f_x\n" + "".join(
             f"{k},{f:.17g}\n" for k, f in enumerate(trace.f_played[:3], 1))
         assert (out / "partial_trace.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("margin", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_violated_bound_exits_1_after_writing_the_run(
+            self, tmp_path, monkeypatch, capsys, margin):
+        """``run`` judges its margins as ``verify`` judges the directory:
+        once every file and run_config.cfg are written, a negative or
+        nonfinite one is ``error=bound_violated``, exit 1, for both."""
+        monkeypatch.setattr(experiments, "certified_margin",
+                            lambda regret, rhs: margin)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "res"
+        cfg.write_text(EX1_SMALL)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        tail = f" worst_margin={margin:.6g} error=bound_violated"
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "variant=exact", "variant=inexact"]
+        assert all(line.endswith(tail) for line in lines)
+        assert (out / "run_config.cfg").exists()
+        for variant in ("exact", "inexact"):
+            for name in ("trace.csv", "bound.csv", "bound_state.csv",
+                         "coefficients.csv"):
+                assert (out / variant / name).exists()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            line.split()[0] + tail for line in lines]
 
     @pytest.mark.parametrize("failure", ["optimum", "solver"])
     def test_failed_overwrite_leaves_nothing_to_verify(self, tmp_path,

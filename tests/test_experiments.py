@@ -113,8 +113,7 @@ class TestRunExample1:
         cfg = GaussMarkovConfig(horizon=60, seed=7)
         results = run_example1(cfg)
         for res in results.values():
-            Ts = np.arange(1, res.trace.horizon + 1)
-            assert np.all(res.regret <= res.rhs + 1e-6 * Ts)
+            assert res.margin >= 0.0
 
     def test_output_files_written(self, tmp_path):
         cfg = GaussMarkovConfig(horizon=15, seed=8)
@@ -633,9 +632,7 @@ class TestRunExample2:
     def test_certified_bound_holds(self):
         cfg = SeparationConfig(frame_dim=16, window=8, horizon=40, seed=17)
         results = run_example2(cfg, optimum_tol=1e-6)
-        res = results["exact"]
-        Ts = np.arange(1, res.trace.horizon + 1)
-        assert np.all(res.regret <= res.rhs + 1e-6 * Ts)
+        assert results["exact"].margin >= 0.0
 
     def test_snapshots_written(self, tmp_path, monkeypatch):
         cfg = SeparationConfig(frame_dim=12, window=6, horizon=20, seed=18)

@@ -437,20 +437,15 @@ class TestLedger:
         trace = _manual_trace(np.ones(5), np.ones(5), optima,
                               x0=np.array([1.0, 2.0]))
         ledger = ledger_from_trace(trace, EUCLID, 0.1, whole_space())
-        terms = regret.bound_terms(trace, ledger)
-        for name in ("Sigma", "SigmaBar", "E", "P"):
-            np.testing.assert_array_equal(terms[name], np.zeros(5))
-        np.testing.assert_array_equal(ledger.s[1:], np.zeros(6))
-        assert ledger.Z0 == 0.0
+        for name in ("Sigma", "SigmaBar", "E", "P", "s", "Z0"):
+            np.testing.assert_array_equal(ledger[name], np.zeros(5))
 
     def test_two_step_drift_arithmetic(self):
         optima = np.array([[0.0, 0.0], [3.0, 4.0]])
         trace = _manual_trace([1.0, 1.0], [1.0, 1.0], optima)
         ledger = ledger_from_trace(trace, EUCLID, 0.1, whole_space())
-        assert ledger.s[2] == 5.0
-        np.testing.assert_array_equal(
-            regret.bound_terms(trace, ledger)["SigmaBar"], [0.0, 25.0])
-        assert ledger.s[1] == 0.0 and ledger.s[3] == 0.0
+        np.testing.assert_array_equal(ledger["s"], [0.0, 5.0])
+        np.testing.assert_array_equal(ledger["SigmaBar"], [0.0, 25.0])
 
     def test_ledger_matches_independent_second_pass(self):
         """Brute-force recomputation from raw arrays, field by field, and
@@ -478,18 +473,16 @@ class TestLedger:
             ErrorModel(gradient_std=0.05, prox_std=0.05,
                        seed=4).gradient_error(k, cfg.n_coeffs)))
             for k in range(1, T + 1)])
-        np.testing.assert_array_equal(ledger.s[1:T + 1], s)
-        terms = regret.bound_terms(trace, ledger)
-        np.testing.assert_array_equal(terms["Sigma"], np.cumsum(s))
-        np.testing.assert_array_equal(terms["SigmaBar"], np.cumsum(s ** 2))
-        np.testing.assert_array_equal(terms["E"], np.cumsum(e2))
-        np.testing.assert_array_equal(terms["P"], np.cumsum(trace.eps))
+        np.testing.assert_array_equal(ledger["s"], s)
+        np.testing.assert_array_equal(ledger["Sigma"], np.cumsum(s))
+        np.testing.assert_array_equal(ledger["SigmaBar"], np.cumsum(s ** 2))
+        np.testing.assert_array_equal(ledger["E"], np.cumsum(e2))
+        np.testing.assert_array_equal(ledger["P"], np.cumsum(trace.eps))
         # the drift sum_{t=2..T'} s_t of the error coefficient C is Sigma,
         # since s_1 = 0
         np.testing.assert_array_equal(
-            np.concatenate(([0.0], np.cumsum(s[1:]))), terms["Sigma"])
-        assert ledger.D == 2.0 * cfg.eta * np.sqrt(cfg.n_coeffs)
-        assert ledger.s[T + 1] == 0.0
+            np.concatenate(([0.0], np.cumsum(s[1:]))), ledger["Sigma"])
+        assert ledger["D"] == 2.0 * cfg.eta * np.sqrt(cfg.n_coeffs)
 
     def test_bounded_domain_constant_uses_recorded_step_norms(self):
         cfg = GaussMarkovConfig(horizon=30, seed=5)
@@ -504,7 +497,7 @@ class TestLedger:
         fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, dom)
         B = cfg.eta * np.sqrt(cfg.n_coeffs)
-        assert ledger.D == 2.0 * B + float(np.max(trace.q_norms))
+        assert ledger["D"] == 2.0 * B + float(np.max(trace.q_norms))
 
 
 class TestRecursionBound:
@@ -582,9 +575,8 @@ class TestNonEuclideanCertification:
                  else ErrorModel(gradient_std=0.05, prox_std=0.02, seed=1))
         trace = run(stream, config, model)
         fill_optima(trace, stream, optima=optima)
-        rhs = regret.bound_terms(trace, ledger_from_trace(trace, gen, 0.3,
-                                                          dom))["RHS"]
-        assert certified_margin(dynamic_regret(trace), rhs) >= 0.0
+        ledger = ledger_from_trace(trace, gen, 0.3, dom)
+        assert certified_margin(ledger["R"], ledger["RHS"]) >= 0.0
         if variant == "exact":
             # the inner solver's residual bound is folded into eps
             assert np.all(trace.eps > 0.0)
@@ -604,9 +596,8 @@ class TestNonEuclideanCertification:
         fill_optima(trace, stream, optima=optima)
         # declared constants are only valid where the iterates live
         assert trace.iterates.min() >= 0.2 and trace.iterates.max() <= 1.0
-        rhs = regret.bound_terms(trace, ledger_from_trace(
-            trace, gen, 0.3, whole_space()))["RHS"]
-        assert certified_margin(dynamic_regret(trace), rhs) >= 0.0
+        ledger = ledger_from_trace(trace, gen, 0.3, whole_space())
+        assert certified_margin(ledger["R"], ledger["RHS"]) >= 0.0
 
 
 class TestTheoremRhs:
@@ -667,22 +658,22 @@ class TestTheoremRhs:
         rhs = theorem_rhs(ledger, trace, "whole_space")
         path = tmp_path / "bound.csv"
         from ompd import write_bound_csv
-        terms = regret.bound_terms(trace, ledger)
-        np.testing.assert_array_equal(terms["RHS"], rhs)
-        write_bound_csv(dynamic_regret(trace), terms, path)
+        np.testing.assert_array_equal(ledger["RHS"], rhs)
+        np.testing.assert_array_equal(ledger["R"], dynamic_regret(trace))
+        write_bound_csv(ledger, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "T,R_T,RHS_T,Sigma_T,SigmaBar_T,E_T,P_T,margin"
         assert len(lines) == 21
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == 20
         np.testing.assert_allclose(last[7], last[2] - last[1], rtol=1e-12)
-        np.testing.assert_allclose(last[3], np.sum(ledger.s), rtol=1e-12)
+        np.testing.assert_allclose(last[3], np.sum(ledger["s"]), rtol=1e-12)
 
     @pytest.mark.parametrize("halfwidth", [None, 2.0])
     def test_terms_sum_to_rhs_and_fill_bound_csv(self, tmp_path, halfwidth):
         """The table's RHS and theorem_rhs are the RHS_TERMS added left to
-        right, bit for bit, and bound.csv's sums are the table's, in both
-        regimes."""
+        right, bit for bit, and bound.csv's regret and sums are the
+        table's, in both regimes."""
         cfg = GaussMarkovConfig(horizon=40, seed=15)
         dom = (whole_space() if halfwidth is None
                else box(-halfwidth, halfwidth, dim=cfg.n_coeffs))
@@ -694,10 +685,9 @@ class TestTheoremRhs:
         optima, _ = lasso_optima_batch(truth["X"], truth["Y"], cfg.eta,
                                        halfwidth=halfwidth, tol=1e-10)
         fill_optima(trace, stream, optima=optima)
-        ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, dom)
-        terms = regret.bound_terms(trace, ledger)
+        terms = ledger_from_trace(trace, EUCLID, cfg.step_size, dom)
         assert regret.RHS_TERMS == ("Z0", "DP", "curvature", "error")
-        rhs = theorem_rhs(ledger, trace, dom.kind)
+        rhs = theorem_rhs(terms, trace, dom.kind)
         for total in (rhs, terms["RHS"]):
             np.testing.assert_array_equal(
                 terms["Z0"] + terms["DP"] + terms["curvature"]
@@ -705,8 +695,9 @@ class TestTheoremRhs:
         assert np.all(terms["E"] > 0.0) and terms["Sigma"][-1] > 0.0
         path = tmp_path / "bound.csv"
         from ompd import write_bound_csv
-        write_bound_csv(dynamic_regret(trace), terms, path)
+        write_bound_csv(terms, path)
         table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 1], dynamic_regret(trace))
         np.testing.assert_array_equal(table[:, 2], rhs)
         for j, name in enumerate(("Sigma", "SigmaBar", "E", "P"), start=3):
             np.testing.assert_array_equal(table[:, j], terms[name])
@@ -723,15 +714,14 @@ class TestTheoremRhs:
                                        tol=1e-10)
         fill_optima(trace, stream, optima=optima)
         ledger = ledger_from_trace(trace, EUCLID, cfg.step_size, whole_space())
-        rhs = regret.bound_terms(trace, ledger)["RHS"]
-        assert certified_margin(dynamic_regret(trace), rhs) >= 0.0
+        assert certified_margin(ledger["R"], ledger["RHS"]) >= 0.0
         # S_i and tau_i of the module docstring, from the ledger and trace
         T, lam, sig, G = trace.horizon, cfg.step_size, 1.0, 1.0
-        s = ledger.s
+        s = np.concatenate(([0.0], ledger["s"], [0.0]))  # s_0 .. s_{T+1}
         S, tau = np.empty(T + 1), np.zeros(T + 1)
-        S[0] = (2 * lam / sig) * ledger.Z0
+        S[0] = (2 * lam / sig) * ledger["Z0"][0]
         for i in range(1, T + 1):
-            S[i] = (S[i - 1] + (2 * lam * ledger.D / sig) * trace.eps[i - 1]
+            S[i] = (S[i - 1] + (2 * lam * ledger["D"] / sig) * trace.eps[i - 1]
                     + (2 * G / sig - 1.0) * s[i] ** 2)
             tau[i] = ((2 * lam / sig) * trace.grad_error_norms[i - 1]
                       + (2 * G / sig) * s[i + 1]
@@ -749,9 +739,8 @@ def _static_quadratic_margin(r, a, domain):
     config = SolverConfig(step_size=lam, generator=EUCLID,
                           initial_point=np.ones(1))
     trace = fill_optima(run(stream, config, ErrorModel()), stream, optima)
-    rhs = regret.bound_terms(trace, ledger_from_trace(trace, EUCLID, lam,
-                                                      domain))["RHS"]
-    return certified_margin(dynamic_regret(trace), rhs)
+    ledger = ledger_from_trace(trace, EUCLID, lam, domain)
+    return certified_margin(ledger["R"], ledger["RHS"])
 
 
 class TestStepSizeAboveOneOverL:
