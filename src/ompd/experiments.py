@@ -37,7 +37,8 @@ from .prox import (_prox_gradient_point, block_rule, check_step_size,
 from .regret import (OPTIMUM_TOL_DEFAULT, certified_margin, fill_optima,
                      ledger_from_trace, stream_optima, write_bound_csv)
 from .runio import (RunTrace, one_per_path, read_state_csv, trace_from_state,
-                    write_state_csv, write_table, write_tables)
+                    write_long_tables, write_state_csv, write_table,
+                    write_tables)
 from .solver import SolverConfig, run, write_trace_csv
 
 VARIANTS = ("exact", "inexact")  # one folder each in a run directory
@@ -622,16 +623,15 @@ def _gauss_markov_optima(stream: ProblemStream, truth, cfg, tol: float):
 
 
 def _write_coefficients_csv(a_true, a_pred, *paths) -> None:
-    """Columns t, i, a_true, a_pred (i is 1-based).
+    """Columns t, i, a_true, a_pred (t and i are 1-based).
 
-    ``a_pred`` is one (T, n) array, or a list of one per path; the files
-    are written together (``runio.write_tables``).
+    ``a_pred`` is one (T, n) array, or a list of one per path. The files
+    are written together, one block of time steps at a time, from row
+    text with literal ``t, i``, and ``a_true`` is formatted once for all
+    of them (``runio.write_long_tables``).
     """
-    t, i = np.indices(a_true.shape) + 1
-    shared = [t.ravel(), i.ravel(), a_true.ravel()]
-    write_tables(paths, ("t", "i", "a_true", "a_pred"),
-                 [[*shared, pred.ravel()]
-                  for pred in one_per_path(a_pred, paths)])
+    write_long_tables(paths, ("t", "i", "a_true", "a_pred"), a_true,
+                      one_per_path(a_pred, paths))
 
 
 def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,

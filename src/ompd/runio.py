@@ -3,7 +3,10 @@
 Every table is a header line, then rows of integer index columns (``%d``)
 and float columns at 17 significant digits, which read back bit for bit.
 The tables of several variants are written together (``write_tables``),
-so the cells they share are formatted once.
+so the cells they share are formatted once. A long table of (T, n) arrays
+(``write_long_tables``, example1's ``coefficients.csv``) is written one
+block of time steps at a time, from row text with literal ``t, i``, and
+its shared column (``a_true``) is formatted once for all variants.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, zip_longest
+from itertools import chain, cycle, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -126,15 +129,9 @@ def write_tables(paths, header, tables) -> None:
     common = [arrays[0] for same, arrays in zip(shared, by_column) if same]
     own = [list(columns) for columns in zip(*(
         arrays for same, arrays in zip(shared, by_column) if not same))]
-    fill = _FILL_ROWS * sum(len(column) for same, column
-                            in zip(shared, specs) if not same)
     rows = max(1, _BLOCK_CELLS // len(header))
     n = len(by_column[0][0])
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w", encoding="utf-8"))
-                 for p in paths]
-        for fh in files:
-            fh.write(",".join(header) + "\n")
+    with _open_tables(paths, header) as files:
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             # without a shared cell, ``% ()`` only unescapes the specs
@@ -145,18 +142,59 @@ def write_tables(paths, header, tables) -> None:
                 for fh in files:
                     fh.write(text)
                 continue
-            chunks = ["".join(texts[j:j + _FILL_ROWS])
-                      for j in range(0, hi - lo, _FILL_ROWS)]
-            for fh, columns in zip(files, own):
-                cells = list(chain.from_iterable(_row_cells(columns, lo, hi)))
-                fh.write("".join([
-                    chunk % tuple(cells[j:j + fill])
-                    for chunk, j in zip(chunks, range(0, len(cells), fill))]))
+            for fh, text in zip(files, _filled(texts, _FILL_ROWS, (
+                    list(chain.from_iterable(_row_cells(columns, lo, hi)))
+                    for columns in own))):
+                fh.write(text)
 
 
 def write_table(path, header, columns) -> None:
     """One table: ``write_tables`` with one path."""
     write_tables((path,), header, (columns,))
+
+
+def write_long_tables(paths, header, shared, own) -> None:
+    """``write_tables`` of the columns t, i, ``shared`` and the path's array
+    in ``own`` ((T, n) arrays; rows in (t, i) order, t and i 1-based), from
+    one row text per step with ``i`` literal. Per block of steps, ``t`` is
+    put in and ``shared`` formatted once for every path; each path's cells
+    then fill a few steps per ``%``."""
+    if any(a.shape != shared.shape for a in own):
+        raise ValueError("the tables differ in shape")
+    if all(a is own[0] for a in own):  # variants played as one run
+        own = own[:1]
+    T, n = shared.shape
+    step = "".join(f"{{t}},{i},%.17g,%%.17g\n" for i in range(1, n + 1))
+    steps = max(1, _BLOCK_CELLS // len(header) // n)
+    with _open_tables(paths, header) as files:
+        for lo in range(0, T, steps):
+            texts = [step.replace("{t}", str(t)) % tuple(cells) for t, cells
+                     in enumerate(shared[lo:lo + steps].tolist(), lo + 1)]
+            for fh, text in zip(files, cycle(_filled(
+                    texts, max(1, _FILL_ROWS // n),
+                    (a[lo:lo + steps].ravel().tolist() for a in own)))):
+                fh.write(text)
+
+
+@contextlib.contextmanager
+def _open_tables(paths, header):
+    """The files at ``paths``, open for writing, each under ``header``."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8"))
+                 for p in paths]
+        for fh in files:
+            fh.write(",".join(header) + "\n")
+        yield files
+
+
+def _filled(texts, per: int, cells):
+    """``texts`` joined ``per`` at a time, filled by each list in ``cells``
+    (an equal share per text): one string per list."""
+    chunks = ["".join(texts[j:j + per]) for j in range(0, len(texts), per)]
+    for values in cells:
+        width = len(values) // len(texts) * per
+        yield "".join([chunk % tuple(values[j:j + width]) for chunk, j
+                       in zip(chunks, range(0, len(values), width))])
 
 
 def read_table(path):

@@ -1,11 +1,15 @@
 """The CSV codec of every run table, and the state file."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ompd import (GaussMarkovConfig, SolverConfig, euclidean_generator,
                   fill_optima, generate_gauss_markov, run, stream_optima,
                   zero_error_model)
+from ompd.experiments import _write_coefficients_csv
 from ompd.runio import (_BLOCK_CELLS, read_state_csv, read_table,
                         write_state_csv, write_table, write_tables)
 
@@ -82,6 +86,69 @@ class TestTables:
             write_tables(paths, ("k",), [[np.arange(3)], [np.arange(4)]])
         with pytest.raises(ValueError, match="paths"):
             write_tables(paths, ("k",), [[np.arange(3)]])
+
+
+class TestCoefficientTables:
+    """example1's coefficients.csv, written one block of time steps at a
+    time from row text with literal ``t, i``, holds the bytes of the long
+    table ``t, i, a_true, a_pred`` written by ``write_table``."""
+
+    HEADER = ("t", "i", "a_true", "a_pred")
+    EXTREMES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, 3.0]
+
+    def _long_table(self, path, a_true, a_pred):
+        t, i = np.indices(a_true.shape) + 1
+        write_table(path, self.HEADER,
+                    [t.ravel(), i.ravel(), a_true.ravel(), a_pred.ravel()])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 30])
+    @pytest.mark.parametrize("past_a_block", [False, True],
+                             ids=["T=1", "T=block+1"])
+    def test_files_are_the_long_table(self, tmp_path, n, past_a_block):
+        # a block is _BLOCK_CELLS // 4 rows of four cells, in whole steps
+        T = _BLOCK_CELLS // 4 // n + 1 if past_a_block else 1
+        a_true = np.resize(self.EXTREMES, (T, n))
+        preds = [np.resize(self.EXTREMES[3:] + self.EXTREMES[:3], (T, n)),
+                 -np.resize(self.EXTREMES[::-1], (T, n))]
+        one = tmp_path / "one.csv"
+        _write_coefficients_csv(a_true, preds[0], one)
+        assert one.read_bytes() == self._long_table(
+            tmp_path / "alone.csv", a_true, preds[0])
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        _write_coefficients_csv(a_true, preds, *paths)
+        for path, pred in zip(paths, preds):
+            assert path.read_bytes() == self._long_table(
+                tmp_path / "alone.csv", a_true, pred)
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+        # variants played as one run share their fills
+        _write_coefficients_csv(a_true, [preds[0], preds[0]], *paths)
+        assert (paths[0].read_bytes() == paths[1].read_bytes()
+                == one.read_bytes())
+
+    @staticmethod
+    def _peak(T, tmp_path):
+        """tracemalloc peak of writing two n = 30 tables, above the inputs."""
+        rng = np.random.default_rng(5)
+        a_true, *preds = rng.normal(size=(3, T, 30))
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _write_coefficients_csv(a_true, preds, *paths)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_scratch_does_not_grow_with_the_horizon(self, tmp_path):
+        """The writer holds one block of steps at a time; index arrays of
+        T * n cells would grow it by about 1.4 MB from T = 1024 to 4096."""
+        growth = self._peak(4096, tmp_path) - self._peak(1024, tmp_path)
+        assert growth <= 64 * 1024
 
 
 class TestStateCsv:
