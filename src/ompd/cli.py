@@ -7,12 +7,13 @@ Usage:
 Configuration files are flat INI-style key=value text; command-line flags
 override file values. [run] holds experiment, seed (>= 0), horizon (>= 1),
 variant and optimum_tol. example1 and custom read [example1] or its alias
-[custom] and accept a box [domain] (a diameter needs kind = box); example2
-reads [example2] and runs on the whole space. One resolver turns a file
-into a run for both commands, so ``verify --config FILE`` rebuilds the run
-that ``run --config FILE`` played. Every run writes the resolved
-configuration to ``run_config.cfg`` inside the output directory, which
-resolves to the run that wrote it and is what ``verify`` reads by default.
+[custom], not both, and accept a box [domain] (a diameter needs kind =
+box); example2 reads [example2] and runs on the whole space. One resolver
+turns a file into a run for both commands, so ``verify --config FILE``
+rebuilds the run that ``run --config FILE`` played. Every run writes the
+resolved configuration to ``run_config.cfg`` inside the output directory,
+which resolves to the run that wrote it and is what ``verify`` reads by
+default.
 Each experiment is one row of ``experiments.EXPERIMENTS``. ``run`` removes
 an earlier ``run_config.cfg`` and plays the row with ``experiments.play``,
 which owns the rest of the run directory (it first removes the earlier
@@ -106,9 +107,9 @@ def _parse_section(parser, section, allowed):
 def _load_config(path):
     """Parse a config file into {section: {key: value}}, all sections set.
 
-    [custom] is read into [example1], the section of its table row. A file
-    configparser rejects (a repeated section or key, no section header, a
-    bad %-interpolation) is a config error.
+    [custom] is read into [example1], the section of its table row; a file
+    with both is a config error, as is a file configparser rejects (a
+    repeated section or key, no section header, a bad %-interpolation).
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (mu_L vs mu_S)
@@ -121,7 +122,14 @@ def _load_config(path):
                 if section not in ("run", "domain", *EXPERIMENTS):
                     raise ConfigError(f"unknown section [{section}]")
         sections = {"run": _parse_section(parser, "run", _RUN_KEYS)}
+        read_from = {}  # the file section each experiment section came from
         for name, exp in EXPERIMENTS.items():
+            if parser.has_section(name):
+                if exp.section in read_from:
+                    raise ConfigError(
+                        f"sections [{read_from[exp.section]}] and [{name}] "
+                        f"both configure [{exp.section}]; keep one")
+                read_from[exp.section] = name
             sections.setdefault(exp.section, {}).update(
                 _parse_section(parser, name, _field_parsers(exp.config)))
         sections["domain"] = _parse_section(parser, "domain", _DOMAIN_KEYS)

@@ -626,9 +626,9 @@ def _write_coefficients_csv(a_true, a_pred, *paths) -> None:
     """Columns t, i, a_true, a_pred (t and i are 1-based).
 
     ``a_pred`` is one (T, n) array, or a list of one per path. The files
-    are written together, one block of time steps at a time, from row
-    text with literal ``t, i``, and ``a_true`` is formatted once for all
-    of them (``runio.write_long_tables``).
+    are written together, one block of time steps at a time, with the
+    texts of ``t, i`` repeated and ``a_true`` formatted once for all of
+    them (``runio.write_long_tables``).
     """
     write_long_tables(paths, ("t", "i", "a_true", "a_pred"), a_true,
                       one_per_path(a_pred, paths))

@@ -1,12 +1,18 @@
 """The run record, and the CSV codec of every table a run writes.
 
 Every table is a header line, then rows of integer index columns (``%d``)
-and float columns at 17 significant digits, which read back bit for bit.
-The tables of several variants are written together (``write_tables``),
-so the cells they share are formatted once. A long table of (T, n) arrays
-(``write_long_tables``, example1's ``coefficients.csv``) is written one
-block of time steps at a time, from row text with literal ``t, i``, and
-its shared column (``a_true``) is formatted once for all variants.
+and float columns at 17 significant digits (``%.17g``), which read back
+bit for bit. Cells are formatted from numpy arrays, a block of rows at a
+time: ``format_floats`` and ``format_ints`` return each cell's text as one
+NUL-padded row of bytes, computed in numpy for ordinary values and by
+``%`` itself for the rest (nan, infinities, subnormals, extreme
+magnitudes, significands near a rounding tie, integers outside
+[0, 1e16)), so every byte is the one ``%`` writes. The tables of several
+variants are written together (``write_tables``), so the cells they share
+are formatted once. A long table of (T, n) arrays (``write_long_tables``,
+example1's ``coefficients.csv``) is written one block of time steps at a
+time, and its shared column (``a_true``) is formatted once for all
+variants.
 """
 
 from __future__ import annotations
@@ -14,17 +20,17 @@ from __future__ import annotations
 import contextlib
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, cycle, zip_longest
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
 
-#: cells formatted per write; a bound on the text held in memory at once
-_BLOCK_CELLS = 4096
-#: rows whose own cells one ``%`` fills in ``write_tables``. Its output
-#: grows by reallocation; a whole block per ``%`` fragmented the heap and
-#: raised the peak RSS of a T = 5000 example1 run by about 2 MB.
-_FILL_ROWS = 32
+from .errors import MissingOptimaError
+
+#: cells formatted per block, across its columns and paths: a bound on the
+#: scratch memory of a write, and large enough that the fixed cost of a
+#: formatter call (about 80 small numpy calls) stays small
+_BLOCK_CELLS = 8192
 
 #: the RunTrace arrays filled one row per step by ``solver.run``
 _PER_STEP_FIELDS = ("iterates", "grad_error_norms", "eps", "f_played",
@@ -76,43 +82,236 @@ def one_per_path(value, paths) -> list:
 
 def _same_cells(arrays) -> bool:
     """Whether every array writes the text of the first: equal shape,
-    dtype and values, signs of zero included (NaN never counts as equal)."""
+    dtype and values, signs of zero included (NaN never counts as equal).
+    Compared ``_BLOCK_CELLS`` cells at a time, so its scratch is bounded."""
     first = arrays[0]
+    step = max(1, _BLOCK_CELLS // max(1, first[:1].size))
+
+    def equal(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                       np.signbit(b))
+
     return all(a is first or (a.dtype == first.dtype
                               and a.shape == first.shape
-                              and np.array_equal(a, first)
-                              and np.array_equal(np.signbit(a),
-                                                 np.signbit(first)))
+                              and all(equal(a[lo:lo + step],
+                                            first[lo:lo + step])
+                                      for lo in range(0, len(a), step)))
                for a in arrays[1:])
 
 
-def _cell_formats(column) -> list:
-    cell = "%d" if column.dtype.kind in "iu" else "%.17g"
-    return [cell] * (column.shape[1] if column.ndim == 2 else 1)
+#: bytes of a cell's text: the longest ``'%.17g'`` text
+#: (``-2.2250738585072014e-308``) and every int64's ``'%d'`` fit
+_FIELD = 24
+#: the powers of ten 10**_J0 ... 10**(_J1 - 1) in the tables: for the
+#: floats 1e-280 <= |x| <= 1e280 of the fast path, every decimal exponent
+#: E, its log10 estimate (at most one off) and 16 - E. Their Veltkamp
+#: halves and rests, and the Veltkamp split of |x|, stay normal and finite
+_J0, _J1 = -283, 299
+#: a significand whose fraction lies within this of one half goes to
+#: ``%``; the double-double product errs by about 1e-14
+_TIE = 1e-6
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant
 
 
-def _row_cells(columns, lo: int, hi: int):
-    """The cells of rows lo..hi-1 of ``columns``, one tuple per row.
+def _power_tables():
+    """For j = _J0 ... _J1 - 1, from Python ints: 10**j as a double-double
+    (hi, lo), hi's Veltkamp halves, the least double at or above 10**j,
+    and the exponent text "e+jj", NUL-padded to 5 bytes."""
+    hi, lo = [], []
+    for j in range(_J0, _J1):
+        power = 10 ** abs(j)
+        if j >= 0:
+            h = float(power)
+            rest = float(power - int(h))
+        else:  # int / int rounds correctly
+            h = 1 / power
+            num, den = h.as_integer_ratio()
+            rest = (den - num * power) / (den * power)
+        hi.append(h)
+        lo.append(rest)
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * _SPLIT
+    high = c - (c - hi)
+    least = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
+    exponents = np.array([b"e%+03d" % j for j in range(_J0, _J1)],
+                         "S5").view(np.uint8).reshape(-1, 5)
+    return hi, high, hi - high, lo, least, exponents
 
-    Each block of rows is cut from every array with one ``tolist``, so
-    integer columns reach ``%d`` as Python ints, exact at any size.
+
+_HI, _HI_HIGH, _HI_LOW, _LO, _LEAST, _EXPONENT_TEXT = _power_tables()
+
+_U64 = np.uint64
+_BYTE_ONES = _U64(0x0101010101010101)
+_ASCII_ZEROS = _U64(0x3030303030303030)
+
+
+def _eight_digits(v):
+    """The decimal digits of each uint64 v < 1e8, as lanes whose byte j
+    (little-endian) holds digit j, most significant first. Split by
+    multiply-shift divisions: into 4 + 4 digits, then 2 + 2, then 1 + 1."""
+    a = (v * _U64(3518437209)) >> _U64(45)                         # // 1e4
+    x = a | ((v - a * _U64(10000)) << _U64(32))
+    b = ((x * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)  # // 100
+    x = b | ((x - b * _U64(100)) << _U64(16))
+    c = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)   # // 10
+    return c | ((x - c * _U64(10)) << _U64(8))
+
+
+def _digit_text(lanes, shift, keep_all):
+    """``_eight_digits`` lanes as ASCII, with NUL in place of each zero
+    digit that no nonzero digit precedes (``shift`` = np.left_shift) or
+    follows (np.right_shift) in its lane, unless ``keep_all``."""
+    y = lanes | shift(lanes, _U64(8)) | keep_all * _BYTE_ONES
+    y |= shift(y, _U64(16))
+    y |= shift(y, _U64(32))
+    # bytes of y are below 0x10: + 0x7F sets bit 7 of each nonzero one
+    kept = (((y + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080))
+            >> _U64(7)) * _U64(0xFF)
+    return (lanes | _ASCII_ZEROS) & kept
+
+
+def _by_percent(values, spec) -> np.ndarray:
+    """``spec % v`` for each of ``values``, as rows of ``_FIELD`` bytes."""
+    return np.array([spec % v for v in values.tolist()],
+                    f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+
+
+def _significands(a):
+    """For each 1e-280 <= a <= 1e280: the decimal exponent E, the 17-digit
+    significand round(a * 10**(16 - E)), and whether that rounding is sure
+    (its fraction lies not within ``_TIE`` of one half)."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += a >= _LEAST[e + 1 - _J0]
+    e -= a < _LEAST[e - _J0]
+    j = 16 - _J0 - e
+    p = a * _HI[j]
+    high = a * _SPLIT
+    high -= high - a
+    low = a - high
+    # the exact rounding error of p, plus a times the rest of 10**(16 - E)
+    rest = high * _HI_HIGH[j] - p
+    rest += high * _HI_LOW[j]
+    rest += low * _HI_HIGH[j]
+    rest += low * _HI_LOW[j]
+    rest += a * _LO[j]
+    whole = np.floor(rest)
+    rest -= whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (rest > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    return d, e, np.abs(rest - 0.5) >= _TIE
+
+
+def _digits(d) -> np.ndarray:
+    """The 17 digits of each significand d as an (n, 17) block of ASCII,
+    with its trailing zeros as NUL: 1 + 8 + 8, the eights in uint64
+    lanes."""
+    q = d // 10 ** 8
+    last = _eight_digits((d - q * 10 ** 8).astype(np.uint64))
+    first = q // 10 ** 8
+    middle = _digit_text(_eight_digits((q - first * 10 ** 8).astype(
+        np.uint64)), np.right_shift, last != 0)
+    last = _digit_text(last, np.right_shift, False)
+    lanes = np.empty((len(d), 3), "<u8")  # little-endian on any host
+    lanes[:, 0] = (first.astype(np.uint64) + _U64(ord("0"))) | (
+        middle << _U64(8))
+    lanes[:, 1] = (middle >> _U64(56)) | (last << _U64(8))
+    lanes[:, 2] = last >> _U64(56)
+    return lanes.view(np.uint8)[:, :17]
+
+
+def format_floats(x) -> np.ndarray:
+    """Each float64 of ``x`` as its ``'%.17g'`` text: one NUL-padded row of
+    an (N, ``_FIELD``) uint8 block.
+
+    For 1e-280 <= |x| <= 1e280, the decimal exponent E is floor(log10|x|),
+    fixed up exactly against the least double at or above each power of
+    ten, and |x| * 10**(16 - E) is formed as a double-double (Dekker's
+    product of Veltkamp splits). Its 17-digit integer is rounded unless
+    the fraction lies within ``_TIE`` of one half. The digits are made
+    eight at a time in uint64 lanes, trailing zeros become NUL, and the
+    layout of each decimal exponent is applied to its contiguous run of
+    cells after one stable sort. Zeros are written directly, and every
+    other cell (nan, infinities, subnormals, other magnitudes, near-ties)
+    by ``%`` itself, so each row holds the bytes of ``'%.17g' % x``.
     """
-    block = zip(*(c[lo:hi].tolist() for c in columns))
-    if columns[-1].ndim == 2:  # the 2-D group's cells close each row
-        block = ((*head, *tail) for *head, tail in block)
-    return block
+    x = np.asarray(x, dtype=np.float64).ravel()
+    ax = np.abs(x)
+    zero = ax == 0.0
+    rows = np.flatnonzero((ax >= 1e-280) & (ax <= 1e280))
+    d, e, sure = _significands(ax[rows])
+    del ax
+    # layouts: -4 ... 16 positional with exponent E, 17 exponential
+    layout = np.where((e >= -4) & (e <= 16), e, 17)[sure]
+    order = np.argsort(layout.astype(np.int8), kind="stable")
+    rows, d, e = rows[sure][order], d[sure][order], e[sure][order]
+    # the texts: these cells', then "0" and "-0", then every other one's
+    n = rows.size
+    other = ~zero
+    other[rows] = False
+    other = np.flatnonzero(other)
+    body = np.empty((n + 2 + other.size, _FIELD), np.uint8)
+    body[:n, 18:] = 0  # the layouts below write the bytes before
+    body[n:n + 2] = 0
+    body[n:n + 2, 1] = ord("0")
+    body[n + 1, 0] = ord("-")
+    if other.size:
+        body[n + 2:] = _by_percent(x[other], "%.17g")
+    body[:n, 0] = np.signbit(x[rows]) * np.uint8(ord("-"))
+    digits = _digits(d)
+    ends = np.cumsum(np.bincount(layout + 4, minlength=22)).tolist()
+    for k, lo, hi in zip(range(-4, 18), [0, *ends], ends):
+        if lo == hi:
+            continue
+        g, s = body[lo:hi], digits[lo:hi]
+        if k < 0:  # 0.000ddd
+            g[:, 1:2 - k] = np.frombuffer(b"0.000"[:1 - k], np.uint8)
+            g[:, 2 - k:19 - k] = s
+            continue
+        # the first digit (17) or the first k + 1 with each NUL of the
+        # integer part as "0", then "." if a digit follows, then the rest
+        point = 2 if k == 17 else k + 2
+        g[:, 1:point] = s[:, :point - 1] | np.uint8(ord("0"))
+        if point < 18:
+            g[:, point] = (s[:, point - 1] != 0) * np.uint8(ord("."))
+            g[:, point + 1:19] = s[:, point - 1:]
+        if k == 17:
+            g[:, 19:] = _EXPONENT_TEXT[e[lo:hi] - _J0]
+    text_of = np.empty(x.size, np.intp)
+    text_of[rows] = np.arange(n)
+    text_of[zero] = n + np.signbit(x[zero])
+    text_of[other] = np.arange(n + 2, len(body))
+    return body.take(text_of, axis=0)
+
+
+def format_ints(v) -> np.ndarray:
+    """Each integer of ``v`` as its ``'%d'`` text, in rows like those of
+    ``format_floats``: those in [0, 1e16) from two lanes of eight digits
+    with leading zeros as NUL, every other one by ``%`` itself."""
+    v = np.asarray(v).ravel()
+    small = (v >= 0) & (v < 10 ** 16)
+    w = np.where(small, v, 0).astype(np.uint64)
+    q = w // _U64(10 ** 8)
+    first = _eight_digits(q)
+    lanes = np.zeros((v.size, 3), "<u8")
+    lanes[:, 0] = _digit_text(first, np.left_shift, False)
+    # the last digit stays, "0" included
+    lanes[:, 1] = _digit_text(_eight_digits(w - q * _U64(10 ** 8)),
+                              np.left_shift, first != 0) | _U64(0x30 << 56)
+    out = lanes.view(np.uint8)
+    if not small.all():
+        out[~small] = _by_percent(v[~small], "%d")
+    return out
 
 
 def write_tables(paths, header, tables) -> None:
     """Write one table per path, block by block, under one header.
 
     ``tables`` holds each path's columns: equal-length arrays, of which
-    the last may be 2-D (several columns). Per block of rows, the cells
-    that are equal in every table (``_same_cells``) are formatted once,
-    into row texts that keep a ``%`` spec in place of every other cell.
-    Each table's own cells then fill those texts, ``_FILL_ROWS`` rows per
-    ``%``. With one path every cell is shared and the row texts are the
-    block itself.
+    the last may be 2-D (several columns). The columns that are equal in
+    every table (``_same_cells``) are formatted once per block; with one
+    path every column is.
     """
     if not paths or len(tables) != len(paths):
         raise ValueError(f"{len(tables)} tables for {len(paths)} paths")
@@ -120,32 +319,14 @@ def write_tables(paths, header, tables) -> None:
     for arrays in by_column:
         if any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("the tables differ in shape")
-    shared = [_same_cells(arrays) for arrays in by_column]
-    specs = [_cell_formats(arrays[0]) for arrays in by_column]
-    # a cell that differs between tables keeps its spec, escaped
-    row = ",".join(spec if same else "%" + spec
-                   for same, column in zip(shared, specs)
-                   for spec in column) + "\n"
-    common = [arrays[0] for same, arrays in zip(shared, by_column) if same]
-    own = [list(columns) for columns in zip(*(
-        arrays for same, arrays in zip(shared, by_column) if not same))]
-    rows = max(1, _BLOCK_CELLS // len(header))
-    n = len(by_column[0][0])
+    columns = [arrays[:1] if _same_cells(arrays) else arrays
+               for arrays in by_column]
+    rows = max(1, _BLOCK_CELLS // sum(len(arrays) * arrays[0][:1].size
+                                      for arrays in columns))
     with _open_tables(paths, header) as files:
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            # without a shared cell, ``% ()`` only unescapes the specs
-            texts = ([row % cells for cells in _row_cells(common, lo, hi)]
-                     if common else [row % ()] * (hi - lo))
-            if not own:
-                text = "".join(texts)
-                for fh in files:
-                    fh.write(text)
-                continue
-            for fh, text in zip(files, _filled(texts, _FILL_ROWS, (
-                    list(chain.from_iterable(_row_cells(columns, lo, hi)))
-                    for columns in own))):
-                fh.write(text)
+        for lo in range(0, len(by_column[0][0]), rows):
+            _write_rows(files, _texts(
+                [[a[lo:lo + rows] for a in arrays] for arrays in columns]))
 
 
 def write_table(path, header, columns) -> None:
@@ -155,46 +336,108 @@ def write_table(path, header, columns) -> None:
 
 def write_long_tables(paths, header, shared, own) -> None:
     """``write_tables`` of the columns t, i, ``shared`` and the path's array
-    in ``own`` ((T, n) arrays; rows in (t, i) order, t and i 1-based), from
-    one row text per step with ``i`` literal. Per block of steps, ``t`` is
-    put in and ``shared`` formatted once for every path; each path's cells
-    then fill a few steps per ``%``."""
+    in ``own`` ((T, n) arrays; rows in (t, i) order, t and i 1-based), one
+    block of whole time steps at a time. ``shared`` is formatted once for
+    every path, and the texts of t and i are repeated, not formatted per
+    row."""
     if any(a.shape != shared.shape for a in own):
         raise ValueError("the tables differ in shape")
-    if all(a is own[0] for a in own):  # variants played as one run
+    if _same_cells(own):  # variants played as one run
         own = own[:1]
     T, n = shared.shape
-    step = "".join(f"{{t}},{i},%.17g,%%.17g\n" for i in range(1, n + 1))
-    steps = max(1, _BLOCK_CELLS // len(header) // n)
+    steps = max(1, _BLOCK_CELLS // ((1 + len(own)) * n))
+    i = format_ints(np.arange(1, n + 1))
     with _open_tables(paths, header) as files:
         for lo in range(0, T, steps):
-            texts = [step.replace("{t}", str(t)) % tuple(cells) for t, cells
-                     in enumerate(shared[lo:lo + steps].tolist(), lo + 1)]
-            for fh, text in zip(files, cycle(_filled(
-                    texts, max(1, _FILL_ROWS // n),
-                    (a[lo:lo + steps].ravel().tolist() for a in own)))):
-                fh.write(text)
+            hi = min(lo + steps, T)
+            t = format_ints(np.arange(lo + 1, hi + 1))
+            _write_rows(files, [
+                ([np.repeat(t, n, axis=0)[:, None]], _used_bytes(t, [0])[0]),
+                ([np.tile(i, (hi - lo, 1))[:, None]], _used_bytes(i, [0])[0]),
+                *_texts([[shared[lo:hi].ravel()],
+                         [a[lo:hi].ravel() for a in own]])])
+
+
+def _used_bytes(text, starts) -> np.ndarray:
+    """For each run of ``text``'s rows from each of ``starts``: whether
+    each byte of the field is used by any row of the run."""
+    return np.bitwise_or.reduceat(text.view(np.uint64), starts,
+                                  axis=0).view(np.uint8) != 0
+
+
+def _texts(columns) -> list:
+    """The cell texts of ``columns``, each a list of one array ((rows,) or
+    (rows, w)) that every path shares or of one array per path: for each
+    column, the list of its (rows, w, ``_FIELD``) text blocks and the
+    bytes of the field they use. The float cells are formatted in one
+    ``format_floats`` call, across the columns and paths, and each integer
+    array in one ``format_ints`` call."""
+    floats = [a for arrays in columns for a in arrays
+              if a.dtype.kind not in "iu"]
+    if floats:
+        starts = np.cumsum([0] + [a.size for a in floats[:-1]])
+        text = format_floats(np.concatenate([a.ravel() for a in floats]))
+        float_texts = zip(np.split(text, starts[1:]),
+                          _used_bytes(text, starts))
+    texts = []
+    for arrays in columns:
+        blocks, used = [], np.zeros(_FIELD, bool)
+        for a in arrays:
+            if a.dtype.kind in "iu":
+                text = format_ints(a)
+                used |= _used_bytes(text, [0])[0]
+            else:
+                text, bytes_used = next(float_texts)
+                used |= bytes_used
+            blocks.append(text.reshape(len(a), -1, _FIELD))
+        texts.append((blocks, used))
+    return texts
+
+
+def _write_rows(files, columns) -> None:
+    """Write the rows whose cells are ``columns``' texts (``_texts``' pairs;
+    one text block shared by every file, or one per file) to each of
+    ``files``.
+
+    Each column's fields are as wide as the bytes its texts use; the
+    fields fill a byte buffer a row at a time, each followed by "," or,
+    at the row's end, "\n". For each file one mask drops the NUL padding,
+    and what is left is written.
+    """
+    rows = len(columns[0][0][0])
+    spans = [slice(u[0], u[-1] + 1)
+             for u in (np.flatnonzero(used) for _, used in columns)]
+    sizes = [blocks[0].shape[1] * (span.stop - span.start + 1)
+             for (blocks, _), span in zip(columns, spans)]
+    buf = np.empty((rows, sum(sizes)), np.uint8)
+    fields = [part.reshape(rows, blocks[0].shape[1], -1) for part, (blocks, _)
+              in zip(np.split(buf, np.cumsum(sizes[:-1]), axis=1), columns)]
+    for field in fields:
+        field[:, :, -1] = ord(",")
+    buf[:, -1] = ord("\n")
+    for (blocks, _), span, field in zip(columns, spans, fields):
+        if len(blocks) == 1:
+            field[:, :, :-1] = blocks[0][:, :, span]
+    data = None
+    for path, fh in enumerate(files):
+        own = [(blocks[path], span, field) for (blocks, _), span, field
+               in zip(columns, spans, fields) if len(blocks) > 1]
+        for block, span, field in own:
+            field[:, :, :-1] = block[:, :, span]
+        if own or data is None:
+            data = buf[buf != 0]
+        fh.write(data)
 
 
 @contextlib.contextmanager
 def _open_tables(paths, header):
-    """The files at ``paths``, open for writing, each under ``header``."""
+    """The files at ``paths``, open for binary writing, each under
+    ``header``."""
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w", encoding="utf-8"))
-                 for p in paths]
+        files = [stack.enter_context(open(p, "wb")) for p in paths]
         for fh in files:
-            fh.write(",".join(header) + "\n")
+            fh.write((",".join(header) + "\n").encode())
         yield files
-
-
-def _filled(texts, per: int, cells):
-    """``texts`` joined ``per`` at a time, filled by each list in ``cells``
-    (an equal share per text): one string per list."""
-    chunks = ["".join(texts[j:j + per]) for j in range(0, len(texts), per)]
-    for values in cells:
-        width = len(values) // len(texts) * per
-        yield "".join([chunk % tuple(values[j:j + width]) for chunk, j
-                       in zip(chunks, range(0, len(values), width))])
 
 
 def read_table(path):
@@ -244,8 +487,8 @@ def write_state_csv(traces, *paths) -> None:
     written together (``write_tables``).
     """
     traces = one_per_path(traces, paths)
-    if any(trace.optima is None for trace in traces):
-        raise ValueError("state csv needs filled optima")
+    if not all(trace.has_optima() for trace in traces):
+        raise MissingOptimaError("state csv needs filled optima")
     write_tables(paths, _state_header(traces[0].dim), [
         [np.arange(trace.horizon + 1),
          *(np.concatenate(([0.0], getattr(trace, field)))

@@ -394,9 +394,12 @@ class TestRun:
         (EX1_SMALL + "[domain]\nkind = ball\ndiameter = 1\n", "key 'kind'"),
         ("[run]\nexperiment = example9\n", "key 'experiment'"),
         (EX1_SMALL + "variant = all\n", "key 'variant'"),
+        # [custom] eta = 0.5 used to beat [example1] eta = 0.05, silently
+        (EX1_SMALL + "[example1]\neta = 0.05\n\n[custom]\neta = 0.5\n",
+         "sections [example1] and [custom]"),
     ], ids=["missing-file", "unknown-section", "example2-box",
             "box-without-diameter", "ball", "unknown-experiment",
-            "variant-all"])
+            "variant-all", "example1-and-custom"])
     def test_config_error_names_key_or_section(self, tmp_path, capsys,
                                                command, text, named):
         """An explicit ``--config`` that does not exist is a config error

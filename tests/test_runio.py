@@ -6,12 +6,81 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ompd import (GaussMarkovConfig, SolverConfig, euclidean_generator,
-                  fill_optima, generate_gauss_markov, run, stream_optima,
-                  zero_error_model)
+from ompd import (GaussMarkovConfig, MissingOptimaError, SolverConfig,
+                  euclidean_generator, fill_optima, generate_gauss_markov,
+                  run, stream_optima, zero_error_model)
 from ompd.experiments import _write_coefficients_csv
-from ompd.runio import (_BLOCK_CELLS, read_state_csv, read_table,
-                        write_state_csv, write_table, write_tables)
+from ompd.regret import BOUND_CSV_HEADER
+from ompd.runio import (_BLOCK_CELLS, TRACE_CSV_HEADER, _same_cells,
+                        _state_header, format_floats, format_ints,
+                        read_state_csv, read_table, write_state_csv,
+                        write_table, write_tables)
+
+
+def _scratch_peak(write, *args):
+    """tracemalloc peak of ``write(*args)``, above what was allocated when
+    it started."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        write(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestCellFormatters:
+    """The array formatters write the bytes of Python's own ``%``, on a
+    seeded sample of every kind of cell."""
+
+    @staticmethod
+    def _mismatches(block, values, spec):
+        lines = np.concatenate(
+            [block, np.full((len(block), 1), ord("\n"), np.uint8)], axis=1)
+        got = lines[lines != 0].tobytes().decode().split("\n")[:-1]
+        assert len(got) == len(values)
+        return [(v, text, spec % v) for v, text in zip(values.tolist(), got)
+                if text != spec % v]
+
+    def test_floats_are_percent_17g(self):
+        rng = np.random.default_rng(34)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        # odd quarters in [1e15, 2.25e15): 18 digits ending in 5, exact
+        # ties of the 17-digit rounding, which only ``%`` rounds
+        ties = (rng.integers(4 * 10 ** 15, 9 * 10 ** 15, 20_000) | 1) / 4
+        x = np.concatenate([
+            # random bit patterns: every exponent, nan and subnormals
+            rng.integers(0, 2 ** 64, 100_000, np.uint64).view(np.float64),
+            rng.choice([-1.0, 1.0], 100_000)
+            * 10.0 ** rng.uniform(-330, 308, 100_000),
+            powers, np.nextafter(powers, np.inf),
+            np.nextafter(powers, -np.inf),
+            np.arange(2 ** 53 - 2000, 2 ** 53 + 2000).astype(np.float64),
+            [1e16, 1e17, 99999999999999999.0, 9999999999999999.0,
+             0.1, 0.0001, 1e-5, 123.0, 1.5, -2.5e-7, 1e280, 1e-280],
+            ties, -ties,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+             -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+            rng.normal(size=80_000)])
+        assert len(x) >= 300_000
+        assert self._mismatches(format_floats(x), x, "%.17g") == []
+
+    def test_ints_are_percent_d(self):
+        rng = np.random.default_rng(35)
+        info = np.iinfo(np.int64)
+        powers = 10 ** np.arange(19)
+        v = np.concatenate([
+            rng.integers(info.min, info.max, 50_000, np.int64),
+            rng.integers(0, 10 ** 16, 50_000), np.arange(-5000, 100_000),
+            powers - 1, powers, powers + 1, -powers,
+            [info.min, info.max, 0, -1, 10 ** 16 - 1, 10 ** 16]])
+        assert self._mismatches(format_ints(v), v, "%d") == []
+        big = np.array([2 ** 64 - 1, 2 ** 63, 0, 7], np.uint64)
+        assert self._mismatches(format_ints(big), big, "%d") == []
 
 
 class TestTable:
@@ -80,6 +149,39 @@ class TestTables:
         assert paths[1].read_text().splitlines()[1:3] == ["1,1", "2,1"]
         assert paths[0].read_text().splitlines()[2] == "1,0.25"
 
+    @staticmethod
+    def _run_tables(T, rng):
+        """Two variants' state, trace and bound tables, shaped and shared as
+        ``write_state_csv``, ``write_trace_csv`` and ``write_bound_csv``
+        pass them to ``write_tables``, with their headers."""
+        k = np.arange(T + 1)
+        optima = rng.normal(size=(T + 1, 30))
+        f_star = rng.normal(size=T + 1)
+        # the variants' optima are equal, in arrays of their own
+        state = [[k, *rng.normal(size=(5, T + 1)), f_star.copy(),
+                  optima.copy()] for _ in range(2)]
+        trace = [[k[1:], rng.normal(size=T), f_star[1:],
+                  *rng.normal(size=(5, T))] for _ in range(2)]
+        bound = [[k[1:], *rng.normal(size=(7, T))] for _ in range(2)]
+        return [(_state_header(30), state), (TRACE_CSV_HEADER, trace),
+                (BOUND_CSV_HEADER, bound)]
+
+    def test_scratch_does_not_grow_with_the_horizon(self, tmp_path):
+        """Blocks of rows, and ``_same_cells``' comparisons, hold a bounded
+        number of cells at a time."""
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        short, long = (self._run_tables(T, np.random.default_rng(6))
+                       for T in (1024, 4096))
+        for (header, small), (_, large) in zip(short, long):
+            growth = (_scratch_peak(write_tables, paths, header, large)
+                      - _scratch_peak(write_tables, paths, header, small))
+            assert growth <= 64 * 1024, header[0]
+        # below the blocks' peak, but growing with T were it not bounded
+        optima = [[table[-1] for table in tables[0][1]]
+                  for tables in (short, long)]
+        assert (_scratch_peak(_same_cells, optima[1])
+                - _scratch_peak(_same_cells, optima[0])) <= 64 * 1024
+
     def test_tables_of_other_shapes_are_refused(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         with pytest.raises(ValueError, match="shape"):
@@ -90,7 +192,7 @@ class TestTables:
 
 class TestCoefficientTables:
     """example1's coefficients.csv, written one block of time steps at a
-    time from row text with literal ``t, i``, holds the bytes of the long
+    time with the texts of ``t, i`` repeated, holds the bytes of the long
     table ``t, i, a_true, a_pred`` written by ``write_table``."""
 
     HEADER = ("t", "i", "a_true", "a_pred")
@@ -132,17 +234,7 @@ class TestCoefficientTables:
         rng = np.random.default_rng(5)
         a_true, *preds = rng.normal(size=(3, T, 30))
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        gc.collect()
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            _write_coefficients_csv(a_true, preds, *paths)
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        return _scratch_peak(_write_coefficients_csv, a_true, preds, *paths)
 
     def test_scratch_does_not_grow_with_the_horizon(self, tmp_path):
         """The writer holds one block of steps at a time; index arrays of
@@ -152,15 +244,27 @@ class TestCoefficientTables:
 
 
 class TestStateCsv:
-    def test_row_zero_holds_the_initial_point(self, tmp_path):
+    @staticmethod
+    def _played(x0):
         cfg = GaussMarkovConfig(horizon=5, n_coeffs=4, active_set=(1,),
                                 seed=3)
         stream, _ = generate_gauss_markov(cfg)
-        x0 = np.array([0.5, -0.25, 1.0 / 3.0, 0.0])
         config = SolverConfig(step_size=cfg.step_size,
                               generator=euclidean_generator(),
                               initial_point=x0)
-        trace = run(stream, config, zero_error_model())
+        return run(stream, config, zero_error_model()), stream
+
+    def test_a_trace_without_optima_is_refused(self, tmp_path):
+        """As ``write_trace_csv`` refuses it; nothing is written."""
+        trace, _ = self._played(np.zeros(4))
+        path = tmp_path / "bound_state.csv"
+        with pytest.raises(MissingOptimaError):
+            write_state_csv(trace, path)
+        assert not path.exists()
+
+    def test_row_zero_holds_the_initial_point(self, tmp_path):
+        x0 = np.array([0.5, -0.25, 1.0 / 3.0, 0.0])
+        trace, stream = self._played(x0)
         fill_optima(trace, stream, stream_optima(stream, tol=1e-9))
         path = tmp_path / "bound_state.csv"
         write_state_csv(trace, path)
