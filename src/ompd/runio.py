@@ -6,18 +6,19 @@ bit for bit. Cells are formatted from numpy arrays, a block of rows at a
 time: ``format_floats`` and ``format_ints`` return each cell's text as one
 NUL-padded row of bytes, computed in numpy for ordinary values and by
 ``%`` itself for the rest (nan, infinities, subnormals, extreme
-magnitudes, significands near a rounding tie, integers outside
-[0, 1e16)), so every byte is the one ``%`` writes. The tables of several
-variants are written together (``write_tables``), so the cells they share
-are formatted once. A long table of (T, n) arrays (``write_long_tables``,
-example1's ``coefficients.csv``) is written one block of time steps at a
-time, and its shared column (``a_true``) is formatted once for all
-variants.
+magnitudes, significands near a rounding tie, integer arrays that reach
+2**53 in magnitude), so every byte is the one ``%`` writes. The tables
+of several variants are written together (``write_tables``), so the
+cells they share are formatted once. A long table of (T, n) arrays
+(``write_long_tables``, example1's ``coefficients.csv``) is written one
+block of time steps at a time, and its shared column (``a_true``) is
+formatted once for all variants.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -113,10 +114,12 @@ _TIE = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant
 
 
+@functools.cache
 def _power_tables():
     """For j = _J0 ... _J1 - 1, from Python ints: 10**j as a double-double
     (hi, lo), hi's Veltkamp halves, the least double at or above 10**j,
-    and the exponent text "e+jj", NUL-padded to 5 bytes."""
+    and the exponent text "e+jj", NUL-padded to 5 bytes. Built at the
+    first call (about 1 ms), not at import."""
     hi, lo = [], []
     for j in range(_J0, _J1):
         power = 10 ** abs(j)
@@ -138,8 +141,6 @@ def _power_tables():
     return hi, high, hi - high, lo, least, exponents
 
 
-_HI, _HI_HIGH, _HI_LOW, _LO, _LEAST, _EXPONENT_TEXT = _power_tables()
-
 _U64 = np.uint64
 _BYTE_ONES = _U64(0x0101010101010101)
 _ASCII_ZEROS = _U64(0x3030303030303030)
@@ -157,13 +158,12 @@ def _eight_digits(v):
     return c | ((x - c * _U64(10)) << _U64(8))
 
 
-def _digit_text(lanes, shift, keep_all):
+def _digit_text(lanes, keep_all):
     """``_eight_digits`` lanes as ASCII, with NUL in place of each zero
-    digit that no nonzero digit precedes (``shift`` = np.left_shift) or
-    follows (np.right_shift) in its lane, unless ``keep_all``."""
-    y = lanes | shift(lanes, _U64(8)) | keep_all * _BYTE_ONES
-    y |= shift(y, _U64(16))
-    y |= shift(y, _U64(32))
+    digit that no nonzero digit follows in its lane, unless ``keep_all``."""
+    y = lanes | (lanes >> _U64(8)) | keep_all * _BYTE_ONES
+    y |= y >> _U64(16)
+    y |= y >> _U64(32)
     # bytes of y are below 0x10: + 0x7F sets bit 7 of each nonzero one
     kept = (((y + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080))
             >> _U64(7)) * _U64(0xFF)
@@ -180,20 +180,21 @@ def _significands(a):
     """For each 1e-280 <= a <= 1e280: the decimal exponent E, the 17-digit
     significand round(a * 10**(16 - E)), and whether that rounding is sure
     (its fraction lies not within ``_TIE`` of one half)."""
+    hi, hi_high, hi_low, lo, least, _ = _power_tables()
     e = np.floor(np.log10(a)).astype(np.intp)
-    e += a >= _LEAST[e + 1 - _J0]
-    e -= a < _LEAST[e - _J0]
+    e += a >= least[e + 1 - _J0]
+    e -= a < least[e - _J0]
     j = 16 - _J0 - e
-    p = a * _HI[j]
+    p = a * hi[j]
     high = a * _SPLIT
     high -= high - a
     low = a - high
     # the exact rounding error of p, plus a times the rest of 10**(16 - E)
-    rest = high * _HI_HIGH[j] - p
-    rest += high * _HI_LOW[j]
-    rest += low * _HI_HIGH[j]
-    rest += low * _HI_LOW[j]
-    rest += a * _LO[j]
+    rest = high * hi_high[j] - p
+    rest += high * hi_low[j]
+    rest += low * hi_high[j]
+    rest += low * hi_low[j]
+    rest += a * lo[j]
     whole = np.floor(rest)
     rest -= whole
     d = p.astype(np.int64) + whole.astype(np.int64) + (rest > 0.5)
@@ -211,8 +212,8 @@ def _digits(d) -> np.ndarray:
     last = _eight_digits((d - q * 10 ** 8).astype(np.uint64))
     first = q // 10 ** 8
     middle = _digit_text(_eight_digits((q - first * 10 ** 8).astype(
-        np.uint64)), np.right_shift, last != 0)
-    last = _digit_text(last, np.right_shift, False)
+        np.uint64)), last != 0)
+    last = _digit_text(last, False)
     lanes = np.empty((len(d), 3), "<u8")  # little-endian on any host
     lanes[:, 0] = (first.astype(np.uint64) + _U64(ord("0"))) | (
         middle << _U64(8))
@@ -277,7 +278,7 @@ def format_floats(x) -> np.ndarray:
             g[:, point] = (s[:, point - 1] != 0) * np.uint8(ord("."))
             g[:, point + 1:19] = s[:, point - 1:]
         if k == 17:
-            g[:, 19:] = _EXPONENT_TEXT[e[lo:hi] - _J0]
+            g[:, 19:] = _power_tables()[-1][e[lo:hi] - _J0]
     text_of = np.empty(x.size, np.intp)
     text_of[rows] = np.arange(n)
     text_of[zero] = n + np.signbit(x[zero])
@@ -285,24 +286,21 @@ def format_floats(x) -> np.ndarray:
     return body.take(text_of, axis=0)
 
 
+def _floats_hold(v) -> bool:
+    """Whether every integer of ``v`` lies below 2**53 in magnitude, so
+    that its double holds it exactly and writes it with ``'%.17g'`` as
+    ``'%d'`` does."""
+    return not v.size or -2 ** 53 < int(v.min()) <= int(v.max()) < 2 ** 53
+
+
 def format_ints(v) -> np.ndarray:
     """Each integer of ``v`` as its ``'%d'`` text, in rows like those of
-    ``format_floats``: those in [0, 1e16) from two lanes of eight digits
-    with leading zeros as NUL, every other one by ``%`` itself."""
+    ``format_floats``: by ``format_floats`` if doubles hold them all, by
+    ``%`` itself otherwise."""
     v = np.asarray(v).ravel()
-    small = (v >= 0) & (v < 10 ** 16)
-    w = np.where(small, v, 0).astype(np.uint64)
-    q = w // _U64(10 ** 8)
-    first = _eight_digits(q)
-    lanes = np.zeros((v.size, 3), "<u8")
-    lanes[:, 0] = _digit_text(first, np.left_shift, False)
-    # the last digit stays, "0" included
-    lanes[:, 1] = _digit_text(_eight_digits(w - q * _U64(10 ** 8)),
-                              np.left_shift, first != 0) | _U64(0x30 << 56)
-    out = lanes.view(np.uint8)
-    if not small.all():
-        out[~small] = _by_percent(v[~small], "%d")
-    return out
+    if _floats_hold(v):
+        return format_floats(v.astype(np.float64))
+    return _by_percent(v, "%d")
 
 
 def write_tables(paths, header, tables) -> None:
@@ -321,8 +319,9 @@ def write_tables(paths, header, tables) -> None:
             raise ValueError("the tables differ in shape")
     columns = [arrays[:1] if _same_cells(arrays) else arrays
                for arrays in by_column]
-    rows = max(1, _BLOCK_CELLS // sum(len(arrays) * arrays[0][:1].size
-                                      for arrays in columns))
+    # a table without rows is its header alone
+    rows = max(1, _BLOCK_CELLS // max(1, sum(len(arrays) * arrays[0][:1].size
+                                             for arrays in columns)))
     with _open_tables(paths, header) as files:
         for lo in range(0, len(by_column[0][0]), rows):
             _write_rows(files, _texts(
@@ -345,17 +344,17 @@ def write_long_tables(paths, header, shared, own) -> None:
     if _same_cells(own):  # variants played as one run
         own = own[:1]
     T, n = shared.shape
-    steps = max(1, _BLOCK_CELLS // ((1 + len(own)) * n))
-    i = format_ints(np.arange(1, n + 1))
+    steps = max(1, _BLOCK_CELLS // max(1, (1 + len(own)) * n))
+    (i, i_used), = _texts([[np.arange(1, n + 1)]])
     with _open_tables(paths, header) as files:
         for lo in range(0, T, steps):
             hi = min(lo + steps, T)
-            t = format_ints(np.arange(lo + 1, hi + 1))
-            _write_rows(files, [
-                ([np.repeat(t, n, axis=0)[:, None]], _used_bytes(t, [0])[0]),
-                ([np.tile(i, (hi - lo, 1))[:, None]], _used_bytes(i, [0])[0]),
-                *_texts([[shared[lo:hi].ravel()],
-                         [a[lo:hi].ravel() for a in own]])])
+            (t, t_used), *cells = _texts([[np.arange(lo + 1, hi + 1)],
+                                          [shared[lo:hi].ravel()],
+                                          [a[lo:hi].ravel() for a in own]])
+            _write_rows(files, [([np.repeat(t[0], n, axis=0)], t_used),
+                                ([np.tile(i[0], (hi - lo, 1, 1))], i_used),
+                                *cells])
 
 
 def _used_bytes(text, starts) -> np.ndarray:
@@ -369,26 +368,28 @@ def _texts(columns) -> list:
     """The cell texts of ``columns``, each a list of one array ((rows,) or
     (rows, w)) that every path shares or of one array per path: for each
     column, the list of its (rows, w, ``_FIELD``) text blocks and the
-    bytes of the field they use. The float cells are formatted in one
-    ``format_floats`` call, across the columns and paths, and each integer
-    array in one ``format_ints`` call."""
-    floats = [a for arrays in columns for a in arrays
-              if a.dtype.kind not in "iu"]
-    if floats:
-        starts = np.cumsum([0] + [a.size for a in floats[:-1]])
-        text = format_floats(np.concatenate([a.ravel() for a in floats]))
-        float_texts = zip(np.split(text, starts[1:]),
-                          _used_bytes(text, starts))
+    bytes of the field they use. Every float array, and every integer
+    array that doubles hold (``_floats_hold``), is formatted in one
+    ``format_floats`` call across the columns and paths."""
+    arrays = [a for column in columns for a in column]
+    pooled = [a.dtype.kind not in "iu" or _floats_hold(a) for a in arrays]
+    if any(pooled):
+        cells = [a.ravel() for a, p in zip(arrays, pooled) if p]
+        starts = np.cumsum([0] + [a.size for a in cells[:-1]])
+        text = format_floats(np.concatenate(cells))
+        pooled_texts = zip(np.split(text, starts[1:]),
+                           _used_bytes(text, starts))
+    pooled = iter(pooled)
     texts = []
-    for arrays in columns:
+    for column in columns:
         blocks, used = [], np.zeros(_FIELD, bool)
-        for a in arrays:
-            if a.dtype.kind in "iu":
-                text = format_ints(a)
-                used |= _used_bytes(text, [0])[0]
+        for a in column:
+            if next(pooled):
+                text, bytes_used = next(pooled_texts)
             else:
-                text, bytes_used = next(float_texts)
-                used |= bytes_used
+                text = format_ints(a)
+                bytes_used = _used_bytes(text, [0])[0]
+            used |= bytes_used
             blocks.append(text.reshape(len(a), -1, _FIELD))
         texts.append((blocks, used))
     return texts

@@ -505,21 +505,26 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert streams == [(5 ^ cli.STREAM_SEED_XOR, 30)] * 2
 
-    def test_failed_run_writes_partial_trace(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("done", [3, 0])
+    def test_failed_run_writes_partial_trace(self, tmp_path, monkeypatch,
+                                             done):
+        """The steps done before the failure, or only the header if the
+        first step failed."""
         trace = experiments.run_example1(
             experiments.GaussMarkovConfig(horizon=6, seed=1),
             variants=("exact",))["exact"].trace
 
         def spy(*args, **kwargs):
-            raise SolverRunError("subproblem failed at step 4",
-                                 trace.truncated(3))
+            raise SolverRunError(f"subproblem failed at step {done + 1}",
+                                 trace.truncated(done))
 
         monkeypatch.setattr(experiments, "run", spy)
         out = tmp_path / "res"
         assert main(["run", "--experiment", "example1",
                      "--out", str(out)]) == 1
         expected = "k,f_x\n" + "".join(
-            f"{k},{f:.17g}\n" for k, f in enumerate(trace.f_played[:3], 1))
+            f"{k},{f:.17g}\n"
+            for k, f in enumerate(trace.f_played[:done], 1))
         assert (out / "partial_trace.csv").read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("margin", [-1.0, np.nan], ids=["negative", "nan"])

@@ -70,17 +70,27 @@ class TestCellFormatters:
         assert self._mismatches(format_floats(x), x, "%.17g") == []
 
     def test_ints_are_percent_d(self):
+        """Arrays below 2**53 in magnitude take the float path; any array
+        reaching past it goes through ``%`` whole."""
         rng = np.random.default_rng(35)
         info = np.iinfo(np.int64)
         powers = 10 ** np.arange(19)
-        v = np.concatenate([
+        exact = 2 ** 53 - 1
+        inside = np.concatenate([
+            rng.integers(-exact, exact, 50_000, endpoint=True),
+            rng.integers(0, 10 ** 6, 50_000), np.arange(-5000, 100_000),
+            powers[:16] - 1, powers[:16], powers[:16] + 1, -powers[:16],
+            [exact, -exact, 0, -1]])
+        beyond = np.concatenate([
             rng.integers(info.min, info.max, 50_000, np.int64),
-            rng.integers(0, 10 ** 16, 50_000), np.arange(-5000, 100_000),
-            powers - 1, powers, powers + 1, -powers,
-            [info.min, info.max, 0, -1, 10 ** 16 - 1, 10 ** 16]])
-        assert self._mismatches(format_ints(v), v, "%d") == []
-        big = np.array([2 ** 64 - 1, 2 ** 63, 0, 7], np.uint64)
-        assert self._mismatches(format_ints(big), big, "%d") == []
+            powers, -powers, [info.min, info.max, 0, -1, 10 ** 16]])
+        above = rng.integers(2 ** 53, info.max, 20_000, endpoint=True)
+        for v in (inside, beyond, above, -above, np.array([2 ** 53]),
+                  np.array([-2 ** 53]),
+                  np.array([2 ** 64 - 1, 2 ** 63, 0, 7], np.uint64),
+                  np.arange(1, 9, dtype=np.uint32)):
+            assert self._mismatches(format_ints(v), v, "%d") == []
+        assert format_ints(np.arange(0)).shape == (0, 24)
 
 
 class TestTable:
