@@ -158,6 +158,23 @@ def gauss_markov_constants(cfg: GaussMarkovConfig, truth):
     return L, np.full(cfg.horizon, cfg.eta * np.sqrt(cfg.n_coeffs))
 
 
+def _indexed_stream(g, grad, h, L, B, rule, domain: Domain, dim: int,
+                    values) -> ProblemStream:
+    """The stream of f_k = g(k-1, .) + h, of gradient grad(k-1, .), (T,)
+    arrays L and B of L_k and B_k and one prox ``rule``, which it declares;
+    step k binds the shared evaluators to k - 1."""
+    def step_at(k: int) -> CompositeLossStep:
+        return CompositeLossStep(
+            smooth_value=functools.partial(g, k - 1),
+            smooth_gradient=functools.partial(grad, k - 1), nonsmooth_value=h,
+            smoothness_constant=float(L[k - 1]),
+            regularizer_lipschitz=float(B[k - 1]), prox_handle=rule, dim=dim)
+
+    return ProblemStream(horizon=len(L), step_at=step_at, domain=domain,
+                         dim=dim, batch_values=values, gradient=grad,
+                         rule=rule, smoothness=L, reg_lipschitz=B)
+
+
 def tracking_stream(centers, domain: Domain, a: float = 1.0,
                     eta: float = 0.0):
     """(stream, optima) of f_k(x) = a ||x - c_k||^2 + eta ||x||_1 over
@@ -183,13 +200,6 @@ def tracking_stream(centers, domain: Domain, a: float = 1.0,
     def h(x):
         return eta * float(np.sum(np.abs(x)))
 
-    def step_at(k: int) -> CompositeLossStep:
-        return CompositeLossStep(
-            smooth_value=functools.partial(g, k - 1),
-            smooth_gradient=functools.partial(grad, k - 1), nonsmooth_value=h,
-            smoothness_constant=L, regularizer_lipschitz=B, prox_handle=rule,
-            dim=n)
-
     def values(xs, start):  # stacked matmuls: g's dot products, bit for bit
         d = xs - centers[start:start + len(xs)]
         return (a * (d[:, None, :] @ d[:, :, None])[:, 0, 0]
@@ -197,8 +207,8 @@ def tracking_stream(centers, domain: Domain, a: float = 1.0,
 
     optima = np.array([composed_prox(rule, domain, c, 1.0 / L)
                        for c in centers])  # CompositionError: no exact form
-    return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=n,
-                         batch_values=values), optima
+    return _indexed_stream(g, grad, h, np.full(T, L), np.full(T, B), rule,
+                           domain, n, values), optima
 
 
 def _lasso_smoothness(X: np.ndarray) -> np.ndarray:
@@ -238,21 +248,14 @@ def lasso_stream(X, Y, eta: float, domain: Domain) -> ProblemStream:
     def h(a):
         return eta * float(np.sum(np.abs(a)))
 
-    def step_at(k: int) -> CompositeLossStep:
-        return CompositeLossStep(
-            smooth_value=functools.partial(g, k - 1),
-            smooth_gradient=functools.partial(grad, k - 1), nonsmooth_value=h,
-            smoothness_constant=float(L[k - 1]), regularizer_lipschitz=B,
-            prox_handle=rule, dim=n)
-
     def values(A, start):  # stacked matmuls: g's dot products, bit for bit
         rows = slice(start, start + len(A))
         r = (X[rows] @ A[:, :, None])[:, :, 0] - Y[rows]
         return ((r[:, None, :] @ r[:, :, None])[:, 0, 0]
                 + eta * np.sum(np.abs(A), axis=1))
 
-    return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=n,
-                         batch_values=values)
+    return _indexed_stream(g, grad, h, L, np.full(T, B), rule, domain, n,
+                           values)
 
 
 def _lasso_path(X, Y, eta, halfwidth=None):
@@ -504,16 +507,14 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
     step_size = getattr(cfg, row.step_size)
     config = SolverConfig(step_size=step_size, generator=row.generator(),
                           initial_point=initial_point(stream.dim))
-    steps = stream.steps()  # built once, dropped before the ledgers
     try:
-        played = {model: run(stream, config, model, steps=steps)
+        played = {model: run(stream, config, model)
                   for model in dict.fromkeys(models.values())}
     except SolverRunError as exc:
         if out_dir is not None:
             write_table(os.path.join(out_dir, PARTIAL_TRACE), ("k", "f_x"), [
                 np.arange(1, exc.trace.horizon + 1), exc.trace.f_played])
         raise
-    del steps
     tables = {model: ledger_from_trace(fill_optima(trace, stream, optima),
                                        config.generator, step_size,
                                        stream.domain)
@@ -782,9 +783,9 @@ def generate_separation(cfg: SeparationConfig):
         raise ValueError(f"need finite ||M_k||^2; frame {np.argmin(ok) + 1} "
                          f"overflows")
     m = rows * cols
-    L_const = separation_smoothness(cfg)
-    B_const = float(np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
-                             cfg.lambda_S * np.sqrt(m)))
+    L_k = np.full(T, separation_smoothness(cfg))
+    B_k = np.full(T, np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
+                              cfg.lambda_S * np.sqrt(m)))
     prox = block_rule([((rows, cols), nuclear_rule(cfg.lambda_L)),
                        ((rows, cols), l1_rule(cfg.lambda_S))])
 
@@ -810,13 +811,6 @@ def generate_separation(cfg: SeparationConfig):
         return (cfg.lambda_L * float(np.sum(sv))
                 + cfg.lambda_S * float(np.sum(np.abs(z[m:]))))
 
-    def step_at(k: int) -> CompositeLossStep:
-        return CompositeLossStep(
-            smooth_value=functools.partial(g, k - 1),
-            smooth_gradient=functools.partial(grad, k - 1),
-            nonsmooth_value=h, smoothness_constant=L_const,
-            regularizer_lipschitz=B_const, prox_handle=prox, dim=2 * m)
-
     def values(Z, start):
         t = len(Z)
         Lm = Z[:, :m].reshape(t, rows, cols)
@@ -829,8 +823,8 @@ def generate_separation(cfg: SeparationConfig):
                 + (cfg.lambda_L * np.sum(sv, axis=1)
                    + cfg.lambda_S * np.sum(np.abs(Z[:, m:]), axis=1)))
 
-    stream = ProblemStream(horizon=T, step_at=step_at, domain=whole_space(),
-                           dim=2 * m, batch_values=values)
+    stream = _indexed_stream(g, grad, h, L_k, B_k, prox, whole_space(), 2 * m,
+                             values)
     truth = {"background": backgrounds, "foreground": S_true,
              "support": mask, "M": M, "spectrum": spectrum}
     return stream, truth

@@ -1,19 +1,21 @@
 """Time-varying composite loss streams, domains, and injected oracle errors.
 
-A stream hands out one ``CompositeLossStep`` per time index: a smooth part
+A stream describes time index k by a ``CompositeLossStep``: a smooth part
 with declared gradient Lipschitz constant, a Lipschitz regularizer, and a
-handle to its exact prox rule. A ``Domain``'s regime ``kind`` follows from
-its diameter. ``ErrorModel`` produces the gradient and prox error
-sequences; draws are keyed on (seed XOR purpose tag, step index) so any
-single draw can be replayed bit-identically without consuming shared RNG
-state. ``ErrorModel.draws`` seeds a block of steps in one vectorised
-pass; every draw equals the one of ``np.random.default_rng((seed XOR
-tag, k))``.
+handle to its exact prox rule; a built-in stream also declares the indexed
+gradient, L_k, B_k and one rule that the online loop reads. A ``Domain``'s
+regime ``kind`` follows from its diameter. ``ErrorModel`` produces the
+gradient and prox error sequences; draws are keyed on (seed XOR purpose
+tag, step index) so any single draw can be replayed bit-identically
+without consuming shared RNG state. ``ErrorModel.draws`` seeds a block of
+steps in one vectorised pass; every draw equals the one of
+``np.random.default_rng((seed XOR tag, k))``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -133,7 +135,7 @@ class CompositeLossStep:
     (``gauss_markov_constants``, ``separation_constants``);
     :func:`validate_constants` is a sampled check that the tests use.
     ``prox_handle`` resolves to an exact prox rule (see the prox module).
-    A stream holds one step per time index, so steps are slotted, and the
+    A stream may build one step per time index, so steps are slotted, and the
     built-in streams bind shared evaluators to the step's index instead of
     building closures per step.
     """
@@ -157,7 +159,10 @@ class ProblemStream:
     ``batch_values``, when given, maps a (t, dim) stack of points and a
     step offset ``start`` to the (t,) values f_k(xs[k-1-start]) of steps
     start+1..start+t in array code, equal bit for bit to each step's
-    ``total_value``; ``total_values`` uses it.
+    ``total_value``; ``total_values`` uses it. Steps sharing one ``rule``
+    may declare it, ``gradient`` (i, x) -> step i+1's smooth gradient at
+    x, and (T,) arrays ``smoothness`` and ``reg_lipschitz`` of L_k and B_k,
+    bit for bit; given all four, ``solver.run`` calls no ``step_at``.
     """
 
     horizon: int
@@ -165,25 +170,22 @@ class ProblemStream:
     domain: Domain
     dim: int
     batch_values: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    gradient: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    rule: object = None
+    smoothness: Optional[np.ndarray] = None
+    reg_lipschitz: Optional[np.ndarray] = None
 
     def steps(self):
         return [self.step_at(k) for k in range(1, self.horizon + 1)]
 
-    def total_values(self, xs, steps=None, start: int = 0) -> np.ndarray:
-        """f_k(xs[k-1-start]) for k = start+1..start+len(xs), one entry per
-        row of ``xs``.
-
-        Without ``batch_values`` each step's ``total_value`` is called, on
-        ``steps`` (those of the rows) when the caller has built them
-        already.
-        """
+    def total_values(self, xs, start: int = 0) -> np.ndarray:
+        """f_k(xs[k-1-start]) for k = start+1..start+len(xs), one per row of
+        ``xs``; without ``batch_values``, each step's ``total_value``."""
         xs = np.asarray(xs, dtype=float)
         if self.batch_values is not None:
             return self.batch_values(xs, start)
-        if steps is None:
-            steps = map(self.step_at, range(start + 1, start + len(xs) + 1))
-        return np.array([step.total_value(x) for step, x in zip(steps, xs)],
-                        dtype=float)
+        return np.array([self.step_at(start + 1 + j).total_value(x)
+                         for j, x in enumerate(xs)], dtype=float)
 
 
 # numpy's SeedSequence hash (``mix_entropy`` and ``generate_state`` in
@@ -224,8 +226,6 @@ def _seed_states(key: int, lo: int, hi: int) -> np.ndarray:
     followed by the one word of k, so all k = lo+1..hi hash in one pass
     of uint32 array arithmetic (which wraps, as numpy's C code does).
     """
-    if key < 0:
-        raise ValueError("expected non-negative integer")
     rows = hi - lo
     entropy = [np.full(rows, (key >> shift) & _MASK32, dtype=np.uint32)
                for shift in range(0, max(key.bit_length(), 1), 32)]
@@ -289,9 +289,12 @@ class ErrorModel:
     gradient_std: float = 0.0
     prox_std: float = 0.0
     eps_cap: Optional[float] = None
-    seed: int = 0
+    seed: int = 0  # an integer >= 0, as numpy's SeedSequence takes
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("gradient_std", "prox_std"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got "

@@ -40,11 +40,14 @@ def _threshold(lam: float) -> float:
     return lam
 
 
+def _shrink(y: np.ndarray, lam: float) -> np.ndarray:
+    return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
+
+
 def soft_threshold(y, lam: float):
     """Entrywise sign(y) * max(|y| - lam, 0); any shape."""
     _threshold(lam)
-    y = np.asarray(y, dtype=float)
-    return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
+    return _shrink(np.asarray(y, dtype=float), lam)
 
 
 def singular_value_threshold(Z, lam: float):
@@ -122,6 +125,15 @@ class BlockRule:
 
 def block_rule(blocks) -> BlockRule:
     return BlockRule(blocks=tuple((tuple(shape), rule) for shape, rule in blocks))
+
+
+def prox_map(rule, scale: float):
+    """v -> ``rule.apply(v, scale)`` for float arrays v: an l1 rule's
+    formula with its threshold checked once, here; else the rule's
+    ``apply``."""
+    if getattr(rule, "kind", None) == "l1":
+        return functools.partial(_shrink, lam=_threshold(scale * rule.weight))
+    return lambda v: rule.apply(v, scale)
 
 
 def composed_prox(rule, domain: Domain, v, scale: float):
@@ -246,18 +258,18 @@ def subproblem_solver(rule, gen: DistanceGenerator, domain: Domain,
                       inner_tolerance: float = INNER_TOL_DEFAULT):
     """The solver of every step whose nonsmooth term has prox ``rule``.
 
-    Returns solve(anchor, noisy_grad) -> (y, bound): the minimizer of Phi
-    over the domain and an upper bound on its distance to the argmin.
-    The form is chosen here, once: the Euclidean proximal step
-    (``composed_prox``, bound 0), the entropy closed forms for a zero rule
-    (multiplicative weights on the simplex, the positive-orthant
+    Returns solve(anchor, noisy_grad) -> (y, bound): the minimizer of Phi over
+    the domain and an upper bound on its distance to the argmin. The form is
+    chosen here, once: the Euclidean proximal step (``prox_map`` on the whole
+    space, else ``composed_prox``; bound 0), the entropy closed forms for a
+    zero rule (multiplicative weights on the simplex, the positive-orthant
     stationary point on the whole space, bound 0), or ``_inner_solve``.
     """
     lam = step_size
     if gen.name == "euclidean":
-        def solve(anchor, c):
-            return composed_prox(rule, domain, anchor - lam * c, lam), 0.0
-        return solve
+        prox = (prox_map(rule, lam) if domain.kind == "whole_space"
+                else lambda v: composed_prox(rule, domain, v, lam))
+        return lambda anchor, c: (prox(anchor - lam * c), 0.0)
     if (gen.name == "negative_entropy"
             and getattr(rule, "kind", None) == "zero"):
         if domain.name == "simplex":

@@ -14,8 +14,8 @@ over the block, so ``step_seconds`` times the recursion alone
 (perfbench's per-step quantiles such as ``step_p50_us`` read lower than
 when the loop also did the bookkeeping). The gradient is always
 evaluated at the played point x_{k-1}, never at y_{k-1}. Per-step optima
-are filled later by the regret module. Both loops read the steps' declared
-L_k and B_k in ``_empty_trace`` alone, which checks them before a step.
+are filled later by the regret module. Both loops read the declared L_k
+and B_k in ``_empty_trace`` alone, which checks them before a step.
 
 ``run_proximal_gradient`` is a deliberately self-contained Euclidean
 baseline, kept free of the generic mirror machinery so the two paths can
@@ -24,6 +24,7 @@ be compared iterate by iterate.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -49,16 +50,30 @@ class SolverConfig:
 _BLOCK_ROWS = 512
 
 
-def _empty_trace(stream: ProblemStream, config: SolverConfig, steps,
+def _declarations(stream: ProblemStream):
+    """(gradient, rules, L, B) if all are declared, else from the steps."""
+    declared = (stream.gradient, stream.rule, stream.smoothness,
+                stream.reg_lipschitz)
+    if all(d is not None for d in declared):
+        return (declared[0], itertools.repeat(declared[1]), *declared[2:])
+    steps = stream.steps()
+    return (lambda i, x: steps[i].smooth_gradient(x),
+            (step.prox_handle for step in steps),
+            [s.smoothness_constant for s in steps],
+            [s.regularizer_lipschitz for s in steps])
+
+
+def _empty_trace(stream: ProblemStream, config: SolverConfig, L, B,
                  sigma: float) -> RunTrace:
     """The unplayed trace holding each step's declared L_k and B_k.
 
-    Raises ValueError naming the first step whose L_k is NaN or negative or
-    whose B_k is NaN, infinite or negative, then applies
-    ``check_step_size`` at max_k L_k and ``sigma``."""
+    Raises ValueError unless L and B hold one entry per step, or naming
+    the first step whose L_k is NaN or < 0 or whose B_k is NaN, inf or < 0;
+    then applies ``check_step_size`` at max_k L_k and ``sigma``."""
     T, n = stream.horizon, stream.dim
-    L = np.fromiter((s.smoothness_constant for s in steps), float, T)
-    B = np.fromiter((s.regularizer_lipschitz for s in steps), float, T)
+    L, B = np.array(L, dtype=float), np.array(B, dtype=float)
+    if L.shape != (T,) or B.shape != (T,):
+        raise ValueError(f"need one L_k and one B_k per step of {T}")
     ok = (L >= 0.0) & (B >= 0.0) & (B < np.inf)
     if not np.all(ok):
         k = int(np.argmin(ok))
@@ -76,9 +91,8 @@ def _empty_trace(stream: ProblemStream, config: SolverConfig, steps,
         domain_diameter=stream.domain.diameter)
 
 
-def _record(trace: RunTrace, stream: ProblemStream, steps, config, lo: int,
-            hi: int, grads: np.ndarray, ys: np.ndarray,
-            errors: np.ndarray) -> None:
+def _record(trace: RunTrace, stream: ProblemStream, config, lo: int, hi: int,
+            grads: np.ndarray, ys: np.ndarray, errors: np.ndarray) -> None:
     """Fill the losses and norms of steps lo+1..hi from one block's buffers.
 
     Buffer row j holds step lo+1+j; the norms are ``losses.row_norms``,
@@ -97,38 +111,33 @@ def _record(trace: RunTrace, stream: ProblemStream, steps, config, lo: int,
     q += grads[:size]
     trace.q_norms[lo:hi] = row_norms(q)
     trace.grad_error_norms[lo:hi] = row_norms(errors[:size])
-    trace.f_played[lo:hi] = stream.total_values(xs[lo:hi], steps[lo:hi], lo)
+    trace.f_played[lo:hi] = stream.total_values(xs[lo:hi], lo)
 
 
-def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
-        steps=None) -> RunTrace:
+def run(stream: ProblemStream, config: SolverConfig,
+        model: ErrorModel) -> RunTrace:
     """Drive the inexact mirror step over the full stream.
 
-    ``steps`` is ``stream.steps()``, built here unless the caller passes
-    the list it built for several runs on one stream. A step's subproblem
-    solver (``subproblem_solver``) is built only when its prox rule is not
-    the previous step's. Each block of ``_BLOCK_ROWS`` steps first takes
-    its error draws from ``model.draws``, bit for bit the per-step draws;
-    the loop then runs the recursion only: per step one gradient plus its
-    error, and one ``inexact_mirror_prox`` call with the solver of the
-    step's rule and the step's prox offset. It keeps the
-    noisy gradient and the prox point y_k in block buffers;
+    One loop plays every stream from its ``_declarations``, so a built-in
+    stream builds no step. A step's solver (``subproblem_solver``) is built
+    only when its prox rule is not the previous step's. Each block of
+    ``_BLOCK_ROWS`` steps first takes its error draws from ``model.draws``,
+    bit for bit the per-step draws; the loop then runs the recursion only:
+    per step one gradient plus its error, and one ``inexact_mirror_prox``
+    call with the solver of the step's rule and the step's prox offset. It
+    keeps the noisy gradient and the prox point y_k in block buffers;
     ``step_seconds`` times exactly that, not the draws. After each block
     its played losses (``stream.total_values``) and error and q norms are
-    filled in array calls, bit for bit the per-step values, so the
-    scratch memory does not grow with the horizon.
+    filled in array calls, bit for bit the per-step values, so the scratch
+    memory does not grow with the horizon.
 
     Raises ValueError or StepSizeError before any step (``_empty_trace``)
     on a bad declared L_k or B_k at any step, or unless 0 < step_size <=
     2 sigma_omega / max_k L_k. Raises SolverRunError if a subproblem fails
     mid-run, with the fully filled trace of the completed steps attached.
     """
-    if steps is None:
-        steps = stream.steps()
-    elif len(steps) != stream.horizon:
-        raise ValueError("steps do not cover the stream's horizon")
-    trace = _empty_trace(stream, config, steps,
-                         config.generator.sigma_omega)
+    gradient, rules, L, B = _declarations(stream)
+    trace = _empty_trace(stream, config, L, B, config.generator.sigma_omega)
     T, n = stream.horizon, stream.dim
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (n,):
@@ -139,26 +148,26 @@ def run(stream: ProblemStream, config: SolverConfig, model: ErrorModel,
     for lo in range(0, T, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, T)
         errors, offsets, radii = model.draws(lo, hi, n)
-        for i in range(lo, hi):
-            step, j = steps[i], i - lo
-            if step.prox_handle is not rule:
-                rule = step.prox_handle
+        for i, step_rule in zip(range(lo, hi), rules):
+            j = i - lo
+            if step_rule is not rule:
+                rule = step_rule
                 solve = subproblem_solver(rule, config.generator, domain,
                                           config.step_size,
                                           config.inner_tolerance)
             t0 = time.perf_counter()
-            grad = np.add(step.smooth_gradient(x), errors[j], out=grads[j])
+            grad = np.add(gradient(i, x), errors[j], out=grads[j])
             try:
                 x, ys[j], trace.eps[i] = inexact_mirror_prox(
                     solve, domain, x, grad, offsets[j], radii[j])
             except OmpdError as exc:
-                _record(trace, stream, steps, config, lo, i, grads, ys, errors)
+                _record(trace, stream, config, lo, i, grads, ys, errors)
                 raise SolverRunError(
                     f"subproblem failed at step {i + 1}: {exc}",
                     trace.truncated(i)) from exc
             trace.iterates[i] = x
             trace.step_seconds[i] = time.perf_counter() - t0
-        _record(trace, stream, steps, config, lo, hi, grads, ys, errors)
+        _record(trace, stream, config, lo, hi, grads, ys, errors)
     return trace
 
 
@@ -197,7 +206,9 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
     """
     steps = stream.steps()
     lam = config.step_size
-    trace = _empty_trace(stream, config, steps, 1.0)
+    trace = _empty_trace(stream, config,
+                         [s.smoothness_constant for s in steps],
+                         [s.regularizer_lipschitz for s in steps], 1.0)
     domain = stream.domain
     x = np.array(config.initial_point, dtype=float)
     for k, step in enumerate(steps, start=1):

@@ -174,6 +174,40 @@ class TestErrorModel:
             np.testing.assert_array_equal(offsets[k - 1], o)
             assert radii[k - 1] == e
 
+    @pytest.mark.parametrize("stds", [(0.0, 0.0), (0.05, 0.3)],
+                             ids=["zero-stds", "nonzero-stds"])
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (-2**70, ValueError), (np.int64(-3), ValueError),
+        (1.5, TypeError), (np.float64(2.0), TypeError), ("3", TypeError),
+        (np.bool_(True), TypeError)],
+        ids=["minus-1", "minus-2**70", "np-int64-minus-3", "1.5",
+             "np-float64", "str", "np-bool"])
+    def test_refuses_a_seed_that_is_not_a_nonnegative_integer(self, stds,
+                                                              seed, error):
+        """Refused at construction, whatever the stds, as numpy's
+        SeedSequence refuses it: a zero-std model would otherwise play,
+        and a nonzero-std one fail only at its first draw."""
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+        with pytest.raises(error, match="seed|integer"):
+            ErrorModel(gradient_std=stds[0], prox_std=stds[1], seed=seed)
+
+    @pytest.mark.parametrize("seed", [
+        np.int64(42), np.int32(7), np.uint64(2**64 - 1), True, 0],
+        ids=["np-int64", "np-int32", "np-uint64-max", "True", "0"])
+    def test_integer_seeds_draw_as_their_int(self, seed):
+        """A numpy integer (or bool) seed is stored as its int; the model
+        equals the int-seeded one and draws its bits, which are numpy's
+        per-step draws."""
+        model = ErrorModel(gradient_std=0.05, prox_std=0.3, seed=seed)
+        same = ErrorModel(gradient_std=0.05, prox_std=0.3, seed=int(seed))
+        assert type(model.seed) is int and model.seed == int(seed)
+        assert model == same and hash(model) == hash(same)
+        got = model.draws(505, 520, 3)
+        for g, s, w in zip(got, same.draws(505, 520, 3),
+                           self._reference_draws(same, 505, 520, 3)):
+            assert g.tobytes() == s.tobytes() == w.tobytes()
+
     def test_zero_model_draws_zeros(self):
         m = zero_error_model(seed=9)
         for rows in m.draws(0, 10, 4):

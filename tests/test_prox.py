@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompd import (CompositeLossStep, CompositionError, ErrorModel,
-                  StepSizeError, SvdError, ball, box, composed_prox,
-                  divergence, euclidean_generator, inexact_mirror_prox,
-                  l1_rule, negative_entropy_generator, nuclear_rule, simplex,
-                  singular_value_threshold, soft_threshold, subproblem_solver,
-                  whole_space, zero_error_model, zero_rule)
+                  StepSizeError, SvdError, ball, block_rule, box,
+                  composed_prox, divergence, euclidean_generator,
+                  inexact_mirror_prox, l1_rule, negative_entropy_generator,
+                  nuclear_rule, prox, simplex, singular_value_threshold,
+                  soft_threshold, subproblem_solver, whole_space,
+                  zero_error_model, zero_rule)
 from ompd.prox import INNER_TOL_DEFAULT, _inner_solve, check_step_size
 
 EUCLID = euclidean_generator()
@@ -330,6 +331,81 @@ class TestExactMirrorProx:
         for bad in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="L must be nonnegative"):
                 check_step_size(0.5, bad, EUCLID.sigma_omega)
+
+
+class TestResolvedEuclideanStep:
+    """On the whole space the Euclidean solver is the rule's ``prox_map``,
+    resolved once per rule and step size: bit for bit ``composed_prox``."""
+
+    LAM = 0.5
+    # at weight 0.6 the threshold is 0.3, so -0.3 shrinks to -0.0
+    EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 0.3, -0.3,
+             0.30000000000000004, -0.29999999999999993, 5e-324, -5e-324]
+
+    @classmethod
+    def _vector(cls, size, seed):
+        v = np.random.default_rng(seed).normal(scale=0.5, size=size)
+        v[:len(cls.EDGES)] = cls.EDGES
+        return v
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args).tobytes()
+        except Exception as exc:  # the same refusal on both paths
+            return type(exc), str(exc)
+
+    def _check(self, rule, v, monkeypatch):
+        calls, real = [], prox.composed_prox
+        monkeypatch.setattr(prox, "composed_prox",
+                            lambda *a: calls.append(1) or real(*a))
+        solve = subproblem_solver(rule, EUCLID, whole_space(), self.LAM)
+        got = self._outcome(lambda a: solve(a, np.zeros_like(a))[0], v)
+        assert not calls  # the resolved map, not composed_prox
+        want = self._outcome(real, rule, whole_space(), v - self.LAM * 0.0,
+                             self.LAM)
+        assert got == want
+        return got
+
+    def test_negative_zero_output(self, monkeypatch):
+        got = self._check(l1_rule(0.6), self._vector(12, 0), monkeypatch)
+        y = np.frombuffer(got)
+        assert y[6] == 0.0 and np.signbit(y[6]) and np.isnan(y[2])
+
+    @pytest.mark.parametrize("rule", [
+        zero_rule(), l1_rule(0.6), l1_rule(0.0),
+        block_rule([((3, 4), nuclear_rule(0.6)), ((3, 4), l1_rule(0.6))]),
+        block_rule([((2, 3), zero_rule()), ((6,), l1_rule(0.0)),
+                    ((3, 4), nuclear_rule(0.0))])],
+        ids=["zero", "l1", "l1-weight-0", "block", "block-weight-0"])
+    def test_flat_vectors(self, rule, monkeypatch):
+        size = 24
+        for seed in range(3):
+            v = self._vector(size, seed)
+            if getattr(rule, "kind", "block") == "block":
+                # a finite nuclear block; the l1 part meets the edges
+                v = np.concatenate((np.random.default_rng(seed).normal(
+                    size=12), self._vector(12, seed)))
+            self._check(rule, v, monkeypatch)
+        if getattr(rule, "kind", "block") == "block":
+            nan = np.zeros(size)
+            nan[0] = np.nan  # a NaN in the nuclear block: SvdError on both
+            self._check(rule, nan, monkeypatch)
+
+    @pytest.mark.parametrize("weight", [0.6, 0.0])
+    def test_nuclear_rule(self, weight, monkeypatch):
+        """A matrix is shrunk by its singular values; a flat vector, or a
+        matrix holding NaN, is refused alike."""
+        rule = nuclear_rule(weight)
+        rng = np.random.default_rng(4)
+        for v in (rng.normal(size=(4, 3)), np.diag([0.3, -0.3, 1.0]),
+                  np.zeros((2, 2)), rng.normal(size=5),
+                  np.array([[np.nan, 1.0], [2.0, 3.0]])):
+            self._check(rule, v, monkeypatch)
+
+    def test_threshold_checked_once_when_resolved(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            subproblem_solver(l1_rule(-0.1), EUCLID, whole_space(), self.LAM)
 
 
 class TestInnerSolver:

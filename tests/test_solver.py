@@ -166,7 +166,9 @@ class TestRun:
                                                            field, value):
         """A NaN or negative L_k, or a NaN, infinite or negative B_k, at the
         first or a middle step of a 6-step stream is a ValueError naming
-        that step, raised before any gradient is taken."""
+        that step, raised before any gradient is taken: whether the steps
+        declare it (a stream given only ``step_at``) or, for ``run``, the
+        stream's own L_k or B_k array."""
         stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
                                     whole_space(), eta=0.1)
         gradients = []
@@ -180,11 +182,22 @@ class TestRun:
                 step = dataclasses.replace(step, **{field: value})
             return step
 
+        array = {"smoothness_constant": "smoothness",
+                 "regularizer_lipschitz": "reg_lipschitz"}[field]
+        declared = getattr(stream, array).copy()
+        declared[at - 1] = value
+        streams = [dataclasses.replace(stream, step_at=step_at,
+                                       gradient=None)]
+        if loop is run:
+            streams.append(dataclasses.replace(
+                stream, gradient=lambda i, x: gradients.append(i)
+                or stream.gradient(i, x), **{array: declared}))
         config = SolverConfig(step_size=0.25, generator=EUCLID,
                               initial_point=np.zeros(2))
         model = ErrorModel(gradient_std=0.1, prox_std=0.1, seed=3)
-        with pytest.raises(ValueError, match=f"^step {at} declares"):
-            loop(dataclasses.replace(stream, step_at=step_at), config, model)
+        for bad in streams:
+            with pytest.raises(ValueError, match=f"^step {at} declares"):
+                loop(bad, config, model)
         assert not gradients
 
     def test_partial_trace_attached_on_mid_run_failure(self):
@@ -374,6 +387,91 @@ def test_total_values_override_matches_the_fallback(case):
                                       fallback.total_values(rows, start=start))
 
 
+def _declared_streams():
+    """(label, stream, config) of each builder's stream: lasso on the whole
+    space and on a box, tracking at eta = 0 and eta > 0, separation."""
+    cfg = GaussMarkovConfig(horizon=40, seed=7)
+    n = cfg.n_coeffs
+    halfwidth = 5.0 / (2.0 * np.sqrt(n))
+    config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
+                          initial_point=np.zeros(n))
+    for label, domain in (("whole", None),
+                          ("box", box(-halfwidth, halfwidth, dim=n))):
+        yield (f"lasso-{label}", generate_gauss_markov(cfg, domain)[0],
+               config)
+    centers = np.random.default_rng(6).normal(0.2, 0.5, (30, 6))
+    config = SolverConfig(step_size=0.25, generator=EUCLID,
+                          initial_point=np.zeros(6))
+    for label, eta, domain in (("eta0", 0.0, whole_space()),
+                               ("eta-box", 0.1, box(-0.5, 0.5, dim=6))):
+        yield (f"tracking-{label}",
+               tracking_stream(centers, domain, eta=eta)[0], config)
+    sep = SeparationConfig(frame_dim=16, window=8, horizon=12, seed=2)
+    stream, _ = generate_separation(sep)
+    yield "separation", stream, SolverConfig(
+        step_size=sep.alpha_L, generator=EUCLID,
+        initial_point=np.zeros(stream.dim))
+
+
+def _steps_only(stream):
+    """The stream without its declarations: ``run`` derives them from
+    ``step_at``."""
+    return ProblemStream(horizon=stream.horizon, step_at=stream.step_at,
+                         domain=stream.domain, dim=stream.dim,
+                         batch_values=stream.batch_values)
+
+
+@pytest.mark.parametrize("case", list(_declared_streams()),
+                         ids=lambda case: case[0])
+class TestDeclaredStream:
+    def test_declarations_equal_the_steps(self, case):
+        """gradient(i, x) is step i+1's gradient, L and B its constants, bit
+        for bit, and every step holds the one declared rule."""
+        _, stream, _ = case
+        steps = stream.steps()
+        rng = np.random.default_rng(9)
+        for i, step in enumerate(steps):
+            x = rng.normal(scale=2.0, size=stream.dim)
+            assert (stream.gradient(i, x).tobytes()
+                    == step.smooth_gradient(x).tobytes())
+            assert step.prox_handle is stream.rule
+        for name, field in (("smoothness", "smoothness_constant"),
+                            ("reg_lipschitz", "regularizer_lipschitz")):
+            declared = getattr(stream, name)
+            assert declared.shape == (stream.horizon,)
+            want = np.array([getattr(step, field) for step in steps])
+            assert declared.tobytes() == want.tobytes(), name
+
+    def test_plays_as_a_stream_of_steps(self, case):
+        """Without its declarations, or with one of the four missing, the
+        stream plays its steps, bit for bit as declared."""
+        _, stream, config = case
+        arrays = ("x0",) + tuple(name for name in _PER_STEP_FIELDS
+                                 if name != "step_seconds")
+        calls = []
+        partial = dataclasses.replace(
+            stream, rule=None,
+            step_at=lambda k: calls.append(k) or stream.step_at(k))
+        for model in (zero_error_model(seed=31),
+                      ErrorModel(gradient_std=0.05, prox_std=0.05, seed=31)):
+            declared = run(stream, config, model)
+            for derived in (run(_steps_only(stream), config, model),
+                            run(partial, config, model)):
+                for name in arrays:
+                    a, b = getattr(declared, name), getattr(derived, name)
+                    assert a.tobytes() == b.tobytes(), name
+        assert calls
+
+    def test_run_builds_no_step(self, case):
+        _, stream, config = case
+        calls = []
+        counted = dataclasses.replace(
+            stream, step_at=lambda k: calls.append(k) or stream.step_at(k))
+        run(counted, config, ErrorModel(gradient_std=0.05, prox_std=0.05,
+                                        seed=32))
+        assert not calls
+
+
 class TestEuclideanEquivalence:
     def test_paths_agree_with_and_without_noise(self):
         for seed in range(3):
@@ -503,10 +601,9 @@ def test_one_subproblem_solver_for_a_stream_of_one_rule(monkeypatch):
 
 def _run_peak(T, model):
     """tracemalloc peak of ``run`` on an example1 stream, above its start;
-    the stream and its steps are built before tracing starts."""
+    the stream is built before tracing starts."""
     cfg = GaussMarkovConfig(horizon=T, seed=3)
     stream, _ = generate_gauss_markov(cfg)
-    steps = stream.steps()
     config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
                           initial_point=np.zeros(stream.dim))
     gc.collect()
@@ -515,7 +612,7 @@ def _run_peak(T, model):
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        run(stream, config, model, steps=steps)
+        run(stream, config, model)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
@@ -536,12 +633,21 @@ def test_run_scratch_does_not_grow_with_the_horizon(model):
     assert growth <= 3072 * per_step + 64 * 1024
 
 
-def test_run_refuses_steps_of_another_horizon():
-    stream = _alternating_rule_stream(box(-1.0, 1.0, dim=6))
-    config = SolverConfig(step_size=0.3, generator=EUCLID,
-                          initial_point=np.zeros(stream.dim))
-    with pytest.raises(ValueError, match="horizon"):
-        run(stream, config, zero_error_model(), steps=stream.steps()[:-1])
+@pytest.mark.parametrize("array", ["smoothness", "reg_lipschitz"])
+def test_run_refuses_declarations_of_another_horizon(array):
+    """A declared L_k or B_k array one step short is refused before any
+    gradient is taken."""
+    stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
+                                whole_space(), eta=0.1)
+    gradients = []
+    short = dataclasses.replace(
+        stream, gradient=lambda i, x: gradients.append(i)
+        or stream.gradient(i, x), **{array: getattr(stream, array)[:-1]})
+    config = SolverConfig(step_size=0.25, generator=EUCLID,
+                          initial_point=np.zeros(2))
+    with pytest.raises(ValueError, match="per step of 6"):
+        run(short, config, zero_error_model())
+    assert not gradients
 
 
 class TestShiftedClipRule:
