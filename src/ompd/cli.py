@@ -108,16 +108,22 @@ def _load_config(path):
     """Parse a config file into {section: {key: value}}, all sections set.
 
     [custom] is read into [example1], the section of its table row; a file
-    with both is a config error, as is a file configparser rejects (a
+    with both is a config error, as is a path that cannot be read (a
+    directory, an unreadable file) and a file configparser rejects (a
     repeated section or key, no section header, a bad %-interpolation).
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (mu_L vs mu_S)
     try:
         if path is not None:
-            if not os.path.exists(path):
-                raise ConfigError(f"config file not found: {path}")
-            parser.read(path)
+            try:  # parser.read would skip a path it cannot open
+                with open(path, encoding="utf-8") as fh:
+                    parser.read_file(fh)
+            except FileNotFoundError:
+                raise ConfigError(f"config file not found: {path}") from None
+            except OSError as exc:
+                raise ConfigError(f"config file {path} cannot be read: "
+                                  f"{exc.strerror}") from None
             for section in parser.sections():
                 if section not in ("run", "domain", *EXPERIMENTS):
                     raise ConfigError(f"unknown section [{section}]")

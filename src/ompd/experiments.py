@@ -881,13 +881,13 @@ def separation_optima(stream: ProblemStream, M: np.ndarray,
     residuals = np.zeros(T)
     L = S = np.zeros((rows, cols))
     shrink_L, shrink_S = 1.0 + cfg.mu_L, 1.0 + cfg.mu_S
+    (_, nuclear), (_, l1) = stream.rule.blocks
+    tau_L = 0.5 / shrink_L * nuclear.weight  # rounded as nuclear.apply
     for k in range(1, T + 1):
-        step = stream.step_at(k)
-        (_, nuclear), (_, l1) = step.prox_handle.blocks
-        tau_L = 0.5 / shrink_L * nuclear.weight  # rounded as nuclear.apply
         Mk = M[k - 1]
-        kernel = (step.smooth_gradient, step.prox_handle, stream.domain)
-        h = 1.0 / step.smoothness_constant
+        kernel = (functools.partial(stream.gradient, k - 1), stream.rule,
+                  stream.domain)
+        h = 1.0 / float(stream.smoothness[k - 1])
         try:
             for sweep in range(1, SEPARATION_MAX_SWEEPS + 1):
                 L_prev, S_prev = L, S

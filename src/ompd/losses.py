@@ -1,9 +1,9 @@
 """Time-varying composite loss streams, domains, and injected oracle errors.
 
-A stream describes time index k by a ``CompositeLossStep``: a smooth part
-with declared gradient Lipschitz constant, a Lipschitz regularizer, and a
-handle to its exact prox rule; a built-in stream also declares the indexed
-gradient, L_k, B_k and one rule that the online loop reads. A ``Domain``'s
+A ``ProblemStream`` declares f_k = g_k + h_k as the library reads it: the
+indexed gradient of g_k, one prox rule of all h_k, the (T,) arrays of L_k
+and B_k, and a batch evaluator of f_k; a stream given by its steps
+(``CompositeLossStep``) has them filled from those. A ``Domain``'s
 regime ``kind`` follows from its diameter. ``ErrorModel`` produces the
 gradient and prox error sequences; draws are keyed on (seed XOR purpose
 tag, step index) so any single draw can be replayed bit-identically
@@ -105,8 +105,10 @@ def box(lo, hi, dim: Optional[int] = None) -> Domain:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto the probability simplex, sort based.
+    # Euclidean projection onto the simplex, sort based; NaN for nonfinite v
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        return np.full(v.shape, np.nan)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, v.size + 1)
@@ -135,9 +137,8 @@ class CompositeLossStep:
     (``gauss_markov_constants``, ``separation_constants``);
     :func:`validate_constants` is a sampled check that the tests use.
     ``prox_handle`` resolves to an exact prox rule (see the prox module).
-    A stream may build one step per time index, so steps are slotted, and the
-    built-in streams bind shared evaluators to the step's index instead of
-    building closures per step.
+    A stream given by its steps builds one per gradient, so steps are
+    slotted; a built-in stream's steps bind shared evaluators to an index.
     """
 
     smooth_value: Callable[[np.ndarray], float]
@@ -156,13 +157,15 @@ class CompositeLossStep:
 class ProblemStream:
     """A horizon of composite steps over a common domain.
 
-    ``batch_values``, when given, maps a (t, dim) stack of points and a
-    step offset ``start`` to the (t,) values f_k(xs[k-1-start]) of steps
-    start+1..start+t in array code, equal bit for bit to each step's
-    ``total_value``; ``total_values`` uses it. Steps sharing one ``rule``
-    may declare it, ``gradient`` (i, x) -> step i+1's smooth gradient at
-    x, and (T,) arrays ``smoothness`` and ``reg_lipschitz`` of L_k and B_k,
-    bit for bit; given all four, ``solver.run`` calls no ``step_at``.
+    The library reads its declarations only: ``gradient`` (i, x) -> step
+    i+1's smooth gradient at x, the one prox ``rule`` of all steps, (T,)
+    arrays ``smoothness`` and ``reg_lipschitz`` of L_k and B_k, and
+    ``batch_values`` (xs, start) -> the (t,) values f_k(xs[k-1-start]) of
+    steps start+1..start+t. One left None is filled from ``step_at(k)``,
+    bit for bit, keeping no step: the gradient builds step i+1 per call,
+    ``batch_values`` calls each ``total_value``, and one pass reads L_k,
+    B_k and the rule, refusing steps whose rules differ (ValueError naming
+    the first). A ``dataclasses.replace`` copy keeps what was filled.
     """
 
     horizon: int
@@ -175,17 +178,32 @@ class ProblemStream:
     smoothness: Optional[np.ndarray] = None
     reg_lipschitz: Optional[np.ndarray] = None
 
-    def steps(self):
-        return [self.step_at(k) for k in range(1, self.horizon + 1)]
+    def __post_init__(self):
+        step_at = self.step_at
+        fill = {"gradient": lambda i, x: step_at(i + 1).smooth_gradient(x),
+                "batch_values": lambda xs, start: np.array(
+                    [step_at(start + 1 + j).total_value(x)
+                     for j, x in enumerate(xs)], dtype=float)}
+        if any(getattr(self, name) is None
+               for name in ("rule", "smoothness", "reg_lipschitz")):
+            steps = map(step_at, range(1, self.horizon + 1))
+            L, B, rules = zip(*((s.smoothness_constant,
+                                 s.regularizer_lipschitz, s.prox_handle)
+                                for s in steps))
+            k = next((k for k, r in enumerate(rules) if r != rules[0]), 0)
+            if self.rule is None and k:
+                raise ValueError(f"step {k + 1} holds prox rule {rules[k]!r}"
+                                 f", not step 1's {rules[0]!r}")
+            fill.update(rule=rules[0], smoothness=np.array(L, dtype=float),
+                        reg_lipschitz=np.array(B, dtype=float))
+        for name, value in fill.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
 
     def total_values(self, xs, start: int = 0) -> np.ndarray:
         """f_k(xs[k-1-start]) for k = start+1..start+len(xs), one per row of
-        ``xs``; without ``batch_values``, each step's ``total_value``."""
-        xs = np.asarray(xs, dtype=float)
-        if self.batch_values is not None:
-            return self.batch_values(xs, start)
-        return np.array([self.step_at(start + 1 + j).total_value(x)
-                         for j, x in enumerate(xs)], dtype=float)
+        ``xs`` (``batch_values``)."""
+        return self.batch_values(np.asarray(xs, dtype=float), start)
 
 
 # numpy's SeedSequence hash (``mix_entropy`` and ``generate_state`` in

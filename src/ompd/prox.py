@@ -9,10 +9,9 @@ a closed-form prox rule the minimizer is the classical proximal step; for
 other generators ``prox_gradient``, the one prox-gradient loop that the
 offline oracle ``regret.offline_optimum`` also runs, drives the mapping
 norm of Phi below ``inner_tolerance``. ``subproblem_solver`` makes that
-choice once for every step that shares a prox rule. The inexactness
-wrapper then perturbs the solution by a norm-bounded offset and reports
-an honest eps_k for the ledger (offset radius plus the inner residual
-bound).
+choice once, for a stream's one prox rule. The inexactness wrapper then
+perturbs the solution by a norm-bounded offset and reports an honest
+eps_k for the ledger (offset radius plus the inner residual bound).
 """
 
 from __future__ import annotations

@@ -10,12 +10,11 @@ realized prox bounds eps_k, played loss values, and the per-step norm of
 grad g_k(x_{k-1}) + e_k + grad V(y_k, x_{k-1}) / lam (used by the
 bounded-domain constant). The loop itself runs only the recursion; the
 losses and norms are computed after each block of steps, in array calls
-over the block, so ``step_seconds`` times the recursion alone
-(perfbench's per-step quantiles such as ``step_p50_us`` read lower than
-when the loop also did the bookkeeping). The gradient is always
-evaluated at the played point x_{k-1}, never at y_{k-1}. Per-step optima
-are filled later by the regret module. Both loops read the declared L_k
-and B_k in ``_empty_trace`` alone, which checks them before a step.
+over the block, so ``step_seconds`` times the recursion alone. The
+gradient is always evaluated at the played point x_{k-1}, never at
+y_{k-1}. Per-step optima are filled later by the regret module. Both
+loops read only the stream's declarations, and ``_empty_trace`` checks
+its L_k and B_k before a step.
 
 ``run_proximal_gradient`` is a deliberately self-contained Euclidean
 baseline, kept free of the generic mirror machinery so the two paths can
@@ -24,7 +23,6 @@ be compared iterate by iterate.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -50,28 +48,16 @@ class SolverConfig:
 _BLOCK_ROWS = 512
 
 
-def _declarations(stream: ProblemStream):
-    """(gradient, rules, L, B) if all are declared, else from the steps."""
-    declared = (stream.gradient, stream.rule, stream.smoothness,
-                stream.reg_lipschitz)
-    if all(d is not None for d in declared):
-        return (declared[0], itertools.repeat(declared[1]), *declared[2:])
-    steps = stream.steps()
-    return (lambda i, x: steps[i].smooth_gradient(x),
-            (step.prox_handle for step in steps),
-            [s.smoothness_constant for s in steps],
-            [s.regularizer_lipschitz for s in steps])
-
-
-def _empty_trace(stream: ProblemStream, config: SolverConfig, L, B,
+def _empty_trace(stream: ProblemStream, config: SolverConfig,
                  sigma: float) -> RunTrace:
-    """The unplayed trace holding each step's declared L_k and B_k.
+    """The unplayed trace holding the stream's declared L_k and B_k.
 
-    Raises ValueError unless L and B hold one entry per step, or naming
-    the first step whose L_k is NaN or < 0 or whose B_k is NaN, inf or < 0;
+    Raises ValueError unless they hold one entry per step, or naming the
+    first step whose L_k is NaN or < 0 or whose B_k is NaN, inf or < 0;
     then applies ``check_step_size`` at max_k L_k and ``sigma``."""
     T, n = stream.horizon, stream.dim
-    L, B = np.array(L, dtype=float), np.array(B, dtype=float)
+    L = np.array(stream.smoothness, dtype=float)
+    B = np.array(stream.reg_lipschitz, dtype=float)
     if L.shape != (T,) or B.shape != (T,):
         raise ValueError(f"need one L_k and one B_k per step of {T}")
     ok = (L >= 0.0) & (B >= 0.0) & (B < np.inf)
@@ -118,16 +104,13 @@ def run(stream: ProblemStream, config: SolverConfig,
         model: ErrorModel) -> RunTrace:
     """Drive the inexact mirror step over the full stream.
 
-    One loop plays every stream from its ``_declarations``, so a built-in
-    stream builds no step. A step's solver (``subproblem_solver``) is built
-    only when its prox rule is not the previous step's. Each block of
-    ``_BLOCK_ROWS`` steps first takes its error draws from ``model.draws``,
-    bit for bit the per-step draws; the loop then runs the recursion only:
-    per step one gradient plus its error, and one ``inexact_mirror_prox``
-    call with the solver of the step's rule and the step's prox offset. It
-    keeps the noisy gradient and the prox point y_k in block buffers;
-    ``step_seconds`` times exactly that, not the draws. After each block
-    its played losses (``stream.total_values``) and error and q norms are
+    The loop reads the stream's declarations only, and builds the solver
+    of its one ``rule`` (``subproblem_solver``) once. Each block of
+    ``_BLOCK_ROWS`` steps takes its error draws from ``model.draws``, bit
+    for bit the per-step draws; then each step runs the recursion alone,
+    which ``step_seconds`` times: one gradient plus its error and one
+    ``inexact_mirror_prox`` call, into block buffers. After each block its
+    played losses (``stream.total_values``) and error and q norms are
     filled in array calls, bit for bit the per-step values, so the scratch
     memory does not grow with the horizon.
 
@@ -136,25 +119,21 @@ def run(stream: ProblemStream, config: SolverConfig,
     2 sigma_omega / max_k L_k. Raises SolverRunError if a subproblem fails
     mid-run, with the fully filled trace of the completed steps attached.
     """
-    gradient, rules, L, B = _declarations(stream)
-    trace = _empty_trace(stream, config, L, B, config.generator.sigma_omega)
+    trace = _empty_trace(stream, config, config.generator.sigma_omega)
     T, n = stream.horizon, stream.dim
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (n,):
         raise ValueError("initial point dimension does not match the stream")
     rows = min(T, _BLOCK_ROWS)
     grads, ys = np.empty((rows, n)), np.empty((rows, n))
-    domain, rule = stream.domain, None
+    domain, gradient = stream.domain, stream.gradient
+    solve = subproblem_solver(stream.rule, config.generator, domain,
+                              config.step_size, config.inner_tolerance)
     for lo in range(0, T, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, T)
         errors, offsets, radii = model.draws(lo, hi, n)
-        for i, step_rule in zip(range(lo, hi), rules):
+        for i in range(lo, hi):
             j = i - lo
-            if step_rule is not rule:
-                rule = step_rule
-                solve = subproblem_solver(rule, config.generator, domain,
-                                          config.step_size,
-                                          config.inner_tolerance)
             t0 = time.perf_counter()
             grad = np.add(gradient(i, x), errors[j], out=grads[j])
             try:
@@ -198,45 +177,41 @@ def run_proximal_gradient(stream: ProblemStream, config: SolverConfig,
                           model: ErrorModel) -> RunTrace:
     """Independently coded online proximal gradient baseline.
 
-    Euclidean geometry is forced regardless of config.generator; error
-    draws come from the same model keys as ``run``, one ``model.draws``
-    block of ``_BLOCK_ROWS`` steps at a time, so with the Euclidean
-    generator the two trajectories should agree to machine precision.
-    Its step-size rule is ``check_step_size`` at sigma_omega = 1.
+    Euclidean geometry is forced regardless of config.generator, and the
+    prox is its own inline formulas (``_baseline_prox``); error draws come
+    from the same model keys as ``run``, one ``model.draws`` block of
+    ``_BLOCK_ROWS`` steps at a time, so with the Euclidean generator the
+    two trajectories should agree to machine precision. Its step-size rule
+    is ``check_step_size`` at sigma_omega = 1.
     """
-    steps = stream.steps()
     lam = config.step_size
-    trace = _empty_trace(stream, config,
-                         [s.smoothness_constant for s in steps],
-                         [s.regularizer_lipschitz for s in steps], 1.0)
-    domain = stream.domain
+    trace = _empty_trace(stream, config, 1.0)
+    domain, rule, gradient = stream.domain, stream.rule, stream.gradient
     x = np.array(config.initial_point, dtype=float)
-    for k, step in enumerate(steps, start=1):
-        j = (k - 1) % _BLOCK_ROWS
+    for i in range(stream.horizon):
+        j = i % _BLOCK_ROWS
         if j == 0:
             errors, offsets, radii = model.draws(
-                k - 1, min(k - 1 + _BLOCK_ROWS, stream.horizon), stream.dim)
+                i, min(i + _BLOCK_ROWS, stream.horizon), stream.dim)
         t0 = time.perf_counter()
         e = errors[j]
-        grad = step.smooth_gradient(x) + e
+        grad = gradient(i, x) + e
         v = x - lam * grad
-        if (domain.name == "simplex"
-                and getattr(step.prox_handle, "kind", None) == "l1"):
+        if domain.name == "simplex" and getattr(rule, "kind", None) == "l1":
             y = domain.project(v)  # l1 is constant on the simplex
         else:
-            y = _baseline_prox(step.prox_handle, v, lam)
+            y = _baseline_prox(rule, v, lam)
             if domain.kind != "whole_space":
                 y = domain.project(y)
         radius = radii[j]
         x_new = domain.project(y + offsets[j]) if radius > 0.0 else y
-        i = k - 1
         trace.iterates[i] = x_new
         trace.grad_error_norms[i] = np.linalg.norm(e)
         trace.eps[i] = radius
-        trace.f_played[i] = step.total_value(x_new)
         trace.q_norms[i] = np.linalg.norm(grad + (y - x) / lam)
         trace.step_seconds[i] = time.perf_counter() - t0
         x = x_new
+    trace.f_played[:] = stream.total_values(trace.iterates)
     return trace
 
 

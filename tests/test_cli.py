@@ -416,6 +416,35 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("unreadable", ["directory", "permission"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 unreadable):
+        """A ``--config`` path that cannot be read, a directory or a file
+        without read permission, is exit 2 naming the path; it is not
+        skipped for the defaults. Root reads any file, so the permission
+        error is raised by a stand-in ``open``."""
+        cfg = tmp_path / "run.cfg"
+        if unreadable == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_text(EX1_SMALL)
+
+            def denied(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(cli, "open", denied, raising=False)
+        extra = (["--experiment", "example1", "--horizon", "5"]
+                 if command == "run" else [])
+        code = main([command, "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: config file {cfg} cannot be "
+                              f"read: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("text, named", [
         (EX1_SMALL + "[run]\nseed = 6\n", "'run' already exists"),
         (EX1_SMALL + "seed = 6\n", "'seed' in section 'run' already"),

@@ -160,7 +160,7 @@ class TestTrackingStream:
         T, n = 12, 5
         centers = np.random.default_rng(8).normal(0.4, 0.6, (T, n))
         stream, optima = tracking_stream(centers, domain, a, eta)
-        steps = stream.steps()
+        steps = [stream.step_at(k) for k in range(1, T + 1)]
         assert len({id(step.prox_handle) for step in steps}) == 1
         assert steps[0].prox_handle.kind == ("l1" if eta else "zero")
         assert all(step.smoothness_constant == 2.0 * a
@@ -213,7 +213,7 @@ class TestLassoStream:
         T, d, n = 10, 3, 6
         X, Y = rng.normal(size=(T, d, n)), rng.normal(size=(T, d))
         stream = lasso_stream(X, Y, eta, domain)
-        steps = stream.steps()
+        steps = [stream.step_at(k) for k in range(1, T + 1)]
         assert (stream.horizon, stream.dim, stream.domain) == (T, n, domain)
         assert len({id(step.prox_handle) for step in steps}) == 1
         assert steps[0].prox_handle.kind == "l1"  # at eta = 0 too

@@ -68,6 +68,16 @@ class TestDomains:
                 assert (np.linalg.norm(v - p)
                         <= np.linalg.norm(v - w) + 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_simplex_projection_of_nonfinite_input_is_nan(self, bad):
+        """A nonfinite coordinate leaves no projection: every coordinate is
+        NaN, with no warning, as a box passes NaN through."""
+        for v in ([bad, 1.0, 0.0], [0.5, 0.0, bad]):
+            p = simplex(3).project(v)
+            assert p.shape == (3,) and np.all(np.isnan(p))
+        assert np.isnan(box(0.0, 1.0, dim=3).project([np.nan, 1.0, 0.0])[0])
+
     def test_ball_diameter_is_twice_radius(self):
         dom = ball(6.0)
         far = dom.project(np.array([100.0, 0.0, 0.0]))

@@ -9,8 +9,8 @@ import pytest
 
 from ompd import (CompositeLossStep, Domain, ErrorModel, InnerSolverError,
                   MissingOptimaError, ProblemStream, SolverConfig,
-                  SolverRunError, StepSizeError, ball, box,
-                  euclidean_generator, fill_optima, l1_rule,
+                  SolverRunError, StepSizeError, SvdError, ball,
+                  block_rule, box, euclidean_generator, fill_optima, l1_rule,
                   negative_entropy_generator, nuclear_rule, run,
                   run_proximal_gradient, simplex, stream_optima, whole_space,
                   write_trace_csv, zero_error_model, zero_rule)
@@ -186,8 +186,8 @@ class TestRun:
                  "regularizer_lipschitz": "reg_lipschitz"}[field]
         declared = getattr(stream, array).copy()
         declared[at - 1] = value
-        streams = [dataclasses.replace(stream, step_at=step_at,
-                                       gradient=None)]
+        streams = [ProblemStream(horizon=stream.horizon, step_at=step_at,
+                                 domain=stream.domain, dim=stream.dim)]
         if loop is run:
             streams.append(dataclasses.replace(
                 stream, gradient=lambda i, x: gradients.append(i)
@@ -201,40 +201,41 @@ class TestRun:
         assert not gradients
 
     def test_partial_trace_attached_on_mid_run_failure(self):
-        """A refused prox/domain composition aborts with the prefix trace.
+        """A failed subproblem aborts with the prefix trace.
 
-        Step 3 fails in the first block of the loop's bookkeeping, step
-        600 inside the second block of 512 steps, whose completed rows are
-        filled too. Steps 1 and 513 fail at the first step of a block,
-        which leaves that block no row to fill.
+        Every step proxes a whole-space nuclear block, and the failing
+        step's gradient is NaN, so its SVD fails (SvdError). Step 3 fails
+        in the first block of the loop's bookkeeping, step 600 inside the
+        second block of 512 steps, whose completed rows are filled too.
+        Steps 1 and 513 fail at the first step of a block, which leaves
+        that block no row to fill.
         """
-        good = _quadratic_step(np.eye(2), np.zeros(2))
-        bad = CompositeLossStep(
-            smooth_value=good.smooth_value,
-            smooth_gradient=good.smooth_gradient,
-            nonsmooth_value=lambda x: 0.0,
-            smoothness_constant=1.0, regularizer_lipschitz=1.0,
-            prox_handle=nuclear_rule(0.1), dim=2)
-        dom = box(-1.0, 1.0, dim=2)
+        rule = block_rule([((1, 2), nuclear_rule(0.1))])
+        good = dataclasses.replace(
+            _quadratic_step(np.eye(2), np.zeros(2)), prox_handle=rule,
+            nonsmooth_value=lambda x: 0.1 * float(np.linalg.norm(x)),
+            regularizer_lipschitz=0.1)
+        bad = dataclasses.replace(
+            good, smooth_gradient=lambda x: np.full(2, np.nan))
         config = SolverConfig(step_size=0.5, generator=EUCLID,
-                              initial_point=np.zeros(2))
+                              initial_point=np.ones(2))
         model = ErrorModel(gradient_std=0.3, prox_std=0.2, seed=4)
         assert solver._BLOCK_ROWS == 512
         for failing, horizon in ((3, 5), (600, 700), (1, 5), (513, 700)):
             stream = ProblemStream(
                 horizon=horizon,
                 step_at=lambda k: bad if k == failing else good,
-                domain=dom, dim=2)
+                domain=whole_space(), dim=2)
             with pytest.raises(SolverRunError) as err:
                 run(stream, config, model)
+            assert isinstance(err.value.__cause__, SvdError)
             done = failing - 1
             partial = err.value.trace
             assert partial.horizon == done < horizon
             assert partial.iterates.shape == (done, 2)
             assert partial.optima is None
             # the completed steps are filled as an unfailed run fills them
-            full = run(ProblemStream(horizon=horizon, step_at=lambda k: good,
-                                     domain=dom, dim=2), config, model)
+            full = run(_static_stream(good, horizon), config, model)
             for name in ("iterates", "f_played", "q_norms", "eps",
                          "grad_error_norms"):
                 np.testing.assert_array_equal(getattr(partial, name),
@@ -262,7 +263,7 @@ def test_inner_solver_out_of_budget_aborts_the_run(monkeypatch):
 
 def _per_step_loop(stream, config, model):
     """The online loop with every record made inside it, per step."""
-    steps = stream.steps()
+    steps = [stream.step_at(k) for k in range(1, stream.horizon + 1)]
     gen, lam = config.generator, config.step_size
     T, n = stream.horizon, stream.dim
     out = {name: np.zeros(T) for name in (
@@ -297,23 +298,45 @@ def _entropy_box_stream(T=40, dim=8, seed=3):
     return tracking_stream(centers, box(0.2, 1.0, dim=dim), eta=0.1)[0]
 
 
-def _alternating_rule_stream(domain, T=30, dim=6, seed=4):
-    """||x - c_k||^2 + h_k(x) over ``domain``, with h_k cycling through
-    0.1 ||x||_1, 0.3 ||x||_1 and 0: one prox rule object per kind."""
+def _one_rule_stream(domain, rule, T=30, dim=6, seed=4):
+    """||x - c_k||^2 + h(x) over ``domain``, h the l1 or zero ``rule``,
+    given by its steps alone: a fresh rule object per step, all equal."""
     centers = np.random.default_rng(seed).normal(0.2, 0.5, (T, dim))
-    rules = (l1_rule(0.1), l1_rule(0.3), zero_rule())
 
     def step_at(k):
-        ck, rule = centers[k - 1], rules[k % 3]
+        ck = centers[k - 1]
         return CompositeLossStep(
             smooth_value=lambda x: float(np.dot(x - ck, x - ck)),
             smooth_gradient=lambda x: 2.0 * (x - ck),
             nonsmooth_value=lambda x: rule.weight * float(np.sum(np.abs(x))),
             smoothness_constant=2.0,
             regularizer_lipschitz=rule.weight * np.sqrt(dim),
-            prox_handle=rule, dim=dim)
+            prox_handle=dataclasses.replace(rule), dim=dim)
 
     return ProblemStream(horizon=T, step_at=step_at, domain=domain, dim=dim)
+
+
+def test_steps_of_different_rules_are_refused():
+    """A stream has one rule: steps whose rules differ are refused when
+    the stream is built, naming the first step whose rule is not step
+    1's; equal rules held as distinct objects are one rule."""
+    stream = _one_rule_stream(whole_space(), l1_rule(0.1))
+    rules = {5: l1_rule(0.3), 9: zero_rule()}
+
+    def step_at(k):
+        step = stream.step_at(k)
+        return dataclasses.replace(step, prox_handle=rules.get(
+            k, step.prox_handle))
+
+    with pytest.raises(ValueError, match="^step 5 holds prox rule"):
+        ProblemStream(horizon=30, step_at=step_at, domain=stream.domain,
+                      dim=6)
+    assert stream.rule == l1_rule(0.1)
+    assert stream.rule is not stream.step_at(1).prox_handle
+    # a declared rule is the stream's rule: its steps are not compared
+    declared = ProblemStream(horizon=30, step_at=step_at,
+                             domain=stream.domain, dim=6, rule=l1_rule(0.1))
+    np.testing.assert_array_equal(declared.smoothness, np.full(30, 2.0))
 
 
 def _bookkeeping_cases():
@@ -344,19 +367,20 @@ def _bookkeeping_cases():
     yield ("entropy-box", stream, config,
            ErrorModel(gradient_std=0.05, prox_std=0.01, eps_cap=0.02,
                       seed=23))
-    # the prox rule changes from step to step, and with it the solver: on
-    # the simplex, entropy steps alternate between the multiplicative
-    # weights closed form (h = 0) and the inner solver (l1)
+    # streams given by their steps alone, one per rule: on the simplex,
+    # entropy steps take the multiplicative weights closed form (h = 0)
+    # or the inner solver (l1)
     for label, domain, gen, x0 in (
             ("euclid-box", box(-1.0, 1.0, dim=6), EUCLID, 0.5),
             ("entropy-simplex", simplex(6),
              negative_entropy_generator(lo=0.05, hi=1.0), 1.0 / 6.0)):
-        stream = _alternating_rule_stream(domain)
-        config = SolverConfig(step_size=0.3, generator=gen,
-                              initial_point=np.full(stream.dim, x0))
-        yield (f"alternating-rules-{label}", stream, config,
-               ErrorModel(gradient_std=0.05, prox_std=0.01, eps_cap=0.02,
-                          seed=24))
+        for rule in (l1_rule(0.1), l1_rule(0.3), zero_rule()):
+            stream = _one_rule_stream(domain, rule)
+            config = SolverConfig(step_size=0.3, generator=gen,
+                                  initial_point=np.full(stream.dim, x0))
+            yield (f"one-rule-{label}-{rule.kind}{rule.weight:g}", stream,
+                   config, ErrorModel(gradient_std=0.05, prox_std=0.01,
+                                      eps_cap=0.02, seed=24))
 
 
 @pytest.mark.parametrize("case", list(_bookkeeping_cases()),
@@ -375,7 +399,7 @@ def test_bookkeeping_matches_the_per_step_loop(case, monkeypatch):
 
 @pytest.mark.parametrize("case", [
     case for case in _bookkeeping_cases()
-    if case[1].batch_values is not None], ids=lambda case: case[0])
+    if not case[0].startswith("one-rule")], ids=lambda case: case[0])
 def test_total_values_override_matches_the_fallback(case):
     _, stream, config, model = case
     fallback = dataclasses.replace(stream, batch_values=None)
@@ -389,7 +413,8 @@ def test_total_values_override_matches_the_fallback(case):
 
 def _declared_streams():
     """(label, stream, config) of each builder's stream: lasso on the whole
-    space and on a box, tracking at eta = 0 and eta > 0, separation."""
+    space and on a box, tracking at eta = 0 and eta > 0, separation, and
+    tracking on a box in the entropy geometry (the inner solver)."""
     cfg = GaussMarkovConfig(horizon=40, seed=7)
     n = cfg.n_coeffs
     halfwidth = 5.0 / (2.0 * np.sqrt(n))
@@ -411,11 +436,15 @@ def _declared_streams():
     yield "separation", stream, SolverConfig(
         step_size=sep.alpha_L, generator=EUCLID,
         initial_point=np.zeros(stream.dim))
+    stream = _entropy_box_stream()
+    yield "entropy-box", stream, SolverConfig(
+        step_size=0.3, generator=negative_entropy_generator(lo=0.2, hi=1.0),
+        initial_point=np.full(stream.dim, 0.6))
 
 
 def _steps_only(stream):
-    """The stream without its declarations: ``run`` derives them from
-    ``step_at``."""
+    """The stream without its declarations, which ``ProblemStream`` fills
+    from ``step_at``."""
     return ProblemStream(horizon=stream.horizon, step_at=stream.step_at,
                          domain=stream.domain, dim=stream.dim,
                          batch_values=stream.batch_values)
@@ -428,7 +457,7 @@ class TestDeclaredStream:
         """gradient(i, x) is step i+1's gradient, L and B its constants, bit
         for bit, and every step holds the one declared rule."""
         _, stream, _ = case
-        steps = stream.steps()
+        steps = [stream.step_at(k) for k in range(1, stream.horizon + 1)]
         rng = np.random.default_rng(9)
         for i, step in enumerate(steps):
             x = rng.normal(scale=2.0, size=stream.dim)
@@ -441,10 +470,14 @@ class TestDeclaredStream:
             assert declared.shape == (stream.horizon,)
             want = np.array([getattr(step, field) for step in steps])
             assert declared.tobytes() == want.tobytes(), name
+            filled = getattr(_steps_only(stream), name)
+            assert filled.tobytes() == want.tobytes(), name
+        assert _steps_only(stream).rule is stream.rule
 
     def test_plays_as_a_stream_of_steps(self, case):
-        """Without its declarations, or with one of the four missing, the
-        stream plays its steps, bit for bit as declared."""
+        """Without its declarations, or with one of them missing, the
+        stream plays its steps, bit for bit as declared, under an exact
+        and an inexact error model."""
         _, stream, config = case
         arrays = ("x0",) + tuple(name for name in _PER_STEP_FIELDS
                                  if name != "step_seconds")
@@ -584,19 +617,19 @@ class TestTraceCsv:
             write_trace_csv(trace, tmp_path / "trace.csv")
 
 
-def test_one_subproblem_solver_for_a_stream_of_one_rule(monkeypatch):
-    """example1's steps share one l1 rule, so ``run`` builds one solver
-    across all its blocks."""
-    cfg = GaussMarkovConfig(horizon=40, seed=3)
-    stream, _ = generate_gauss_markov(cfg)
-    config = SolverConfig(step_size=cfg.step_size, generator=EUCLID,
-                          initial_point=np.zeros(cfg.n_coeffs))
+@pytest.mark.parametrize("case", list(_bookkeeping_cases()),
+                         ids=lambda case: case[0])
+def test_one_subproblem_solver_for_a_stream_of_one_rule(case, monkeypatch):
+    """A stream has one rule, so ``run`` builds one solver, for it, across
+    all its blocks: declared or given by its steps."""
+    _, stream, config, model = case
     built, real = [], solver.subproblem_solver
     monkeypatch.setattr(solver, "subproblem_solver",
                         lambda *a: built.append(a) or real(*a))
     monkeypatch.setattr(solver, "_BLOCK_ROWS", 7)
-    run(stream, config, ErrorModel(gradient_std=0.05, prox_std=0.05, seed=4))
+    run(stream, config, model)
     assert len(built) == 1
+    assert built[0][0] is stream.rule
 
 
 def _run_peak(T, model):
