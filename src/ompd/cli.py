@@ -14,23 +14,27 @@ rebuilds the run that ``run --config FILE`` played. Every run writes the
 resolved configuration to ``run_config.cfg`` inside the output directory,
 which resolves to the run that wrote it and is what ``verify`` reads by
 default.
-Each experiment is one row of ``experiments.EXPERIMENTS``. ``run`` removes
-an earlier ``run_config.cfg`` and plays the row with ``experiments.play``,
-which owns the rest of the run directory (it first removes the earlier
-``partial_trace.csv``, ``exact/`` and ``inexact/``). ``verify`` certifies
-it with ``experiments.verify`` and maps the errors named to exit codes.
+Each experiment is one row of ``experiments.EXPERIMENTS``. ``run`` plays
+the row with ``experiments.play``, which owns the whole run directory (it
+first removes an earlier ``run_config.cfg``, ``partial_trace.csv``,
+``exact/`` and ``inexact/``), then writes ``run_config.cfg``. ``verify``
+certifies the directory with ``experiments.verify``. Each command prints
+one ``experiments.verdict`` line per variant and exits with the code of
+the first error named, so this module only parses, writes the config,
+prints and maps exit codes.
 
 Seed splitting: the manifest seed never feeds a generator directly. The
 stream seed is ``seed XOR 0x53545245`` and the error-model seed is
 ``seed XOR 0x4E4F4953`` (the library's rule too), so the variants of one
 run share the problem stream and differ only in error draws.
 
-Exit codes, with the errors of ``experiments.verify`` that map to them:
+Exit codes, with the named errors that map to them:
     0  success
     1  a run failed mid-stream; bound_violated (``run`` too, once its files
        are written, when a margin is negative or nonfinite), or step_size
        (a step size above 2 sigma_omega / max_k L_k)
-    2  configuration parse or validation error, a missing --config included
+    2  configuration parse or validation error: a --config that is missing
+       or unreadable, or data a stream refuses (an overflowing L_k, B_k)
     3  output directory refused: nonempty and --overwrite not given, or
        not creatable (an existing file, or a path under one)
     4  OUT/run_config.cfg missing; missing_trace or unreadable_trace
@@ -62,7 +66,7 @@ EXIT_OVERWRITE = 3
 EXIT_MISSING = 4
 EXIT_SANITY = 5
 EXIT_CONSTANTS = 6
-#: exit code of each error ``experiments.verify`` names
+#: exit code of each error a verdict or ``experiments.verify`` names
 _VERIFY_EXITS = {"missing_trace": EXIT_MISSING,
                  "unreadable_trace": EXIT_MISSING, "f_star": EXIT_SANITY,
                  "sanity": EXIT_SANITY, "norms": EXIT_SANITY,
@@ -233,6 +237,14 @@ def _write_resolved_config(path, manifest, cfg) -> None:
         parser.write(fh)
 
 
+def _report(checked) -> int:
+    """Print each (error, line); return the first error's exit code."""
+    for _, line in checked:
+        print(line)
+    return next((_VERIFY_EXITS[error] for error, _ in checked if error),
+                EXIT_OK)
+
+
 def cmd_run(args) -> int:
     try:
         exp, cfg, domain, variants, manifest = _resolve(
@@ -254,13 +266,9 @@ def cmd_run(args) -> int:
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_OVERWRITE
 
-    # a failed run leaves no config to verify; play clears the earlier run
-    config_path = os.path.join(out_dir, "run_config.cfg")
-    if os.path.exists(config_path):
-        os.remove(config_path)
     try:
-        results, _ = experiments.play(exp, cfg, domain, out_dir, variants,
-                                      manifest["optimum_tol"])
+        results = experiments.play(exp, cfg, domain, out_dir, variants,
+                                   manifest["optimum_tol"])
     except SolverRunError as exc:
         path = os.path.join(out_dir, experiments.PARTIAL_TRACE)
         print(f"run failed: {exc} (partial trace in {path})", file=sys.stderr)
@@ -272,22 +280,18 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    _write_resolved_config(config_path, manifest, cfg)
-    code = EXIT_OK
-    for variant, res in results.items():
-        R_T, margin = res.regret[-1], res.margin
-        line = (f"variant={variant} R_T={R_T:.6g} "
-                f"R_T_over_T={R_T / res.trace.horizon:.6g} "
-                f"worst_margin={margin:.6g}")
-        if not 0.0 <= margin < np.inf:  # as verify judges the directory
-            line, code = line + " error=bound_violated", EXIT_FAIL
-        print(line)
-    return code
+    _write_resolved_config(os.path.join(out_dir, experiments.RUN_CONFIG),
+                           manifest, cfg)
+    return _report([experiments.verdict(
+        variant, res.regret, res.rhs,
+        f" R_T={res.regret[-1]:.6g} "
+        f"R_T_over_T={res.regret[-1] / res.trace.horizon:.6g}")
+        for variant, res in results.items()])
 
 
 def cmd_verify(args) -> int:
     out_dir = args.out
-    cfg_path = args.config or os.path.join(out_dir, "run_config.cfg")
+    cfg_path = args.config or os.path.join(out_dir, experiments.RUN_CONFIG)
     if not (args.config or os.path.exists(cfg_path)):  # a --config: exit 2
         print(f"verify: no run configuration at {cfg_path}", file=sys.stderr)
         return EXIT_MISSING
@@ -303,10 +307,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # as in run: the stream refuses its data
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for _, line in checked:
-        print(line)
-    return next((_VERIFY_EXITS[error] for error, _ in checked if error),
-                EXIT_OK)
+    return _report(checked)
 
 
 def main(argv=None) -> int:

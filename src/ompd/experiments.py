@@ -43,6 +43,7 @@ from .solver import SolverConfig, run, write_trace_csv
 
 VARIANTS = ("exact", "inexact")  # one folder each in a run directory
 PARTIAL_TRACE = "partial_trace.csv"  # (k, f_x) of a run that failed
+RUN_CONFIG = "run_config.cfg"  # the resolved config ``ompd run`` writes
 #: the stream and error-model seeds are the manifest seed XOR these tags
 STREAM_SEED_XOR = 0x53545245  # "STRE"
 ERROR_SEED_XOR = 0x4E4F4953  # "NOIS"
@@ -162,7 +163,14 @@ def _indexed_stream(g, grad, h, L, B, rule, domain: Domain, dim: int,
                     values) -> ProblemStream:
     """The stream of f_k = g(k-1, .) + h, of gradient grad(k-1, .), (T,)
     arrays L and B of L_k and B_k and one prox ``rule``, which it declares;
-    step k binds the shared evaluators to k - 1."""
+    step k binds the shared evaluators to k - 1. An L_k or B_k that is not
+    finite (a closed form that overflowed) is refused."""
+    ok = np.isfinite(L) & np.isfinite(B)
+    if not np.all(ok):
+        k = np.argmin(ok)
+        raise ValueError(f"need finite L_k and B_k; step {k + 1} declares "
+                         f"L_k = {L[k]} and B_k = {B[k]}")
+
     def step_at(k: int) -> CompositeLossStep:
         return CompositeLossStep(
             smooth_value=functools.partial(g, k - 1),
@@ -187,8 +195,9 @@ def tracking_stream(centers, domain: Domain, a: float = 1.0,
             and centers.size and np.all(np.isfinite(centers))):
         raise ValueError(f"need finite a > 0, eta >= 0 and (T >= 1, n >= 1) "
                          f"centers; got a={a}, eta={eta}, {centers.shape}")
-    (T, n), L = centers.shape, 2.0 * a
-    B, rule = eta * np.sqrt(n), l1_rule(eta) if eta else zero_rule()
+    (T, n), rule = centers.shape, l1_rule(eta) if eta else zero_rule()
+    with np.errstate(over="ignore"):  # refused by _indexed_stream
+        L, B = 2.0 * np.float64(a), eta * np.sqrt(n)
 
     def g(i, x):  # shared evaluators; a step binds its own index
         d = x - centers[i]
@@ -222,21 +231,21 @@ def lasso_stream(X, Y, eta: float, domain: Domain) -> ProblemStream:
     ``Y``. Step k declares the exact L_k = 2 lambda_max(X_k^T X_k) and
     B = eta sqrt(n), and all steps share one ``l1_rule(eta)``. Its optima
     come from ``lasso_optima_batch``. Data whose ||y_k||^2 (the loss at
-    the origin) or L_k overflows are refused."""
+    the origin), L_k or B overflows are refused."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if not (X.ndim == 3 and X.size and Y.shape == X.shape[:2]
             and 0.0 <= eta < np.inf and np.all(np.isfinite(X))
             and np.all(np.isfinite(Y))):
         raise ValueError(f"need finite (T >= 1, d >= 1, n >= 1) X, (T, d) Y "
                          f"and eta >= 0; got {X.shape}, {Y.shape}, eta={eta}")
-    with np.errstate(over="ignore"):  # refused below, not warned of
-        L = _lasso_smoothness(X)
-        ok = np.isfinite(L) & np.isfinite(np.einsum("td,td->t", Y, Y))
-    if not np.all(ok):
-        raise ValueError(f"need finite ||y_k||^2 and L_k; step "
-                         f"{np.argmin(ok) + 1} overflows")
     T, _, n = X.shape
-    B, rule = eta * np.sqrt(n), l1_rule(eta)
+    with np.errstate(over="ignore"):  # refused here and by _indexed_stream
+        L, B = _lasso_smoothness(X), eta * np.sqrt(n)
+        ok = np.isfinite(np.einsum("td,td->t", Y, Y))
+    if not np.all(ok):
+        raise ValueError(f"need finite ||y_k||^2; step {np.argmin(ok) + 1} "
+                         f"overflows")
+    rule = l1_rule(eta)
 
     def g(i, a):  # shared evaluators; a step binds its own index
         r = X[i] @ a - Y[i]
@@ -486,17 +495,19 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
     ``optimum_tol`` that the variants share. Variants differ only in their
     error model, seeded with ``cfg.seed ^ STREAM_SEED_XOR ^
     ERROR_SEED_XOR``, and each distinct model is played once. With
-    ``out_dir``, an earlier ``PARTIAL_TRACE`` and ``VARIANTS`` are removed
-    first, a ``SolverRunError`` writes ``PARTIAL_TRACE``, and then each
-    variant's trace.csv, bound.csv, bound_state.csv and row tables are
-    written together. Returns (results keyed by variant, truth).
+    ``out_dir``, play owns the run directory: an earlier ``RUN_CONFIG``,
+    ``PARTIAL_TRACE`` and ``VARIANTS`` are removed first, so a failed or
+    library run leaves nothing of an earlier run for ``verify``; a
+    ``SolverRunError`` writes ``PARTIAL_TRACE``, and then each variant's
+    trace.csv, bound.csv, bound_state.csv and row tables are written
+    together. Returns the results keyed by variant.
     """
     seed = cfg.seed ^ STREAM_SEED_XOR ^ ERROR_SEED_XOR
     models = {variant: _error_model(cfg.error_std, variant, seed)
               for variant in variants}
     if out_dir is not None:  # no file of an earlier run may outlive this one
         os.makedirs(out_dir, exist_ok=True)
-        for name in (PARTIAL_TRACE, *VARIANTS):
+        for name in (RUN_CONFIG, PARTIAL_TRACE, *VARIANTS):
             path = os.path.join(out_dir, name)
             if os.path.isdir(path):
                 shutil.rmtree(path)
@@ -537,7 +548,18 @@ def play(row: Experiment, cfg, domain: Optional[Domain],
                         *paths("bound.csv"))
         write_state_csv(traces, *paths("bound_state.csv"))
         row.tables(traces, vdirs, cfg, truth)
-    return results, truth
+    return results
+
+
+def verdict(variant: str, regret, rhs, detail: str = ""):
+    """The (error, line) ``ompd run`` and ``ompd verify`` print for one
+    variant: ``detail``, then the ``certified_margin``, which is
+    "bound_violated" (else None) when negative or not finite."""
+    worst = certified_margin(regret, rhs)
+    line = f"variant={variant}{detail} worst_margin={worst:.6g}"
+    if not 0.0 <= worst < np.inf:
+        return "bound_violated", line + " error=bound_violated"
+    return None, line
 
 
 def verify(row: Experiment, cfg, domain: Optional[Domain], out_dir: str,
@@ -545,7 +567,8 @@ def verify(row: Experiment, cfg, domain: Optional[Domain], out_dir: str,
     """Certify each variant of the run directory ``out_dir`` that ``play``
     wrote for ``row`` and ``cfg``, from its bound_state.csv alone, against
     the row's stream, exact constants, step size and distance generator.
-    Returns one (error, line) per variant, error None or the line's name."""
+    Returns one (error, line) per variant, error None or the line's name;
+    a certified run's is its ``verdict``."""
     stream, truth = row.stream(cfg, domain)
     exact = np.stack(row.constants(cfg, truth))  # (L[T], B[T])
     lam, generator = getattr(cfg, row.step_size), row.generator()
@@ -597,11 +620,7 @@ def verify(row: Experiment, cfg, domain: Optional[Domain], out_dir: str,
         rebuilt = trace_from_state(state, lam, stream.domain.kind,
                                    stream.domain.diameter)
         table = ledger_from_trace(rebuilt, generator, lam, stream.domain)
-        worst = certified_margin(table["R"], table["RHS"])
-        line = f"variant={variant} worst_margin={worst:.6g}"
-        if not 0.0 <= worst < np.inf:
-            return "bound_violated", line + " error=bound_violated"
-        return None, line
+        return verdict(variant, table["R"], table["RHS"])
 
     return [check(variant) for variant in variants]
 
@@ -642,7 +661,7 @@ def run_example1(cfg: GaussMarkovConfig, out_dir: Optional[str] = None,
     """Play the regression stream (``play``), both variants by default,
     with coefficients.csv per variant. Returns a dict keyed by variant."""
     return play(EXPERIMENTS["example1"], cfg, domain, out_dir, variants,
-                optimum_tol)[0]
+                optimum_tol)
 
 
 @dataclass(frozen=True)
@@ -753,7 +772,7 @@ def generate_separation(cfg: SeparationConfig):
     fixed sparse pattern. Returns (stream, truth) with truth holding the
     per-step background, the static foreground, its support mask, and the
     observed matrices. Frames M_k whose ||M_k||^2 (the loss at the origin)
-    overflows are refused.
+    overflows, and scales whose L_k or B_k overflows, are refused.
     """
     rng = np.random.default_rng(cfg.seed)
     T, rows, cols, r = cfg.horizon, cfg.window, cfg.frame_dim, cfg.synth_rank
@@ -783,9 +802,10 @@ def generate_separation(cfg: SeparationConfig):
         raise ValueError(f"need finite ||M_k||^2; frame {np.argmin(ok) + 1} "
                          f"overflows")
     m = rows * cols
-    L_k = np.full(T, separation_smoothness(cfg))
-    B_k = np.full(T, np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
-                              cfg.lambda_S * np.sqrt(m)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        L_k = np.full(T, separation_smoothness(cfg))
+        B_k = np.full(T, np.hypot(cfg.lambda_L * np.sqrt(min(rows, cols)),
+                                  cfg.lambda_S * np.sqrt(m)))
     prox = block_rule([((rows, cols), nuclear_rule(cfg.lambda_L)),
                        ((rows, cols), l1_rule(cfg.lambda_S))])
 
@@ -964,7 +984,7 @@ def run_example2(cfg: SeparationConfig, out_dir: Optional[str] = None,
     ``run_example1`` does; ``generate_separation(cfg)[1]`` is the truth.
     """
     return play(EXPERIMENTS["example2"], cfg, None, out_dir, variants,
-                optimum_tol)[0]
+                optimum_tol)
 
 
 #: the built-in experiments, by the name ``ompd run --experiment`` takes

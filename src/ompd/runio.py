@@ -3,11 +3,13 @@
 Every table is a header line, then rows of integer index columns (``%d``)
 and float columns at 17 significant digits (``%.17g``), which read back
 bit for bit. Cells are formatted from numpy arrays, a block of rows at a
-time: ``format_floats`` and ``format_ints`` return each cell's text as one
+time, in one ``format_floats`` call that returns each cell's text as one
 NUL-padded row of bytes, computed in numpy for ordinary values and by
 ``%`` itself for the rest (nan, infinities, subnormals, extreme
-magnitudes, significands near a rounding tie, integer arrays that reach
-2**53 in magnitude), so every byte is the one ``%`` writes. The tables
+magnitudes, significands near a rounding tie), so every byte is the one
+``%`` writes. An integer is formatted as its double, which holds it and
+writes it as ``%d`` does below 2**53 in magnitude; an integer column that
+reaches 2**53 is refused with ValueError. The tables
 of several variants are written together (``write_tables``), so the
 cells they share are formatted once. A long table of (T, n) arrays
 (``write_long_tables``, example1's ``coefficients.csv``) is written one
@@ -170,12 +172,6 @@ def _digit_text(lanes, keep_all):
     return (lanes | _ASCII_ZEROS) & kept
 
 
-def _by_percent(values, spec) -> np.ndarray:
-    """``spec % v`` for each of ``values``, as rows of ``_FIELD`` bytes."""
-    return np.array([spec % v for v in values.tolist()],
-                    f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
-
-
 def _significands(a):
     """For each 1e-280 <= a <= 1e280: the decimal exponent E, the 17-digit
     significand round(a * 10**(16 - E)), and whether that rounding is sure
@@ -257,8 +253,8 @@ def format_floats(x) -> np.ndarray:
     body[n:n + 2] = 0
     body[n:n + 2, 1] = ord("0")
     body[n + 1, 0] = ord("-")
-    if other.size:
-        body[n + 2:] = _by_percent(x[other], "%.17g")
+    body[n + 2:] = np.array(["%.17g" % v for v in x[other].tolist()],
+                            f"S{_FIELD}")[:, None].view(np.uint8)
     body[:n, 0] = np.signbit(x[rows]) * np.uint8(ord("-"))
     digits = _digits(d)
     ends = np.cumsum(np.bincount(layout + 4, minlength=22)).tolist()
@@ -284,23 +280,6 @@ def format_floats(x) -> np.ndarray:
     text_of[zero] = n + np.signbit(x[zero])
     text_of[other] = np.arange(n + 2, len(body))
     return body.take(text_of, axis=0)
-
-
-def _floats_hold(v) -> bool:
-    """Whether every integer of ``v`` lies below 2**53 in magnitude, so
-    that its double holds it exactly and writes it with ``'%.17g'`` as
-    ``'%d'`` does."""
-    return not v.size or -2 ** 53 < int(v.min()) <= int(v.max()) < 2 ** 53
-
-
-def format_ints(v) -> np.ndarray:
-    """Each integer of ``v`` as its ``'%d'`` text, in rows like those of
-    ``format_floats``: by ``format_floats`` if doubles hold them all, by
-    ``%`` itself otherwise."""
-    v = np.asarray(v).ravel()
-    if _floats_hold(v):
-        return format_floats(v.astype(np.float64))
-    return _by_percent(v, "%d")
 
 
 def write_tables(paths, header, tables) -> None:
@@ -368,27 +347,25 @@ def _texts(columns) -> list:
     """The cell texts of ``columns``, each a list of one array ((rows,) or
     (rows, w)) that every path shares or of one array per path: for each
     column, the list of its (rows, w, ``_FIELD``) text blocks and the
-    bytes of the field they use. Every float array, and every integer
-    array that doubles hold (``_floats_hold``), is formatted in one
-    ``format_floats`` call across the columns and paths."""
-    arrays = [a for column in columns for a in column]
-    pooled = [a.dtype.kind not in "iu" or _floats_hold(a) for a in arrays]
-    if any(pooled):
-        cells = [a.ravel() for a, p in zip(arrays, pooled) if p]
-        starts = np.cumsum([0] + [a.size for a in cells[:-1]])
-        text = format_floats(np.concatenate(cells))
-        pooled_texts = zip(np.split(text, starts[1:]),
-                           _used_bytes(text, starts))
-    pooled = iter(pooled)
+    bytes of the field they use. Every array, integer index columns
+    included, is formatted in one ``format_floats`` call across the
+    columns and paths; an integer array that reaches 2**53 in magnitude,
+    past which doubles do not hold every integer, is refused with
+    ValueError."""
+    arrays = [a.ravel() for column in columns for a in column]
+    for a in arrays:
+        if a.dtype.kind in "iu" and a.size and max(
+                -int(a.min()), int(a.max())) >= 2 ** 53:
+            raise ValueError("integer cells must lie below 2**53 in "
+                             "magnitude")
+    starts = np.cumsum([0] + [a.size for a in arrays[:-1]])
+    text = format_floats(np.concatenate(arrays))
+    pooled = zip(np.split(text, starts[1:]), _used_bytes(text, starts))
     texts = []
     for column in columns:
         blocks, used = [], np.zeros(_FIELD, bool)
         for a in column:
-            if next(pooled):
-                text, bytes_used = next(pooled_texts)
-            else:
-                text = format_ints(a)
-                bytes_used = _used_bytes(text, [0])[0]
+            text, bytes_used = next(pooled)
             used |= bytes_used
             blocks.append(text.reshape(len(a), -1, _FIELD))
         texts.append((blocks, used))

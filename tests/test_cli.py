@@ -368,15 +368,22 @@ class TestRun:
         (EX1_SMALL.replace("horizon = 30", "horizon = 5")
          + "[domain]\nkind = box\ndiameter = 1e308\n",
          "box diameter must be finite, got inf"),
+        (EX1_SMALL + "[example1]\neta = 1e308\n",
+         "need finite L_k and B_k; step 1 declares"),
+        ("[run]\nexperiment = example2\nhorizon = 3\n[example2]\n"
+         "frame_dim = 8\nwindow = 4\nmu_L = 1e308\n",
+         "need finite L_k and B_k; step 1 declares L_k = inf"),
     ], ids=["infinite-draws", "huge-noise", "huge-background",
-            "huge-diameter"])
+            "huge-diameter", "huge-eta", "huge-mu_L"])
     def test_data_a_stream_refuses_is_a_config_error(self, tmp_path, capsys,
                                                      command, text, named):
         """obs_noise_std = 1e308 draws infinite observations at T = 30, which
         lasso_stream refuses before the oracle meets them; at T = 3 the
         draws are finite but ||y_k||^2 overflows, a background of scale
-        1e300 overflows ||M_k||^2, and a box of diameter 1e308 has corners
-        whose distance overflows. No overflow warning is printed."""
+        1e300 overflows ||M_k||^2, a box of diameter 1e308 has corners
+        whose distance overflows, and eta = 1e308 (B_k) and mu_L = 1e308
+        (L_k) overflow a declared constant. No overflow warning is
+        printed."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code = main([command, "--config", str(cfg),
@@ -612,6 +619,22 @@ class TestRun:
         assert "run failed" in capsys.readouterr().err
         assert not (out / "run_config.cfg").exists()
         assert main(["verify", "--out", str(out)]) == 4
+
+    def test_library_run_over_a_cli_run_leaves_nothing_to_verify(
+            self, tmp_path, capsys):
+        """``play`` owns the whole run directory: a library run into the
+        directory of an ``ompd run`` removes its run_config.cfg, which
+        ``verify`` read against the library run's files (error=f_star
+        step=1, exit 5)."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "res"
+        cfg.write_text(EX1_SMALL)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        experiments.run_example1(
+            experiments.GaussMarkovConfig(horizon=30, seed=99), str(out))
+        assert not (out / "run_config.cfg").exists()
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 4
+        assert capsys.readouterr().out == ""
 
     def test_run_and_verify_share_the_rows_generator(self, tmp_path,
                                                      monkeypatch, capsys):

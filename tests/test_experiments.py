@@ -191,7 +191,10 @@ class TestTrackingStream:
         (np.zeros((0, 2)), 1.0, 0.1), (np.zeros((3, 0)), 1.0, 0.1),
         (np.zeros((3, 2, 1)), 1.0, 0.1), ([[0.0, np.nan]], 1.0, 0.1),
         ([[np.inf, 0.0]], 1.0, 0.1),
+        (np.zeros((3, 2)), 1e308, 0.1),  # L = 2a overflows
+        (np.zeros((3, 4)), 1.0, 1e308),  # B = eta sqrt(n) overflows
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refuses_bad_inputs(self, centers, a, eta):
         with pytest.raises(ValueError):
             tracking_stream(centers, whole_space(), a, eta)

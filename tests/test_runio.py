@@ -12,8 +12,7 @@ from ompd import (GaussMarkovConfig, MissingOptimaError, SolverConfig,
 from ompd.experiments import _write_coefficients_csv
 from ompd.regret import BOUND_CSV_HEADER
 from ompd.runio import (_BLOCK_CELLS, TRACE_CSV_HEADER, _same_cells,
-                        _state_header, format_floats, format_ints,
-                        read_state_csv, read_table, write_state_csv,
+                        _state_header, format_floats, read_state_csv, read_table, write_state_csv,
                         write_table, write_tables)
 
 
@@ -69,9 +68,10 @@ class TestCellFormatters:
         assert len(x) >= 300_000
         assert self._mismatches(format_floats(x), x, "%.17g") == []
 
-    def test_ints_are_percent_d(self):
-        """Arrays below 2**53 in magnitude take the float path; any array
-        reaching past it goes through ``%`` whole."""
+    def test_ints_are_percent_d(self, tmp_path):
+        """Integer columns below 2**53 in magnitude are written through the
+        float path as ``%d`` writes them; a column that reaches 2**53 is
+        refused, since doubles no longer hold every integer there."""
         rng = np.random.default_rng(35)
         info = np.iinfo(np.int64)
         powers = 10 ** np.arange(19)
@@ -81,16 +81,19 @@ class TestCellFormatters:
             rng.integers(0, 10 ** 6, 50_000), np.arange(-5000, 100_000),
             powers[:16] - 1, powers[:16], powers[:16] + 1, -powers[:16],
             [exact, -exact, 0, -1]])
-        beyond = np.concatenate([
-            rng.integers(info.min, info.max, 50_000, np.int64),
-            powers, -powers, [info.min, info.max, 0, -1, 10 ** 16]])
+        path = tmp_path / "k.csv"
+        for v in (inside, np.arange(1, 9, dtype=np.uint32),
+                  np.array([exact, 0, 7], np.uint64)):
+            write_table(path, ("k",), [v])
+            assert path.read_text().splitlines() == [
+                "k", *("%d" % k for k in v.tolist())]
+        beyond = rng.integers(info.min, info.max, 50_000, np.int64)
         above = rng.integers(2 ** 53, info.max, 20_000, endpoint=True)
-        for v in (inside, beyond, above, -above, np.array([2 ** 53]),
-                  np.array([-2 ** 53]),
-                  np.array([2 ** 64 - 1, 2 ** 63, 0, 7], np.uint64),
-                  np.arange(1, 9, dtype=np.uint32)):
-            assert self._mismatches(format_ints(v), v, "%d") == []
-        assert format_ints(np.arange(0)).shape == (0, 24)
+        for v in (beyond, above, -above, np.array([2 ** 53]),
+                  np.array([-2 ** 53]), np.array([0, info.min]),
+                  np.array([2 ** 64 - 1, 2 ** 63, 0, 7], np.uint64)):
+            with pytest.raises(ValueError, match=r"below 2\*\*53"):
+                write_table(path, ("k", "v"), [v, np.zeros(len(v))])
 
 
 class TestTable:
@@ -112,16 +115,20 @@ class TestTable:
         assert np.array_equal(np.signbit(data[:, 1]), np.signbit(values))
 
 
-    def test_integers_are_exact_beside_floats(self, tmp_path):
-        """Integers used to pass through float64, exact only below 2**53."""
-        k = np.array([2 ** 53 + 1, -(2 ** 62) - 3])
+    def test_integers_past_2_53_are_refused_beside_floats(self, tmp_path):
+        """Integers at or past 2**53 were written by ``%d``. No table holds
+        them, and doubles do not hold them all, so they are refused; the
+        largest that doubles hold are exact beside floats."""
         path = tmp_path / "table.csv"
+        floats = [np.array([0.5, -1.0]), np.array([[1.5, 2.0], [0.0, -0.0]])]
+        with pytest.raises(ValueError, match=r"below 2\*\*53"):
+            write_table(path, ("k", "v", "x_0", "x_1"),
+                        [np.array([2 ** 53 + 1, -(2 ** 62) - 3]), *floats])
         write_table(path, ("k", "v", "x_0", "x_1"),
-                    [k, np.array([0.5, -1.0]), np.array([[1.5, 2.0],
-                                                         [0.0, -0.0]])])
+                    [np.array([2 ** 53 - 1, 1 - 2 ** 53]), *floats])
         assert path.read_text().splitlines() == [
-            "k,v,x_0,x_1", "9007199254740993,0.5,1.5,2",
-            "-4611686018427387907,-1,0,-0"]
+            "k,v,x_0,x_1", "9007199254740991,0.5,1.5,2",
+            "-9007199254740991,-1,0,-0"]
 
 
 class TestTables:
