@@ -9,13 +9,11 @@ from .errors import (CompositionError, DimensionMismatchError,
                      StepSizeError, SvdError)
 from .experiments import (ExperimentResult, GaussMarkovConfig,
                           SeparationConfig, background_spectrum,
-                          coefficient_paths, gauss_markov_constants,
-                          generate_gauss_markov, generate_separation,
-                          lasso_optima_batch, lasso_stream, run_example1,
-                          run_example2, separation_blocks,
-                          separation_constants, separation_f1,
-                          separation_optima, separation_smoothness,
-                          tracking_stream)
+                          coefficient_paths, generate_gauss_markov,
+                          generate_separation, lasso_optima_batch,
+                          lasso_stream, run_example1, run_example2,
+                          separation_blocks, separation_f1, separation_optima,
+                          separation_smoothness, tracking_stream)
 from .losses import (CompositeLossStep, ConstantsReport, Domain, ErrorModel,
                      ProblemStream, ball, box, simplex, validate_constants,
                      whole_space, zero_error_model)

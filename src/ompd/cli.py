@@ -40,7 +40,8 @@ Exit codes, with the named errors that map to them:
     4  OUT/run_config.cfg missing; missing_trace or unreadable_trace
     5  a sanity check of bound_state.csv: f_star, sanity (f_x - f_star),
        norms (e_norm, eps, q_norm) or x0 (row k = 0)
-    6  constants: a recorded L_k or B_k below its exact value
+    6  constants: a recorded L_k or B_k that is not finite or lies below
+       the one the rebuilt stream declares
 """
 
 from __future__ import annotations

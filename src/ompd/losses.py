@@ -3,7 +3,8 @@
 A ``ProblemStream`` declares f_k = g_k + h_k as the library reads it: the
 indexed gradient of g_k, one prox rule of all h_k, the (T,) arrays of L_k
 and B_k, and a batch evaluator of f_k; a stream given by its steps
-(``CompositeLossStep``) has them filled from those. A ``Domain``'s
+(``CompositeLossStep``) has them filled from those. The stream is the one
+place that checks its L_k and B_k. A ``Domain``'s
 regime ``kind`` follows from its diameter. ``ErrorModel`` produces the
 gradient and prox error sequences; draws are keyed on (seed XOR purpose
 tag, step index) so any single draw can be replayed bit-identically
@@ -132,9 +133,9 @@ class CompositeLossStep:
 
     ``smoothness_constant`` bounds the curvature of the smooth part and
     ``regularizer_lipschitz`` the Lipschitz constant of the nonsmooth part;
-    both are declared metadata. ``ompd verify`` checks the recorded values
-    of the built-in experiments against their closed forms
-    (``gauss_markov_constants``, ``separation_constants``);
+    both are declared metadata. A stream given by its steps fills its L_k
+    and B_k arrays from them, and ``ProblemStream`` checks the arrays.
+    ``ompd verify`` checks recorded values against a rebuilt stream's;
     :func:`validate_constants` is a sampled check that the tests use.
     ``prox_handle`` resolves to an exact prox rule (see the prox module).
     A stream given by its steps builds one per gradient, so steps are
@@ -165,7 +166,11 @@ class ProblemStream:
     bit for bit, keeping no step: the gradient builds step i+1 per call,
     ``batch_values`` calls each ``total_value``, and one pass reads L_k,
     B_k and the rule, refusing steps whose rules differ (ValueError naming
-    the first). A ``dataclasses.replace`` copy keeps what was filled.
+    the first). Declared or filled, L_k and B_k are then held as float
+    arrays and checked, here only: a ValueError names the horizon unless
+    both have shape (T,), else the first step whose L_k or B_k is not
+    finite and >= 0. A ``dataclasses.replace`` copy keeps what was filled
+    and is checked again.
     """
 
     horizon: int
@@ -194,11 +199,22 @@ class ProblemStream:
             if self.rule is None and k:
                 raise ValueError(f"step {k + 1} holds prox rule {rules[k]!r}"
                                  f", not step 1's {rules[0]!r}")
-            fill.update(rule=rules[0], smoothness=np.array(L, dtype=float),
-                        reg_lipschitz=np.array(B, dtype=float))
+            fill.update(rule=rules[0], smoothness=L, reg_lipschitz=B)
         for name, value in fill.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
+        T = self.horizon
+        L, B = (np.asarray(getattr(self, name), dtype=float)
+                for name in ("smoothness", "reg_lipschitz"))
+        if L.shape != (T,) or B.shape != (T,):
+            raise ValueError(f"need one L_k and one B_k per step of {T}")
+        ok = (0.0 <= L) & (L < np.inf) & (0.0 <= B) & (B < np.inf)  # NaN: no
+        if not np.all(ok):
+            k = int(np.argmin(ok))
+            raise ValueError(f"need finite L_k and B_k >= 0; step {k + 1} "
+                             f"declares L_k = {L[k]} and B_k = {B[k]}")
+        object.__setattr__(self, "smoothness", L)
+        object.__setattr__(self, "reg_lipschitz", B)
 
     def total_values(self, xs, start: int = 0) -> np.ndarray:
         """f_k(xs[k-1-start]) for k = start+1..start+len(xs), one per row of

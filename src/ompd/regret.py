@@ -110,7 +110,9 @@ def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
     ``RHS_TERMS`` in the domain's regime and their sum ``RHS``, with the
     horizon-T' convention s_{T'+1} = 0 and the full-horizon D, which only
     enlarges earlier prefixes (a running max). Also the drift ``s`` (s_k
-    at index k - 1), the scalar ``D`` and the domain's ``kind``.
+    at index k - 1), the scalar ``D`` and the domain's ``kind``. D P and
+    the recursion's (2 lam D / sigma) P are 0 wherever P is: a D that
+    overflowed to inf adds nothing at a prefix without prox error.
     """
     if not trace.has_optima():
         raise MissingOptimaError("fill_optima before building the ledger")
@@ -126,16 +128,20 @@ def ledger_from_trace(trace: RunTrace, gen: DistanceGenerator, lam: float,
     sigma, G = gen.sigma_omega, gen.g_omega
     Sigma, SigmaBar = np.cumsum(s), np.cumsum(s ** 2)
     E, P = np.cumsum(trace.grad_error_norms), np.cumsum(trace.eps)
+
+    def times_p(c):  # c P, 0 where P is: an inf c adds no NaN there
+        return np.multiply(c, P, out=np.zeros(T), where=P != 0.0)
+
     C = E + (G / lam) * (Sigma + P)
     if domain.kind == "bounded":
         error = domain.diameter * C
     else:
-        S = ((2.0 * lam / sigma) * Z0 + (2.0 * lam * D / sigma) * P
+        S = ((2.0 * lam / sigma) * Z0 + times_p(2.0 * lam * D / sigma)
              + (2.0 * G / sigma - 1.0) * SigmaBar)
         error = ((2.0 * lam / sigma) * C + np.sqrt(S)) * C
     table = {"R": dynamic_regret(trace), "s": s, "D": D, "kind": domain.kind,
              "Sigma": Sigma, "SigmaBar": SigmaBar, "E": E, "P": P,
-             "Z0": np.full(T, Z0), "DP": D * P,
+             "Z0": np.full(T, Z0), "DP": times_p(D),
              "curvature": (G - 0.5 * sigma) / lam * SigmaBar, "error": error}
     table["RHS"] = sum(map(table.get, RHS_TERMS[1:]), table[RHS_TERMS[0]])
     return table

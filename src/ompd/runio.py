@@ -9,9 +9,9 @@ NUL-padded row of bytes, computed in numpy for ordinary values and by
 magnitudes, significands near a rounding tie), so every byte is the one
 ``%`` writes. An integer is formatted as its double, which holds it and
 writes it as ``%d`` does below 2**53 in magnitude; an integer column that
-reaches 2**53 is refused with ValueError. The tables
-of several variants are written together (``write_tables``), so the
-cells they share are formatted once. A long table of (T, n) arrays
+reaches 2**53 is refused with ValueError before any file is opened. The
+tables of several variants are written together (``write_tables``), so
+the cells they share are formatted once. A long table of (T, n) arrays
 (``write_long_tables``, example1's ``coefficients.csv``) is written one
 block of time steps at a time, and its shared column (``a_true``) is
 formatted once for all variants.
@@ -298,6 +298,7 @@ def write_tables(paths, header, tables) -> None:
             raise ValueError("the tables differ in shape")
     columns = [arrays[:1] if _same_cells(arrays) else arrays
                for arrays in by_column]
+    _check_integers(a for arrays in columns for a in arrays)
     # a table without rows is its header alone
     rows = max(1, _BLOCK_CELLS // max(1, sum(len(arrays) * arrays[0][:1].size
                                              for arrays in columns)))
@@ -323,6 +324,7 @@ def write_long_tables(paths, header, shared, own) -> None:
     if _same_cells(own):  # variants played as one run
         own = own[:1]
     T, n = shared.shape
+    _check_integers([np.array([T, n]), shared, *own])  # last t and i too
     steps = max(1, _BLOCK_CELLS // max(1, (1 + len(own)) * n))
     (i, i_used), = _texts([[np.arange(1, n + 1)]])
     with _open_tables(paths, header) as files:
@@ -334,6 +336,16 @@ def write_long_tables(paths, header, shared, own) -> None:
             _write_rows(files, [([np.repeat(t[0], n, axis=0)], t_used),
                                 ([np.tile(i[0], (hi - lo, 1, 1))], i_used),
                                 *cells])
+
+
+def _check_integers(arrays) -> None:
+    """Refuse with ValueError an integer array that reaches 2**53 in
+    magnitude, past which doubles do not hold every integer."""
+    for a in arrays:
+        if a.dtype.kind in "iu" and a.size and max(
+                -int(a.min()), int(a.max())) >= 2 ** 53:
+            raise ValueError("integer cells must lie below 2**53 in "
+                             "magnitude")
 
 
 def _used_bytes(text, starts) -> np.ndarray:
@@ -349,15 +361,9 @@ def _texts(columns) -> list:
     column, the list of its (rows, w, ``_FIELD``) text blocks and the
     bytes of the field they use. Every array, integer index columns
     included, is formatted in one ``format_floats`` call across the
-    columns and paths; an integer array that reaches 2**53 in magnitude,
-    past which doubles do not hold every integer, is refused with
-    ValueError."""
+    columns and paths; its writers have refused integers that doubles do
+    not hold (``_check_integers``)."""
     arrays = [a.ravel() for column in columns for a in column]
-    for a in arrays:
-        if a.dtype.kind in "iu" and a.size and max(
-                -int(a.min()), int(a.max())) >= 2 ** 53:
-            raise ValueError("integer cells must lie below 2**53 in "
-                             "magnitude")
     starts = np.cumsum([0] + [a.size for a in arrays[:-1]])
     text = format_floats(np.concatenate(arrays))
     pooled = zip(np.split(text, starts[1:]), _used_bytes(text, starts))

@@ -13,8 +13,8 @@ losses and norms are computed after each block of steps, in array calls
 over the block, so ``step_seconds`` times the recursion alone. The
 gradient is always evaluated at the played point x_{k-1}, never at
 y_{k-1}. Per-step optima are filled later by the regret module. Both
-loops read only the stream's declarations, and ``_empty_trace`` checks
-its L_k and B_k before a step.
+loops read only the stream's declarations, whose L_k and B_k the stream
+checked when it was built.
 
 ``run_proximal_gradient`` is a deliberately self-contained Euclidean
 baseline, kept free of the generic mirror machinery so the two paths can
@@ -50,28 +50,17 @@ _BLOCK_ROWS = 512
 
 def _empty_trace(stream: ProblemStream, config: SolverConfig,
                  sigma: float) -> RunTrace:
-    """The unplayed trace holding the stream's declared L_k and B_k.
-
-    Raises ValueError unless they hold one entry per step, or naming the
-    first step whose L_k is NaN or < 0 or whose B_k is NaN, inf or < 0;
-    then applies ``check_step_size`` at max_k L_k and ``sigma``."""
+    """The unplayed trace holding its own copy of the stream's L_k and
+    B_k, once ``check_step_size`` passes at max_k L_k and ``sigma``."""
     T, n = stream.horizon, stream.dim
-    L = np.array(stream.smoothness, dtype=float)
-    B = np.array(stream.reg_lipschitz, dtype=float)
-    if L.shape != (T,) or B.shape != (T,):
-        raise ValueError(f"need one L_k and one B_k per step of {T}")
-    ok = (L >= 0.0) & (B >= 0.0) & (B < np.inf)
-    if not np.all(ok):
-        k = int(np.argmin(ok))
-        raise ValueError(f"step {k + 1} declares L_k = {L[k]} and B_k = "
-                         f"{B[k]}; need L_k >= 0 and finite B_k >= 0")
-    check_step_size(config.step_size, np.max(L), sigma)
+    check_step_size(config.step_size, np.max(stream.smoothness), sigma)
     return RunTrace(
         horizon=T, dim=n,
         x0=np.array(config.initial_point, dtype=float),
         iterates=np.zeros((T, n)), grad_error_norms=np.zeros(T),
         eps=np.zeros(T), f_played=np.zeros(T), q_norms=np.zeros(T),
-        smoothness=L, reg_lipschitz=B,
+        smoothness=stream.smoothness.copy(),
+        reg_lipschitz=stream.reg_lipschitz.copy(),
         step_seconds=np.zeros(T), step_size=config.step_size,
         domain_kind=stream.domain.kind,
         domain_diameter=stream.domain.diameter)
@@ -115,9 +104,9 @@ def run(stream: ProblemStream, config: SolverConfig,
     memory does not grow with the horizon.
 
     Raises ValueError or StepSizeError before any step (``_empty_trace``)
-    on a bad declared L_k or B_k at any step, or unless 0 < step_size <=
-    2 sigma_omega / max_k L_k. Raises SolverRunError if a subproblem fails
-    mid-run, with the fully filled trace of the completed steps attached.
+    unless 0 < step_size <= 2 sigma_omega / max_k L_k. Raises
+    SolverRunError if a subproblem fails mid-run, with the fully filled
+    trace of the completed steps attached.
     """
     trace = _empty_trace(stream, config, config.generator.sigma_omega)
     T, n = stream.horizon, stream.dim

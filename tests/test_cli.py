@@ -369,10 +369,10 @@ class TestRun:
          + "[domain]\nkind = box\ndiameter = 1e308\n",
          "box diameter must be finite, got inf"),
         (EX1_SMALL + "[example1]\neta = 1e308\n",
-         "need finite L_k and B_k; step 1 declares"),
+         "need finite L_k and B_k >= 0; step 1 declares"),
         ("[run]\nexperiment = example2\nhorizon = 3\n[example2]\n"
          "frame_dim = 8\nwindow = 4\nmu_L = 1e308\n",
-         "need finite L_k and B_k; step 1 declares L_k = inf"),
+         "need finite L_k and B_k >= 0; step 1 declares L_k = inf"),
     ], ids=["infinite-draws", "huge-noise", "huge-background",
             "huge-diameter", "huge-eta", "huge-mu_L"])
     def test_data_a_stream_refuses_is_a_config_error(self, tmp_path, capsys,
@@ -587,6 +587,27 @@ class TestRun:
         assert main(["verify", "--out", str(out)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             line.split()[0] + tail for line in lines]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant, code, tail", [
+        ("exact", 0, " worst_margin=0"),
+        ("inexact", 1, " worst_margin=inf error=bound_violated")])
+    def test_overflowing_d_gives_no_nan_bound(self, tmp_path, capsys,
+                                              variant, code, tail):
+        """eta = 1e308 on one coefficient declares B_k = 1e308, so D =
+        2 max_k B_k overflows to inf. The exact variant has P = 0 at every
+        prefix, where D P and the recursion's D term are 0, not inf * 0 =
+        NaN: run and verify certify it with margin 0. The inexact variant's
+        D P is inf, so its margin is inf, which is not certified."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "res"
+        cfg.write_text("[run]\nexperiment = example1\nhorizon = 3\n"
+                       "[example1]\nn_coeffs = 1\nactive_set = 1\n"
+                       "eta = 1e308\n")
+        assert main(["run", "--config", str(cfg), "--variant", variant,
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().out.rstrip("\n").endswith(tail)
+        assert main(["verify", "--out", str(out)]) == code
+        assert capsys.readouterr().out == f"variant={variant}{tail}\n"
 
     @pytest.mark.parametrize("failure", ["optimum", "solver"])
     def test_failed_overwrite_leaves_nothing_to_verify(self, tmp_path,
@@ -837,17 +858,17 @@ class TestVerify:
 
     def test_exact_constants_computed_once_and_never_sampled(self, tmp_path,
                                                              monkeypatch):
-        """Both example1 variants are checked against one computation of
-        the exact constants, and no sampled validation runs."""
+        """Both example1 variants are checked against the L_k of one
+        rebuilt stream, computed once, and no sampled validation runs."""
         code, out = _run_example1(tmp_path)
         assert code == 0
         exact, sampled = [], []
 
-        def spy(cfg, truth, _real=experiments.gauss_markov_constants):
-            exact.append(cfg.horizon)
-            return _real(cfg, truth)
+        def spy(X, _real=experiments._lasso_smoothness):
+            exact.append(len(X))
+            return _real(X)
 
-        monkeypatch.setattr(experiments, "gauss_markov_constants", spy)
+        monkeypatch.setattr(experiments, "_lasso_smoothness", spy)
         for module in (losses, cli):
             monkeypatch.setattr(module, "validate_constants",
                                 lambda *args, **kw: sampled.append(args),
@@ -909,6 +930,41 @@ class TestVerify:
             doctored = line.startswith(f"variant={variant} ")
             assert ("error=constants step=40" in line) == doctored
             assert ("worst_margin=" in line) != doctored
+
+    def test_raised_constants_still_verify(self, tmp_path, capsys):
+        """A recorded constant above the declared one is still an upper
+        bound, so it verifies. Step k's L_k raised by 10 %, still below
+        max_k L_k, leaves every margin as it was. One B_k raised by 10 %
+        raises D = 2 max_k B_k, so no margin falls, and the inexact one,
+        whose P is positive, grows."""
+        code, out = _run_example1(tmp_path)
+        assert code == 0
+        capsys.readouterr()
+
+        def margins():
+            assert main(["verify", "--out", str(out)]) == 0
+            return {line.split()[0]: line.split("worst_margin=")[1]
+                    for line in capsys.readouterr().out.splitlines()}
+
+        before = margins()
+        for variant in ("exact", "inexact"):
+            path = out / variant / "bound_state.csv"
+            header, *rows = path.read_text().splitlines()
+            j = header.split(",").index("L_k")
+            L = [float(row.split(",")[j]) for row in rows[1:]]
+            k = int(np.argmin(L)) + 1
+            assert 1.1 * L[k - 1] < max(L)
+            _set_cell(path, k + 1, "L_k", repr(1.1 * L[k - 1]))
+        assert margins() == before
+        for variant in ("exact", "inexact"):
+            path = out / variant / "bound_state.csv"
+            header, *rows = path.read_text().splitlines()
+            B = float(rows[5].split(",")[header.split(",").index("B_k")])
+            _set_cell(path, 6, "B_k", repr(1.1 * B))
+        after = margins()
+        assert float(after["variant=exact"]) >= float(before["variant=exact"])
+        assert (float(after["variant=inexact"])
+                > float(before["variant=inexact"]))
 
     def test_inflated_played_losses_exit_1(self, tmp_path):
         """Blowing up recorded f_x in the state file breaks the bound."""

@@ -7,11 +7,10 @@ import pytest
 
 from ompd import (CompositionError, Domain, GaussMarkovConfig, OptimumError,
                   SeparationConfig, background_spectrum, ball, box,
-                  coefficient_paths, gauss_markov_constants,
-                  generate_gauss_markov, generate_separation,
-                  lasso_optima_batch, lasso_stream, offline_optimum, prox,
-                  run_example1, run_example2, separation_blocks,
-                  separation_constants, separation_f1, separation_optima,
+                  coefficient_paths, generate_gauss_markov,
+                  generate_separation, lasso_optima_batch, lasso_stream,
+                  offline_optimum, prox, run_example1, run_example2,
+                  separation_blocks, separation_f1, separation_optima,
                   separation_smoothness, soft_threshold, stream_optima,
                   tracking_stream, validate_constants, whole_space)
 from ompd import experiments
@@ -359,16 +358,17 @@ def _with_constants(step, L, B):
 
 
 class TestExactConstants:
-    """The closed forms ``verify`` checks against pass the sampled check
-    and are attained along an extremal direction, so a closed form that
-    is too small or too large fails."""
+    """The L_k and B_k a built-in stream declares, which runs use and
+    ``verify`` checks against, pass the sampled check and are attained
+    along an extremal direction, so a declared constant that is too small
+    or too large fails."""
 
     @pytest.mark.parametrize("domain", [None, box(-0.5, 0.5, dim=30)],
                              ids=["whole_space", "box"])
     def test_gauss_markov_constants(self, domain):
         cfg = GaussMarkovConfig(horizon=12, seed=4)
         stream, truth = generate_gauss_markov(cfg, domain)
-        L, B = gauss_markov_constants(cfg, truth)
+        L, B = stream.smoothness, stream.reg_lipschitz
         assert L.shape == B.shape == (cfg.horizon,)
         x = np.random.default_rng(0).normal(size=cfg.n_coeffs)
         for k in (1, 6, 12):
@@ -387,7 +387,7 @@ class TestExactConstants:
                                background_scale=1.0, foreground_scale=1.0,
                                noise_std=0.01, lambda_L=lambda_L)
         stream, _ = generate_separation(cfg)
-        L, B = separation_constants(cfg)
+        L, B = stream.smoothness, stream.reg_lipschitz
         assert L.shape == B.shape == (cfg.horizon,)
         rows, cols = cfg.window, cfg.frame_dim
         # the Hessian acts entrywise on (L, S) by one 2 x 2 matrix

@@ -12,7 +12,8 @@ from ompd import (GaussMarkovConfig, MissingOptimaError, SolverConfig,
 from ompd.experiments import _write_coefficients_csv
 from ompd.regret import BOUND_CSV_HEADER
 from ompd.runio import (_BLOCK_CELLS, TRACE_CSV_HEADER, _same_cells,
-                        _state_header, format_floats, read_state_csv, read_table, write_state_csv,
+                        _state_header, format_floats, read_state_csv,
+                        read_table, write_long_tables, write_state_csv,
                         write_table, write_tables)
 
 
@@ -117,13 +118,20 @@ class TestTable:
 
     def test_integers_past_2_53_are_refused_beside_floats(self, tmp_path):
         """Integers at or past 2**53 were written by ``%d``. No table holds
-        them, and doubles do not hold them all, so they are refused; the
-        largest that doubles hold are exact beside floats."""
+        them, and doubles do not hold them all, so they are refused before
+        any file is made; the largest that doubles hold are exact beside
+        floats."""
         path = tmp_path / "table.csv"
         floats = [np.array([0.5, -1.0]), np.array([[1.5, 2.0], [0.0, -0.0]])]
         with pytest.raises(ValueError, match=r"below 2\*\*53"):
             write_table(path, ("k", "v", "x_0", "x_1"),
                         [np.array([2 ** 53 + 1, -(2 ** 62) - 3]), *floats])
+        assert not path.exists()
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with pytest.raises(ValueError, match=r"below 2\*\*53"):
+            write_long_tables(paths, ("t", "i", "a", "b"), np.zeros((2, 3)),
+                              [np.zeros((2, 3)), np.full((2, 3), 2 ** 53)])
+        assert not any(p.exists() for p in paths)
         write_table(path, ("k", "v", "x_0", "x_1"),
                     [np.array([2 ** 53 - 1, 1 - 2 ** 53]), *floats])
         assert path.read_text().splitlines() == [

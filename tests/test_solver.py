@@ -154,52 +154,6 @@ class TestRun:
         with pytest.raises(ValueError, match="step_size must be positive"):
             run(_static_stream(step, 5), config, zero_error_model())
 
-    @pytest.mark.parametrize("loop", [run, run_proximal_gradient],
-                             ids=["run", "baseline"])
-    @pytest.mark.parametrize("at", [1, 3])
-    @pytest.mark.parametrize("field, value", [
-        ("smoothness_constant", np.nan), ("smoothness_constant", -1.0),
-        ("regularizer_lipschitz", np.nan), ("regularizer_lipschitz", np.inf),
-        ("regularizer_lipschitz", -1.0)],
-        ids=["L-nan", "L-neg", "B-nan", "B-inf", "B-neg"])
-    def test_bad_declared_constant_refused_before_any_step(self, loop, at,
-                                                           field, value):
-        """A NaN or negative L_k, or a NaN, infinite or negative B_k, at the
-        first or a middle step of a 6-step stream is a ValueError naming
-        that step, raised before any gradient is taken: whether the steps
-        declare it (a stream given only ``step_at``) or, for ``run``, the
-        stream's own L_k or B_k array."""
-        stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
-                                    whole_space(), eta=0.1)
-        gradients = []
-
-        def step_at(k):
-            step = stream.step_at(k)
-            grad = step.smooth_gradient
-            step = dataclasses.replace(
-                step, smooth_gradient=lambda x: gradients.append(k) or grad(x))
-            if k == at:
-                step = dataclasses.replace(step, **{field: value})
-            return step
-
-        array = {"smoothness_constant": "smoothness",
-                 "regularizer_lipschitz": "reg_lipschitz"}[field]
-        declared = getattr(stream, array).copy()
-        declared[at - 1] = value
-        streams = [ProblemStream(horizon=stream.horizon, step_at=step_at,
-                                 domain=stream.domain, dim=stream.dim)]
-        if loop is run:
-            streams.append(dataclasses.replace(
-                stream, gradient=lambda i, x: gradients.append(i)
-                or stream.gradient(i, x), **{array: declared}))
-        config = SolverConfig(step_size=0.25, generator=EUCLID,
-                              initial_point=np.zeros(2))
-        model = ErrorModel(gradient_std=0.1, prox_std=0.1, seed=3)
-        for bad in streams:
-            with pytest.raises(ValueError, match=f"^step {at} declares"):
-                loop(bad, config, model)
-        assert not gradients
-
     def test_partial_trace_attached_on_mid_run_failure(self):
         """A failed subproblem aborts with the prefix trace.
 
@@ -337,6 +291,60 @@ def test_steps_of_different_rules_are_refused():
     declared = ProblemStream(horizon=30, step_at=step_at,
                              domain=stream.domain, dim=6, rule=l1_rule(0.1))
     np.testing.assert_array_equal(declared.smoothness, np.full(30, 2.0))
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["steps", "arrays"])
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("field, value", [
+    ("smoothness_constant", np.nan), ("smoothness_constant", np.inf),
+    ("smoothness_constant", -1.0), ("regularizer_lipschitz", np.nan),
+    ("regularizer_lipschitz", np.inf), ("regularizer_lipschitz", -1.0)],
+    ids=["L-nan", "L-inf", "L-neg", "B-nan", "B-inf", "B-neg"])
+def test_bad_declared_constant_refused_before_any_step(declared, at, field,
+                                                       value):
+    """A NaN, infinite or negative L_k or B_k at the first or a middle step
+    of a 6-step stream is a ValueError naming that step, raised when the
+    stream is built, before any gradient is taken: whether its steps
+    declare it (a stream given only ``step_at``) or its own L_k or B_k
+    array does (a ``dataclasses.replace`` copy is checked again)."""
+    stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
+                                whole_space(), eta=0.1)
+    gradients = []
+
+    def gradient(i, x):
+        gradients.append(i)
+        return stream.gradient(i, x)
+
+    def step_at(k):
+        step = dataclasses.replace(stream.step_at(k), smooth_gradient=(
+            lambda x: gradient(k - 1, x)))
+        return dataclasses.replace(step, **{field: value}) if k == at else step
+
+    array = {"smoothness_constant": "smoothness",
+             "regularizer_lipschitz": "reg_lipschitz"}[field]
+    bad = getattr(stream, array).copy()
+    bad[at - 1] = value
+    with pytest.raises(ValueError, match=f"; step {at} declares"):
+        if declared:
+            dataclasses.replace(stream, gradient=gradient, **{array: bad})
+        else:
+            ProblemStream(horizon=stream.horizon, step_at=step_at,
+                          domain=stream.domain, dim=stream.dim)
+    assert not gradients
+
+
+@pytest.mark.parametrize("array", ["smoothness", "reg_lipschitz"])
+def test_declarations_of_another_horizon_are_refused(array):
+    """A declared L_k or B_k array one step short is refused when the
+    stream is built, before any gradient is taken."""
+    stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
+                                whole_space(), eta=0.1)
+    gradients = []
+    with pytest.raises(ValueError, match="per step of 6"):
+        dataclasses.replace(
+            stream, gradient=lambda i, x: gradients.append(i)
+            or stream.gradient(i, x), **{array: getattr(stream, array)[:-1]})
+    assert not gradients
 
 
 def _bookkeeping_cases():
@@ -664,23 +672,6 @@ def test_run_scratch_does_not_grow_with_the_horizon(model):
     per_step = (n + 7) * 8
     growth = _run_peak(4096, model) - _run_peak(1024, model)
     assert growth <= 3072 * per_step + 64 * 1024
-
-
-@pytest.mark.parametrize("array", ["smoothness", "reg_lipschitz"])
-def test_run_refuses_declarations_of_another_horizon(array):
-    """A declared L_k or B_k array one step short is refused before any
-    gradient is taken."""
-    stream, _ = tracking_stream(np.arange(12.0).reshape(6, 2),
-                                whole_space(), eta=0.1)
-    gradients = []
-    short = dataclasses.replace(
-        stream, gradient=lambda i, x: gradients.append(i)
-        or stream.gradient(i, x), **{array: getattr(stream, array)[:-1]})
-    config = SolverConfig(step_size=0.25, generator=EUCLID,
-                          initial_point=np.zeros(2))
-    with pytest.raises(ValueError, match="per step of 6"):
-        run(short, config, zero_error_model())
-    assert not gradients
 
 
 class TestShiftedClipRule:
